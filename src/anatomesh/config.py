@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "DEFAULTS"]
 
@@ -60,10 +60,6 @@ class RunConfig:
     values: dict[str, dict[str, object]]
     path: str
     digest: str
-    base_dir: str = field(init=False)
-
-    def __post_init__(self):
-        self.base_dir = os.path.dirname(os.path.abspath(self.path))
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -72,19 +68,14 @@ class RunConfig:
         return float(self.values[section][key])
 
     def get_int(self, section: str, key: str) -> int:
-        return int(float(self.values[section][key]))
+        value = self.values[section][key]
+        try:
+            return int(str(value))
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}") from None
 
     def get_floats(self, section: str, key: str) -> tuple[float, ...]:
         return tuple(float(v) for v in str(self.values[section][key]).split())
-
-    def get_ints(self, section: str, key: str) -> tuple[int, ...]:
-        return tuple(int(v) for v in str(self.values[section][key]).split())
-
-    def resolve(self, path: str) -> str:
-        """Resolve a path relative to the config file location."""
-        if os.path.isabs(path):
-            return path
-        return os.path.join(self.base_dir, path)
 
 
 def load_config(path: str) -> RunConfig:

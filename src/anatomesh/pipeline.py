@@ -30,7 +30,7 @@ from .synth import (
     ORGAN_LABEL,
     TUBE_LABEL,
     SynthConfig,
-    gen_dataset,
+    iter_dataset,
     load_case,
     save_case,
 )
@@ -87,8 +87,7 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     seed = cfg.get_int("synth", "seed")
     n_train = cfg.get_int("synth", "n_train")
     n_test = cfg.get_int("synth", "n_test")
-    cases = gen_dataset(n_train + n_test, seed, scfg)
-    for i, case in enumerate(cases):
+    for i, case in enumerate(iter_dataset(n_train + n_test, seed, scfg)):
         split = "train" if i < n_train else "test"
         k = i if i < n_train else i - n_train
         save_case(case, os.path.join(out_dir, "cases", f"{split}_{k:04d}"))

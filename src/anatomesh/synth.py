@@ -15,7 +15,8 @@ separate them; only geometry can.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -34,6 +35,7 @@ __all__ = [
     "implant_mass",
     "soften",
     "gen_dataset",
+    "iter_dataset",
     "save_case",
     "load_case",
 ]
@@ -127,16 +129,28 @@ def _centerline(cfg: SynthConfig, n: int = 160) -> tuple[np.ndarray, np.ndarray]
     return np.stack([x, y, z], axis=1), radii
 
 
+def _window(
+    grid: int, center: np.ndarray, reach: float | np.ndarray
+) -> tuple[tuple[slice, ...], list[np.ndarray]]:
+    """Grid box within ``reach`` of ``center`` (clipped), and voxel offsets along each axis."""
+    lo = np.clip(np.floor(center - reach).astype(int), 0, grid)
+    hi = np.clip(np.ceil(center + reach).astype(int) + 1, 0, grid)
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    return box, [np.arange(a, b) - c for a, b, c in zip(lo, hi, center)]
+
+
 def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Voxels within the swept varying-radius capsule."""
-    coords = np.indices((grid, grid, grid)).reshape(3, -1).T.astype(np.float64)
-    inside = np.zeros(len(coords), dtype=bool)
-    for chunk in range(0, len(points), 32):
-        p = points[chunk : chunk + 32]
-        r = radii[chunk : chunk + 32]
-        d2 = ((coords[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-        inside |= (d2 <= (r**2)[None, :]).any(axis=1)
-    return inside.reshape(grid, grid, grid)
+    """Voxels within the swept varying-radius capsule.
+
+    Each centerline point is tested only against the voxels of its own
+    bounding box, and its ball is OR-ed into the grid there.
+    """
+    inside = np.zeros((grid, grid, grid), dtype=bool)
+    for p, r in zip(points, radii):
+        box, (dx, dy, dz) = _window(grid, p, r)
+        d2 = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+        inside[box] |= d2 <= r**2
+    return inside
 
 
 _CONN6 = ndimage.generate_binary_structure(3, 1)
@@ -164,9 +178,7 @@ def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np
     mask = _sweep_mask(cfg.grid, points, radii)
     if not mask.any():
         raise SynthError("generated organ is empty")
-    border = np.zeros_like(mask)
-    border[[0, -1], :, :] = border[:, [0, -1], :] = border[:, :, [0, -1]] = True
-    if (mask & border).any():
+    if mask[[0, -1]].any() or mask[:, [0, -1]].any() or mask[:, :, [0, -1]].any():
         raise SynthError("generated organ clips the grid boundary")
     _, n = ndimage.label(mask, structure=_CONN6)
     if n != 1:
@@ -206,8 +218,6 @@ def implant_mass(
     points, _ = _centerline(cfg)
     grid = organ.shape[0]
     labels = organ.astype(np.uint8) * ORGAN_LABEL
-    if spec.size_range[1] <= 0:
-        raise SynthError("mass size range must be positive")
     bounds = np.cumsum(REGION_COUNTS) / sum(REGION_COUNTS)
     lows = np.concatenate([[0.0], bounds[:-1]])
     allowed = [
@@ -230,18 +240,18 @@ def implant_mass(
         center = points[int(round(t * (len(points) - 1)))]
         radius = rng.uniform(*spec.size_range)
         axes = radius * rng.uniform(0.8, 1.2, size=3)
-        coords = np.indices(organ.shape).reshape(3, -1).T
-        inside = (((coords - center) / axes) ** 2).sum(axis=1) <= 1.0
-        mass = inside.reshape(organ.shape)
+        box, offs = _window(grid, center, axes)
+        dx, dy, dz = ((o / a) ** 2 for o, a in zip(offs, axes))
+        mass = dx[:, None, None] + dy[None, :, None] + dz[None, None, :] <= 1.0
         if not mass.any():
             continue
-        outside = np.count_nonzero(mass & ~organ)
+        outside = np.count_nonzero(mass & ~organ[box])
         if outside > 0.2 * np.count_nonzero(mass):
             continue
-        centroid = np.argwhere(mass).mean(axis=0)
+        centroid = (np.argwhere(mass) + [b.start for b in box]).mean(axis=0)
         if _region_band(_centerline_param(centroid, points)) not in spec.allowed_regions:
             continue
-        labels[mass] = spec.voxel_label
+        labels[box][mass] = spec.voxel_label
         return LabelVolume(labels, (1.0, 1.0, 1.0))
     raise SynthError(
         f"could not place a mass of class {spec.class_id} within "
@@ -294,11 +304,15 @@ def gen_case(
     raise SynthError(f"case generation failed after {cfg.retry_limit} retries: {last_err}")
 
 
-def gen_dataset(
+def iter_dataset(
     n: int, seed: int, cfg: SynthConfig | None = None,
     classes: dict[int, tuple[MassSpec | None, str]] | None = None,
-) -> list[SynthCase]:
-    """Deterministic dataset of n cases drawn from the configured class mix."""
+) -> Iterator[SynthCase]:
+    """Deterministic stream of n cases drawn from the configured class mix.
+
+    Case i takes the i-th class draw from ``seed`` and its own seed from
+    ``(seed, i, 7)``, so each case can be saved as soon as it is made.
+    """
     if n < 1:
         raise SynthError("dataset size must be >= 1")
     cfg = cfg or SynthConfig()
@@ -308,11 +322,17 @@ def gen_dataset(
     if len(mix) != len(ids):
         raise SynthError("class mix length does not match class count")
     rng = np.random.default_rng(seed)
-    cases = []
     for i in range(n):
         cid = ids[rng.choice(len(ids), p=mix)]
-        cases.append(gen_case(cid, int(np.random.default_rng((seed, i, 7)).integers(2**31)), cfg, classes))
-    return cases
+        yield gen_case(cid, int(np.random.default_rng((seed, i, 7)).integers(2**31)), cfg, classes)
+
+
+def gen_dataset(
+    n: int, seed: int, cfg: SynthConfig | None = None,
+    classes: dict[int, tuple[MassSpec | None, str]] | None = None,
+) -> list[SynthCase]:
+    """Deterministic dataset of n cases drawn from the configured class mix."""
+    return list(iter_dataset(n, seed, cfg, classes))
 
 
 def save_case(case: SynthCase, directory: str) -> None:

@@ -72,6 +72,12 @@ class TestConfig:
         assert cfg.get_float("synth", "noise") == 0.1
         assert cfg.get_floats("synth", "class_mix") == (0.5, 0.5, 0.0, 0.0)
 
+    def test_non_integer_rejected(self, tmp_path):
+        for value in ("2.9", "2.0", "1e3", "two"):
+            cfg = load_config(write_config(tmp_path, f"[train]\nepochs = {value}\n"))
+            with pytest.raises(ConfigError, match=r"\[train\] epochs"):
+                cfg.get_int("train", "epochs")
+
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
         b = load_config(write_config(tmp_path, "[train]\nepochs = 4\n"))

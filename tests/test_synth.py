@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from anatomesh.synth import (
@@ -14,8 +18,11 @@ from anatomesh.synth import (
     SynthError,
     gen_case,
     gen_dataset,
+    _centerline,
+    _sweep_mask,
     gen_organ,
     implant_mass,
+    iter_dataset,
     load_case,
     save_case,
     soften,
@@ -24,6 +31,48 @@ from anatomesh.volume import LabelVolume, VolumeError
 
 
 CONN6 = ndimage.generate_binary_structure(3, 1)
+
+
+def sweep_mask_reference(grid, points, radii):
+    """Brute force: every grid voxel against every centerline point."""
+    coords = np.indices((grid, grid, grid)).reshape(3, -1).T.astype(np.float64)
+    inside = np.zeros(len(coords), dtype=bool)
+    for chunk in range(0, len(points), 32):
+        p = points[chunk : chunk + 32]
+        r = radii[chunk : chunk + 32]
+        d2 = ((coords[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+        inside |= (d2 <= (r**2)[None, :]).any(axis=1)
+    return inside.reshape(grid, grid, grid)
+
+
+@st.composite
+def capsules(draw):
+    """Grid, centerline points and radii; points may sit past either face and
+    land on integer coordinates, so boxes get clipped and voxels lie exactly
+    on a ball's surface."""
+    grid = draw(st.sampled_from([32, 33, 48]))
+    coord = st.one_of(
+        st.integers(-3, grid + 2).map(float),
+        st.floats(-4.0, grid + 3.0, allow_nan=False),
+    )
+    radius = st.one_of(
+        st.integers(1, 6).map(float),
+        st.floats(0.05, 0.99),
+        st.floats(0.05, 8.0),
+    )
+    n = draw(st.integers(1, 40))
+    points = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(radius, min_size=n, max_size=n)))
+    return grid, points, radii
+
+
+class TestSweepMask:
+    @settings(max_examples=60, deadline=None)
+    @given(capsules())
+    @example((48, *_centerline(SynthConfig())))  # the default organ
+    def test_equals_brute_force(self, capsule):
+        grid, points, radii = capsule
+        assert np.array_equal(_sweep_mask(grid, points, radii), sweep_mask_reference(grid, points, radii))
 
 
 class TestGenOrgan:
@@ -220,6 +269,25 @@ class TestCases:
     def test_empty_dataset_rejected(self):
         with pytest.raises(SynthError):
             gen_dataset(0, 0)
+
+    def test_dataset_pinned(self):
+        # Digest captured with the full-grid _sweep_mask and implant_mass
+        # ellipsoid, before they were rewritten to test only local boxes:
+        # generated data must stay bit-identical.
+        h = hashlib.sha256()
+        for c in gen_dataset(24, 11, SynthConfig(grid=40)):
+            h.update(c.labels.data.tobytes())
+            h.update(c.probs.data.tobytes())
+            h.update(np.array([c.class_id, c.seed], dtype=np.int64).tobytes())
+            h.update(np.asarray(c.head_end, dtype=np.float64).tobytes())
+        assert h.hexdigest() == "f1493be687c1bd04b257715683872cc1b59caf61cfb109e6f54d600fd1af9bd8"
+
+    def test_stream_is_lazy_and_matches_list(self):
+        # a huge n costs nothing until cases are drawn; case i does not depend on n
+        first = next(iter_dataset(10**9, 5))
+        ref = gen_dataset(1, 5)[0]
+        assert first.class_id == ref.class_id and first.seed == ref.seed
+        assert np.array_equal(first.probs.data, ref.probs.data)
 
 
 class TestCaseIO:
