@@ -17,6 +17,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Anatomical mesh modeling and mass classification pipeline.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument(
+        "--debug",
+        action="store_true",
+        help="re-raise errors with their traceback instead of a one-line message",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, _ in STAGES:
@@ -56,6 +61,8 @@ def main(argv: list[str] | None = None) -> int:
                 return 0
         raise ConfigError(f"unknown command {args.command}")
     except Exception as exc:  # single-line diagnostic, nonzero exit
+        if args.debug:
+            raise
         print(f"anatomesh: {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -35,9 +35,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "pool": {
         "pooling": "mean",
     },
-    "regions": {
-        "counts": "48 42 45 21",
-    },
     "train": {
         "eta1": 0.1,
         "eta2": 0.1,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,7 @@ class AnatomyMesh:
                 f"region counts {self.region_counts} do not sum to vertex count {v}"
             )
         self.edges = edges_from_faces(self.faces)
+        self.edges.setflags(write=False)  # shared by every with_vertices copy
 
     @property
     def n_vertices(self) -> int:
@@ -96,14 +98,6 @@ class AnatomyMesh:
             out[a:b] = r
         return out
 
-    def adjacency(self) -> list[np.ndarray]:
-        """Neighbor index arrays per vertex."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return [np.array(sorted(n), dtype=np.int64) for n in nbrs]
-
     def mean_incident_edge_lengths(self) -> np.ndarray:
         """Mean length of edges incident to each vertex."""
         p = self.vertices
@@ -117,8 +111,19 @@ class AnatomyMesh:
         return total / np.maximum(count, 1)
 
     def with_vertices(self, vertices: np.ndarray) -> "AnatomyMesh":
-        """Copy with new geometry, identical combinatorics and regions."""
-        return AnatomyMesh(vertices, self.faces, self.region_counts)
+        """Copy with new geometry, sharing faces, edges and regions.
+
+        Only the vertex shape is checked; the combinatorics were validated
+        when this mesh was built, so the edges are not rebuilt.
+        """
+        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
+        if vertices.shape != self.vertices.shape:
+            raise MeshError(
+                f"vertices must be {self.vertices.shape}, got {vertices.shape}"
+            )
+        out = copy.copy(self)
+        out.vertices = vertices
+        return out
 
     def validate_closed(self) -> None:
         """Check closed-manifold invariants: every edge on exactly 2 faces, genus 0."""

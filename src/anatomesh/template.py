@@ -2,13 +2,17 @@
 
 The template's combinatorics are shared by every prototype and fitted mesh, so
 the same vertex index refers to the same anatomical locus across cases. The
-construction is fully deterministic: shortest-edge collapses with index-order
-tie-breaking, from the 642-vertex icosphere down to 156 vertices.
+construction is fully deterministic: shortest-edge collapses from the
+642-vertex icosphere down to 156 vertices, ties broken by the smaller
+``(u, v)`` vertex pair. Candidate edges are kept in a min-heap keyed by
+``(length, u, v)`` and the neighbour sets are updated only around each merge,
+so the 486 collapses take a fraction of a second.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 
 import numpy as np
 
@@ -59,13 +63,9 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
     return verts, faces
 
 
-def _neighbor_sets(faces: list[tuple[int, int, int]], n: int) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b, c in faces:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return nbrs
+def _link_ok(nbrs: list[set[int]], u: int, v: int) -> bool:
+    """Link condition: the endpoints share exactly the two face-opposite vertices."""
+    return len(nbrs[u] & nbrs[v]) == 2
 
 
 def collapse_to(
@@ -73,43 +73,90 @@ def collapse_to(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simplify a closed manifold mesh to ``target`` vertices.
 
-    Repeatedly collapses the shortest edge passing the link condition (the
-    two endpoints share exactly the two face-opposite neighbors), placing the
-    merged vertex at the edge midpoint. Deterministic: ties go to the
-    lexicographically smallest edge.
+    Repeatedly collapses the shortest edge ``(u, v)``, ``u < v``, that passes
+    the link condition, keeping ``u`` at the edge midpoint and dropping ``v``.
+    Ties go to the lexicographically smallest ``(length, u, v)`` key.
+
+    The candidate edges sit in a min-heap of ``(length, u, v)`` entries, and
+    the per-vertex neighbour and face sets are updated only around each
+    merge. An entry is stale once an endpoint has moved or lost a neighbour;
+    a popped entry is used only if both endpoints are alive and adjacent, the
+    link condition holds and its length, recomputed the same way, is equal.
+    After a merge, every collapsible edge at ``u`` or at a vertex whose
+    neighbours changed is pushed again unless its newest entry already has
+    its current length, so each collapsible edge always has a current entry.
+    Faces keep their input order; a face is relabelled ``v -> u`` in place or
+    dropped when two of its corners merge.
     """
-    pos = {i: v.copy() for i, v in enumerate(verts)}
-    face_list = [tuple(f) for f in faces]
-    alive = set(pos)
-    while len(alive) > target:
-        nbrs = _neighbor_sets(face_list, len(verts))
-        best = None
-        for u in sorted(alive):
-            for v in sorted(nbrs[u]):
-                if v <= u:
-                    continue
-                common = nbrs[u] & nbrs[v]
-                if len(common) != 2:
-                    continue
+    n = len(verts)
+    pos = [v.copy() for v in verts]
+    face_list = [list(f) for f in faces]
+    face_alive = [True] * len(face_list)
+    vfaces: list[set[int]] = [set() for _ in range(n)]
+    for fi, f in enumerate(face_list):
+        for i in f:
+            vfaces[i].add(fi)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    heap: list[tuple[float, int, int]] = []
+    # (u, v) -> length of a heap entry known to be still queued
+    queued: dict[tuple[int, int], float] = {}
+
+    def refresh(x: int) -> None:
+        nbrs[x] = {i for fi in vfaces[x] for i in face_list[fi] if i != x}
+
+    def push_edges_at(x: int) -> None:
+        for y in nbrs[x]:
+            u, v = (x, y) if x < y else (y, x)
+            if _link_ok(nbrs, u, v):
                 d = float(np.linalg.norm(pos[u] - pos[v]))
-                key = (d, u, v)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+                if queued.get((u, v)) != d:
+                    queued[(u, v)] = d
+                    heapq.heappush(heap, (d, u, v))
+
+    for x in range(n):
+        refresh(x)
+    for x in range(n):
+        push_edges_at(x)
+
+    alive = set(range(n))
+    while len(alive) > target:
+        while heap:
+            d, u, v = heapq.heappop(heap)
+            if queued.get((u, v)) == d:
+                del queued[(u, v)]
+            # a dropped vertex has no neighbours, so adjacency implies both alive
+            if (
+                v in nbrs[u]
+                and _link_ok(nbrs, u, v)
+                and d == float(np.linalg.norm(pos[u] - pos[v]))
+            ):
+                break
+        else:
             raise MeshError("no collapsible edge found before reaching target size")
-        _, u, v = best
         pos[u] = (pos[u] + pos[v]) / 2.0
-        new_faces = []
-        for f in face_list:
-            g = tuple(u if i == v else i for i in f)
-            if len(set(g)) == 3:
-                new_faces.append(g)
-        face_list = new_faces
+        changed = nbrs[v] | {u}
+        for fi in vfaces[v]:
+            f = face_list[fi]
+            f[f.index(v)] = u
+            if len(set(f)) == 3:
+                vfaces[u].add(fi)
+            else:
+                face_alive[fi] = False
+                for i in set(f):
+                    vfaces[i].discard(fi)
+        vfaces[v], nbrs[v] = set(), set()
         alive.discard(v)
-        del pos[v]
-    remap = {old: new for new, old in enumerate(sorted(alive))}
-    out_verts = np.array([pos[old] for old in sorted(alive)])
-    out_faces = np.array([[remap[i] for i in f] for f in face_list], dtype=np.int64)
+        for x in changed:
+            refresh(x)
+        for x in changed:
+            push_edges_at(x)
+    kept = sorted(alive)
+    remap = {old: new for new, old in enumerate(kept)}
+    out_verts = np.array([pos[old] for old in kept])
+    out_faces = np.array(
+        [[remap[i] for i in f] for f, ok in zip(face_list, face_alive) if ok],
+        dtype=np.int64,
+    )
     return out_verts, out_faces
 
 

@@ -78,6 +78,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"\[train\] epochs"):
                 cfg.get_int("train", "epochs")
 
+    def test_region_counts_key_rejected(self, tmp_path):
+        # the 156-vertex region split is fixed; [regions] counts was never read
+        with pytest.raises(ConfigError, match=r"unknown section \[regions\]"):
+            load_config(write_config(tmp_path, "[regions]\ncounts = 48 42 45 21\n"))
+
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
         b = load_config(write_config(tmp_path, "[train]\nepochs = 4\n"))
@@ -98,6 +103,19 @@ class TestCliErrors:
         rc = main(["train", "--config", cfg, "--out", str(tmp_path / "w")])
         assert rc == 1
         assert "anatomesh: train:" in capsys.readouterr().err
+
+    def test_debug_reraises(self, tmp_path, capsys):
+        argv = ["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)]
+        with pytest.raises(ConfigError, match="not found"):
+            main(["--debug", *argv])
+        assert capsys.readouterr().err == ""
+
+    def test_debug_off_by_default(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = main(["train", "--config", cfg, "--out", str(tmp_path / "w")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("anatomesh: train:") and err.count("\n") == 1
 
 
 class TestExportMesh:

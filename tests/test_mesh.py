@@ -93,3 +93,24 @@ class TestValidation:
         L = np.linalg.norm(p[small_mesh.edges[:, 0]] - p[small_mesh.edges[:, 1]], axis=1)
         means = small_mesh.mean_incident_edge_lengths()
         np.testing.assert_allclose(means, L[0], rtol=1e-12)
+
+
+class TestWithVertices:
+    def test_shares_topology(self, small_mesh):
+        moved = small_mesh.with_vertices(small_mesh.vertices * 2.0)
+        assert moved.edges is small_mesh.edges
+        assert moved.faces is small_mesh.faces
+        assert moved.region_counts == small_mesh.region_counts
+        np.testing.assert_array_equal(moved.vertices, small_mesh.vertices * 2.0)
+        # the source mesh keeps its own geometry
+        assert not np.array_equal(moved.vertices, small_mesh.vertices)
+
+    def test_shared_edges_read_only(self, small_mesh):
+        moved = small_mesh.with_vertices(small_mesh.vertices)
+        with pytest.raises(ValueError):
+            moved.edges[0, 0] = 1
+
+    @pytest.mark.parametrize("shape", [(11, 3), (12, 2), (36,)])
+    def test_rejects_wrong_shape(self, small_mesh, shape):
+        with pytest.raises(MeshError, match="vertices must be"):
+            small_mesh.with_vertices(np.zeros(shape))
