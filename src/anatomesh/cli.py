@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -53,8 +54,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         for name, fn in STAGES:
             if name == args.command:
-                import os
-
                 os.makedirs(args.out, exist_ok=True)
                 fn(cfg, args.out)
                 write_manifest(cfg, args.out, [name])

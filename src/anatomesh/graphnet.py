@@ -31,7 +31,6 @@ __all__ = [
     "classify_pv",
     "classify_vv",
     "classify_gc",
-    "select_pv_threshold",
     "save_params",
     "load_params",
 ]
@@ -485,24 +484,6 @@ def classify_pv(
     return best_label
 
 
-def select_pv_threshold(
-    volumes: list[LabelVolume],
-    truths: list[int],
-    classes: set[int],
-    default: int,
-    candidates: list[int],
-) -> int:
-    """Pick the voxel-count threshold maximizing accuracy on a validation split."""
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = np.mean(
-            [classify_pv(v, classes, t, default) == y for v, y in zip(volumes, truths)]
-        )
-        if acc > best_acc:
-            best_t, best_acc = t, float(acc)
-    return best_t
-
-
 def classify_vv(vertex_probs: np.ndarray, mass_classes: set[int], default: int) -> int:
     """Vertex voting: majority argmax class among mass-voting vertices."""
     votes = vertex_probs.argmax(axis=1)
@@ -543,49 +524,49 @@ def save_params(params: GraphResNetParams, path: str) -> None:
 
 def load_params(path: str) -> GraphResNetParams:
     with open(path, "rb") as f:
-        fields = {}
-        while True:
-            line = b""
-            while not line.endswith(b"\n"):
-                c = f.read(1)
-                if not c:
-                    raise GraphNetError(f"{path}: truncated header")
-                line += c
-            parts = line.decode().split()
-            if parts[0] == "end":
-                break
-            fields[parts[0]] = parts[1:]
-        payload = np.frombuffer(f.read(), dtype="<f8")
-    n_layers = int(fields["layers"][0])
-    widths = [int(w) for w in fields["widths"]]
-    k_vertex = int(fields["k_vertex"][0])
-    k_global = int(fields["k_global"][0])
-    region_counts = tuple(int(c) for c in fields["regions"])
-    seed = int(fields["seed"][0])
-    shapes = []
-    for layer in range(n_layers):
-        w_in, w_out = widths[layer], widths[layer + 1]
-        shapes += [(w_in, w_out), (w_in, w_out), (w_out,)]
-    width = widths[-1]
-    shapes += [(width, k_vertex), (k_vertex,)]
-    used = sum(int(np.prod(s)) for s in shapes)
-    hvp_len = (len(payload) - used - k_global) // k_global
-    shapes += [(hvp_len, k_global), (k_global,)]
+        header = []
+        while (line := f.readline()) != b"end\n":
+            if not line.endswith(b"\n"):
+                raise GraphNetError(f"{path}: truncated header")
+            header.append(line)
+        raw = f.read()
+    try:
+        payload = np.frombuffer(raw, dtype="<f8")
+        fields = {key: rest for key, *rest in (line.decode().split() for line in header)}
+        n_layers = int(fields["layers"][0])
+        widths = [int(w) for w in fields["widths"]]
+        k_vertex = int(fields["k_vertex"][0])
+        k_global = int(fields["k_global"][0])
+        region_counts = tuple(int(c) for c in fields["regions"])
+        seed = int(fields["seed"][0])
+        shapes = []
+        for layer in range(n_layers):
+            w_in, w_out = widths[layer], widths[layer + 1]
+            shapes += [(w_in, w_out), (w_in, w_out), (w_out,)]
+        width = widths[-1]
+        mean = std = None
+        if "input_mean" in fields:
+            mean = np.array([float(v) for v in fields["input_mean"]])
+            std = np.array([float(v) for v in fields["input_std"]])
+    except (KeyError, IndexError, ValueError) as exc:
+        raise GraphNetError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    # the global head reads every region-pooled and every vertex embedding
+    hvp_len = (len(region_counts) + sum(region_counts)) * width
+    shapes += [(width, k_vertex), (k_vertex,), (hvp_len, k_global), (k_global,)]
+    expected = sum(int(np.prod(s)) for s in shapes)
+    if expected != len(payload):
+        raise GraphNetError(
+            f"{path}: payload holds {len(payload)} values, header implies {expected}"
+        )
     tensors = []
     pos = 0
     for s in shapes:
         n = int(np.prod(s))
         tensors.append(payload[pos : pos + n].reshape(s).copy())
         pos += n
-    if pos != len(payload):
-        raise GraphNetError(f"{path}: payload size mismatch")
     conv_w0 = [tensors[3 * i] for i in range(n_layers)]
     conv_w1 = [tensors[3 * i + 1] for i in range(n_layers)]
     conv_b = [tensors[3 * i + 2] for i in range(n_layers)]
-    mean = std = None
-    if "input_mean" in fields:
-        mean = np.array([float(v) for v in fields["input_mean"]])
-        std = np.array([float(v) for v in fields["input_std"]])
     return GraphResNetParams(
         conv_w0, conv_w1, conv_b,
         tensors[3 * n_layers], tensors[3 * n_layers + 1],

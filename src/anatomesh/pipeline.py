@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .evaluate import binary_metrics, detection_table, management_report
+from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
     GraphTopology,
@@ -31,11 +32,11 @@ from .synth import (
     TUBE_LABEL,
     SynthConfig,
     iter_dataset,
-    load_case,
+    load_case_info,
     save_case,
 )
 from .volume import LabelVolume, load_volume, save_volume
-from .zones import render_zones, vertex_labels
+from .zones import ZoneMap, render_zones, vertex_labels
 
 __all__ = [
     "stage_synth",
@@ -63,6 +64,25 @@ def _case_dirs(out_dir: str, split: str) -> list[str]:
     )
 
 
+def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
+    """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
+    dirs = _case_dirs(out_dir, "train")
+    n_val = int(round(cfg.get_float("train", "val_fraction") * len(dirs)))
+    return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
+
+
+def _load_organ(d: str) -> LabelVolume:
+    """A case's organ mask (organ and mass voxels) from its label volume."""
+    labels = load_volume(os.path.join(d, "labels"))
+    return LabelVolume((labels.data > 0).astype(np.uint8), labels.spacing)
+
+
+def _load_segmentation(d: str) -> LabelVolume:
+    """A case's predicted segmentation: the argmax channel of its probability volume."""
+    probs = load_volume(os.path.join(d, "probs"))
+    return LabelVolume(probs.data.argmax(axis=-1).astype(np.uint8), probs.spacing)
+
+
 def _fit_config(cfg: RunConfig) -> FitConfig:
     return FitConfig(
         lambda1=cfg.get_float("fit", "lambda1"),
@@ -87,6 +107,10 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     seed = cfg.get_int("synth", "seed")
     n_train = cfg.get_int("synth", "n_train")
     n_test = cfg.get_int("synth", "n_test")
+    # synth-gen owns cases/: a rerun with fewer cases must not leave old ones behind
+    cases = os.path.join(out_dir, "cases")
+    if os.path.isdir(cases):
+        shutil.rmtree(cases)
     for i, case in enumerate(iter_dataset(n_train + n_test, seed, scfg)):
         split = "train" if i < n_train else "test"
         k = i if i < n_train else i - n_train
@@ -96,12 +120,8 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
     n_proto = cfg.get_int("fit", "prototype_cases")
     dirs = _case_dirs(out_dir, "train")[:n_proto]
-    masks, head_ends = [], []
-    for d in dirs:
-        case = load_case(d)
-        organ = (case.labels.data > 0).astype(np.uint8)
-        masks.append(LabelVolume(organ, case.labels.spacing))
-        head_ends.append(case.head_end)
+    masks = [_load_organ(d) for d in dirs]
+    head_ends = [load_case_info(d).head_end for d in dirs]
     mean = mean_shape(masks, ORGAN_LABEL)
     proto = build_prototype(mean, _fit_config(cfg))
     proto = assign_regions(proto, np.mean(head_ends, axis=0))
@@ -112,9 +132,7 @@ def stage_fit(cfg: RunConfig, out_dir: str) -> None:
     proto = load_mesh(os.path.join(out_dir, "prototype.obj"))
     fcfg = _fit_config(cfg)
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        labels = load_volume(os.path.join(d, "labels"))
-        organ = LabelVolume((labels.data > 0).astype(np.uint8), labels.spacing)
-        fitted, trace = fit_mesh(proto, organ, ORGAN_LABEL, fcfg)
+        fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, fcfg)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
@@ -130,8 +148,6 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
-    from .zones import ZoneMap
-
     pooling = str(cfg.get("pool", "pooling"))
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
         labels = load_volume(os.path.join(d, "labels"))
@@ -148,17 +164,12 @@ def _load_dataset(dirs: list[str]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     for d in dirs:
         feats = load_features(os.path.join(d, "features.csv"))
         vl = np.loadtxt(os.path.join(d, "vertex_labels.txt"), dtype=np.int64, ndmin=1)
-        case = load_case(d)
-        out.append((feats, vl, case.class_id - 1))
+        out.append((feats, vl, load_case_info(d).class_id - 1))
     return out
 
 
 def stage_train(cfg: RunConfig, out_dir: str) -> None:
-    dirs = _case_dirs(out_dir, "train")
-    val_frac = cfg.get_float("train", "val_fraction")
-    n_val = int(round(val_frac * len(dirs)))
-    train_dirs = dirs[: len(dirs) - n_val] if n_val else dirs
-    val_dirs = dirs[len(dirs) - n_val :] if n_val else []
+    train_dirs, val_dirs = _split_train(cfg, out_dir)
     dataset = _load_dataset(train_dirs)
     validation = _load_dataset(val_dirs) if val_dirs else None
     proto = load_mesh(os.path.join(out_dir, "prototype.obj"))
@@ -185,17 +196,16 @@ def _pv_predict(labels: LabelVolume, threshold: int) -> int:
     return LABEL_TO_CLASS.get(raw, DEFAULT_CLASS)
 
 
-def _select_pv_threshold(dirs: list[str]) -> int:
-    vols, truths = [], []
-    for d in dirs:
-        probs = load_volume(os.path.join(d, "probs"))
-        pred = probs.data.argmax(axis=-1).astype(np.uint8)
-        vols.append(LabelVolume(pred, probs.spacing))
-        truths.append(load_case(d).class_id)
+def _select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
+    """The PV voxel-count threshold most accurate on predicted segmentations.
+
+    ``truths`` are case classes, compared with the class PV maps a mass
+    label to; ties go to the smaller threshold.
+    """
     candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
     best_t, best_acc = candidates[0], -1.0
     for t in candidates:
-        acc = float(np.mean([_pv_predict(v, t) == y for v, y in zip(vols, truths)]))
+        acc = float(np.mean([_pv_predict(v, t) == y for v, y in zip(volumes, truths)]))
         if acc > best_acc:
             best_t, best_acc = t, acc
     return best_t
@@ -207,23 +217,22 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     topo = GraphTopology.from_mesh(proto)
     pv_threshold = cfg.get("classify", "pv_threshold")
     if str(pv_threshold) == "auto":
-        train_dirs = _case_dirs(out_dir, "train")
-        val_frac = cfg.get_float("train", "val_fraction")
-        n_val = int(round(val_frac * len(train_dirs)))
-        val_dirs = train_dirs[len(train_dirs) - n_val :] if n_val else train_dirs
-        pv_threshold = _select_pv_threshold(val_dirs)
+        train_dirs, val_dirs = _split_train(cfg, out_dir)
+        val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
+        pv_threshold = _select_pv_threshold(
+            [_load_segmentation(d) for d in val_dirs],
+            [load_case_info(d).class_id for d in val_dirs],
+        )
     pv_threshold = int(pv_threshold)
     rows = []
     for d in _case_dirs(out_dir, "test"):
-        case = load_case(d)
         feats = load_features(os.path.join(d, "features.csv"))
         vp, gp = forward(params, feats, topo)
         gc = classify_gc(gp)
         vv_raw = classify_vv(vp, MASS_LABELS, DEFAULT_CLASS)
         vv = LABEL_TO_CLASS.get(vv_raw, DEFAULT_CLASS)
-        seg_pred = case.probs.data.argmax(axis=-1).astype(np.uint8)
-        pv = _pv_predict(LabelVolume(seg_pred, case.probs.spacing), pv_threshold)
-        rows.append((os.path.basename(d), case.class_id, gc, vv, pv))
+        pv = _pv_predict(_load_segmentation(d), pv_threshold)
+        rows.append((os.path.basename(d), load_case_info(d).class_id, gc, vv, pv))
     with open(os.path.join(out_dir, "predictions.csv"), "w") as f:
         f.write(f"# pv_threshold {pv_threshold}\n")
         f.write("case,truth,gc,vv,pv\n")
@@ -251,11 +260,10 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     for name, truth, *_ in rows:
         d = os.path.join(out_dir, "cases", name)
         labels = load_volume(os.path.join(d, "labels"))
-        probs = load_volume(os.path.join(d, "probs"))
         gt_mass = np.isin(labels.data, list(MASS_LABELS))
         if not gt_mass.any():
             continue
-        pred_mass = np.isin(probs.data.argmax(axis=-1), list(MASS_LABELS))
+        pred_mass = np.isin(_load_segmentation(d).data, list(MASS_LABELS))
         seg_cases.append((pred_mass, gt_mass, truth))
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -25,6 +26,7 @@ from .mesh import REGION_COUNTS, REGION_NAMES
 from .volume import LabelVolume, ProbVolume, VolumeError, load_volume, save_volume
 
 __all__ = [
+    "CaseInfo",
     "MassSpec",
     "SynthCase",
     "SynthConfig",
@@ -37,6 +39,7 @@ __all__ = [
     "gen_dataset",
     "iter_dataset",
     "save_case",
+    "load_case_info",
     "load_case",
 ]
 
@@ -86,6 +89,15 @@ MANAGEMENT_BY_CLASS = {c: mgmt for c, (_, mgmt) in DEFAULT_CLASSES.items()}
 class SynthCase:
     labels: LabelVolume
     probs: ProbVolume
+    class_id: int
+    management: str
+    head_end: np.ndarray
+    seed: int
+
+
+class CaseInfo(NamedTuple):
+    """What ``case.txt`` records about a case: every field of SynthCase but the volumes."""
+
     class_id: int
     management: str
     head_end: np.ndarray
@@ -347,17 +359,20 @@ def save_case(case: SynthCase, directory: str) -> None:
         f.write(f"seed {case.seed}\n")
 
 
-def load_case(directory: str) -> SynthCase:
-    labels = load_volume(os.path.join(directory, "labels"))
-    probs = load_volume(os.path.join(directory, "probs"))
+def load_case_info(directory: str) -> CaseInfo:
     fields = {}
     with open(os.path.join(directory, "case.txt")) as f:
         for line in f:
             key, *rest = line.split()
             fields[key] = rest
-    return SynthCase(
-        labels, probs,
+    return CaseInfo(
         int(fields["class"][0]), fields["management"][0],
         np.array([float(v) for v in fields["head_end"]]),
         int(fields["seed"][0]),
     )
+
+
+def load_case(directory: str) -> SynthCase:
+    labels = load_volume(os.path.join(directory, "labels"))
+    probs = load_volume(os.path.join(directory, "probs"))
+    return SynthCase(labels, probs, *load_case_info(directory))

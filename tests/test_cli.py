@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from anatomesh import pipeline, synth
 from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
+from anatomesh.volume import LabelVolume
 
 SMALL_CONFIG = """\
 [synth]
@@ -212,3 +214,54 @@ class TestPipeline:
         assert set(a) == set(b)
         for k in sorted(a):
             assert a[k] == b[k], k
+
+
+class TestCaseFiles:
+    def test_synth_gen_replaces_cases(self, tmp_path):
+        out = str(tmp_path / "run")
+        for n_train, n_test in ((12, 4), (8, 2)):
+            text = SMALL_CONFIG.replace("n_train = 12", f"n_train = {n_train}")
+            text = text.replace("n_test = 4", f"n_test = {n_test}")
+            assert main(["synth-gen", "--config", write_config(tmp_path, text),
+                         "--out", out]) == 0
+        dirs = sorted(os.listdir(os.path.join(out, "cases")))
+        assert dirs == [f"test_{i:04d}" for i in range(2)] + [
+            f"train_{i:04d}" for i in range(8)
+        ]
+
+    def test_each_stage_reads_a_case_volume_once(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        reads = []
+
+        def counted(load):
+            def load_volume(path):
+                reads.append(os.path.relpath(path, out))
+                return load(path)
+            return load_volume
+
+        for module in (pipeline, synth):
+            monkeypatch.setattr(module, "load_volume", counted(module.load_volume))
+        cfg = write_config(tmp_path)
+        by_stage = {}
+        for stage, _ in pipeline.STAGES:
+            reads.clear()
+            assert main([stage, "--config", cfg, "--out", out]) == 0
+            assert len(reads) == len(set(reads)), stage
+            by_stage[stage] = list(reads)
+        assert by_stage["train"] == []
+        assert not any(p.endswith("probs") for p in by_stage["build-prototype"])
+        # 3 validation and 4 test cases, each predicted segmentation read once
+        assert len(by_stage["classify"]) == 7
+
+
+class TestPvThreshold:
+    def test_select_pv_threshold(self):
+        def volume(label, n):
+            data = np.zeros(64, dtype=np.uint8)
+            data[:n] = label
+            return LabelVolume(data.reshape(4, 4, 4), (1.0, 1.0, 1.0))
+
+        # small masses are noise here: only threshold 5 gets every case right;
+        # truths are case classes, so blob voxels (2) mean class 2, tube (3) class 4
+        vols = [volume(2, 3), volume(2, 8), volume(3, 2), volume(3, 9)]
+        assert pipeline._select_pv_threshold(vols, [1, 2, 1, 4]) == 5

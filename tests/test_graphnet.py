@@ -16,7 +16,6 @@ from anatomesh.graphnet import (
     load_params,
     loss,
     save_params,
-    select_pv_threshold,
     train,
 )
 from anatomesh.mesh import region_ranges
@@ -430,13 +429,6 @@ class TestClassifiers:
         with pytest.raises(ValueError):
             classify_pv(self._volume({2: 2}), {2}, -1, 1)
 
-    def test_select_pv_threshold(self):
-        # small masses are noise here: only threshold 5 separates the labels
-        vols = [self._volume({2: 3}), self._volume({2: 8}), self._volume({3: 2})]
-        truths = [1, 2, 1]
-        got = select_pv_threshold(vols, truths, {2, 3}, 1, [1, 5])
-        assert got == 5
-
     def test_vv_majority(self):
         probs = np.zeros((10, 4))
         probs[:6, 2] = 1.0  # six vertices vote class 2
@@ -504,4 +496,22 @@ class TestCheckpoint:
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"layers 6\nwidths 5 8")
         with pytest.raises(GraphNetError, match="truncated"):
+            load_params(str(p))
+
+    def test_extra_payload_rejected(self, tmp_path):
+        # k_global extra values would read as a global head one row longer
+        params = small_params(np.random.default_rng(21))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+        with open(p, "ab") as f:
+            f.write(np.zeros(params.k_global, dtype="<f8").tobytes())
+        with pytest.raises(GraphNetError, match=r"bad\.ckpt: payload holds"):
+            load_params(str(p))
+
+    def test_missing_header_field_rejected(self, tmp_path):
+        params = small_params(np.random.default_rng(22))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+        p.write_bytes(p.read_bytes().replace(b"regions 3 3 3 3\n", b""))
+        with pytest.raises(GraphNetError, match=r"bad\.ckpt: .*regions"):
             load_params(str(p))
