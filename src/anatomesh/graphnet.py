@@ -223,8 +223,10 @@ def _forward_cache(
         if layer % 2 == 0:
             saved = h
         inputs.append(h)
-        z = h @ params.conv_w0[layer] + topo.adjacency @ h @ params.conv_w1[layer]
-        z = z + params.conv_b[layer]
+        z = graph_conv(
+            h, params.conv_w0[layer], params.conv_w1[layer], topo,
+            params.conv_b[layer], activate=False,
+        )
         added = layer % 2 == 1 and saved.shape == z.shape
         if added:
             z = z + saved

@@ -40,11 +40,15 @@ def region_ranges(counts: tuple[int, ...] = REGION_COUNTS) -> tuple[tuple[int, i
     return tuple(out)
 
 
+def _face_edges(faces: np.ndarray) -> np.ndarray:
+    """Every face's three edges as sorted pairs, one row per face side."""
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    return np.sort(e, axis=1)
+
+
 def edges_from_faces(faces: np.ndarray) -> np.ndarray:
     """Unique undirected edges (sorted pairs) of a triangle list."""
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return np.unique(e, axis=0)
+    return np.unique(_face_edges(faces), axis=0)
 
 
 @dataclass
@@ -127,11 +131,7 @@ class AnatomyMesh:
 
     def validate_closed(self) -> None:
         """Check closed-manifold invariants: every edge on exactly 2 faces, genus 0."""
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-        )
-        e = np.sort(e, axis=1)
-        _, counts = np.unique(e, axis=0, return_counts=True)
+        _, counts = np.unique(_face_edges(self.faces), axis=0, return_counts=True)
         if not (counts == 2).all():
             raise MeshError("mesh is not closed: some edge is not shared by 2 faces")
         if self.euler_characteristic() != 2:

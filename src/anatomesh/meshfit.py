@@ -97,15 +97,18 @@ class FitTrace:
                 f.write(f"{i},{a:.9g},{b:.9g},{c:.9g},{d:.9g}\n")
 
 
+def _point_term(verts: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
+    diff = verts - q
+    return float((diff * diff).sum()), 2.0 * diff
+
+
 def point_loss(mesh: AnatomyMesh, idx: SurfaceIndex) -> tuple[float, np.ndarray]:
     """Sum of squared distances from each vertex to its nearest surface point.
 
     The gradient holds the nearest-point correspondences fixed.
     """
     _, q = idx.nearest(mesh.vertices)
-    diff = mesh.vertices - q
-    value = float((diff * diff).sum())
-    return value, 2.0 * diff
+    return _point_term(mesh.vertices, q)
 
 
 def edge_regularizers(
@@ -141,14 +144,14 @@ def edge_regularizers(
     return e1, e2, grad1, grad2
 
 
-def _fixed_corr_loss(
-    verts: np.ndarray, q: np.ndarray, mesh: AnatomyMesh, cfg: FitConfig
-) -> float:
-    diff = verts - q
-    lpt = float((diff * diff).sum())
-    trial = mesh.with_vertices(verts)
-    e1, e2, _, _ = edge_regularizers(trial)
-    return lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
+def _objective(
+    mesh: AnatomyMesh, q: np.ndarray, cfg: FitConfig
+) -> tuple[float, float, float, float, np.ndarray]:
+    """(L_pt, L_e1, L_e2, total, gradient) with correspondences ``q`` held fixed."""
+    lpt, grad_pt = _point_term(mesh.vertices, q)
+    e1, e2, g1, g2 = edge_regularizers(mesh)
+    total = lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
+    return lpt, e1, e2, total, grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
 
 
 def fit_mesh(
@@ -168,25 +171,20 @@ def fit_mesh(
     prev_total = None
     for it in range(cfg.max_iters):
         _, q = idx.nearest(current.vertices)
-        diff = current.vertices - q
-        lpt = float((diff * diff).sum())
-        grad_pt = 2.0 * diff
-        e1, e2, g1, g2 = edge_regularizers(current)
-        total = lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
+        lpt, e1, e2, total, grad = _objective(current, q, cfg)
         if not np.isfinite(total):
             raise FitError(f"non-finite loss at iteration {it}")
         trace.append(lpt, e1, e2, total)
-        grad = grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
         step = cfg.step_size
         for _ in range(40):
-            candidate = current.vertices - step * grad
-            if _fixed_corr_loss(candidate, q, current, cfg) <= total:
+            candidate = current.with_vertices(current.vertices - step * grad)
+            if _objective(candidate, q, cfg)[3] <= total:
                 break
             step *= 0.5
         else:
             # gradient is (numerically) zero: converged
             break
-        current = current.with_vertices(current.vertices - step * grad)
+        current = candidate
         if prev_total is not None and prev_total > 0:
             if (prev_total - total) / prev_total < cfg.tol and total <= prev_total:
                 break

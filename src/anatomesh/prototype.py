@@ -3,21 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .mesh import AnatomyMesh, MeshError
 from .meshfit import FitConfig, SurfaceIndex, fit_mesh, mean_surface_distance
 from .template import template_mesh_arrays
-from .volume import LabelVolume, VolumeError
+from .volume import LabelVolume, VolumeError, is_connected
 
 __all__ = ["mean_shape", "build_prototype", "assign_regions"]
-
-_CONN6 = ndimage.generate_binary_structure(3, 1)
-
-
-def _connected(mask: np.ndarray) -> bool:
-    _, n = ndimage.label(mask, structure=_CONN6)
-    return n == 1
 
 
 def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
@@ -49,7 +41,7 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
     mean_mask = acc >= 0.5
     if not mean_mask.any():
         raise VolumeError("mean shape is empty")
-    if not _connected(mean_mask):
+    if not is_connected(mean_mask):
         raise VolumeError("mean shape is disconnected")
     return LabelVolume(mean_mask.astype(np.uint8), spacing)
 

@@ -23,7 +23,9 @@ import numpy as np
 from scipy import ndimage
 
 from .mesh import REGION_COUNTS, REGION_NAMES
-from .volume import LabelVolume, ProbVolume, VolumeError, load_volume, save_volume
+from .volume import (
+    LabelVolume, ProbVolume, VolumeError, is_connected, load_volume, save_volume,
+)
 
 __all__ = [
     "CaseInfo",
@@ -165,9 +167,6 @@ def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return inside
 
 
-_CONN6 = ndimage.generate_binary_structure(3, 1)
-
-
 def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Binary organ mask and the head-end point (world coords, unit spacing).
 
@@ -192,16 +191,21 @@ def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np
         raise SynthError("generated organ is empty")
     if mask[[0, -1]].any() or mask[:, [0, -1]].any() or mask[:, :, [0, -1]].any():
         raise SynthError("generated organ clips the grid boundary")
-    _, n = ndimage.label(mask, structure=_CONN6)
-    if n != 1:
+    if not is_connected(mask):
         raise SynthError("generated organ is disconnected")
     return mask, points[0].copy()
 
 
+# Centerline-parameter band (lo, hi] of each region, by vertex-count fractions.
+_BAND_ENDS = np.cumsum(REGION_COUNTS) / sum(REGION_COUNTS)
+_REGION_BANDS = dict(
+    zip(REGION_NAMES, zip(np.concatenate([[0.0], _BAND_ENDS[:-1]]), _BAND_ENDS))
+)
+
+
 def _region_band(t: float) -> str:
-    """Anatomical region of a centerline parameter, by vertex-count fractions."""
-    bounds = np.cumsum(REGION_COUNTS) / sum(REGION_COUNTS)
-    for name, hi in zip(REGION_NAMES, bounds):
+    """Anatomical region of a centerline parameter."""
+    for name, (_, hi) in _REGION_BANDS.items():
         if t <= hi:
             return name
     return REGION_NAMES[-1]
@@ -214,7 +218,6 @@ def _centerline_param(point: np.ndarray, points: np.ndarray) -> float:
 
 def implant_mass(
     organ: np.ndarray,
-    head_end: np.ndarray,
     spec: MassSpec,
     seed: int,
     cfg: SynthConfig | None = None,
@@ -230,13 +233,7 @@ def implant_mass(
     points, _ = _centerline(cfg)
     grid = organ.shape[0]
     labels = organ.astype(np.uint8) * ORGAN_LABEL
-    bounds = np.cumsum(REGION_COUNTS) / sum(REGION_COUNTS)
-    lows = np.concatenate([[0.0], bounds[:-1]])
-    allowed = [
-        (lo, hi)
-        for name, lo, hi in zip(REGION_NAMES, lows, bounds)
-        if name in spec.allowed_regions
-    ]
+    allowed = [band for name, band in _REGION_BANDS.items() if name in spec.allowed_regions]
     if spec.diffuse:
         radius = rng.uniform(*spec.size_range)
         span = points[int(0.08 * len(points)) : int(0.92 * len(points))]
@@ -293,13 +290,9 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     return ProbVolume(one_hot.astype(np.float32), labels.spacing)
 
 
-def gen_case(
-    class_id: int, seed: int, cfg: SynthConfig | None = None,
-    classes: dict[int, tuple[MassSpec | None, str]] | None = None,
-) -> SynthCase:
+def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthCase:
     cfg = cfg or SynthConfig()
-    classes = classes or DEFAULT_CLASSES
-    spec, management = classes[class_id]
+    spec, management = DEFAULT_CLASSES[class_id]
     last_err = None
     for attempt in range(cfg.retry_limit):
         sub = int(np.random.default_rng((seed, attempt)).integers(2**31))
@@ -308,7 +301,7 @@ def gen_case(
             if spec is None:
                 labels = LabelVolume(organ.astype(np.uint8) * ORGAN_LABEL, (1.0, 1.0, 1.0))
             else:
-                labels = implant_mass(organ, head_end, spec, sub + 1, cfg)
+                labels = implant_mass(organ, spec, sub + 1, cfg)
             probs = soften(labels, cfg.noise, sub + 2)
             return SynthCase(labels, probs, class_id, management, head_end, seed)
         except SynthError as exc:
@@ -316,10 +309,7 @@ def gen_case(
     raise SynthError(f"case generation failed after {cfg.retry_limit} retries: {last_err}")
 
 
-def iter_dataset(
-    n: int, seed: int, cfg: SynthConfig | None = None,
-    classes: dict[int, tuple[MassSpec | None, str]] | None = None,
-) -> Iterator[SynthCase]:
+def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[SynthCase]:
     """Deterministic stream of n cases drawn from the configured class mix.
 
     Case i takes the i-th class draw from ``seed`` and its own seed from
@@ -328,23 +318,19 @@ def iter_dataset(
     if n < 1:
         raise SynthError("dataset size must be >= 1")
     cfg = cfg or SynthConfig()
-    classes = classes or DEFAULT_CLASSES
-    ids = sorted(classes)
+    ids = sorted(DEFAULT_CLASSES)
     mix = np.asarray(cfg.class_mix, dtype=np.float64)
     if len(mix) != len(ids):
         raise SynthError("class mix length does not match class count")
     rng = np.random.default_rng(seed)
     for i in range(n):
         cid = ids[rng.choice(len(ids), p=mix)]
-        yield gen_case(cid, int(np.random.default_rng((seed, i, 7)).integers(2**31)), cfg, classes)
+        yield gen_case(cid, int(np.random.default_rng((seed, i, 7)).integers(2**31)), cfg)
 
 
-def gen_dataset(
-    n: int, seed: int, cfg: SynthConfig | None = None,
-    classes: dict[int, tuple[MassSpec | None, str]] | None = None,
-) -> list[SynthCase]:
+def gen_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> list[SynthCase]:
     """Deterministic dataset of n cases drawn from the configured class mix."""
-    return list(iter_dataset(n, seed, cfg, classes))
+    return list(iter_dataset(n, seed, cfg))
 
 
 def save_case(case: SynthCase, directory: str) -> None:
@@ -360,15 +346,24 @@ def save_case(case: SynthCase, directory: str) -> None:
 
 
 def load_case_info(directory: str) -> CaseInfo:
-    fields = {}
-    with open(os.path.join(directory, "case.txt")) as f:
-        for line in f:
-            key, *rest = line.split()
-            fields[key] = rest
+    """Parse ``case.txt``; a missing or malformed field raises VolumeError naming the file."""
+    path = os.path.join(directory, "case.txt")
+    with open(path) as f:
+        fields = {parts[0]: parts[1:] for parts in map(str.split, f) if parts}
+
+    def parse(key, convert):
+        if key not in fields:
+            raise VolumeError(f"malformed case file {path}: missing field {key!r}")
+        try:
+            return convert(fields[key])
+        except (ValueError, IndexError) as exc:
+            raise VolumeError(f"malformed case file {path}: field {key!r}: {exc}") from exc
+
     return CaseInfo(
-        int(fields["class"][0]), fields["management"][0],
-        np.array([float(v) for v in fields["head_end"]]),
-        int(fields["seed"][0]),
+        parse("class", lambda v: int(v[0])),
+        parse("management", lambda v: v[0]),
+        parse("head_end", lambda v: np.array([float(x) for x in v])),
+        parse("seed", lambda v: int(v[0])),
     )
 
 

@@ -6,6 +6,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 __all__ = [
     "LabelVolume",
@@ -13,7 +14,8 @@ __all__ = [
     "VolumeError",
     "load_volume",
     "save_volume",
-    "surface_voxels",
+    "CONN6",
+    "is_connected",
     "surface_mask",
     "dice",
     "detected",
@@ -158,29 +160,32 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
     return ProbVolume(data, spacing)
 
 
-_FACE_SHIFTS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+# 6-connectivity: voxels are neighbours when they share a face.
+CONN6 = ndimage.generate_binary_structure(3, 1)
+
+
+def is_connected(mask: np.ndarray) -> bool:
+    """True when the voxels of ``mask`` form exactly one 6-connected component."""
+    _, n = ndimage.label(mask, structure=CONN6)
+    return n == 1
 
 
 def surface_mask(mask: np.ndarray) -> np.ndarray:
     """Boolean mask of voxels in ``mask`` with a 6-neighbor outside the set.
 
-    Voxels on the grid boundary count as surface.
+    Voxels on the grid boundary count as surface. A voxel is interior when
+    every offset of ``CONN6`` (itself and its six face neighbours) is in the
+    set; shifted slices are several times faster here than ``binary_erosion``.
     """
     inside = np.pad(mask, 1, constant_values=False)
     interior = np.ones_like(mask)
-    for dx, dy, dz in _FACE_SHIFTS:
+    for dx, dy, dz in np.argwhere(CONN6) - 1:
         interior &= inside[
             1 + dx : inside.shape[0] - 1 + dx,
             1 + dy : inside.shape[1] - 1 + dy,
             1 + dz : inside.shape[2] - 1 + dz,
         ]
     return mask & ~interior
-
-
-def surface_voxels(vol: LabelVolume, label: int) -> set[tuple[int, int, int]]:
-    """Voxels of the given label with at least one face-neighbor of another label."""
-    surf = surface_mask(vol.mask(label))
-    return {tuple(ijk) for ijk in np.argwhere(surf)}
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .mesh import AnatomyMesh
-from .volume import LabelVolume, VolumeError
+from .volume import CONN6, LabelVolume, VolumeError
 
 __all__ = ["ZoneMap", "ZoneError", "render_zones", "vertex_labels"]
 
@@ -44,9 +45,6 @@ class ZoneMap:
         if self.data.max() > 255:
             raise ZoneError("too many zones for the u8 label codec")
         return LabelVolume(self.data.astype(np.uint8), self.spacing)
-
-
-_SHIFTS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 def _seed_voxels(
@@ -97,16 +95,11 @@ def render_zones(
         unlabeled = organ & (zones == 0)
         if not unlabeled.any():
             break
-        padded = np.pad(zones, 1, constant_values=0)
-        best = np.full(zones.shape, big, dtype=np.int64)
-        for dx, dy, dz in _SHIFTS:
-            nb = padded[
-                1 + dx : padded.shape[0] - 1 + dx,
-                1 + dy : padded.shape[1] - 1 + dy,
-                1 + dz : padded.shape[2] - 1 + dz,
-            ].astype(np.int64)
-            nb[nb == 0] = big
-            np.minimum(best, nb, out=best)
+        # smallest zone index among each voxel's 6 neighbours (and itself,
+        # which is unlabeled wherever it matters)
+        best = ndimage.minimum_filter(
+            np.where(zones == 0, big, zones), footprint=CONN6, mode="constant", cval=big
+        )
         reached = unlabeled & (best < big)
         if not reached.any():
             # remaining voxels are in islands with no seed

@@ -218,6 +218,18 @@ class TestFitMesh:
         assert e1b == pytest.approx(s**2 * e1a, rel=1e-9)
         assert e2b == pytest.approx(s * e2a, rel=1e-9)
 
+    def test_first_trace_row_is_the_checked_kernels(self):
+        # trace.csv row 0 must be the start mesh's point_loss and
+        # edge_regularizers, the functions the gradient oracle checks
+        vol = sphere_volume(shift=3)
+        mesh = sphere_template()
+        cfg = FitConfig(lambda1=0.3, lambda2=0.07, max_iters=3)
+        _, trace = fit_mesh(mesh, vol, 1, cfg)
+        lpt, _ = point_loss(mesh, SurfaceIndex.from_mask(vol, 1))
+        e1, e2, _, _ = edge_regularizers(mesh)
+        assert (trace.point[0], trace.e1[0], trace.e2[0]) == (lpt, e1, e2)
+        assert trace.total[0] == lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
+
     def test_trace_csv(self, tmp_path):
         vol = sphere_volume()
         mesh = sphere_template()

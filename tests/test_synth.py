@@ -24,6 +24,7 @@ from anatomesh.synth import (
     implant_mass,
     iter_dataset,
     load_case,
+    load_case_info,
     save_case,
     soften,
 )
@@ -133,8 +134,8 @@ class TestImplantMass:
         hits = 0
         for seed in range(40):
             try:
-                organ, head = gen_organ(seed)
-                labels = implant_mass(organ, head, spec, seed + 1000)
+                organ, _ = gen_organ(seed)
+                labels = implant_mass(organ, spec, seed + 1000)
             except SynthError:
                 continue
             hits += 1
@@ -153,8 +154,8 @@ class TestImplantMass:
         hits = 0
         for seed in range(40):
             try:
-                organ, head = gen_organ(seed)
-                labels = implant_mass(organ, head, spec, seed + 2000)
+                organ, _ = gen_organ(seed)
+                labels = implant_mass(organ, spec, seed + 2000)
             except SynthError:
                 continue
             hits += 1
@@ -167,16 +168,16 @@ class TestImplantMass:
 
     def test_protrusion_bounded(self):
         spec = DEFAULT_CLASSES[2][0]
-        organ, head = gen_organ(0)
-        labels = implant_mass(organ, head, spec, 11)
+        organ, _ = gen_organ(0)
+        labels = implant_mass(organ, spec, 11)
         mass = labels.data == BLOB_LABEL
         outside = np.count_nonzero(mass & ~organ)
         assert outside <= 0.2 * np.count_nonzero(mass) + 1
 
     def test_tube_uses_tube_label(self):
         spec = DEFAULT_CLASSES[4][0]
-        organ, head = gen_organ(1)
-        labels = implant_mass(organ, head, spec, 12)
+        organ, _ = gen_organ(1)
+        labels = implant_mass(organ, spec, 12)
         assert (labels.data == TUBE_LABEL).any()
         assert not (labels.data == BLOB_LABEL).any()
         # the tube stays inside the organ and spans much of its length
@@ -187,8 +188,8 @@ class TestImplantMass:
 
     def test_organ_voxels_keep_organ_label(self):
         spec = DEFAULT_CLASSES[3][0]
-        organ, head = gen_organ(2)
-        labels = implant_mass(organ, head, spec, 13)
+        organ, _ = gen_organ(2)
+        labels = implant_mass(organ, spec, 13)
         mass = labels.data > ORGAN_LABEL
         assert np.array_equal(labels.data > 0, organ | mass)
         assert np.all(labels.data[organ & ~mass] == ORGAN_LABEL)
@@ -202,8 +203,8 @@ class TestImplantMass:
 
 class TestSoften:
     def _labels(self, seed=0):
-        organ, head = gen_organ(seed)
-        return implant_mass(organ, head, DEFAULT_CLASSES[2][0], seed + 1)
+        organ, _ = gen_organ(seed)
+        return implant_mass(organ, DEFAULT_CLASSES[2][0], seed + 1)
 
     def test_zero_noise_is_exact_one_hot(self):
         labels = self._labels()
@@ -302,3 +303,20 @@ class TestCaseIO:
         assert back.management == case.management
         np.testing.assert_allclose(back.head_end, case.head_end, rtol=1e-8)
         assert back.seed == case.seed
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda text: text.replace("class 3\n", ""), "missing field 'class'"),
+            (lambda text: text.replace("seed ", "seed x"), "field 'seed'"),
+        ],
+        ids=["missing-class", "non-integer-seed"],
+    )
+    def test_malformed_case_file_named(self, tmp_path, edit, match):
+        d = tmp_path / "case"
+        save_case(gen_case(3, 17), str(d))
+        path = d / "case.txt"
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(VolumeError, match=match) as err:
+            load_case_info(str(d))
+        assert str(path) in str(err.value)
