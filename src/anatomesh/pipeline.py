@@ -36,7 +36,7 @@ from .synth import (
     save_case,
 )
 from .volume import LabelVolume, load_volume, save_volume
-from .zones import ZoneMap, render_zones, vertex_labels
+from .zones import ZoneError, ZoneMap, render_zones, vertex_labels
 
 __all__ = [
     "stage_synth",
@@ -141,9 +141,13 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
         labels = load_volume(os.path.join(d, "labels"))
         mesh = load_mesh(os.path.join(d, "fitted.obj"))
-        zmap = render_zones(mesh, labels.data > 0, labels.spacing)
-        save_volume(zmap.to_label_volume(), os.path.join(d, "zones"))
-        vl = vertex_labels(zmap, labels)
+        try:
+            zmap = render_zones(mesh, labels.data > 0, labels.spacing)
+            zvol = zmap.to_label_volume()
+            vl = vertex_labels(zmap, labels)
+        except ZoneError as exc:
+            raise ZoneError(f"{os.path.basename(d)}: {exc}") from exc
+        save_volume(zvol, os.path.join(d, "zones"))
         np.savetxt(os.path.join(d, "vertex_labels.txt"), vl, fmt="%d")
 
 

@@ -37,39 +37,44 @@ class ZoneMap:
     def n_zones(self) -> int:
         return int(self.data.max())
 
-    def zone_mask(self, vertex: int) -> np.ndarray:
-        """Boolean mask of the zone of 0-based vertex index ``vertex``."""
-        return self.data == vertex + 1
-
     def to_label_volume(self) -> LabelVolume:
         if self.data.max() > 255:
             raise ZoneError("too many zones for the u8 label codec")
         return LabelVolume(self.data.astype(np.uint8), self.spacing)
 
 
+# Neighbours asked of the KD-tree per vertex at first. Collisions are rare,
+# so a vertex almost always takes one of these; only one whose short list is
+# all taken is asked again at the full length.
+_SHORT_K = 8
+
+
 def _seed_voxels(
-    verts: np.ndarray, organ: np.ndarray, spacing: np.ndarray
+    verts: np.ndarray, organ: np.ndarray, spacing: np.ndarray, offset=(0, 0, 0)
 ) -> np.ndarray:
     """Nearest organ voxel per vertex, collision-free.
 
-    If two vertices pick the same voxel the lower index keeps it and the
-    higher index takes its nearest unclaimed voxel, so every zone is seeded.
+    ``organ`` may be a box cut from the full grid at voxel index ``offset``;
+    distances are measured in world units of the full grid and the seeds are
+    returned as indices into ``organ``. If two vertices pick the same voxel
+    the lower index keeps it and the higher index takes its nearest unclaimed
+    voxel, so every zone is seeded.
     """
     organ_idx = np.argwhere(organ)
-    tree = cKDTree(organ_idx * spacing)
-    k = min(len(organ_idx), len(verts) + 1)
+    tree = cKDTree((organ_idx + offset) * spacing)
+    k_full = min(len(organ_idx), len(verts) + 1)
+    k = min(_SHORT_K, k_full)
     _, cand = tree.query(verts, k=k)
-    cand = np.asarray(cand).reshape(len(verts), -1)
     taken: set[int] = set()
-    seeds = np.empty(len(verts), dtype=np.int64)
-    for i in range(len(verts)):
-        for j in cand[i]:
-            if j not in taken:
-                taken.add(int(j))
-                seeds[i] = j
-                break
-        else:
+    seeds = []
+    for i, row in enumerate(np.asarray(cand).reshape(len(verts), -1).tolist()):
+        free = [j for j in row if j not in taken]
+        if not free and k < k_full:
+            free = [j for j in tree.query(verts[i], k=k_full)[1].tolist() if j not in taken]
+        if not free:
             raise ZoneError("more vertices than organ voxels: cannot seed zones")
+        taken.add(free[0])
+        seeds.append(free[0])
     return organ_idx[seeds]
 
 
@@ -81,18 +86,22 @@ def render_zones(
     Each vertex seeds its nearest organ voxel (world distance). Per round,
     every unlabeled organ voxel adjacent to a labeled one takes the smallest
     adjacent zone index (lower index wins ties). Organ voxels unreachable by
-    dilation fall back to the Euclidean-nearest vertex.
+    dilation fall back to the Euclidean-nearest vertex. Growth runs on the
+    organ's bounding box: no voxel outside the organ is ever labeled, so the
+    filter's constant border stands in for the rest of the grid.
     """
     if not organ.any():
         raise ZoneError("organ mask is empty")
     sp = np.asarray(spacing, dtype=np.float64)
-    zones = np.zeros(organ.shape, dtype=np.int32)
-    seeds = _seed_voxels(mesh.vertices, organ, sp)
-    for i, (w, h, d) in enumerate(seeds):
-        zones[w, h, d] = i + 1
+    box = ndimage.find_objects(organ.astype(np.uint8))[0]
+    offset = np.array([b.start for b in box])
+    crop = organ[box]
+    zones = np.zeros(crop.shape, dtype=np.int32)
+    seeds = _seed_voxels(mesh.vertices, crop, sp, offset)
+    zones[tuple(seeds.T)] = np.arange(1, len(seeds) + 1)
     big = np.iinfo(np.int32).max
     while True:
-        unlabeled = organ & (zones == 0)
+        unlabeled = crop & (zones == 0)
         if not unlabeled.any():
             break
         # smallest zone index among each voxel's 6 neighbours (and itself,
@@ -104,12 +113,13 @@ def render_zones(
         if not reached.any():
             # remaining voxels are in islands with no seed
             rest = np.argwhere(unlabeled)
-            tree = cKDTree(mesh.vertices)
-            _, vi = tree.query(rest * sp)
+            _, vi = cKDTree(mesh.vertices).query((rest + offset) * sp)
             zones[tuple(rest.T)] = vi + 1
             break
         zones[reached] = best[reached]
-    return ZoneMap(zones, tuple(spacing))
+    full = np.zeros(organ.shape, dtype=np.int32)
+    full[box] = zones
+    return ZoneMap(full, tuple(spacing))
 
 
 def vertex_labels(zmap: ZoneMap, labels: LabelVolume) -> np.ndarray:

@@ -106,6 +106,24 @@ class TestCliErrors:
         assert rc == 1
         assert "anatomesh: train:" in capsys.readouterr().err
 
+    def test_zone_error_names_the_case(self, tmp_path, capsys, template):
+        from anatomesh.mesh import save_mesh
+        from anatomesh.volume import save_volume
+
+        work = tmp_path / "w"
+        for name, extent in (("train_0000", slice(3, 13)), ("train_0001", slice(0, 0))):
+            case = work / "cases" / name
+            case.mkdir(parents=True)
+            labels = np.zeros((16, 16, 16), dtype=np.uint8)
+            labels[extent, extent, extent] = 1  # the second organ is empty
+            save_volume(LabelVolume(labels, (1.0, 1.0, 1.0)), str(case / "labels"))
+            save_mesh(template, str(case / "fitted.obj"))
+        cfg = write_config(tmp_path)
+        rc = main(["render-zones", "--config", cfg, "--out", str(work)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "anatomesh: render-zones: train_0001: organ mask is empty\n"
+
     def test_debug_reraises(self, tmp_path, capsys):
         argv = ["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)]
         with pytest.raises(ConfigError, match="not found"):

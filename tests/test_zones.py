@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from anatomesh.mesh import AnatomyMesh
 from anatomesh.template import icosphere
 from anatomesh.volume import LabelVolume
-from anatomesh.zones import ZoneError, ZoneMap, render_zones, vertex_labels
+from anatomesh.zones import (
+    _SHORT_K,
+    ZoneError,
+    ZoneMap,
+    _seed_voxels,
+    render_zones,
+    vertex_labels,
+)
 
 from conftest import random_connected_mask, sphere_mask
 
@@ -45,6 +53,42 @@ def bfs_oracle(seeds, organ):
     return out
 
 
+def _seed_voxels_brute(verts, organ, spacing):
+    """Full-grid seeding with the full candidate list per vertex.
+
+    Asks the KD-tree for V+1 neighbours of every vertex at once and walks
+    each list in order, independently of the production code's short first
+    query.
+    """
+    organ_idx = np.argwhere(organ)
+    tree = cKDTree(organ_idx * spacing)
+    k = min(len(organ_idx), len(verts) + 1)
+    _, cand = tree.query(verts, k=k)
+    cand = np.asarray(cand).reshape(len(verts), -1)
+    taken = set()
+    seeds = np.empty(len(verts), dtype=np.int64)
+    for i in range(len(verts)):
+        for j in cand[i]:
+            if j not in taken:
+                taken.add(int(j))
+                seeds[i] = j
+                break
+        else:
+            raise ZoneError("more vertices than organ voxels: cannot seed zones")
+    return organ_idx[seeds]
+
+
+def zone_mask(zmap, vertex):
+    """Boolean mask of the zone of 0-based vertex index ``vertex``."""
+    return zmap.data == vertex + 1
+
+
+def bfs_zones(verts, organ, spacing):
+    """BFS-oracle zone map seeded by the brute-force seeding."""
+    seeds = _seed_voxels_brute(np.asarray(verts, dtype=np.float64), organ, np.asarray(spacing))
+    return bfs_oracle([tuple(s) for s in seeds], organ)
+
+
 def line_mesh(points):
     """Degenerate helper mesh whose only purpose is carrying vertices."""
     pts = np.asarray(points, dtype=np.float64)
@@ -80,8 +124,6 @@ class TestRenderZones:
             mesh = line_mesh(verts)
             zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
             # recover the seeds: round zero of the production run
-            from anatomesh.zones import _seed_voxels
-
             seeds = _seed_voxels(verts, organ, np.ones(3))
             expect = bfs_oracle([tuple(s) for s in seeds], organ)
             assert np.array_equal(zmap.data, expect)
@@ -156,6 +198,123 @@ class TestRenderZones:
         assert set(np.unique(zmap.data[organ])) == set(range(1, 157))
 
 
+class TestSeedVoxels:
+    """The short first query must pick the seeds the full query picks."""
+
+    def _check(self, verts, organ, spacing):
+        sp = np.asarray(spacing, dtype=np.float64)
+        expect = _seed_voxels_brute(verts, organ, sp)
+        assert np.array_equal(_seed_voxels(verts, organ, sp), expect)
+        # cut to the organ's box, with the offset restoring world positions
+        idx = np.argwhere(organ)
+        lo, hi = idx.min(axis=0), idx.max(axis=0) + 1
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        got = _seed_voxels(verts, organ[box], sp, lo)
+        assert np.array_equal(got + lo, expect)
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            grid = int(rng.integers(16, 29))
+            organ = random_connected_mask(rng, grid)
+            sp = rng.uniform(0.5, 2.0, size=3)
+            verts = rng.uniform(0.25, 0.75, size=(int(rng.integers(4, 40)), 3)) * grid * sp
+            self._check(verts, organ, sp)
+
+    def test_coincident_vertices_take_the_requery(self):
+        # every vertex shares one nearest voxel, so from vertex _SHORT_K on
+        # the whole short list is taken and the full query decides
+        organ = sphere_mask(16, 5)
+        verts = np.tile([[7.23, 7.61, 7.37]], (3 * _SHORT_K // 2, 1))
+        assert len(verts) > _SHORT_K
+        self._check(verts, organ, (1.0, 1.0, 1.0))
+        self._check(verts * [1.0, 0.5, 2.0], organ, (1.0, 0.5, 2.0))
+
+    def test_exact_distance_ties_take_equally_near_voxels(self):
+        # (7.2, 7.6, 7.4) is exactly as far from (7, 8, 8) as from (7, 7, 7).
+        # cKDTree orders such ties differently for different k, so the two
+        # seedings may swap tied voxels but never pick a farther one.
+        organ = sphere_mask(16, 5)
+        verts = np.tile([[7.2, 7.6, 7.4]], (3 * _SHORT_K // 2, 1))
+        got = _seed_voxels(verts, organ, np.ones(3))
+        expect = _seed_voxels_brute(verts, organ, np.ones(3))
+        dist = lambda seeds: ((seeds - verts) ** 2).sum(axis=1)
+        assert np.array_equal(dist(got), dist(expect))
+        assert len({tuple(s) for s in got}) == len(verts)
+
+    def test_organ_with_one_voxel_more_than_vertices(self):
+        n = _SHORT_K + 4
+        organ = np.zeros((5, 5, n + 6), dtype=bool)
+        organ[2, 2, 3 : 3 + n + 1] = True
+        verts = np.tile([[2.0, 2.0, 3.0]], (n, 1))
+        self._check(verts, organ, (1.0, 1.0, 1.0))
+        # the vertex count only just fits: every voxel but one is a seed
+        seeds = _seed_voxels(verts, organ, np.ones(3))
+        assert len({tuple(s) for s in seeds}) == n
+
+    def test_more_vertices_than_voxels_rejected_by_both(self):
+        organ = np.zeros((4, 4, 16), dtype=bool)
+        organ[1, 1, 2 : 2 + _SHORT_K + 2] = True
+        verts = np.tile([[1.0, 1.0, 2.0]], (_SHORT_K + 3, 1))
+        for seed in (_seed_voxels, _seed_voxels_brute):
+            with pytest.raises(ZoneError, match="more vertices"):
+                seed(verts, organ, np.ones(3))
+
+
+class TestBoxCrop:
+    """render_zones grows on the organ's box; the BFS oracle on the full grid."""
+
+    def test_small_organ_off_centre(self):
+        rng = np.random.default_rng(21)
+        organ = np.zeros((48, 48, 48), dtype=bool)
+        organ[34:44, 3:12, 25:31] = random_connected_mask(rng, 12)[1:11, 2:11, 3:9]
+        organ[38, 7, 28] = True
+        verts = np.argwhere(organ)[rng.choice(organ.sum(), 7, replace=False)] + 0.3
+        zmap = render_zones(line_mesh(verts), organ, (1.0, 1.0, 1.0))
+        assert np.array_equal(zmap.data, bfs_zones(verts, organ, (1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_organ_touching_a_grid_face(self, axis, side):
+        grid = 14
+        center = [6.5, 7.0, 5.5]
+        center[axis] = 0.0 if side == 0 else grid - 1.0
+        organ = sphere_mask(grid, 5, center)
+        face = [slice(None)] * 3
+        face[axis] = side
+        assert organ[tuple(face)].any()
+        verts = np.array(center) + np.random.default_rng(axis).uniform(-3, 3, size=(6, 3))
+        zmap = render_zones(line_mesh(verts), organ, (1.0, 1.0, 1.0))
+        assert np.array_equal(zmap.data, bfs_zones(verts, organ, (1.0, 1.0, 1.0)))
+
+    def test_seedless_island_in_far_corner(self):
+        sp = np.array([0.8, 1.0, 1.5])
+        organ = np.zeros((20, 20, 20), dtype=bool)
+        organ[10:14, 10:14, 10:14] = True
+        organ[18:20, 19, 19] = True  # far corner island, no seed in reach
+        # every seed lands in the body; the island's nearest vertex is 2, but
+        # measured from the box corner instead of the grid's it would be 1
+        verts = np.array([[9.5, 9.5, 9.5], [15.0, 15.0, 15.0], [11.2, 12.3, 12.4]]) * sp
+        zmap = render_zones(line_mesh(verts), organ, tuple(sp))
+        body = organ.copy()
+        body[18:20, 19, 19] = False
+        assert np.all(_seed_voxels_brute(verts, organ, sp) < 14)  # no seed on the island
+        assert np.array_equal(zmap.data[body], bfs_zones(verts, body, sp)[body])
+        for voxel in np.argwhere(organ & ~body):
+            nearest = np.argmin(((voxel * sp - verts) ** 2).sum(axis=1))
+            assert zmap.data[tuple(voxel)] == nearest + 1
+        assert np.all((zmap.data > 0) == organ)
+
+    def test_anisotropic_spacing(self):
+        rng = np.random.default_rng(23)
+        for sp in ((0.7, 1.3, 2.0), (2.5, 1.0, 0.4)):
+            organ = random_connected_mask(rng, 22)
+            verts = np.argwhere(organ)[rng.choice(organ.sum(), 9, replace=False)] * sp
+            verts = verts + rng.uniform(-0.4, 0.4, size=verts.shape)
+            zmap = render_zones(line_mesh(verts), organ, sp)
+            assert np.array_equal(zmap.data, bfs_zones(verts, organ, sp))
+
+
 class TestVertexLabels:
     def _zone_map(self):
         data = np.zeros((2, 2, 2), dtype=np.int32)
@@ -199,5 +358,5 @@ class TestVertexLabels:
         )
         out = vertex_labels(zmap, lab)
         for v in range(5):
-            zone = zmap.zone_mask(v)
+            zone = zone_mask(zmap, v)
             assert out[v] == lab.data[zone].max()
