@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class DetectionTable:
     per_class: dict[int, tuple[float, float, int]]  # class -> (mean dice, rate, n)
     micro: tuple[float, float]
     macro: tuple[float, float]
-    warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w") as f:
@@ -102,12 +101,11 @@ class DetectionTable:
 def detection_table(
     cases: list[tuple[np.ndarray, np.ndarray, int]],
     cutoff: float = 0.1,
-    classes: set[int] | None = None,
 ) -> DetectionTable:
     """Per-class mean Dice and detection rate, with micro and macro summaries.
 
-    micro pools all cases; macro averages per-class values, skipping classes
-    with no cases (recorded as warnings).
+    micro pools all cases; macro averages the values of the classes that
+    have cases.
     """
     if not cases:
         raise EvalError("empty case list")
@@ -117,10 +115,6 @@ def detection_table(
             (dice(pred, gt), detected(pred, gt, cutoff))
         )
     per_class = {}
-    warnings = []
-    for cls in sorted(classes or ()):
-        if cls not in by_class:
-            warnings.append(f"class {cls} has no cases; excluded from macro")
     for cls, vals in sorted(by_class.items()):
         dices = [d for d, _ in vals]
         rates = [r for _, r in vals]
@@ -134,7 +128,7 @@ def detection_table(
         float(np.mean([per_class[c][0] for c in per_class])),
         float(np.mean([per_class[c][1] for c in per_class])),
     )
-    return DetectionTable(per_class, micro, macro, warnings)
+    return DetectionTable(per_class, micro, macro)
 
 
 def management_report(preds: list[str], truths: list[str]) -> ConfusionMatrix:

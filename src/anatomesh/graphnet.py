@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import AnatomyMesh, region_ranges
+from .mesh import MeshTopology, region_ranges
 from .volume import LabelVolume
 
 __all__ = [
-    "GraphTopology",
     "GraphResNetParams",
     "TrainConfig",
     "GraphNetError",
@@ -40,31 +39,6 @@ PROB_CLAMP = 1e-7
 
 class GraphNetError(RuntimeError):
     """Shape mismatch or numerical failure in the graph network."""
-
-
-class GraphTopology:
-    """Symmetric adjacency over the mesh vertices (no self-loops)."""
-
-    def __init__(self, adjacency: np.ndarray):
-        a = np.asarray(adjacency, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise GraphNetError(f"adjacency must be square, got {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise GraphNetError("adjacency must be symmetric")
-        if np.diagonal(a).any():
-            raise GraphNetError("adjacency must have no self-loops")
-        self.adjacency = a
-
-    @classmethod
-    def from_mesh(cls, mesh: AnatomyMesh) -> "GraphTopology":
-        a = np.zeros((mesh.n_vertices, mesh.n_vertices))
-        a[mesh.edges[:, 0], mesh.edges[:, 1]] = 1.0
-        a[mesh.edges[:, 1], mesh.edges[:, 0]] = 1.0
-        return cls(a)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
 
 
 @dataclass
@@ -178,16 +152,19 @@ def graph_conv(
     h: np.ndarray,
     w0: np.ndarray,
     w1: np.ndarray,
-    topo: GraphTopology,
+    adjacency,
     bias: np.ndarray | None = None,
     activate: bool = True,
 ) -> np.ndarray:
-    """One graph convolution layer, optionally ReLU-rectified."""
+    """One graph convolution layer, optionally ReLU-rectified.
+
+    ``adjacency`` is the symmetric 0/1 neighbour matrix, dense or sparse.
+    """
     if h.shape[1] != w0.shape[0]:
         raise GraphNetError(
             f"feature width {h.shape[1]} does not match weight fan-in {w0.shape[0]}"
         )
-    z = h @ w0 + topo.adjacency @ h @ w1
+    z = h @ w0 + adjacency @ h @ w1
     if bias is not None:
         z = z + bias
     return np.maximum(z, 0.0) if activate else z
@@ -206,7 +183,7 @@ def _region_pool(h: np.ndarray, region_counts: tuple[int, ...]) -> np.ndarray:
 
 
 def _forward_cache(
-    params: GraphResNetParams, feats: np.ndarray, topo: GraphTopology
+    params: GraphResNetParams, feats: np.ndarray, topo: MeshTopology
 ) -> dict:
     if feats.shape[1] != params.conv_w0[0].shape[0]:
         raise GraphNetError(
@@ -224,7 +201,7 @@ def _forward_cache(
             saved = h
         inputs.append(h)
         z = graph_conv(
-            h, params.conv_w0[layer], params.conv_w1[layer], topo,
+            h, params.conv_w0[layer], params.conv_w1[layer], topo.adjacency,
             params.conv_b[layer], activate=False,
         )
         added = layer % 2 == 1 and saved.shape == z.shape
@@ -251,7 +228,7 @@ def _forward_cache(
 
 
 def forward(
-    params: GraphResNetParams, feats: np.ndarray, topo: GraphTopology
+    params: GraphResNetParams, feats: np.ndarray, topo: MeshTopology
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex softmax probabilities (V, K_v) and global probabilities (K_g,)."""
     cache = _forward_cache(params, feats, topo)
@@ -284,7 +261,7 @@ def loss(
 def backward(
     params: GraphResNetParams,
     feats: np.ndarray,
-    topo: GraphTopology,
+    topo: MeshTopology,
     vertex_targets: np.ndarray,
     global_target: np.ndarray,
     eta1: float = 0.1,
@@ -375,17 +352,17 @@ class TrainLog:
 
 def train(
     dataset: list[tuple[np.ndarray, np.ndarray, int]],
-    topo: GraphTopology,
+    topo: MeshTopology,
     cfg: TrainConfig,
     params: GraphResNetParams | None = None,
     validation: list[tuple[np.ndarray, np.ndarray, int]] | None = None,
     width: int = 64,
-    region_counts: tuple[int, ...] | None = None,
 ) -> tuple[GraphResNetParams, TrainLog]:
     """Momentum gradient descent over (features, vertex labels, global label) cases.
 
     Deterministic given the config seed. With a validation split, returns the
-    parameters of the best validation-accuracy epoch.
+    parameters of the best validation-accuracy epoch. New parameters take
+    the node count, region counts and mean degree from ``topo``.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
@@ -396,10 +373,9 @@ def train(
         k_vertex = max(k_vertex, int(max(vt.max() for _, vt, _ in validation)) + 1)
         k_global = max(k_global, int(max(g for _, _, g in validation)) + 1)
     if params is None:
-        deg = topo.adjacency.sum() / topo.n_nodes
         params = init_params(
-            feats0.shape[1], k_vertex, k_global, topo.n_nodes,
-            width=width, region_counts=region_counts, seed=cfg.seed, mean_degree=deg,
+            feats0.shape[1], k_vertex, k_global, topo.n_vertices, width=width,
+            region_counts=topo.region_counts, seed=cfg.seed, mean_degree=topo.mean_degree,
         )
         stacked = np.concatenate([f for f, _, _ in dataset])
         params.input_mean = stacked.mean(axis=0)

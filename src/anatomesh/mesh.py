@@ -6,10 +6,12 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "AnatomyMesh",
     "MeshError",
+    "MeshTopology",
     "REGION_NAMES",
     "REGION_COUNTS",
     "region_ranges",
@@ -51,36 +53,84 @@ def edges_from_faces(faces: np.ndarray) -> np.ndarray:
     return np.unique(_face_edges(faces), axis=0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class MeshTopology:
+    """The combinatorics of a mesh, built once and shared by every stage.
+
+    ``edges`` are the unique sorted vertex pairs of ``faces``; ``adjacency``
+    is their symmetric V×V 0/1 CSR matrix, loop-free since no face repeats a
+    corner. ``ends`` is V×2E and 0/1: column e is the first end of edge e,
+    column E+e its second end. So ``ends @ np.concatenate([a, b])`` adds
+    ``a[e]`` to vertex ``edges[e, 0]`` and ``b[e]`` to ``edges[e, 1]``, in
+    the order of ``np.add.at`` over the first ends and then the second ends.
+    """
+
+    faces: np.ndarray
+    region_counts: tuple[int, ...]
+    edges: np.ndarray = field(init=False, repr=False)
+    adjacency: sparse.csr_array = field(init=False, repr=False)
+    ends: sparse.csr_array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        faces = np.array(self.faces, dtype=np.int64)  # a copy, made read-only below
+        if faces.ndim != 2 or faces.shape[1] != 3:
+            raise MeshError(f"faces must be (F, 3), got {faces.shape}")
+        v = sum(self.region_counts)
+        if faces.min(initial=0) < 0 or faces.max(initial=-1) >= v:
+            raise MeshError("face indices out of range")
+        repeats = (np.diff(np.sort(faces, axis=1), axis=1) == 0).any(axis=1)
+        if repeats.any():
+            raise MeshError(f"face {faces[repeats.argmax()].tolist()} repeats a corner")
+        edges = edges_from_faces(faces)
+        n = 2 * len(edges)
+        # each edge from both ends: the first ends of all edges, then the second
+        near, far = edges.T.ravel(), edges[:, ::-1].T.ravel()
+        adjacency = sparse.csr_array((np.ones(n), (near, far)), shape=(v, v))
+        ends = sparse.csr_array((np.ones(n), (near, np.arange(n))), shape=(v, n))
+        faces.setflags(write=False)
+        edges.setflags(write=False)
+        for name, value in (("faces", faces), ("region_counts", tuple(self.region_counts)),
+                            ("edges", edges), ("adjacency", adjacency), ("ends", ends)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_vertices(self) -> int:
+        return sum(self.region_counts)
+
+    @property
+    def mean_degree(self) -> float:
+        return 2 * len(self.edges) / self.n_vertices
+
+
 class AnatomyMesh:
     """Closed triangular mesh whose vertex indices carry anatomical meaning.
 
-    ``vertices`` is (V, 3) float64 in world mm, ``faces`` (F, 3) int. The
-    region of vertex i is determined by its index range; ``region_counts``
-    defaults to the standard (48, 42, 45, 21) split.
+    ``vertices`` is (V, 3) float64 in world mm. ``faces`` (F, 3) and
+    ``region_counts`` build one :class:`MeshTopology`, which every
+    :meth:`with_vertices` copy shares. The region of vertex i is determined
+    by its index range; ``region_counts`` defaults to the standard
+    (48, 42, 45, 21) split.
     """
 
-    vertices: np.ndarray
-    faces: np.ndarray
-    region_counts: tuple[int, ...] = REGION_COUNTS
-    edges: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
+    def __init__(
+        self,
+        vertices: np.ndarray,
+        faces: np.ndarray,
+        region_counts: tuple[int, ...] = REGION_COUNTS,
+    ):
+        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError(f"vertices must be (V, 3), got {self.vertices.shape}")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise MeshError(f"faces must be (F, 3), got {self.faces.shape}")
         v = len(self.vertices)
-        if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= v:
-            raise MeshError("face indices out of range")
-        if sum(self.region_counts) != v:
+        if sum(region_counts) != v:
             raise MeshError(
-                f"region counts {self.region_counts} do not sum to vertex count {v}"
+                f"region counts {tuple(region_counts)} do not sum to vertex count {v}"
             )
-        self.edges = edges_from_faces(self.faces)
-        self.edges.setflags(write=False)  # shared by every with_vertices copy
+        self.topology = MeshTopology(faces, region_counts)
+
+    faces = property(lambda self: self.topology.faces)
+    edges = property(lambda self: self.topology.edges)
+    region_counts = property(lambda self: self.topology.region_counts)
 
     @property
     def n_vertices(self) -> int:
@@ -89,36 +139,18 @@ class AnatomyMesh:
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges) + len(self.faces)
 
-    def region_of(self, vertex: int) -> str:
-        for name, (a, b) in zip(REGION_NAMES, region_ranges(self.region_counts)):
-            if a <= vertex < b:
-                return name
-        raise MeshError(f"vertex index {vertex} out of range")
-
-    def vertex_regions(self) -> np.ndarray:
-        """Region index (0..3) per vertex."""
-        out = np.empty(self.n_vertices, dtype=np.int64)
-        for r, (a, b) in enumerate(region_ranges(self.region_counts)):
-            out[a:b] = r
-        return out
-
     def mean_incident_edge_lengths(self) -> np.ndarray:
         """Mean length of edges incident to each vertex."""
-        p = self.vertices
+        p, ends = self.vertices, self.topology.ends
         lengths = np.linalg.norm(p[self.edges[:, 0]] - p[self.edges[:, 1]], axis=1)
-        total = np.zeros(self.n_vertices)
-        count = np.zeros(self.n_vertices)
-        np.add.at(total, self.edges[:, 0], lengths)
-        np.add.at(total, self.edges[:, 1], lengths)
-        np.add.at(count, self.edges[:, 0], 1)
-        np.add.at(count, self.edges[:, 1], 1)
-        return total / np.maximum(count, 1)
+        total = ends @ np.concatenate([lengths, lengths])
+        return total / np.maximum(ends.sum(axis=1), 1)
 
     def with_vertices(self, vertices: np.ndarray) -> "AnatomyMesh":
-        """Copy with new geometry, sharing faces, edges and regions.
+        """Copy with new geometry, sharing the topology.
 
         Only the vertex shape is checked; the combinatorics were validated
-        when this mesh was built, so the edges are not rebuilt.
+        when the topology was built.
         """
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         if vertices.shape != self.vertices.shape:

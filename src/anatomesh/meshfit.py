@@ -135,12 +135,9 @@ def edge_regularizers(
     # d(e1)/d|e_i| = 2*(|e_i| - mean) - (2/E)*sum(dev) and the deviations sum
     # to zero, so the mean's dependence on the vertices drops out.
     g1_edge = 2.0 * dev[:, None] * unit
-    grad1 = np.zeros_like(p)
-    np.add.at(grad1, edges[:, 0], g1_edge)
-    np.add.at(grad1, edges[:, 1], -g1_edge)
-    grad2 = np.zeros_like(p)
-    np.add.at(grad2, edges[:, 0], unit)
-    np.add.at(grad2, edges[:, 1], -unit)
+    ends = mesh.topology.ends
+    grad1 = ends @ np.concatenate([g1_edge, -g1_edge])
+    grad2 = ends @ np.concatenate([unit, -unit])
     return e1, e2, grad1, grad2
 
 

@@ -12,7 +12,6 @@ from .config import RunConfig
 from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
-    GraphTopology,
     TrainConfig,
     classify_gc,
     classify_pv,
@@ -176,8 +175,7 @@ def stage_train(cfg: RunConfig, out_dir: str) -> None:
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     dataset = _load_dataset(train_dirs)
     validation = _load_dataset(val_dirs) if val_dirs else None
-    proto = load_mesh(os.path.join(out_dir, "prototype.obj"))
-    topo = GraphTopology.from_mesh(proto)
+    topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
     tcfg = TrainConfig(
         eta1=cfg.get_float("train", "eta1"),
         eta2=cfg.get_float("train", "eta2"),
@@ -217,8 +215,7 @@ def _select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
 
 def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     params = load_params(os.path.join(out_dir, "model.ckpt"))
-    proto = load_mesh(os.path.join(out_dir, "prototype.obj"))
-    topo = GraphTopology.from_mesh(proto)
+    topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
     pv_threshold = cfg.get("classify", "pv_threshold")
     if str(pv_threshold) == "auto":
         train_dirs, val_dirs = _split_train(cfg, out_dir)

@@ -23,9 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .mesh import REGION_COUNTS, REGION_NAMES
-from .volume import (
-    LabelVolume, ProbVolume, VolumeError, is_connected, load_volume, save_volume,
-)
+from .volume import LabelVolume, ProbVolume, VolumeError, is_connected, save_volume
 
 __all__ = [
     "CaseInfo",
@@ -42,7 +40,6 @@ __all__ = [
     "iter_dataset",
     "save_case",
     "load_case_info",
-    "load_case",
 ]
 
 ORGAN_LABEL = 1
@@ -365,9 +362,3 @@ def load_case_info(directory: str) -> CaseInfo:
         parse("head_end", lambda v: np.array([float(x) for x in v])),
         parse("seed", lambda v: int(v[0])),
     )
-
-
-def load_case(directory: str) -> SynthCase:
-    labels = load_volume(os.path.join(directory, "labels"))
-    probs = load_volume(os.path.join(directory, "probs"))
-    return SynthCase(labels, probs, *load_case_info(directory))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from anatomesh.mesh import AnatomyMesh
+from anatomesh.mesh import REGION_NAMES, AnatomyMesh, region_ranges
 from anatomesh.template import icosphere, template_mesh_arrays
 
 
@@ -17,6 +17,12 @@ def small_mesh():
     """12-vertex icosahedron, region split (3, 3, 3, 3)."""
     verts, faces = icosphere(0)
     return AnatomyMesh(verts, faces, (3, 3, 3, 3))
+
+
+def vertex_region_names(counts):
+    """Region name of each vertex, read off the contiguous index ranges."""
+    ranges = region_ranges(counts)
+    return [name for name, (a, b) in zip(REGION_NAMES, ranges) for _ in range(a, b)]
 
 
 def sphere_mask(grid, radius, center=None):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from anatomesh.graphnet import GraphTopology, backward, forward, graph_conv, loss
+from anatomesh.graphnet import backward, forward, graph_conv, loss
 from anatomesh.mesh import AnatomyMesh
 from anatomesh.meshfit import (
     FitConfig,
@@ -151,12 +151,11 @@ class TestCriterion4GraphConv:
             n = int(rng.integers(3, 21))
             a = np.triu(rng.random((n, n)) < 0.4, k=1).astype(np.float64)
             a = a + a.T
-            topo = GraphTopology(a)
             win, wout = int(rng.integers(2, 7)), int(rng.integers(2, 7))
             h = rng.normal(size=(n, win))
             w0, w1 = rng.normal(size=(win, wout)), rng.normal(size=(win, wout))
             b = rng.normal(size=wout)
-            got = graph_conv(h, w0, w1, topo, b, activate=False)
+            got = graph_conv(h, w0, w1, a, b, activate=False)
             for p in range(n):
                 expect = w0.T @ h[p] + b
                 for q in range(n):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from anatomesh import pipeline, synth
+from anatomesh import pipeline
 from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
 from anatomesh.volume import LabelVolume
@@ -257,8 +257,7 @@ class TestCaseFiles:
                 return load(path)
             return load_volume
 
-        for module in (pipeline, synth):
-            monkeypatch.setattr(module, "load_volume", counted(module.load_volume))
+        monkeypatch.setattr(pipeline, "load_volume", counted(pipeline.load_volume))
         cfg = write_config(tmp_path)
         by_stage = {}
         for stage, _ in pipeline.STAGES:

@@ -96,11 +96,6 @@ class TestDetectionTable:
         per_dice = [v[0] for v in t.per_class.values()]
         assert min(per_dice) - 1e-12 <= t.micro[0] <= max(per_dice) + 1e-12
 
-    def test_missing_class_warned(self):
-        t = detection_table(self._cases(), classes={2, 3, 4})
-        assert any("class 4" in w for w in t.warnings)
-        assert 4 not in t.per_class
-
     def test_empty_rejected(self):
         with pytest.raises(EvalError):
             detection_table([])

@@ -11,6 +11,21 @@ from anatomesh.mesh import (
 )
 from anatomesh.template import template_mesh_arrays
 
+from conftest import vertex_region_names
+
+
+def mean_incident_edge_lengths_add_at(mesh):
+    """Scatter-add oracle for :meth:`AnatomyMesh.mean_incident_edge_lengths`."""
+    p, edges = mesh.vertices, mesh.edges
+    lengths = np.linalg.norm(p[edges[:, 0]] - p[edges[:, 1]], axis=1)
+    total = np.zeros(mesh.n_vertices)
+    count = np.zeros(mesh.n_vertices)
+    np.add.at(total, edges[:, 0], lengths)
+    np.add.at(total, edges[:, 1], lengths)
+    np.add.at(count, edges[:, 0], 1)
+    np.add.at(count, edges[:, 1], 1)
+    return total / np.maximum(count, 1)
+
 
 class TestTemplate:
     def test_combinatorics(self, template):
@@ -48,11 +63,48 @@ class TestRegions:
         assert covered == list(range(156))
 
     def test_region_of(self, template):
-        assert template.region_of(0) == "Head"
-        assert template.region_of(47) == "Head"
-        assert template.region_of(48) == "VentralBody"
-        assert template.region_of(90) == "DorsalBody"
-        assert template.region_of(155) == "Tail"
+        names = vertex_region_names(template.region_counts)
+        assert len(names) == 156
+        assert names[0] == "Head"
+        assert names[47] == "Head"
+        assert names[48] == "VentralBody"
+        assert names[90] == "DorsalBody"
+        assert names[155] == "Tail"
+
+
+class TestTopology:
+    def test_template_adjacency(self, template):
+        a = template.topology.adjacency
+        assert a.shape == (156, 156)
+        assert a.nnz == 924
+        assert (a != a.T).nnz == 0
+        assert not a.diagonal().any()
+        degree = np.bincount(template.edges.ravel(), minlength=156)
+        assert np.array_equal(a.sum(axis=1), degree)
+        assert template.topology.mean_degree == a.sum() / 156
+
+    def test_ends_columns(self, template):
+        topo = template.topology
+        ends = topo.ends.toarray()
+        e = len(topo.edges)
+        assert ends.shape == (156, 2 * e)
+        assert np.array_equal(ends.sum(axis=0), np.ones(2 * e))
+        assert np.array_equal(ends[:, :e].argmax(axis=0), topo.edges[:, 0])
+        assert np.array_equal(ends[:, e:].argmax(axis=0), topo.edges[:, 1])
+
+    def test_mean_incident_edge_lengths_match_add_at(self, template):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            mesh = template.with_vertices(
+                template.vertices + rng.normal(scale=0.5, size=template.vertices.shape)
+            )
+            assert np.array_equal(
+                mesh.mean_incident_edge_lengths(), mean_incident_edge_lengths_add_at(mesh)
+            )
+
+    def test_faces_read_only(self, small_mesh):
+        with pytest.raises(ValueError):
+            small_mesh.faces[0, 0] = 1
 
 
 class TestMeshIO:
@@ -83,6 +135,10 @@ class TestValidation:
         with pytest.raises(MeshError, match="out of range"):
             AnatomyMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]), (3,))
 
+    def test_repeated_corner_rejected(self):
+        with pytest.raises(MeshError, match="repeats a corner"):
+            AnatomyMesh(np.zeros((3, 3)), np.array([[0, 0, 1]]), (3,))
+
     def test_region_count_mismatch(self, small_mesh):
         with pytest.raises(MeshError, match="region counts"):
             AnatomyMesh(small_mesh.vertices, small_mesh.faces, (5, 5))
@@ -98,6 +154,7 @@ class TestValidation:
 class TestWithVertices:
     def test_shares_topology(self, small_mesh):
         moved = small_mesh.with_vertices(small_mesh.vertices * 2.0)
+        assert moved.topology is small_mesh.topology
         assert moved.edges is small_mesh.edges
         assert moved.faces is small_mesh.faces
         assert moved.region_counts == small_mesh.region_counts

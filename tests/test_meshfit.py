@@ -16,6 +16,22 @@ from anatomesh.volume import LabelVolume
 from conftest import sphere_mask
 
 
+def edge_regularizer_gradients_add_at(mesh):
+    """Scatter-add oracle for the two gradients of :func:`edge_regularizers`."""
+    p, edges = mesh.vertices, mesh.edges
+    vec = p[edges[:, 0]] - p[edges[:, 1]]
+    lengths = np.linalg.norm(vec, axis=1)
+    unit = vec / lengths[:, None]
+    g1_edge = 2.0 * (lengths - lengths.mean())[:, None] * unit
+    grad1 = np.zeros_like(p)
+    np.add.at(grad1, edges[:, 0], g1_edge)
+    np.add.at(grad1, edges[:, 1], -g1_edge)
+    grad2 = np.zeros_like(p)
+    np.add.at(grad2, edges[:, 0], unit)
+    np.add.at(grad2, edges[:, 1], -unit)
+    return grad1, grad2
+
+
 def random_mesh(rng, scale=1.0):
     from anatomesh.template import icosphere
 
@@ -136,6 +152,17 @@ class TestEdgeRegularizers:
                                        rtol=1e-5, atol=1e-8)
             np.testing.assert_allclose(g2, fd_gradient(f2, mesh.vertices),
                                        rtol=1e-5, atol=1e-8)
+
+    def test_gradients_match_add_at(self, template):
+        rng = np.random.default_rng(22)
+        for _ in range(25):
+            mesh = template.with_vertices(
+                template.vertices + rng.normal(scale=0.5, size=template.vertices.shape)
+            )
+            _, _, g1, g2 = edge_regularizers(mesh)
+            o1, o2 = edge_regularizer_gradients_add_at(mesh)
+            assert np.array_equal(g1, o1)
+            assert np.array_equal(g2, o2)
 
     def test_degenerate_edge_reported(self):
         verts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])

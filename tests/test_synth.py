@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -23,12 +24,11 @@ from anatomesh.synth import (
     gen_organ,
     implant_mass,
     iter_dataset,
-    load_case,
     load_case_info,
     save_case,
     soften,
 )
-from anatomesh.volume import LabelVolume, VolumeError
+from anatomesh.volume import LabelVolume, VolumeError, load_volume
 
 
 CONN6 = ndimage.generate_binary_structure(3, 1)
@@ -296,9 +296,11 @@ class TestCaseIO:
         case = gen_case(3, 17)
         d = str(tmp_path / "case")
         save_case(case, d)
-        back = load_case(d)
-        assert np.array_equal(back.labels.data, case.labels.data)
-        assert np.array_equal(back.probs.data, case.probs.data)
+        labels = load_volume(os.path.join(d, "labels"))
+        probs = load_volume(os.path.join(d, "probs"))
+        back = load_case_info(d)
+        assert np.array_equal(labels.data, case.labels.data)
+        assert np.array_equal(probs.data, case.probs.data)
         assert back.class_id == case.class_id
         assert back.management == case.management
         np.testing.assert_allclose(back.head_end, case.head_end, rtol=1e-8)

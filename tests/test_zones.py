@@ -93,8 +93,8 @@ def line_mesh(points):
     """Degenerate helper mesh whose only purpose is carrying vertices."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
-    faces = np.array([[i, (i + 1) % n, (i + 2) % n] for i in range(n)])
-    return AnatomyMesh(pts, faces[: max(n - 2, 1)], (n,))
+    faces = np.array([[i, i + 1, i + 2] for i in range(n - 2)], dtype=np.int64)
+    return AnatomyMesh(pts, faces.reshape(-1, 3), (n,))
 
 
 class TestRenderZones:
