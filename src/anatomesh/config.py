@@ -1,4 +1,4 @@
-"""Run configuration: sectioned ``key = value`` text files with strict keys."""
+"""Run configuration: sectioned ``key = value`` text files with strict keys and types."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
-    """Unknown key, malformed line or missing config file."""
+    """Unknown key, malformed line or value, or missing config file."""
 
 
-# section -> key -> default value; also serves as the schema
+# section -> key -> default value; also serves as the schema, each value
+# fixing its key's type
 DEFAULTS: dict[str, dict[str, object]] = {
     "synth": {
         "n_train": 400,
@@ -22,7 +23,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "grid": 48,
         "noise": 0.2,
         "bend": 6.0,
-        "class_mix": "0.25 0.25 0.25 0.25",
+        "class_mix": (0.25, 0.25, 0.25, 0.25),
     },
     "fit": {
         "lambda1": 1e-4,
@@ -31,9 +32,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "max_iters": 400,
         "tol": 1e-6,
         "prototype_cases": 10,
-    },
-    "pool": {
-        "pooling": "mean",
     },
     "train": {
         "eta1": 0.1,
@@ -46,9 +44,6 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "width": 64,
         "val_fraction": 0.2,
     },
-    "classify": {
-        "pv_threshold": "auto",
-    },
 }
 
 
@@ -59,24 +54,29 @@ class RunConfig:
     digest: str
 
     def get(self, section: str, key: str):
+        """The value of ``[section] key``, of its default's type."""
         return self.values[section][key]
 
-    def get_float(self, section: str, key: str) -> float:
-        return float(self.values[section][key])
 
-    def get_int(self, section: str, key: str) -> int:
-        value = self.values[section][key]
-        try:
-            return int(str(value))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}") from None
+def _parse(value: str, default: object) -> object:
+    """``value`` read as ``default``'s type: an integer literal, a float, or
+    a tuple of as many floats as the default has; ValueError if it is not."""
+    if not isinstance(default, tuple):
+        return type(default)(value)
+    items = tuple(float(v) for v in value.split())
+    if len(items) != len(default):
+        raise ValueError(value)
+    return items
 
-    def get_floats(self, section: str, key: str) -> tuple[float, ...]:
-        return tuple(float(v) for v in str(self.values[section][key]).split())
+
+def _type_name(default: object) -> str:
+    if isinstance(default, tuple):
+        return f"{len(default)} floats"
+    return "an integer" if isinstance(default, int) else "a float"
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a config file; unknown sections or keys are rejected."""
+    """Parse a config file; unknown sections or keys and bad values are rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "rb") as f:
@@ -100,5 +100,10 @@ def load_config(path: str) -> RunConfig:
         key, value = (p.strip() for p in line.split("=", 1))
         if key not in DEFAULTS[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}' in [{section}]")
-        values[section][key] = value
+        default = DEFAULTS[section][key]
+        try:
+            values[section][key] = _parse(value, default)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be "
+                              f"{_type_name(default)}, got {value!r}") from None
     return RunConfig(values, path, digest)

@@ -25,22 +25,19 @@ def pool_features(
     probs: ProbVolume,
     labels: LabelVolume,
     mass_labels: set[int],
-    pooling: str = "mean",
 ) -> np.ndarray:
     """Build the (V, 5+2K) per-vertex feature matrix.
 
     Coordinates are organ-centroid-relative, scaled by the organ bounding-box
     diagonal. ``d`` is the world distance to the nearest mass-surface voxel
-    (-1 if no mass voxel exists). The local block pools probabilities over
-    each vertex zone, the global block over all organ voxels.
+    (-1 if no mass voxel exists). The local block averages probabilities
+    over each vertex zone, the global block over all organ voxels.
     """
     if zmap.dims != probs.dims or zmap.dims != labels.dims:
         raise VolumeError(
             f"dimension mismatch: zones {zmap.dims}, probs {probs.dims}, "
             f"labels {labels.dims}"
         )
-    if pooling not in ("mean", "max"):
-        raise ValueError(f"unknown pooling operator {pooling!r}")
     k = probs.channels
     n = mesh.n_vertices
     spacing = np.asarray(zmap.spacing, dtype=np.float64)
@@ -66,16 +63,12 @@ def pool_features(
 
     z = zmap.data[organ] - 1
     p = probs.data[organ].astype(np.float64)
-    if pooling == "mean":
-        local = np.zeros((n, k))
-        np.add.at(local, z, p)
-        counts = np.bincount(z, minlength=n).astype(np.float64)
-        if (counts == 0).any():
-            raise VolumeError(f"zone of vertex {int(np.flatnonzero(counts == 0)[0])} is empty")
-        local /= counts[:, None]
-    else:
-        local = np.zeros((n, k))
-        np.maximum.at(local, z, p)
+    local = np.zeros((n, k))
+    np.add.at(local, z, p)
+    counts = np.bincount(z, minlength=n).astype(np.float64)
+    if (counts == 0).any():
+        raise VolumeError(f"zone of vertex {int(np.flatnonzero(counts == 0)[0])} is empty")
+    local /= counts[:, None]
     global_block = p.mean(axis=0)
 
     feats = np.empty((n, feature_width(k)))

@@ -112,16 +112,12 @@ def init_params(
     input_width: int,
     k_vertex: int,
     k_global: int,
-    n_nodes: int,
+    topo: MeshTopology,
     width: int = 64,
     n_layers: int = 6,
-    region_counts: tuple[int, ...] | None = None,
     seed: int = 0,
-    mean_degree: float = 6.0,
 ) -> GraphResNetParams:
-    from .mesh import REGION_COUNTS
-
-    region_counts = region_counts or REGION_COUNTS
+    """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree."""
     rng = np.random.default_rng(seed)
     w0s, w1s, bs = [], [], []
     w_in = input_width
@@ -129,11 +125,11 @@ def init_params(
         w0s.append(_glorot(rng, w_in, width))
         # neighbor features are correlated, so the sum over N(p) scales the
         # effective fan-in of W1 by degree squared
-        w1s.append(_glorot(rng, w_in, width, eff_fan_in=w_in * max(mean_degree, 1.0) ** 2))
+        w1s.append(_glorot(rng, w_in, width, eff_fan_in=w_in * max(topo.mean_degree, 1.0) ** 2))
         bs.append(np.zeros(width))
         w_in = width
     vertex_w = _glorot(rng, width, k_vertex)
-    hvp_len = (len(region_counts) + n_nodes) * width
+    hvp_len = (len(topo.region_counts) + topo.n_vertices) * width
     global_w = _glorot(rng, hvp_len, k_global)
     return GraphResNetParams(
         conv_w0=w0s,
@@ -143,7 +139,7 @@ def init_params(
         vertex_b=np.zeros(k_vertex),
         global_w=global_w,
         global_b=np.zeros(k_global),
-        region_counts=tuple(region_counts),
+        region_counts=topo.region_counts,
         seed=seed,
     )
 
@@ -189,6 +185,10 @@ def _forward_cache(
         raise GraphNetError(
             f"feature width {feats.shape[1]} does not match network input "
             f"width {params.conv_w0[0].shape[0]}"
+        )
+    if feats.shape[0] != topo.n_vertices:
+        raise GraphNetError(
+            f"{feats.shape[0]} feature rows do not match the mesh's {topo.n_vertices} vertices"
         )
     n_layers = params.n_layers
     h = np.asarray(feats, dtype=np.float64)
@@ -374,8 +374,7 @@ def train(
         k_global = max(k_global, int(max(g for _, _, g in validation)) + 1)
     if params is None:
         params = init_params(
-            feats0.shape[1], k_vertex, k_global, topo.n_vertices, width=width,
-            region_counts=topo.region_counts, seed=cfg.seed, mean_degree=topo.mean_degree,
+            feats0.shape[1], k_vertex, k_global, topo, width=width, seed=cfg.seed
         )
         stacked = np.concatenate([f for f, _, _ in dataset])
         params.input_mean = stacked.mean(axis=0)

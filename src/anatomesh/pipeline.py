@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
@@ -65,8 +65,11 @@ def _case_dirs(out_dir: str, split: str) -> list[str]:
 
 def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
     """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
+    fraction = cfg.get("train", "val_fraction")
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"[train] val_fraction must be in [0, 1), got {fraction}")
     dirs = _case_dirs(out_dir, "train")
-    n_val = int(round(cfg.get_float("train", "val_fraction") * len(dirs)))
+    n_val = int(round(fraction * len(dirs)))
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 
@@ -84,28 +87,28 @@ def _load_segmentation(d: str) -> LabelVolume:
 
 def _fit_config(cfg: RunConfig) -> FitConfig:
     return FitConfig(
-        lambda1=cfg.get_float("fit", "lambda1"),
-        lambda2=cfg.get_float("fit", "lambda2"),
-        step_size=cfg.get_float("fit", "step_size"),
-        max_iters=cfg.get_int("fit", "max_iters"),
-        tol=cfg.get_float("fit", "tol"),
+        lambda1=cfg.get("fit", "lambda1"),
+        lambda2=cfg.get("fit", "lambda2"),
+        step_size=cfg.get("fit", "step_size"),
+        max_iters=cfg.get("fit", "max_iters"),
+        tol=cfg.get("fit", "tol"),
     )
 
 
 def _synth_config(cfg: RunConfig) -> SynthConfig:
     return SynthConfig(
-        grid=cfg.get_int("synth", "grid"),
-        noise=cfg.get_float("synth", "noise"),
-        bend=cfg.get_float("synth", "bend"),
-        class_mix=cfg.get_floats("synth", "class_mix"),
+        grid=cfg.get("synth", "grid"),
+        noise=cfg.get("synth", "noise"),
+        bend=cfg.get("synth", "bend"),
+        class_mix=cfg.get("synth", "class_mix"),
     )
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     scfg = _synth_config(cfg)
-    seed = cfg.get_int("synth", "seed")
-    n_train = cfg.get_int("synth", "n_train")
-    n_test = cfg.get_int("synth", "n_test")
+    seed = cfg.get("synth", "seed")
+    n_train = cfg.get("synth", "n_train")
+    n_test = cfg.get("synth", "n_test")
     # synth-gen owns cases/: a rerun with fewer cases must not leave old ones behind
     cases = os.path.join(out_dir, "cases")
     if os.path.isdir(cases):
@@ -117,7 +120,7 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
-    n_proto = cfg.get_int("fit", "prototype_cases")
+    n_proto = cfg.get("fit", "prototype_cases")
     dirs = _case_dirs(out_dir, "train")[:n_proto]
     masks = [_load_organ(d) for d in dirs]
     head_ends = [load_case_info(d).head_end for d in dirs]
@@ -151,14 +154,13 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
-    pooling = str(cfg.get("pool", "pooling"))
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
         labels = load_volume(os.path.join(d, "labels"))
         probs = load_volume(os.path.join(d, "probs"))
         mesh = load_mesh(os.path.join(d, "fitted.obj"))
         zvol = load_volume(os.path.join(d, "zones"))
         zmap = ZoneMap(zvol.data.astype(np.int32), zvol.spacing)
-        feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS, pooling)
+        feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS)
         save_features(feats, os.path.join(d, "features.csv"))
 
 
@@ -177,17 +179,17 @@ def stage_train(cfg: RunConfig, out_dir: str) -> None:
     validation = _load_dataset(val_dirs) if val_dirs else None
     topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
     tcfg = TrainConfig(
-        eta1=cfg.get_float("train", "eta1"),
-        eta2=cfg.get_float("train", "eta2"),
-        learning_rate=cfg.get_float("train", "learning_rate"),
-        momentum=cfg.get_float("train", "momentum"),
-        epochs=cfg.get_int("train", "epochs"),
-        batch_size=cfg.get_int("train", "batch_size"),
-        seed=cfg.get_int("train", "seed"),
+        eta1=cfg.get("train", "eta1"),
+        eta2=cfg.get("train", "eta2"),
+        learning_rate=cfg.get("train", "learning_rate"),
+        momentum=cfg.get("train", "momentum"),
+        epochs=cfg.get("train", "epochs"),
+        batch_size=cfg.get("train", "batch_size"),
+        seed=cfg.get("train", "seed"),
     )
     params, log = train(
         dataset, topo, tcfg,
-        validation=validation, width=cfg.get_int("train", "width"),
+        validation=validation, width=cfg.get("train", "width"),
     )
     save_params(params, os.path.join(out_dir, "model.ckpt"))
     log.to_csv(os.path.join(out_dir, "train_log.csv"))
@@ -216,15 +218,12 @@ def _select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
 def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     params = load_params(os.path.join(out_dir, "model.ckpt"))
     topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
-    pv_threshold = cfg.get("classify", "pv_threshold")
-    if str(pv_threshold) == "auto":
-        train_dirs, val_dirs = _split_train(cfg, out_dir)
-        val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
-        pv_threshold = _select_pv_threshold(
-            [_load_segmentation(d) for d in val_dirs],
-            [load_case_info(d).class_id for d in val_dirs],
-        )
-    pv_threshold = int(pv_threshold)
+    train_dirs, val_dirs = _split_train(cfg, out_dir)
+    val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
+    pv_threshold = _select_pv_threshold(
+        [_load_segmentation(d) for d in val_dirs],
+        [load_case_info(d).class_id for d in val_dirs],
+    )
     rows = []
     for d in _case_dirs(out_dir, "test"):
         feats = load_features(os.path.join(d, "features.csv"))

@@ -49,8 +49,8 @@ def tree_digest(root):
 class TestConfig:
     def test_defaults_without_file_sections(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
-        assert cfg.get_int("train", "epochs") == 3
-        assert cfg.get_int("synth", "n_train") == 400  # untouched default
+        assert cfg.get("train", "epochs") == 3
+        assert cfg.get("synth", "n_train") == 400  # untouched default
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -71,19 +71,43 @@ class TestConfig:
     def test_comments_and_floats(self, tmp_path):
         text = "[synth]\nnoise = 0.1  # light noise\nclass_mix = 0.5 0.5 0 0\n"
         cfg = load_config(write_config(tmp_path, text))
-        assert cfg.get_float("synth", "noise") == 0.1
-        assert cfg.get_floats("synth", "class_mix") == (0.5, 0.5, 0.0, 0.0)
+        assert cfg.get("synth", "noise") == 0.1
+        assert cfg.get("synth", "class_mix") == (0.5, 0.5, 0.0, 0.0)
 
     def test_non_integer_rejected(self, tmp_path):
         for value in ("2.9", "2.0", "1e3", "two"):
-            cfg = load_config(write_config(tmp_path, f"[train]\nepochs = {value}\n"))
             with pytest.raises(ConfigError, match=r"\[train\] epochs"):
-                cfg.get_int("train", "epochs")
+                load_config(write_config(tmp_path, f"[train]\nepochs = {value}\n"))
 
-    def test_region_counts_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, match", [
+        ("[synth]\nnoise = abc\n", r"run\.cfg:2: \[synth\] noise must be a float, got 'abc'"),
+        ("[synth]\nclass_mix = a b\n", r"run\.cfg:2: \[synth\] class_mix must be 4 floats"),
+        ("[synth]\nclass_mix = 0.5 0.5\n", r"\[synth\] class_mix must be 4 floats"),
+        ("[fit]\n\nmax_iters = 6.5\n", r"run\.cfg:3: \[fit\] max_iters must be an integer"),
+    ], ids=["noise", "class_mix-letters", "class_mix-short", "max_iters"])
+    def test_bad_value_rejected_at_load(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("section, line", [
         # the 156-vertex region split is fixed; [regions] counts was never read
-        with pytest.raises(ConfigError, match=r"unknown section \[regions\]"):
-            load_config(write_config(tmp_path, "[regions]\ncounts = 48 42 45 21\n"))
+        ("regions", "counts = 48 42 45 21"),
+        # features are always zone means
+        ("pool", "pooling = mean"),
+        # the PV threshold is always chosen on the validation split
+        ("classify", "pv_threshold = auto"),
+    ], ids=["regions", "pool", "classify"])
+    def test_region_counts_key_rejected(self, tmp_path, section, line):
+        with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]"):
+            load_config(write_config(tmp_path, f"[{section}]\n{line}\n"))
+
+    @pytest.mark.parametrize("fraction", ["1.5", "1.0", "-0.5", "nan"])
+    def test_val_fraction_outside_unit_interval_rejected(self, tmp_path, fraction):
+        for k in range(12):
+            os.makedirs(tmp_path / "w" / "cases" / f"train_{k:04d}")
+        cfg = load_config(write_config(tmp_path, f"[train]\nval_fraction = {fraction}\n"))
+        with pytest.raises(ConfigError, match=r"\[train\] val_fraction"):
+            pipeline._split_train(cfg, str(tmp_path / "w"))
 
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
@@ -123,6 +147,14 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "anatomesh: render-zones: train_0001: organ mask is empty\n"
+
+    def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG + "learning_rate = abc\n")
+        work = tmp_path / "w"
+        rc = main(["synth-gen", "--config", cfg, "--out", str(work)])
+        assert rc == 1
+        assert "[train] learning_rate must be a float, got 'abc'" in capsys.readouterr().err
+        assert not (work / "cases").exists()
 
     def test_debug_reraises(self, tmp_path, capsys):
         argv = ["pipeline", "--config", "/no/such.cfg", "--out", str(tmp_path)]

@@ -69,23 +69,6 @@ class TestShapeAndBlocks:
             rtol=1e-9,
         )
 
-    def test_max_pool_matches_direct_maximum(self):
-        rng = np.random.default_rng(3)
-        mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2}, pooling="max")
-        k = probs.channels
-        for v in range(mesh.n_vertices):
-            zone = zone_mask(zmap, v)
-            np.testing.assert_allclose(
-                feats[v, 5 : 5 + k], probs.data[zone].max(axis=0), rtol=1e-9
-            )
-
-    def test_unknown_pooling_rejected(self):
-        rng = np.random.default_rng(4)
-        mesh, zmap, probs, labels = scene(rng)
-        with pytest.raises(ValueError, match="pooling"):
-            pool_features(mesh, zmap, probs, labels, {2}, pooling="median")
-
 
 class TestGeometryColumns:
     def test_coords_centered_and_bounded(self):

@@ -32,8 +32,8 @@ def ico_topology():
 
 def small_params(rng, input_width=5, width=8, k_vertex=3, k_global=4, scale=0.3):
     """Random small network with non-saturating weights."""
-    p = init_params(input_width, k_vertex, k_global, 12, width=width,
-                    region_counts=REGIONS, seed=int(rng.integers(1 << 30)))
+    p = init_params(input_width, k_vertex, k_global, ico_topology(), width=width,
+                    seed=int(rng.integers(1 << 30)))
     for t in p.tensors():
         t[...] = rng.normal(scale=scale, size=t.shape)
     return p
@@ -160,8 +160,14 @@ class TestForward:
         with pytest.raises(GraphNetError, match="input"):
             forward(params, np.zeros((12, 7)), ico_topology())
 
-    def test_init_params_layer_shapes(self):
-        p = init_params(13, 4, 4, 156, width=64)
+    def test_feature_rows_mismatch(self):
+        rng = np.random.default_rng(6)
+        params = small_params(rng)
+        with pytest.raises(GraphNetError, match="10 feature rows .* 12 vertices"):
+            forward(params, np.zeros((10, 5)), ico_topology())
+
+    def test_init_params_layer_shapes(self, template):
+        p = init_params(13, 4, 4, template.topology, width=64)
         assert p.n_layers == 6
         assert p.widths == [13, 64, 64, 64, 64, 64, 64]
         assert p.vertex_w.shape == (64, 4)
@@ -334,8 +340,7 @@ class TestTrain:
         data = tiny_dataset(rng)
         cfg = TrainConfig(epochs=0, seed=5)
         got, log = train(data, topo, cfg, width=8)
-        deg = topo.adjacency.sum() / 12
-        expect = init_params(5, 2, 2, 12, width=8, seed=5, mean_degree=deg)
+        expect = init_params(5, 2, 2, ico_topology(), width=8, seed=5)
         for a, b in zip(got.tensors(), expect.tensors()):
             assert np.array_equal(a, b)
         assert len(log.epochs) == 0
