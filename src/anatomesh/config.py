@@ -10,7 +10,7 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
-    """Unknown key, malformed line or value, or missing config file."""
+    """Unknown key, malformed line or value, value out of range, or missing config file."""
 
 
 # section -> key -> default value; also serves as the schema, each value
@@ -44,6 +44,16 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "width": 64,
         "val_fraction": 0.2,
     },
+}
+
+
+# [section] key -> (test, rule) for values of the right type that no stage can use
+RANGES = {
+    ("synth", "n_train"): (lambda v: v >= 1, "at least 1"),
+    ("synth", "noise"): (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
+    ("train", "epochs"): (lambda v: v >= 0, "at least 0"),
+    ("train", "batch_size"): (lambda v: v >= 1, "at least 1"),
+    ("train", "val_fraction"): (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
 
@@ -106,4 +116,7 @@ def load_config(path: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be "
                               f"{_type_name(default)}, got {value!r}") from None
+        test, rule = RANGES.get((section, key), (None, None))
+        if test and not test(values[section][key]):
+            raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be {rule}, got {value!r}")
     return RunConfig(values, path, digest)

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-7
+# graph conv layers of a new network, as in the paper
+N_LAYERS = 6
 
 
 class GraphNetError(RuntimeError):
@@ -114,14 +116,13 @@ def init_params(
     k_global: int,
     topo: MeshTopology,
     width: int = 64,
-    n_layers: int = 6,
     seed: int = 0,
 ) -> GraphResNetParams:
     """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree."""
     rng = np.random.default_rng(seed)
     w0s, w1s, bs = [], [], []
     w_in = input_width
-    for _ in range(n_layers):
+    for _ in range(N_LAYERS):
         w0s.append(_glorot(rng, w_in, width))
         # neighbor features are correlated, so the sum over N(p) scales the
         # effective fan-in of W1 by degree squared
@@ -354,15 +355,14 @@ def train(
     dataset: list[tuple[np.ndarray, np.ndarray, int]],
     topo: MeshTopology,
     cfg: TrainConfig,
-    params: GraphResNetParams | None = None,
     validation: list[tuple[np.ndarray, np.ndarray, int]] | None = None,
     width: int = 64,
 ) -> tuple[GraphResNetParams, TrainLog]:
     """Momentum gradient descent over (features, vertex labels, global label) cases.
 
     Deterministic given the config seed. With a validation split, returns the
-    parameters of the best validation-accuracy epoch. New parameters take
-    the node count, region counts and mean degree from ``topo``.
+    parameters of the best validation-accuracy epoch. Training starts from
+    :func:`init_params` sized by ``topo``, with the training features' scaling.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
@@ -372,14 +372,12 @@ def train(
     if validation:
         k_vertex = max(k_vertex, int(max(vt.max() for _, vt, _ in validation)) + 1)
         k_global = max(k_global, int(max(g for _, _, g in validation)) + 1)
-    if params is None:
-        params = init_params(
-            feats0.shape[1], k_vertex, k_global, topo, width=width, seed=cfg.seed
-        )
-        stacked = np.concatenate([f for f, _, _ in dataset])
-        params.input_mean = stacked.mean(axis=0)
-        params.input_std = np.maximum(stacked.std(axis=0), 1e-8)
-    params = params.copy()
+    params = init_params(
+        feats0.shape[1], k_vertex, k_global, topo, width=width, seed=cfg.seed
+    )
+    stacked = np.concatenate([f for f, _, _ in dataset])
+    params.input_mean = stacked.mean(axis=0)
+    params.input_std = np.maximum(stacked.std(axis=0), 1e-8)
     rng = np.random.default_rng(cfg.seed)
     velocity = [np.zeros_like(t) for t in params.tensors()]
     log = TrainLog()

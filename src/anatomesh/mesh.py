@@ -183,10 +183,14 @@ def save_mesh(mesh: AnatomyMesh, path: str) -> None:
             f.write(f"f {i + 1} {j + 1} {k + 1}\n")
 
 
-def load_mesh(path: str) -> AnatomyMesh:
-    """Read a mesh written by :func:`save_mesh`."""
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
+def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:
+    """Read a mesh written by :func:`save_mesh`.
+
+    Given ``like``, the file must hold ``like``'s faces and region counts (else
+    :class:`MeshError` names the path), and the result shares ``like``'s topology.
+    """
+    verts: list[list[str]] = []
+    faces: list[list[str]] = []
     counts: list[int] = []
     with open(path) as f:
         for line in f:
@@ -196,10 +200,16 @@ def load_mesh(path: str) -> AnatomyMesh:
             if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
                 counts.append(int(parts[4]) - int(parts[3]) + 1)
             elif parts[0] == "v":
-                verts.append([float(v) for v in parts[1:4]])
+                verts.append(parts[1:4])
             elif parts[0] == "f":
-                faces.append([int(v) - 1 for v in parts[1:4]])
+                faces.append(parts[1:4])
     if not verts or not faces:
         raise MeshError(f"{path}: no mesh data found")
+    vertices = np.array(verts, dtype=np.float64)
+    face_array = np.array(faces, dtype=np.int64) - 1
     region_counts = tuple(counts) if counts else (len(verts),)
-    return AnatomyMesh(np.array(verts), np.array(faces), region_counts)
+    if like is None:
+        return AnatomyMesh(vertices, face_array, region_counts)
+    if region_counts != like.region_counts or not np.array_equal(face_array, like.faces):
+        raise MeshError(f"{path}: faces or region counts differ from the prototype's")
+    return like.with_vertices(vertices)

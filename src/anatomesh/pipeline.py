@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 import shutil
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
@@ -21,8 +22,8 @@ from .graphnet import (
     save_params,
     train,
 )
-from .mesh import load_mesh, save_mesh
-from .meshfit import FitConfig, fit_mesh
+from .mesh import AnatomyMesh, MeshError, load_mesh, save_mesh
+from .meshfit import FitConfig, FitError, fit_mesh
 from .prototype import assign_regions, build_prototype, mean_shape
 from .synth import (
     BLOB_LABEL,
@@ -34,7 +35,7 @@ from .synth import (
     load_case_info,
     save_case,
 )
-from .volume import LabelVolume, load_volume, save_volume
+from .volume import LabelVolume, VolumeError, load_volume, save_volume
 from .zones import ZoneError, ZoneMap, render_zones, vertex_labels
 
 __all__ = [
@@ -66,11 +67,23 @@ def _case_dirs(out_dir: str, split: str) -> list[str]:
 def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
     """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
     fraction = cfg.get("train", "val_fraction")
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"[train] val_fraction must be in [0, 1), got {fraction}")
     dirs = _case_dirs(out_dir, "train")
     n_val = int(round(fraction * len(dirs)))
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
+
+
+@contextmanager
+def _case_errors(d: str):
+    """Prefix a fit, mesh, volume or zone error raised inside with case ``d``'s name."""
+    try:
+        yield
+    except (FitError, MeshError, VolumeError, ZoneError) as exc:
+        raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
+
+
+def _load_prototype(out_dir: str) -> AnatomyMesh:
+    """The run's prototype mesh, whose topology every fitted mesh shares."""
+    return load_mesh(os.path.join(out_dir, "prototype.obj"))
 
 
 def _load_organ(d: str) -> LabelVolume:
@@ -131,36 +144,38 @@ def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
 
 
 def stage_fit(cfg: RunConfig, out_dir: str) -> None:
-    proto = load_mesh(os.path.join(out_dir, "prototype.obj"))
+    proto = _load_prototype(out_dir)
     fcfg = _fit_config(cfg)
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, fcfg)
+        with _case_errors(d):
+            fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, fcfg)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
 
 def stage_zones(cfg: RunConfig, out_dir: str) -> None:
+    proto = _load_prototype(out_dir)
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        labels = load_volume(os.path.join(d, "labels"))
-        mesh = load_mesh(os.path.join(d, "fitted.obj"))
-        try:
+        with _case_errors(d):
+            labels = load_volume(os.path.join(d, "labels"))
+            mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
             zmap = render_zones(mesh, labels.data > 0, labels.spacing)
             zvol = zmap.to_label_volume()
             vl = vertex_labels(zmap, labels)
-        except ZoneError as exc:
-            raise ZoneError(f"{os.path.basename(d)}: {exc}") from exc
         save_volume(zvol, os.path.join(d, "zones"))
         np.savetxt(os.path.join(d, "vertex_labels.txt"), vl, fmt="%d")
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
+    proto = _load_prototype(out_dir)
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        labels = load_volume(os.path.join(d, "labels"))
-        probs = load_volume(os.path.join(d, "probs"))
-        mesh = load_mesh(os.path.join(d, "fitted.obj"))
-        zvol = load_volume(os.path.join(d, "zones"))
-        zmap = ZoneMap(zvol.data.astype(np.int32), zvol.spacing)
-        feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS)
+        with _case_errors(d):
+            labels = load_volume(os.path.join(d, "labels"))
+            probs = load_volume(os.path.join(d, "probs"))
+            mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
+            zvol = load_volume(os.path.join(d, "zones"))
+            zmap = ZoneMap(zvol.data.astype(np.int32), zvol.spacing)
+            feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS)
         save_features(feats, os.path.join(d, "features.csv"))
 
 
@@ -177,7 +192,7 @@ def stage_train(cfg: RunConfig, out_dir: str) -> None:
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     dataset = _load_dataset(train_dirs)
     validation = _load_dataset(val_dirs) if val_dirs else None
-    topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
+    topo = _load_prototype(out_dir).topology
     tcfg = TrainConfig(
         eta1=cfg.get("train", "eta1"),
         eta2=cfg.get("train", "eta2"),
@@ -217,7 +232,7 @@ def _select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
 
 def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     params = load_params(os.path.join(out_dir, "model.ckpt"))
-    topo = load_mesh(os.path.join(out_dir, "prototype.obj")).topology
+    topo = _load_prototype(out_dir).topology
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
     pv_threshold = _select_pv_threshold(

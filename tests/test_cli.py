@@ -1,5 +1,7 @@
 import filecmp
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from anatomesh import pipeline
 from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
+from anatomesh.mesh import MeshTopology
 from anatomesh.volume import LabelVolume
 
 SMALL_CONFIG = """\
@@ -103,11 +106,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("fraction", ["1.5", "1.0", "-0.5", "nan"])
     def test_val_fraction_outside_unit_interval_rejected(self, tmp_path, fraction):
-        for k in range(12):
-            os.makedirs(tmp_path / "w" / "cases" / f"train_{k:04d}")
-        cfg = load_config(write_config(tmp_path, f"[train]\nval_fraction = {fraction}\n"))
-        with pytest.raises(ConfigError, match=r"\[train\] val_fraction"):
-            pipeline._split_train(cfg, str(tmp_path / "w"))
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: \[train\] val_fraction must be in \[0, 1\)"):
+            load_config(write_config(tmp_path, f"[train]\nval_fraction = {fraction}\n"))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", "0"),
+        ("train", "epochs", "-1"),
+        ("synth", "n_train", "0"),
+        ("synth", "noise", "nan"),
+        ("synth", "noise", "0.5"),
+        ("synth", "noise", "-0.1"),
+    ])
+    def test_value_out_of_range_rejected_at_load(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, f"# comment\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:3: [{section}] {key} must be ")) as info:
+            load_config(path)
+        assert str(info.value).endswith(f", got '{value}'")
 
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
@@ -135,6 +150,8 @@ class TestCliErrors:
         from anatomesh.volume import save_volume
 
         work = tmp_path / "w"
+        work.mkdir()
+        save_mesh(template, str(work / "prototype.obj"))
         for name, extent in (("train_0000", slice(3, 13)), ("train_0001", slice(0, 0))):
             case = work / "cases" / name
             case.mkdir(parents=True)
@@ -147,6 +164,42 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "anatomesh: render-zones: train_0001: organ mask is empty\n"
+
+    def test_fit_error_names_the_case(self, tmp_path, capsys, template):
+        from anatomesh.mesh import save_mesh
+        from anatomesh.volume import save_volume
+
+        work = tmp_path / "w"
+        case = work / "cases" / "train_0000"
+        case.mkdir(parents=True)
+        save_mesh(template, str(work / "prototype.obj"))
+        empty = np.zeros((16, 16, 16), dtype=np.uint8)
+        save_volume(LabelVolume(empty, (1.0, 1.0, 1.0)), str(case / "labels"))
+        rc = main(["fit-mesh", "--config", write_config(tmp_path), "--out", str(work)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("anatomesh: fit-mesh: train_0000: "
+                       "label 1 has no surface voxels in target\n")
+
+    @pytest.mark.parametrize("stage", ["render-zones", "pool-features"])
+    def test_changed_face_names_the_case_and_file(self, pipeline_run, tmp_path, capsys,
+                                                  stage):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", "train_0002", "fitted.obj")
+        with open(path) as f:
+            lines = f.readlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("f "))
+        a, b, c = (int(v) for v in lines[i].split()[1:])
+        lines[i] = f"f {a} {b} {next(v for v in range(1, 5) if v not in (a, b, c))}\n"
+        with open(path, "w") as f:
+            f.writelines(lines)
+        assert main([stage, "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: {stage}: train_0002: {path}: "
+            "faces or region counts differ from the prototype's\n"
+        )
 
     def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG + "learning_rate = abc\n")
@@ -301,6 +354,24 @@ class TestCaseFiles:
         assert not any(p.endswith("probs") for p in by_stage["build-prototype"])
         # 3 validation and 4 test cases, each predicted segmentation read once
         assert len(by_stage["classify"]) == 7
+
+    def test_each_stage_builds_one_mesh_topology(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        cfg = write_config(tmp_path)
+        for stage in ("synth-gen", "build-prototype"):
+            assert main([stage, "--config", cfg, "--out", out]) == 0
+        builds = []
+        build = MeshTopology.__post_init__
+
+        def counted(self):
+            builds.append(1)
+            build(self)
+
+        monkeypatch.setattr(MeshTopology, "__post_init__", counted)
+        for stage in ("fit-mesh", "render-zones", "pool-features", "train", "classify"):
+            builds.clear()
+            assert main([stage, "--config", cfg, "--out", out]) == 0
+            assert len(builds) <= 1, stage
 
 
 class TestPvThreshold:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,30 @@ class TestMeshIO:
         p.write_text("# nothing\n")
         with pytest.raises(MeshError):
             load_mesh(str(p))
+
+    def test_read_onto_like_shares_its_topology(self, template, tmp_path):
+        path = str(tmp_path / "m.obj")
+        moved = template.with_vertices(template.vertices * 1.5)
+        save_mesh(moved, path)
+        back = load_mesh(path, like=template)
+        assert back.topology is template.topology
+        assert np.array_equal(back.vertices, load_mesh(path).vertices)
+
+    @pytest.mark.parametrize("edit", ["face", "regions"])
+    def test_read_onto_like_rejects_other_topology(self, template, tmp_path, edit):
+        path = tmp_path / "m.obj"
+        save_mesh(template, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "face":
+            i = next(k for k, line in enumerate(lines) if line.startswith("f "))
+            a, b, c = lines[i].split()[1:]
+            lines[i] = f"f {b} {a} {c}\n"  # same corners, flipped orientation
+        else:
+            lines = [line for line in lines if not line.startswith("# region")]
+        path.write_text("".join(lines))
+        load_mesh(str(path))  # still a valid mesh on its own
+        with pytest.raises(MeshError, match=re.escape(f"{path}: faces or region counts differ")):
+            load_mesh(str(path), like=template)
 
 
 class TestValidation:
