@@ -95,4 +95,12 @@ def save_features(feats: np.ndarray, path: str) -> None:
 
 
 def load_features(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a matrix written by :func:`save_features`; a malformed file raises VolumeError."""
+    try:
+        feats = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise VolumeError(f"{path}: {exc}") from exc
+    width = feats.shape[1]
+    if width < feature_width(1) or (width - feature_width(0)) % 2:
+        raise VolumeError(f"{path}: {width} columns, expected 5 + 2K for K channels")
+    return feats

@@ -236,11 +236,6 @@ def forward(
     return cache["vertex_probs"], cache["global_probs"]
 
 
-def _check_one_hot(t: np.ndarray, name: str) -> None:
-    if not (np.isin(t, (0, 1)).all() and (t.sum(axis=-1) == 1).all()):
-        raise GraphNetError(f"{name} targets must be one-hot")
-
-
 def loss(
     vertex_probs: np.ndarray,
     global_probs: np.ndarray,
@@ -249,9 +244,7 @@ def loss(
     eta1: float = 0.1,
     eta2: float = 0.1,
 ) -> float:
-    """eta1 * summed per-vertex cross-entropy + eta2 * global cross-entropy."""
-    _check_one_hot(vertex_targets, "vertex")
-    _check_one_hot(np.atleast_2d(global_target), "global")
+    """eta1 * summed per-vertex cross-entropy + eta2 * global cross-entropy, one-hot targets."""
     vp = np.clip(vertex_probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     gp = np.clip(global_probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     l_vertex = -float((vertex_targets * np.log(vp)).sum())
@@ -333,6 +326,16 @@ def _one_hot(idx: np.ndarray | int, k: int) -> np.ndarray:
     return np.eye(k)[np.asarray(idx)]
 
 
+def _check_labels(cases: list[tuple[np.ndarray, np.ndarray, int]], split: str) -> None:
+    for i, (_, vt, gt) in enumerate(cases):
+        for name, labels in (("vertex", vt), ("global", gt)):
+            labels = np.asarray(labels)
+            if not np.issubdtype(labels.dtype, np.integer) or (labels < 0).any():
+                raise GraphNetError(
+                    f"{split} case {i}: {name} labels must be non-negative integers"
+                )
+
+
 @dataclass
 class TrainLog:
     epochs: list[int] = field(default_factory=list)
@@ -361,17 +364,25 @@ def train(
     """Momentum gradient descent over (features, vertex labels, global label) cases.
 
     Deterministic given the config seed. With a validation split, returns the
-    parameters of the best validation-accuracy epoch. Training starts from
-    :func:`init_params` sized by ``topo``, with the training features' scaling.
+    parameters of the first epoch with the best validation accuracy, and stops
+    after the first epoch whose accuracy is 1.0, since no later epoch can beat
+    it; ``cfg.epochs`` is a maximum. Training starts from :func:`init_params`
+    sized by ``topo``, with the training features' scaling.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
+    validation = validation or []
+    _check_labels(dataset, "training")
+    _check_labels(validation, "validation")
+    every = dataset + validation
+    k_vertex = int(max(vt.max() for _, vt, _ in every)) + 1
+    k_global = int(max(g for _, _, g in every)) + 1
+    # one-hot targets, built once for every epoch
+    train_cases, val_cases = (
+        [(f, _one_hot(vt, k_vertex), _one_hot(g, k_global)) for f, vt, g in cases]
+        for cases in (dataset, validation)
+    )
     feats0, _, _ = dataset[0]
-    k_vertex = int(max(vt.max() for _, vt, _ in dataset)) + 1
-    k_global = int(max(g for _, _, g in dataset)) + 1
-    if validation:
-        k_vertex = max(k_vertex, int(max(vt.max() for _, vt, _ in validation)) + 1)
-        k_global = max(k_global, int(max(g for _, _, g in validation)) + 1)
     params = init_params(
         feats0.shape[1], k_vertex, k_global, topo, width=width, seed=cfg.seed
     )
@@ -389,20 +400,16 @@ def train(
             batch = order[start : start + cfg.batch_size]
             acc_grads = None
             for i in batch:
-                feats, vt, gt = dataset[i]
-                value, grads = backward(
-                    params, feats, topo,
-                    _one_hot(vt, params.k_vertex), _one_hot(gt, params.k_global),
-                    cfg.eta1, cfg.eta2,
-                )
+                feats, vt, gt = train_cases[i]
+                value, grads = backward(params, feats, topo, vt, gt, cfg.eta1, cfg.eta2)
                 if not np.isfinite(value):
                     raise GraphNetError(f"divergence at epoch {epoch}")
                 total += value
-                gts = grads.tensors()
                 if acc_grads is None:
-                    acc_grads = gts
+                    acc_grads = grads.tensors()
                 else:
-                    acc_grads = [agrad + g for agrad, g in zip(acc_grads, gts)]
+                    for agrad, g in zip(acc_grads, grads.tensors()):
+                        agrad += g
             tensors = params.tensors()
             for v, t, g in zip(velocity, tensors, acc_grads):
                 v *= cfg.momentum
@@ -411,27 +418,27 @@ def train(
         mean_loss = total / len(dataset)
         vl = va = None
         if validation:
-            vl, va = _evaluate(params, topo, validation, cfg)
+            vl, va = _evaluate(params, topo, val_cases, cfg)
             if va > best_acc:
                 best_acc, best_params = va, params.copy()
         log.epochs.append(epoch)
         log.train_loss.append(mean_loss)
         log.val_loss.append(vl)
         log.val_acc.append(va)
+        if va == 1.0:
+            break
     if validation:
         return best_params, log
     return params, log
 
 
 def _evaluate(params, topo, cases, cfg) -> tuple[float, float]:
+    """Mean loss and global accuracy over (features, one-hot, one-hot) cases."""
     total, correct = 0.0, 0
     for feats, vt, gt in cases:
         vp, gp = forward(params, feats, topo)
-        total += loss(
-            vp, gp, _one_hot(vt, params.k_vertex), _one_hot(gt, params.k_global),
-            cfg.eta1, cfg.eta2,
-        )
-        if classify_gc(gp) - 1 == gt:
+        total += loss(vp, gp, vt, gt, cfg.eta1, cfg.eta2)
+        if classify_gc(gp) - 1 == gt.argmax():
             correct += 1
     return total / len(cases), correct / len(cases)
 

@@ -186,27 +186,32 @@ def save_mesh(mesh: AnatomyMesh, path: str) -> None:
 def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:
     """Read a mesh written by :func:`save_mesh`.
 
-    Given ``like``, the file must hold ``like``'s faces and region counts (else
-    :class:`MeshError` names the path), and the result shares ``like``'s topology.
+    A malformed line raises :class:`MeshError` naming the path. Given ``like``,
+    the file must hold ``like``'s faces and region counts (else the same), and
+    the result shares ``like``'s topology.
     """
     verts: list[list[str]] = []
     faces: list[list[str]] = []
     counts: list[int] = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
-                counts.append(int(parts[4]) - int(parts[3]) + 1)
-            elif parts[0] == "v":
-                verts.append(parts[1:4])
-            elif parts[0] == "f":
-                faces.append(parts[1:4])
+    try:
+        with open(path) as f:
+            for line in f:
+                parts = line.split()
+                if not parts:
+                    continue
+                if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
+                    counts.append(int(parts[4]) - int(parts[3]) + 1)
+                elif parts[0] == "v":
+                    verts.append(parts[1:4])
+                elif parts[0] == "f":
+                    faces.append(parts[1:4])
+        # a short or non-numeric v/f row fails here
+        vertices = np.array(verts, dtype=np.float64)
+        face_array = np.array(faces, dtype=np.int64) - 1
+    except ValueError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
     if not verts or not faces:
         raise MeshError(f"{path}: no mesh data found")
-    vertices = np.array(verts, dtype=np.float64)
-    face_array = np.array(faces, dtype=np.int64) - 1
     region_counts = tuple(counts) if counts else (len(verts),)
     if like is None:
         return AnatomyMesh(vertices, face_array, region_counts)

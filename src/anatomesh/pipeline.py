@@ -13,6 +13,7 @@ from .config import RunConfig
 from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
+    GraphNetError,
     TrainConfig,
     classify_gc,
     classify_pv,
@@ -74,10 +75,10 @@ def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
 
 @contextmanager
 def _case_errors(d: str):
-    """Prefix a fit, mesh, volume or zone error raised inside with case ``d``'s name."""
+    """Prefix a fit, mesh, volume, zone or network error raised inside with case ``d``'s name."""
     try:
         yield
-    except (FitError, MeshError, VolumeError, ZoneError) as exc:
+    except (FitError, GraphNetError, MeshError, VolumeError, ZoneError) as exc:
         raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
 
 
@@ -179,12 +180,20 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
         save_features(feats, os.path.join(d, "features.csv"))
 
 
+def _load_vertex_labels(d: str) -> np.ndarray:
+    path = os.path.join(d, "vertex_labels.txt")
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise ZoneError(f"{path}: {exc}") from exc
+
+
 def _load_dataset(dirs: list[str]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     out = []
     for d in dirs:
-        feats = load_features(os.path.join(d, "features.csv"))
-        vl = np.loadtxt(os.path.join(d, "vertex_labels.txt"), dtype=np.int64, ndmin=1)
-        out.append((feats, vl, load_case_info(d).class_id - 1))
+        with _case_errors(d):
+            feats = load_features(os.path.join(d, "features.csv"))
+            out.append((feats, _load_vertex_labels(d), load_case_info(d).class_id - 1))
     return out
 
 
@@ -235,19 +244,23 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     topo = _load_prototype(out_dir).topology
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
-    pv_threshold = _select_pv_threshold(
-        [_load_segmentation(d) for d in val_dirs],
-        [load_case_info(d).class_id for d in val_dirs],
-    )
+    segmentations, truths = [], []
+    for d in val_dirs:
+        with _case_errors(d):
+            segmentations.append(_load_segmentation(d))
+            truths.append(load_case_info(d).class_id)
+    pv_threshold = _select_pv_threshold(segmentations, truths)
     rows = []
     for d in _case_dirs(out_dir, "test"):
-        feats = load_features(os.path.join(d, "features.csv"))
-        vp, gp = forward(params, feats, topo)
+        with _case_errors(d):
+            vp, gp = forward(params, load_features(os.path.join(d, "features.csv")), topo)
+            segmentation = _load_segmentation(d)
+            truth = load_case_info(d).class_id
         gc = classify_gc(gp)
         vv_raw = classify_vv(vp, MASS_LABELS, DEFAULT_CLASS)
         vv = LABEL_TO_CLASS.get(vv_raw, DEFAULT_CLASS)
-        pv = _pv_predict(_load_segmentation(d), pv_threshold)
-        rows.append((os.path.basename(d), load_case_info(d).class_id, gc, vv, pv))
+        pv = _pv_predict(segmentation, pv_threshold)
+        rows.append((os.path.basename(d), truth, gc, vv, pv))
     with open(os.path.join(out_dir, "predictions.csv"), "w") as f:
         f.write(f"# pv_threshold {pv_threshold}\n")
         f.write("case,truth,gc,vv,pv\n")

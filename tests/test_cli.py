@@ -201,6 +201,35 @@ class TestCliErrors:
             "faces or region counts differ from the prototype's\n"
         )
 
+    @pytest.mark.parametrize("stage, case", [("train", "train_0003"), ("classify", "test_0001")])
+    def test_bad_features_file_names_the_case_and_file(self, pipeline_run, tmp_path, capsys,
+                                                       stage, case):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", case, "features.csv")
+        with open(path, "w") as f:
+            f.write("x,y\n" + "0.5,1.5\n" * 156)
+        assert main([stage, "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: {stage}: {case}: {path}: 2 columns, expected 5 + 2K for K channels\n"
+        )
+
+    def test_classify_network_error_names_the_case(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", "test_0002", "features.csv")
+        with open(path) as f:
+            lines = f.readlines()
+        with open(path, "w") as f:
+            f.writelines(lines[:-6])  # the header and 150 of the 156 vertex rows
+        assert main(["classify", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            "anatomesh: classify: test_0002: 150 feature rows do not match the mesh's "
+            "156 vertices\n"
+        )
+
     def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG + "learning_rate = abc\n")
         work = tmp_path / "w"
@@ -285,6 +314,17 @@ class TestPipeline:
             assert name.startswith("test_")
             for v in (truth, gc, vv, pv):
                 assert int(v) in (1, 2, 3, 4)
+
+    def test_train_log_ends_at_first_perfect_validation_epoch(self, pipeline_run):
+        cfg, out = pipeline_run
+        lines = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        assert lines[0] == "epoch,train_loss,val_loss,val_acc"
+        accs = [float(line.split(",")[3]) for line in lines[1:]]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(len(accs)))
+        if 1.0 in accs:
+            assert len(accs) == accs.index(1.0) + 1
+        else:
+            assert len(accs) == load_config(cfg).get("train", "epochs")
 
     def test_manifest_lists_all_stages(self, pipeline_run):
         cfg, out = pipeline_run

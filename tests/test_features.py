@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,17 @@ class TestIO:
         save_features(feats, str(path))
         header = path.read_text().splitlines()[0]
         assert header == "x,y,z,e,d,local_0,local_1,global_0,global_1"
+
+    @pytest.mark.parametrize("text, match", [
+        ("x,y\n1,2\n3,4\n", "2 columns, expected 5 + 2K"),
+        ("x,y,z,e,d,l,g\n1,2,3,4,5,6,7\n1,2,3,4,5,6\n", "columns"),
+        ("x,y,z,e,d,l,g\n1,2,3,4,5,6,seven\n", "seven"),
+    ], ids=["width", "ragged", "text"])
+    def test_malformed_file_names_its_path(self, tmp_path, text, match):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(VolumeError, match=f"^{re.escape(str(path))}: .*{re.escape(match)}"):
+            load_features(str(path))
 
     def test_dims_mismatch_rejected(self):
         rng = np.random.default_rng(12)

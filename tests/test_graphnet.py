@@ -214,11 +214,6 @@ class TestLoss:
         assert only_v == pytest.approx(4 * np.log(2), rel=1e-12)
         assert only_g == pytest.approx(np.log(2), rel=1e-12)
 
-    def test_rejects_soft_targets(self):
-        vp = np.full((2, 2), 0.5)
-        with pytest.raises(GraphNetError, match="one-hot"):
-            loss(vp, np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.eye(2)[0])
-
 
 def random_instance(rng, topo, scale=0.3):
     """Instance whose softmax outputs stay far from the clamp boundary."""
@@ -372,6 +367,61 @@ class TestTrain:
             classify_gc(forward(params, f, topo)[1]) - 1 == g for f, _, g in val
         )
         assert correct / len(val) == pytest.approx(best)
+
+    def test_stops_after_first_perfect_validation_epoch(self):
+        rng = np.random.default_rng(16)
+        topo = ico_topology()
+        data = tiny_dataset(rng, n=8)
+        val = tiny_dataset(rng, n=4)
+        cfg = TrainConfig(epochs=20, seed=0, learning_rate=1e-3, batch_size=4)
+        params, log = train(data, topo, cfg, validation=val, width=8)
+        k = log.val_acc.index(1.0)
+        assert len(log.epochs) == k + 1 < cfg.epochs
+        longer = TrainConfig(epochs=40, seed=0, learning_rate=1e-3, batch_size=4)
+        again, _ = train(data, topo, longer, validation=val, width=8)
+        for a, b in zip(params.tensors(), again.tensors()):
+            assert np.array_equal(a, b)
+
+    def test_runs_every_epoch_without_validation(self):
+        rng = np.random.default_rng(16)
+        topo = ico_topology()
+        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4)
+        _, log = train(tiny_dataset(rng, n=8), topo, cfg, width=8)
+        assert log.epochs == list(range(12))
+
+    def test_runs_every_epoch_when_validation_never_perfect(self):
+        rng = np.random.default_rng(16)
+        topo = ico_topology()
+        data = tiny_dataset(rng, n=8)
+        val = tiny_dataset(rng, n=4)
+        # two validation cases whose labels contradict their features
+        val = val + [(f, vt, 1 - g) for f, vt, g in val[:2]]
+        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4)
+        _, log = train(data, topo, cfg, validation=val, width=8)
+        assert max(log.val_acc) < 1.0
+        assert log.epochs == list(range(12))
+
+    @pytest.mark.parametrize("split, case, edit, name", [
+        ("training", 2, lambda vt, g: (np.where(vt == 0, -1, vt), g), "vertex"),
+        ("training", 3, lambda vt, g: (vt, -1), "global"),
+        ("training", 0, lambda vt, g: (vt + 0.5, g), "vertex"),
+        ("validation", 1, lambda vt, g: (vt, 0.5), "global"),
+    ], ids=["negative-vertex", "negative-global", "fractional-vertex", "fractional-global"])
+    def test_bad_label_rejected_before_first_epoch(self, monkeypatch, split, case, edit,
+                                                   name):
+        import anatomesh.graphnet as graphnet
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(graphnet, "backward", no_epoch)
+        rng = np.random.default_rng(19)
+        cases = {"training": tiny_dataset(rng), "validation": tiny_dataset(rng, n=2)}
+        f, vt, g = cases[split][case]
+        cases[split][case] = (f, *edit(vt, g))
+        with pytest.raises(GraphNetError, match=f"{split} case {case}: {name} labels"):
+            train(cases["training"], ico_topology(), TrainConfig(epochs=3),
+                  validation=cases["validation"], width=8)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(GraphNetError, match="empty"):

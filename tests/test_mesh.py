@@ -156,6 +156,20 @@ class TestMeshIO:
             load_mesh(str(path), like=template)
 
 
+    @pytest.mark.parametrize("bad", ["v 1.0 2.0\n", "v 1.0 two 3.0\n", "f 1 2\n", "f 1 2 x\n"],
+                             ids=["short-v", "text-v", "short-f", "text-f"])
+    def test_malformed_row_names_the_path(self, template, tmp_path, bad):
+        path = tmp_path / "m.obj"
+        save_mesh(template, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines) if line.startswith(bad[0]))
+        lines[i] = bad
+        path.write_text("".join(lines))
+        for like in (None, template):
+            with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: "):
+                load_mesh(str(path), like=like)
+
+
 class TestValidation:
     def test_bad_face_index(self):
         with pytest.raises(MeshError, match="out of range"):

@@ -66,6 +66,19 @@ class TestCodec:
         with pytest.raises(VolumeError, match="sum to 1"):
             ProbVolume(bad, (1.0, 1.0, 1.0))
 
+    def test_prob_row_check_names_the_voxel(self):
+        data = np.full((2, 3, 2, 4), 0.25, dtype=np.float32)
+        data[1, 2, 0, 3] = 0.26
+        with pytest.raises(VolumeError, match=r"voxel \(1,2,0\) sums to 1\.010000"):
+            ProbVolume(data, (1.0, 1.0, 1.0))
+        data[1, 2, 0] = (1.5, -0.5, 0.0, 0.0)  # sums to 1, but one value is negative
+        with pytest.raises(VolumeError, match="non-negative"):
+            ProbVolume(data, (1.0, 1.0, 1.0))
+
+    def test_prob_without_channels_rejected(self):
+        with pytest.raises(VolumeError, match=r"K >= 1\), got shape \(2, 2, 2, 0\)"):
+            ProbVolume(np.zeros((2, 2, 2, 0), dtype=np.float32), (1.0, 1.0, 1.0))
+
     def test_w_fastest_payload_order(self, tmp_path):
         vol = LabelVolume(np.arange(8).reshape(2, 2, 2).astype(np.uint8), (1, 1, 1))
         save_volume(vol, str(tmp_path / "o"))
