@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+
+from .graphnet import TrainConfig
+from .meshfit import FitConfig
+from .synth import SynthConfig, SynthError
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "DEFAULTS"]
 
@@ -13,46 +17,26 @@ class ConfigError(ValueError):
     """Unknown key, malformed line or value, value out of range, or missing config file."""
 
 
+# section -> its stage settings class, whose fields hold the section's
+# defaults and whose __post_init__ holds their range rules
+SETTINGS = {"synth": SynthConfig, "fit": FitConfig, "train": TrainConfig}
+
 # section -> key -> default value; also serves as the schema, each value
-# fixing its key's type
+# fixing its key's type. The keys outside the settings classes are run-level.
 DEFAULTS: dict[str, dict[str, object]] = {
-    "synth": {
-        "n_train": 400,
-        "n_test": 100,
-        "seed": 0,
-        "grid": 48,
-        "noise": 0.2,
-        "bend": 6.0,
-        "class_mix": (0.25, 0.25, 0.25, 0.25),
-    },
-    "fit": {
-        "lambda1": 1e-4,
-        "lambda2": 1e-2,
-        "step_size": 0.25,
-        "max_iters": 400,
-        "tol": 1e-6,
-        "prototype_cases": 10,
-    },
-    "train": {
-        "eta1": 0.1,
-        "eta2": 0.1,
-        "learning_rate": 1e-4,
-        "momentum": 0.9,
-        "epochs": 60,
-        "batch_size": 16,
-        "seed": 0,
-        "width": 64,
-        "val_fraction": 0.2,
-    },
+    "synth": {"n_train": 400, "n_test": 100, "seed": 0, **asdict(SynthConfig())},
+    "fit": {**asdict(FitConfig()), "prototype_cases": 10},
+    "train": {**asdict(TrainConfig()), "width": 64, "val_fraction": 0.2},
 }
 
 
-# [section] key -> (test, rule) for values of the right type that no stage can use
+# [section] key -> (test, rule) for run-level values of the right type that no stage can use
 RANGES = {
     ("synth", "n_train"): (lambda v: v >= 1, "at least 1"),
-    ("synth", "noise"): (lambda v: 0.0 <= v < 0.5, "in [0, 0.5)"),
-    ("train", "epochs"): (lambda v: v >= 0, "at least 0"),
-    ("train", "batch_size"): (lambda v: v >= 1, "at least 1"),
+    ("synth", "n_test"): (lambda v: v >= 1, "at least 1"),
+    ("synth", "seed"): (lambda v: v >= 0, "at least 0"),
+    ("fit", "prototype_cases"): (lambda v: v >= 1, "at least 1"),
+    ("train", "width"): (lambda v: v >= 1, "at least 1"),
     ("train", "val_fraction"): (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
 }
 
@@ -62,10 +46,19 @@ class RunConfig:
     values: dict[str, dict[str, object]]
     path: str
     digest: str
+    synth: SynthConfig
+    fit: FitConfig
+    train: TrainConfig
 
     def get(self, section: str, key: str):
         """The value of ``[section] key``, of its default's type."""
         return self.values[section][key]
+
+
+def _settings(section: str, values: dict[str, object]):
+    """The section's settings object; its class raises '<key> must be <rule>' on a bad value."""
+    cls = SETTINGS[section]
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _parse(value: str, default: object) -> object:
@@ -117,6 +110,10 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be "
                               f"{_type_name(default)}, got {value!r}") from None
         test, rule = RANGES.get((section, key), (None, None))
-        if test and not test(values[section][key]):
-            raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be {rule}, got {value!r}")
-    return RunConfig(values, path, digest)
+        try:
+            if test and not test(values[section][key]):
+                raise ValueError(f"{key} must be {rule}")
+            _settings(section, values[section])
+        except (ValueError, SynthError) as exc:
+            raise ConfigError(f"{path}:{lineno}: [{section}] {exc}, got {value!r}") from None
+    return RunConfig(values, path, digest, **{s: _settings(s, values[s]) for s in SETTINGS})

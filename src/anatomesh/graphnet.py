@@ -88,19 +88,28 @@ class GraphResNetParams:
         return copy.deepcopy(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The ``[train]`` settings but ``width`` and ``val_fraction``; the field
+    defaults are the run defaults."""
+
     eta1: float = 0.1
     eta2: float = 0.1
     learning_rate: float = 1e-4
     momentum: float = 0.9
-    epochs: int = 50
+    epochs: int = 60
     batch_size: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise ValueError("loss weights must be non-negative")
+        # each test is written so that NaN fails it
+        for name in ("eta1", "eta2", "epochs", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be at least 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 def _glorot(

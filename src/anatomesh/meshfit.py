@@ -55,19 +55,23 @@ class SurfaceIndex:
         return d, self.points[idx]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
+    """The ``[fit]`` settings; the field defaults are the run defaults."""
+
     lambda1: float = 1e-4
     lambda2: float = 1e-2
     step_size: float = 0.25
-    max_iters: int = 500
+    max_iters: int = 400
     tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.step_size, self.tol) <= 0:
-            raise ValueError("FitConfig values must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # each test is written so that NaN fails it
+        for name in ("lambda1", "lambda2", "step_size", "tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass

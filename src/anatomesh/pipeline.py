@@ -14,7 +14,6 @@ from .evaluate import detection_table, management_report
 from .features import load_features, pool_features, save_features
 from .graphnet import (
     GraphNetError,
-    TrainConfig,
     classify_gc,
     classify_pv,
     classify_vv,
@@ -24,14 +23,13 @@ from .graphnet import (
     train,
 )
 from .mesh import AnatomyMesh, MeshError, load_mesh, save_mesh
-from .meshfit import FitConfig, FitError, fit_mesh
+from .meshfit import FitError, fit_mesh
 from .prototype import assign_regions, build_prototype, mean_shape
 from .synth import (
     BLOB_LABEL,
     MANAGEMENT_BY_CLASS,
     ORGAN_LABEL,
     TUBE_LABEL,
-    SynthConfig,
     iter_dataset,
     load_case_info,
     save_case,
@@ -99,27 +97,7 @@ def _load_segmentation(d: str) -> LabelVolume:
     return LabelVolume(probs.data.argmax(axis=-1).astype(np.uint8), probs.spacing)
 
 
-def _fit_config(cfg: RunConfig) -> FitConfig:
-    return FitConfig(
-        lambda1=cfg.get("fit", "lambda1"),
-        lambda2=cfg.get("fit", "lambda2"),
-        step_size=cfg.get("fit", "step_size"),
-        max_iters=cfg.get("fit", "max_iters"),
-        tol=cfg.get("fit", "tol"),
-    )
-
-
-def _synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        grid=cfg.get("synth", "grid"),
-        noise=cfg.get("synth", "noise"),
-        bend=cfg.get("synth", "bend"),
-        class_mix=cfg.get("synth", "class_mix"),
-    )
-
-
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
-    scfg = _synth_config(cfg)
     seed = cfg.get("synth", "seed")
     n_train = cfg.get("synth", "n_train")
     n_test = cfg.get("synth", "n_test")
@@ -127,7 +105,7 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     cases = os.path.join(out_dir, "cases")
     if os.path.isdir(cases):
         shutil.rmtree(cases)
-    for i, case in enumerate(iter_dataset(n_train + n_test, seed, scfg)):
+    for i, case in enumerate(iter_dataset(n_train + n_test, seed, cfg.synth)):
         split = "train" if i < n_train else "test"
         k = i if i < n_train else i - n_train
         save_case(case, os.path.join(out_dir, "cases", f"{split}_{k:04d}"))
@@ -139,17 +117,16 @@ def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
     masks = [_load_organ(d) for d in dirs]
     head_ends = [load_case_info(d).head_end for d in dirs]
     mean = mean_shape(masks, ORGAN_LABEL)
-    proto = build_prototype(mean, _fit_config(cfg))
+    proto = build_prototype(mean, cfg.fit)
     proto = assign_regions(proto, np.mean(head_ends, axis=0))
     save_mesh(proto, os.path.join(out_dir, "prototype.obj"))
 
 
 def stage_fit(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
-    fcfg = _fit_config(cfg)
     for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
         with _case_errors(d):
-            fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, fcfg)
+            fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, cfg.fit)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
@@ -180,39 +157,40 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
         save_features(feats, os.path.join(d, "features.csv"))
 
 
-def _load_vertex_labels(d: str) -> np.ndarray:
+def _load_vertex_labels(d: str, n_rows: int) -> np.ndarray:
+    """A case's vertex labels; ZoneError naming the file unless there is one per feature row."""
     path = os.path.join(d, "vertex_labels.txt")
     try:
-        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+        labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
     except ValueError as exc:
         raise ZoneError(f"{path}: {exc}") from exc
+    if len(labels) != n_rows:
+        raise ZoneError(f"{path}: {len(labels)} labels for {n_rows} feature rows")
+    return labels
 
 
 def _load_dataset(dirs: list[str]) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Each case's (features, vertex labels, class index); all features as wide as the first's."""
     out = []
     for d in dirs:
         with _case_errors(d):
-            feats = load_features(os.path.join(d, "features.csv"))
-            out.append((feats, _load_vertex_labels(d), load_case_info(d).class_id - 1))
+            path = os.path.join(d, "features.csv")
+            feats = load_features(path)
+            width = out[0][0].shape[1] if out else feats.shape[1]
+            if feats.shape[1] != width:
+                raise VolumeError(f"{path}: {feats.shape[1]} columns, the first case has {width}")
+            labels = _load_vertex_labels(d, len(feats))
+            out.append((feats, labels, load_case_info(d).class_id - 1))
     return out
 
 
 def stage_train(cfg: RunConfig, out_dir: str) -> None:
     train_dirs, val_dirs = _split_train(cfg, out_dir)
-    dataset = _load_dataset(train_dirs)
-    validation = _load_dataset(val_dirs) if val_dirs else None
+    cases = _load_dataset(train_dirs + val_dirs)
+    dataset, validation = cases[: len(train_dirs)], cases[len(train_dirs) :] or None
     topo = _load_prototype(out_dir).topology
-    tcfg = TrainConfig(
-        eta1=cfg.get("train", "eta1"),
-        eta2=cfg.get("train", "eta2"),
-        learning_rate=cfg.get("train", "learning_rate"),
-        momentum=cfg.get("train", "momentum"),
-        epochs=cfg.get("train", "epochs"),
-        batch_size=cfg.get("train", "batch_size"),
-        seed=cfg.get("train", "seed"),
-    )
     params, log = train(
-        dataset, topo, tcfg,
+        dataset, topo, cfg.train,
         validation=validation, width=cfg.get("train", "width"),
     )
     save_params(params, os.path.join(out_dir, "model.ckpt"))
@@ -287,11 +265,12 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     seg_cases = []
     for name, truth, *_ in rows:
         d = os.path.join(out_dir, "cases", name)
-        labels = load_volume(os.path.join(d, "labels"))
-        gt_mass = np.isin(labels.data, list(MASS_LABELS))
-        if not gt_mass.any():
-            continue
-        pred_mass = np.isin(_load_segmentation(d).data, list(MASS_LABELS))
+        with _case_errors(d):
+            labels = load_volume(os.path.join(d, "labels"))
+            gt_mass = np.isin(labels.data, list(MASS_LABELS))
+            if not gt_mass.any():
+                continue
+            pred_mass = np.isin(_load_segmentation(d).data, list(MASS_LABELS))
         seg_cases.append((pred_mass, gt_mass, truth))
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)

@@ -103,39 +103,56 @@ class CaseInfo(NamedTuple):
     seed: int
 
 
-@dataclass
+# organ shape before each case's jitter, in voxels unless noted
+ORGAN_HALF_LENGTH = 0.62  # fraction of half-grid
+BODY_RADIUS = 4.0
+HEAD_RADIUS = 6.0
+RETRY_LIMIT = 10  # tries per case, and per mass placement
+
+
+@dataclass(frozen=True)
 class SynthConfig:
+    """The ``[synth]`` settings; the field defaults are the run defaults."""
+
     grid: int = 48
     noise: float = 0.2
-    organ_half_length: float = 0.62  # fraction of half-grid
-    bend: float = 5.0  # voxels of centerline deflection
-    body_radius: float = 4.0
-    head_radius: float = 6.0
+    bend: float = 6.0  # voxels of centerline deflection
     class_mix: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
-    retry_limit: int = 10
 
     def __post_init__(self):
-        if self.grid < 32:
-            raise SynthError("grid must be at least 32 voxels per side")
-        if abs(sum(self.class_mix) - 1.0) > 1e-9:
-            raise SynthError("class mix must sum to 1")
+        # each test is written so that NaN fails it
+        if not self.grid >= 32:
+            raise SynthError("grid must be at least 32")
+        if not 0.0 <= self.noise < 0.5:
+            raise SynthError("noise must be in [0, 0.5)")
+        mix = self.class_mix
+        if not (len(mix) == len(DEFAULT_CLASSES) and min(mix) >= 0 and abs(sum(mix) - 1) <= 1e-9):
+            raise SynthError(
+                f"class_mix must be {len(DEFAULT_CLASSES)} non-negative weights that sum to 1"
+            )
 
 
-def _centerline(cfg: SynthConfig, n: int = 160) -> tuple[np.ndarray, np.ndarray]:
-    """Centerline sample points (n, 3) and per-sample radii, in voxel units.
+def _centerline(
+    grid: int,
+    bend: float,
+    half_length: float = ORGAN_HALF_LENGTH,
+    body_radius: float = BODY_RADIUS,
+    head_radius: float = HEAD_RADIUS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centerline sample points (160, 3) and per-sample radii, in voxel units.
 
     Runs along x with a quadratic bend in y; t=0 is the head end. The y
     offset vanishes for bend=0 so the shape is mirror-symmetric then.
+    ``half_length`` is a fraction of the half-grid.
     """
-    g = cfg.grid
-    c = (g - 1) / 2.0
-    t = np.linspace(0.0, 1.0, n)
-    half = cfg.organ_half_length * g / 2.0
+    c = (grid - 1) / 2.0
+    t = np.linspace(0.0, 1.0, 160)
+    half = half_length * grid / 2.0
     x = c - half + 2.0 * half * t
-    y = c + cfg.bend * (4.0 * t * (1.0 - t) - 1.0)
-    z = np.full(n, c)
+    y = c + bend * (4.0 * t * (1.0 - t) - 1.0)
+    z = np.full_like(t, c)
     # bulbous head tapering toward the tail
-    radii = cfg.body_radius + (cfg.head_radius - cfg.body_radius) * np.exp(-t / 0.15)
+    radii = body_radius + (head_radius - body_radius) * np.exp(-t / 0.15)
     radii *= 1.0 - 0.35 * t
     return np.stack([x, y, z], axis=1), radii
 
@@ -172,17 +189,11 @@ def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np
     """
     cfg = cfg or SynthConfig()
     rng = np.random.default_rng(seed)
-    jcfg = SynthConfig(
-        grid=cfg.grid,
-        noise=cfg.noise,
-        organ_half_length=cfg.organ_half_length * rng.uniform(0.92, 1.0),
-        bend=cfg.bend * rng.uniform(0.8, 1.2) if cfg.bend else 0.0,
-        body_radius=cfg.body_radius * rng.uniform(0.9, 1.1),
-        head_radius=cfg.head_radius * rng.uniform(0.9, 1.1),
-        class_mix=cfg.class_mix,
-        retry_limit=cfg.retry_limit,
-    )
-    points, radii = _centerline(jcfg)
+    half_length = ORGAN_HALF_LENGTH * rng.uniform(0.92, 1.0)
+    bend = cfg.bend * rng.uniform(0.8, 1.2) if cfg.bend else 0.0
+    body_radius = BODY_RADIUS * rng.uniform(0.9, 1.1)
+    head_radius = HEAD_RADIUS * rng.uniform(0.9, 1.1)
+    points, radii = _centerline(cfg.grid, bend, half_length, body_radius, head_radius)
     mask = _sweep_mask(cfg.grid, points, radii)
     if not mask.any():
         raise SynthError("generated organ is empty")
@@ -227,7 +238,7 @@ def implant_mass(
     """
     cfg = cfg or SynthConfig(grid=organ.shape[0])
     rng = np.random.default_rng(seed)
-    points, _ = _centerline(cfg)
+    points, _ = _centerline(cfg.grid, cfg.bend)
     grid = organ.shape[0]
     labels = organ.astype(np.uint8) * ORGAN_LABEL
     allowed = [band for name, band in _REGION_BANDS.items() if name in spec.allowed_regions]
@@ -240,7 +251,7 @@ def implant_mass(
             raise SynthError("diffuse tube does not intersect the organ")
         labels[tube] = spec.voxel_label
         return LabelVolume(labels, (1.0, 1.0, 1.0))
-    for _ in range(cfg.retry_limit):
+    for _ in range(RETRY_LIMIT):
         lo, hi = allowed[rng.integers(len(allowed))]
         t = rng.uniform(lo + 0.02, hi - 0.02)
         center = points[int(round(t * (len(points) - 1)))]
@@ -261,7 +272,7 @@ def implant_mass(
         return LabelVolume(labels, (1.0, 1.0, 1.0))
     raise SynthError(
         f"could not place a mass of class {spec.class_id} within "
-        f"{spec.allowed_regions} after {cfg.retry_limit} tries"
+        f"{spec.allowed_regions} after {RETRY_LIMIT} tries"
     )
 
 
@@ -269,10 +280,9 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     """Noisy probability stand-in for a segmentation softmax.
 
     One-hot labels get a 1-voxel boundary blur, then are blended with seeded
-    random probability vectors with weight ``noise``.
+    random probability vectors with weight ``noise``, in the [0, 0.5) that
+    :class:`SynthConfig` allows.
     """
-    if not 0.0 <= noise < 0.5:
-        raise VolumeError(f"noise must be in [0, 0.5), got {noise}")
     one_hot = np.eye(channels, dtype=np.float64)[labels.data]
     if noise > 0.0:
         blurred = np.empty_like(one_hot)
@@ -291,7 +301,7 @@ def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthC
     cfg = cfg or SynthConfig()
     spec, management = DEFAULT_CLASSES[class_id]
     last_err = None
-    for attempt in range(cfg.retry_limit):
+    for attempt in range(RETRY_LIMIT):
         sub = int(np.random.default_rng((seed, attempt)).integers(2**31))
         try:
             organ, head_end = gen_organ(sub, cfg)
@@ -303,7 +313,7 @@ def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthC
             return SynthCase(labels, probs, class_id, management, head_end, seed)
         except SynthError as exc:
             last_err = exc
-    raise SynthError(f"case generation failed after {cfg.retry_limit} retries: {last_err}")
+    raise SynthError(f"case generation failed after {RETRY_LIMIT} retries: {last_err}")
 
 
 def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[SynthCase]:
@@ -317,8 +327,6 @@ def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[
     cfg = cfg or SynthConfig()
     ids = sorted(DEFAULT_CLASSES)
     mix = np.asarray(cfg.class_mix, dtype=np.float64)
-    if len(mix) != len(ids):
-        raise SynthError("class mix length does not match class count")
     rng = np.random.default_rng(seed)
     for i in range(n):
         cid = ids[rng.choice(len(ids), p=mix)]

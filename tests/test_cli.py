@@ -9,7 +9,10 @@ import pytest
 from anatomesh import pipeline
 from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
+from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
+from anatomesh.meshfit import FitConfig
+from anatomesh.synth import SynthConfig
 from anatomesh.volume import LabelVolume
 
 SMALL_CONFIG = """\
@@ -116,6 +119,25 @@ class TestConfig:
         ("synth", "noise", "nan"),
         ("synth", "noise", "0.5"),
         ("synth", "noise", "-0.1"),
+        ("synth", "n_test", "0"),
+        ("synth", "seed", "-1"),
+        ("synth", "grid", "31"),
+        ("synth", "class_mix", "0.5 0.5 0.5 0.5"),
+        ("synth", "class_mix", "1.5 -0.5 0 0"),
+        ("synth", "class_mix", "nan 0.25 0.25 0.25"),
+        ("fit", "lambda1", "0"),
+        ("fit", "lambda1", "nan"),
+        ("fit", "lambda2", "-0.01"),
+        ("fit", "step_size", "0"),
+        ("fit", "tol", "nan"),
+        ("fit", "max_iters", "0"),
+        ("fit", "prototype_cases", "0"),
+        ("train", "eta1", "nan"),
+        ("train", "eta2", "-0.1"),
+        ("train", "learning_rate", "-1"),
+        ("train", "learning_rate", "nan"),
+        ("train", "width", "0"),
+        ("train", "seed", "-1"),
     ])
     def test_value_out_of_range_rejected_at_load(self, tmp_path, section, key, value):
         path = write_config(tmp_path, f"# comment\n[{section}]\n{key} = {value}\n")
@@ -123,6 +145,12 @@ class TestConfig:
                 f"{path}:3: [{section}] {key} must be ")) as info:
             load_config(path)
         assert str(info.value).endswith(f", got '{value}'")
+
+    def test_empty_file_gives_the_library_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, ""))
+        assert cfg.synth == SynthConfig()
+        assert cfg.fit == FitConfig()
+        assert cfg.train == TrainConfig()
 
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
@@ -213,6 +241,39 @@ class TestCliErrors:
         assert main([stage, "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
             f"anatomesh: {stage}: {case}: {path}: 2 columns, expected 5 + 2K for K channels\n"
+        )
+
+    @pytest.mark.parametrize("case, name, edit, message", [
+        ("train_0003", "features.csv",
+         lambda lines: ["x,y,z,e,d,local_0,global_0\n"] + ["0.5," * 6 + "0.5\n"] * 156,
+         "7 columns, the first case has 13"),
+        ("train_0002", "vertex_labels.txt", lambda lines: lines[:150],
+         "150 labels for 156 feature rows"),
+    ], ids=["feature-width", "label-count"])
+    def test_inconsistent_train_input_names_the_case_and_file(self, pipeline_run, tmp_path,
+                                                              capsys, case, name, edit, message):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", case, name)
+        with open(path) as f:
+            lines = f.readlines()
+        with open(path, "w") as f:
+            f.writelines(edit(lines))
+        assert main(["train", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == f"anatomesh: train: {case}: {path}: {message}\n"
+
+    def test_eval_error_names_the_case(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", "test_0002", "probs.raw")  # a case with a mass
+        size = os.path.getsize(path)
+        with open(path, "wb") as f:
+            f.write(bytes(size))  # every probability 0
+        assert main(["eval", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err.startswith(
+            "anatomesh: eval: test_0002: probability rows must sum to 1"
         )
 
     def test_classify_network_error_names_the_case(self, pipeline_run, tmp_path, capsys):
