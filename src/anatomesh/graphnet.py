@@ -166,14 +166,23 @@ def graph_conv(
 
     ``adjacency`` is the symmetric 0/1 neighbour matrix, dense or sparse.
     """
+    z = _conv_preacts(h, adjacency @ h, w0, w1, bias)
+    return np.maximum(z, 0.0) if activate else z
+
+
+def _conv_preacts(
+    h: np.ndarray, neighbour_sums: np.ndarray, w0: np.ndarray, w1: np.ndarray,
+    bias: np.ndarray | None,
+) -> np.ndarray:
+    """``h W0 + (A h) W1 + b``, given the neighbour sums ``A h``."""
     if h.shape[1] != w0.shape[0]:
         raise GraphNetError(
             f"feature width {h.shape[1]} does not match weight fan-in {w0.shape[0]}"
         )
-    z = h @ w0 + adjacency @ h @ w1
+    z = h @ w0 + neighbour_sums @ w1
     if bias is not None:
         z = z + bias
-    return np.maximum(z, 0.0) if activate else z
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -204,15 +213,16 @@ def _forward_cache(
     h = np.asarray(feats, dtype=np.float64)
     if params.input_mean is not None:
         h = (h - params.input_mean) / params.input_std
-    inputs, preacts, shortcuts = [], [], []
+    inputs, neighbour_sums, preacts, shortcuts = [], [], [], []
     saved = None
     for layer in range(n_layers):
         if layer % 2 == 0:
             saved = h
         inputs.append(h)
-        z = graph_conv(
-            h, params.conv_w0[layer], params.conv_w1[layer], topo.adjacency,
-            params.conv_b[layer], activate=False,
+        neighbour_sums.append(topo.adjacency @ h)
+        z = _conv_preacts(
+            h, neighbour_sums[-1], params.conv_w0[layer], params.conv_w1[layer],
+            params.conv_b[layer],
         )
         added = layer % 2 == 1 and saved.shape == z.shape
         if added:
@@ -228,6 +238,7 @@ def _forward_cache(
     global_logits = hvp @ params.global_w + params.global_b
     return {
         "inputs": inputs,
+        "neighbour_sums": neighbour_sums,
         "preacts": preacts,
         "shortcuts": shortcuts,
         "final": h,
@@ -286,7 +297,7 @@ def backward(
 
     g_vertex_w = h.T @ d_vlogits
     g_vertex_b = d_vlogits.sum(axis=0)
-    g_global_w = np.outer(cache["hvp"], d_glogits)
+    g_global_w = (d_glogits[:, None] * cache["hvp"]).T  # np.outer(hvp, d), long axis innermost
     g_global_b = d_glogits.copy()
 
     d_hvp = params.global_w @ d_glogits
@@ -304,10 +315,11 @@ def backward(
     for layer in reversed(range(n_layers)):
         z = cache["preacts"][layer]
         dz = d_h if layer == n_layers - 1 else d_h * (z > 0.0)
-        h_in = cache["inputs"][layer]
-        g_w0[layer] = h_in.T @ dz
-        g_w1[layer] = (a @ h_in).T @ dz
+        g_w0[layer] = cache["inputs"][layer].T @ dz
+        g_w1[layer] = cache["neighbour_sums"][layer].T @ dz
         g_b[layer] = dz.sum(axis=0)
+        if layer == 0:
+            break  # nothing reads the gradient of the network's input
         d_h = dz @ params.conv_w0[layer].T + a @ (dz @ params.conv_w1[layer].T)
         if layer % 2 == 1 and cache["shortcuts"][layer]:
             d_saved = dz

@@ -30,6 +30,7 @@ from .synth import (
     MANAGEMENT_BY_CLASS,
     ORGAN_LABEL,
     TUBE_LABEL,
+    SynthError,
     iter_dataset,
     load_case_info,
     save_case,
@@ -73,10 +74,10 @@ def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
 
 @contextmanager
 def _case_errors(d: str):
-    """Prefix a fit, mesh, volume, zone or network error raised inside with case ``d``'s name."""
+    """Prefix a synth, fit, mesh, volume, zone or network error raised inside with d's name."""
     try:
         yield
-    except (FitError, GraphNetError, MeshError, VolumeError, ZoneError) as exc:
+    except (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError) as exc:
         raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
 
 
@@ -105,10 +106,12 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     cases = os.path.join(out_dir, "cases")
     if os.path.isdir(cases):
         shutil.rmtree(cases)
-    for i, case in enumerate(iter_dataset(n_train + n_test, seed, cfg.synth)):
-        split = "train" if i < n_train else "test"
-        k = i if i < n_train else i - n_train
-        save_case(case, os.path.join(out_dir, "cases", f"{split}_{k:04d}"))
+    names = [f"train_{k:04d}" for k in range(n_train)] + [f"test_{k:04d}" for k in range(n_test)]
+    dataset = iter_dataset(len(names), seed, cfg.synth)
+    for name in names:
+        d = os.path.join(cases, name)
+        with _case_errors(d):
+            save_case(next(dataset), d)
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .mesh import REGION_COUNTS, REGION_NAMES
-from .volume import LabelVolume, ProbVolume, VolumeError, is_connected, save_volume
+from .volume import LabelVolume, ProbVolume, VolumeError, channel_sum, is_connected, save_volume
 
 __all__ = [
     "CaseInfo",
@@ -157,27 +157,30 @@ def _centerline(
     return np.stack([x, y, z], axis=1), radii
 
 
-def _window(
-    grid: int, center: np.ndarray, reach: float | np.ndarray
-) -> tuple[tuple[slice, ...], list[np.ndarray]]:
-    """Grid box within ``reach`` of ``center`` (clipped), and voxel offsets along each axis."""
-    lo = np.clip(np.floor(center - reach).astype(int), 0, grid)
-    hi = np.clip(np.ceil(center + reach).astype(int) + 1, 0, grid)
-    box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    return box, [np.arange(a, b) - c for a, b, c in zip(lo, hi, center)]
+def _bounds(grid: int, centers: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, the clipped grid box ``lo:hi`` within ``reach`` of each center (one or many)."""
+    lo = np.clip(np.floor(centers - reach).astype(int), 0, grid)
+    hi = np.clip(np.ceil(centers + reach).astype(int) + 1, 0, grid)
+    return lo, hi
 
 
 def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Voxels within the swept varying-radius capsule.
 
     Each centerline point is tested only against the voxels of its own
-    bounding box, and its ball is OR-ed into the grid there.
+    bounding box, and its ball is OR-ed into the grid there. The boxes of
+    all points are found in one pass.
     """
     inside = np.zeros((grid, grid, grid), dtype=bool)
-    for p, r in zip(points, radii):
-        box, (dx, dy, dz) = _window(grid, p, r)
+    # integer voxel coordinates as floats: ``coord[a:b] - c`` is ``np.arange(a, b) - c``
+    coord = np.arange(grid, dtype=np.float64)
+    lows, highs = _bounds(grid, points, radii[:, None])
+    for (x, y, z), r, (ax, ay, az), (bx, by, bz) in zip(
+        points.tolist(), radii.tolist(), lows.tolist(), highs.tolist()
+    ):
+        dx, dy, dz = coord[ax:bx] - x, coord[ay:by] - y, coord[az:bz] - z
         d2 = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
-        inside[box] |= d2 <= r**2
+        inside[ax:bx, ay:by, az:bz] |= d2 <= r**2
     return inside
 
 
@@ -198,7 +201,10 @@ def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np
     if not mask.any():
         raise SynthError("generated organ is empty")
     if mask[[0, -1]].any() or mask[:, [0, -1]].any() or mask[:, :, [0, -1]].any():
-        raise SynthError("generated organ clips the grid boundary")
+        raise SynthError(
+            f"generated organ clips the grid boundary: [synth] bend = {cfg.bend:g} "
+            f"does not fit [synth] grid = {cfg.grid}"
+        )
     if not is_connected(mask):
         raise SynthError("generated organ is disconnected")
     return mask, points[0].copy()
@@ -257,15 +263,18 @@ def implant_mass(
         center = points[int(round(t * (len(points) - 1)))]
         radius = rng.uniform(*spec.size_range)
         axes = radius * rng.uniform(0.8, 1.2, size=3)
-        box, offs = _window(grid, center, axes)
-        dx, dy, dz = ((o / a) ** 2 for o, a in zip(offs, axes))
+        start, stop = _bounds(grid, center, axes)
+        box = tuple(map(slice, start, stop))
+        dx, dy, dz = (
+            ((np.arange(a, b) - c) / s) ** 2 for a, b, c, s in zip(start, stop, center, axes)
+        )
         mass = dx[:, None, None] + dy[None, :, None] + dz[None, None, :] <= 1.0
         if not mass.any():
             continue
         outside = np.count_nonzero(mass & ~organ[box])
         if outside > 0.2 * np.count_nonzero(mass):
             continue
-        centroid = (np.argwhere(mass) + [b.start for b in box]).mean(axis=0)
+        centroid = (np.argwhere(mass) + start).mean(axis=0)
         if _region_band(_centerline_param(centroid, points)) not in spec.allowed_regions:
             continue
         labels[box][mass] = spec.voxel_label
@@ -281,20 +290,35 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
 
     One-hot labels get a 1-voxel boundary blur, then are blended with seeded
     random probability vectors with weight ``noise``, in the [0, 0.5) that
-    :class:`SynthConfig` allows.
+    :class:`SynthConfig` allows. A label with no channel raises SynthError.
+    The work is done channel-first and in place, with the float64 arithmetic
+    of the per-voxel formula.
     """
-    one_hot = np.eye(channels, dtype=np.float64)[labels.data]
+    counts = np.bincount(labels.data.ravel(), minlength=channels)
+    if len(counts) > channels:
+        raise SynthError(f"label {len(counts) - 1} has no channel among {channels}")
+    one_hot = np.empty((channels, *labels.data.shape))
+    for k in range(channels):
+        np.equal(labels.data, k, out=one_hot[k])
+    # With no noise every row is exactly one 1.0, so normalising would divide by 1.0.
     if noise > 0.0:
-        blurred = np.empty_like(one_hot)
-        for k in range(channels):
-            blurred[..., k] = ndimage.uniform_filter(one_hot[..., k], size=3, mode="nearest")
-        one_hot = 0.75 * one_hot + 0.25 * blurred
+        buf = np.empty(labels.data.shape)
+        for k in np.flatnonzero(counts):  # an absent channel blurs to exact zeros
+            ndimage.uniform_filter(one_hot[k], size=3, mode="nearest", output=buf)
+            one_hot[k] *= 0.75
+            buf *= 0.25
+            one_hot[k] += buf
+        # the draw stays (W, H, D, K), so the random stream is unchanged
         rng = np.random.default_rng(seed)
-        r = rng.random(one_hot.shape)
-        r /= r.sum(axis=-1, keepdims=True)
-        one_hot = (1.0 - noise) * one_hot + noise * r
-    one_hot /= one_hot.sum(axis=-1, keepdims=True)
-    return ProbVolume(one_hot.astype(np.float32), labels.spacing)
+        r = np.moveaxis(rng.random((*labels.data.shape, channels)), -1, 0)
+        r_total = channel_sum(r)
+        one_hot *= 1.0 - noise
+        for k in range(channels):
+            np.divide(r[k], r_total, out=buf)
+            buf *= noise
+            one_hot[k] += buf
+        one_hot /= channel_sum(one_hot)
+    return ProbVolume(np.moveaxis(one_hot, 0, -1).astype(np.float32, order="C"), labels.spacing)
 
 
 def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthCase:

@@ -291,6 +291,19 @@ class TestCliErrors:
             "156 vertices\n"
         )
 
+    def test_synth_error_names_the_case_and_keys(self, tmp_path, capsys):
+        demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.cfg")
+        with open(demo) as f:
+            text = f.read().replace("[synth]\n", "[synth]\nbend = 100\n")
+        rc = main(["pipeline", "--config", write_config(tmp_path, text),
+                   "--out", str(tmp_path / "w")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "anatomesh: pipeline: train_0000: case generation failed after 10 retries: "
+            "generated organ clips the grid boundary: [synth] bend = 100 does not fit "
+            "[synth] grid = 40\n"
+        )
+
     def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG + "learning_rate = abc\n")
         work = tmp_path / "w"

@@ -206,7 +206,59 @@ class TestImplantMass:
             MassSpec(9, ("Head",), (3.0, 2.0))
 
 
+def soften_reference(labels, noise, seed, channels=N_CHANNELS):
+    """The per-voxel formula on whole (W, H, D, K) float64 volumes, as first written."""
+    one_hot = np.eye(channels, dtype=np.float64)[labels.data]
+    if noise > 0.0:
+        blurred = np.empty_like(one_hot)
+        for k in range(channels):
+            blurred[..., k] = ndimage.uniform_filter(one_hot[..., k], size=3, mode="nearest")
+        one_hot = 0.75 * one_hot + 0.25 * blurred
+        rng = np.random.default_rng(seed)
+        r = rng.random(one_hot.shape)
+        r /= r.sum(axis=-1, keepdims=True)
+        one_hot = (1.0 - noise) * one_hot + noise * r
+    one_hot /= one_hot.sum(axis=-1, keepdims=True)
+    return one_hot.astype(np.float32)
+
+
+@st.composite
+def label_volumes(draw):
+    """Odd and non-cubic label volumes over a channel count, some channels absent."""
+    channels = draw(st.integers(1, N_CHANNELS))
+    shape = tuple(draw(st.lists(st.integers(1, 13), min_size=3, max_size=3)))
+    present = draw(st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels,
+                            unique=True))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.asarray(present, dtype=np.uint8)[pick.integers(len(present), size=shape)]
+    return LabelVolume(data, (1.0, 1.0, 1.0)), channels
+
+
 class TestSoften:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        label_volumes(),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_equals_reference(self, volume, noise, seed):
+        labels, channels = volume
+        got = soften(labels, noise, seed, channels).data
+        assert got.tobytes() == soften_reference(labels, noise, seed, channels).tobytes()
+
+    def test_case_volumes_equal_reference(self):
+        for cid in (1, 2, 3, 4):
+            labels = gen_case(cid, 40 + cid).labels
+            for noise in (0.0, 0.15, 0.2, 0.49):
+                got = soften(labels, noise, cid).data
+                assert got.tobytes() == soften_reference(labels, noise, cid).tobytes()
+
+    def test_label_without_channel_named(self):
+        data = np.zeros((5, 6, 7), dtype=np.uint8)
+        data[2, 3, 4] = N_CHANNELS
+        with pytest.raises(SynthError, match=f"label {N_CHANNELS} has no channel"):
+            soften(LabelVolume(data, (1.0, 1.0, 1.0)), 0.2, 0)
+
     def _labels(self, seed=0):
         organ, _ = gen_organ(seed)
         return implant_mass(organ, DEFAULT_CLASSES[2][0], seed + 1)
