@@ -63,8 +63,9 @@ def pool_features(
 
     z = zmap.data[organ] - 1
     p = probs.data[organ].astype(np.float64)
-    local = np.zeros((n, k))
-    np.add.at(local, z, p)
+    local = np.empty((n, k))
+    for c in range(k):  # bincount adds in index order, as a scatter-add would
+        local[:, c] = np.bincount(z, weights=p[:, c], minlength=n)
     counts = np.bincount(z, minlength=n).astype(np.float64)
     if (counts == 0).any():
         raise VolumeError(f"zone of vertex {int(np.flatnonzero(counts == 0)[0])} is empty")
@@ -88,10 +89,10 @@ def save_features(feats: np.ndarray, path: str) -> None:
         + [f"local_{i}" for i in range(k)]
         + [f"global_{i}" for i in range(k)]
     )
+    row = ",".join(["%.17g"] * feats.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        for row in feats:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        f.write(row * len(feats) % tuple(feats.ravel().tolist()))
 
 
 def load_features(path: str) -> np.ndarray:

@@ -177,10 +177,9 @@ def save_mesh(mesh: AnatomyMesh, path: str) -> None:
     with open(path, "w") as f:
         for name, (a, b) in zip(REGION_NAMES, region_ranges(mesh.region_counts)):
             f.write(f"# region {name} {a + 1} {b}\n")
-        for x, y, z in mesh.vertices:
-            f.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for i, j, k in mesh.faces:
-            f.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        verts, faces = mesh.vertices.ravel().tolist(), (mesh.faces + 1).ravel().tolist()
+        f.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(verts))
+        f.write("f %d %d %d\n" * len(mesh.faces) % tuple(faces))
 
 
 def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:

@@ -95,10 +95,8 @@ class FitTrace:
     def to_csv(self, path: str) -> None:
         with open(path, "w") as f:
             f.write("iter,L_pt,L_e1,L_e2,L_total\n")
-            for i, (a, b, c, d) in enumerate(
-                zip(self.point, self.e1, self.e2, self.total)
-            ):
-                f.write(f"{i},{a:.9g},{b:.9g},{c:.9g},{d:.9g}\n")
+            rows = zip(range(len(self)), self.point, self.e1, self.e2, self.total)
+            f.write("%d,%.9g,%.9g,%.9g,%.9g\n" * len(self) % tuple(v for r in rows for v in r))
 
 
 def _point_term(verts: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:

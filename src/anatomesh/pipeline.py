@@ -93,9 +93,20 @@ def _load_organ(d: str) -> LabelVolume:
 
 
 def _load_segmentation(d: str) -> LabelVolume:
-    """A case's predicted segmentation: the argmax channel of its probability volume."""
+    """A case's predicted segmentation: the argmax channel of its probability volume.
+
+    Ties go to the lower channel, as with ``np.argmax``. The channels are
+    compared one at a time in the file's (D, H, W) voxel order, several
+    times faster than ``argmax`` over rows of a few values.
+    """
     probs = load_volume(os.path.join(d, "probs"))
-    return LabelVolume(probs.data.argmax(axis=-1).astype(np.uint8), probs.spacing)
+    channels = np.moveaxis(probs.data, -1, 0).transpose(0, 3, 2, 1)
+    best = channels[0].copy()
+    argmax = np.zeros(best.shape, dtype=np.uint8)
+    for k in range(1, len(channels)):
+        argmax[channels[k] > best] = k
+        np.maximum(best, channels[k], out=best)
+    return LabelVolume(argmax.transpose(2, 1, 0), probs.spacing)
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
@@ -144,7 +155,7 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
             zvol = zmap.to_label_volume()
             vl = vertex_labels(zmap, labels)
         save_volume(zvol, os.path.join(d, "zones"))
-        np.savetxt(os.path.join(d, "vertex_labels.txt"), vl, fmt="%d")
+        _save_vertex_labels(vl, d)
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
@@ -155,9 +166,15 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
             probs = load_volume(os.path.join(d, "probs"))
             mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
             zvol = load_volume(os.path.join(d, "zones"))
-            zmap = ZoneMap(zvol.data.astype(np.int32), zvol.spacing)
+            zmap = ZoneMap(zvol.data, zvol.spacing)
             feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS)
         save_features(feats, os.path.join(d, "features.csv"))
+
+
+def _save_vertex_labels(labels: np.ndarray, d: str) -> None:
+    """Write a case's vertex labels, one integer per line."""
+    with open(os.path.join(d, "vertex_labels.txt"), "w") as f:
+        f.write("%d\n" * len(labels) % tuple(labels.tolist()))
 
 
 def _load_vertex_labels(d: str, n_rows: int) -> np.ndarray:

@@ -33,7 +33,7 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
             raise VolumeError(f"a mask contains no voxels of label {organ_label}")
         centroids.append(np.argwhere(b).mean(axis=0))
     ref = np.round(np.mean(centroids, axis=0)).astype(int)
-    acc = np.zeros(dims, dtype=np.float64)
+    acc = np.zeros_like(binaries[0], dtype=np.float64)  # masks' memory order: contiguous adds
     for b, c in zip(binaries, centroids):
         shift = ref - np.round(c).astype(int)
         acc += np.roll(b.astype(np.float64), tuple(shift), axis=(0, 1, 2))

@@ -292,7 +292,7 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     random probability vectors with weight ``noise``, in the [0, 0.5) that
     :class:`SynthConfig` allows. A label with no channel raises SynthError.
     The work is done channel-first and in place, with the float64 arithmetic
-    of the per-voxel formula.
+    of the per-voxel formula; a negative float32 result is set to 0.
     """
     counts = np.bincount(labels.data.ravel(), minlength=channels)
     if len(counts) > channels:
@@ -318,7 +318,11 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
             buf *= noise
             one_hot[k] += buf
         one_hot /= channel_sum(one_hot)
-    return ProbVolume(np.moveaxis(one_hot, 0, -1).astype(np.float32, order="C"), labels.spacing)
+    probs = np.moveaxis(one_hot, 0, -1).astype(np.float32, order="C")
+    # The blur's running sums leave about -1e-17 where a channel is exactly 0,
+    # which a noise weight below about 1e-16 does not cover: those are zeros.
+    probs[probs < 0] = 0.0
+    return ProbVolume(probs, labels.spacing)
 
 
 def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthCase:

@@ -45,7 +45,7 @@ class LabelVolume:
             raise VolumeError(f"label data must be 3-D, got shape {self.data.shape}")
         if any(s <= 0 for s in self.spacing):
             raise VolumeError(f"spacing must be positive, got {self.spacing}")
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.uint8))
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.uint8))
         self.data.setflags(write=False)
 
     @property
@@ -73,6 +73,41 @@ def channel_sum(channels: np.ndarray) -> np.ndarray:
     return total
 
 
+# Planes of the memory-major axis per step of the probability check: small
+# enough that a slab's float64 sums stay in cache.
+_SLAB_PLANES = 4
+
+
+def _check_probabilities(data: np.ndarray) -> None:
+    """Raise VolumeError unless every (W, H, D, K) row is non-negative and sums to 1.
+
+    The rows are summed in slabs along the axis that strides furthest in
+    memory. A bad row is reported by its first voxel in (w, h, d) order;
+    a NaN sum fails.
+    """
+    axis = int(np.argmax(np.abs(data.strides[:3])))
+    bad_rows = []
+    negative = False
+    for start in range(0, data.shape[axis], _SLAB_PLANES):
+        slab = data[(slice(None),) * axis + (slice(start, start + _SLAB_PLANES),)]
+        sums = channel_sum(np.moveaxis(slab, -1, 0))
+        bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
+        if bad.any():
+            first = np.argwhere(bad)[0]
+            total = sums[tuple(first)]
+            first[axis] += start
+            bad_rows.append((tuple(first.tolist()), total))
+        negative = negative or bool((slab < 0).any())
+    if bad_rows:
+        (w, h, d), total = min(bad_rows)
+        raise VolumeError(
+            f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
+            f"sums to {total:.6f}"
+        )
+    if negative:
+        raise VolumeError("probability values must be non-negative")
+
+
 @dataclass(frozen=True)
 class ProbVolume:
     """Per-voxel class probability grid, shape (W, H, D, K), dtype float32."""
@@ -85,17 +120,8 @@ class ProbVolume:
             raise VolumeError(f"prob data must be (W, H, D, K >= 1), got shape {self.data.shape}")
         if any(s <= 0 for s in self.spacing):
             raise VolumeError(f"spacing must be positive, got {self.spacing}")
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float32))
-        sums = channel_sum(np.moveaxis(self.data, -1, 0))
-        bad = np.abs(sums - 1.0) > PROB_TOL
-        if bad.any():
-            w, h, d = np.argwhere(bad)[0]
-            raise VolumeError(
-                f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
-                f"sums to {sums[w, h, d]:.6f}"
-            )
-        if (self.data < 0).any():
-            raise VolumeError("probability values must be non-negative")
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
+        _check_probabilities(self.data)
         self.data.setflags(write=False)
 
     @property
@@ -124,10 +150,10 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
     w, h, d = vol.dims
     if isinstance(vol, LabelVolume):
         kind, channels, dtype = "label", 1, "u8"
-        payload = vol.data.transpose(2, 1, 0).astype("<u1").tobytes()
+        payload = np.ascontiguousarray(vol.data.transpose(2, 1, 0), dtype="<u1")
     else:
         kind, channels, dtype = "prob", vol.channels, "f32"
-        payload = vol.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
+        payload = np.ascontiguousarray(vol.data.transpose(2, 1, 0, 3), dtype="<f4")
     sx, sy, sz = vol.spacing
     with open(hdr_path, "w") as f:
         f.write(f"dims {w} {h} {d}\n")
@@ -136,11 +162,15 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         f.write(f"channels {channels}\n")
         f.write(f"dtype {dtype}\n")
     with open(raw_path, "wb") as f:
-        f.write(payload)
+        f.write(memoryview(payload.reshape(-1)))
 
 
 def load_volume(path: str) -> LabelVolume | ProbVolume:
-    """Load a volume written by :func:`save_volume`."""
+    """Load a volume written by :func:`save_volume`.
+
+    The data is a read-only view of the payload bytes, in the file's
+    w-fastest order: a consumer that needs another order copies.
+    """
     hdr_path, raw_path = _header_path(path)
     fields = {}
     with open(hdr_path) as f:
@@ -160,12 +190,16 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         raise VolumeError(f"malformed header {hdr_path}: {exc}") from exc
     if kind not in ("label", "prob") or dtype not in ("u8", "f32"):
         raise VolumeError(f"malformed header {hdr_path}: kind={kind} dtype={dtype}")
-    raw = np.fromfile(raw_path, dtype="<u1" if dtype == "u8" else "<f4")
+    item = np.dtype("<u1" if dtype == "u8" else "<f4")
+    with open(raw_path, "rb") as f:
+        payload = f.read()
     expect = w * h * d * (channels if kind == "prob" else 1)
-    if raw.size != expect:
+    if len(payload) != expect * item.itemsize:
         raise VolumeError(
-            f"{raw_path}: payload has {raw.size} values, header implies {expect}"
+            f"{raw_path}: payload has {len(payload) / item.itemsize:g} values, "
+            f"header implies {expect}"
         )
+    raw = np.frombuffer(payload, dtype=item)
     if kind == "label":
         data = raw.reshape(d, h, w).transpose(2, 1, 0)
         return LabelVolume(data, spacing)

@@ -128,10 +128,8 @@ def vertex_labels(zmap: ZoneMap, labels: LabelVolume) -> np.ndarray:
         raise VolumeError(f"dimension mismatch: {zmap.dims} vs {labels.dims}")
     n = zmap.n_zones
     out = np.full(n, -1, dtype=np.int64)
-    z = zmap.data.ravel()
-    lab = labels.data.ravel().astype(np.int64)
-    organ = z > 0
-    np.maximum.at(out, z[organ] - 1, lab[organ])
+    organ = zmap.data > 0
+    np.maximum.at(out, zmap.data[organ] - 1, labels.data[organ])
     empty = np.flatnonzero(out < 0)
     if empty.size:
         raise ZoneError(f"zone of vertex {empty[0]} is empty")

@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from anatomesh.mesh import REGION_NAMES, AnatomyMesh, region_ranges
@@ -46,3 +50,22 @@ def random_connected_mask(rng, grid, n_blobs=3, radius_range=(2, 5)):
         labeled, n = ndimage.label(mask, structure=struct)
         if n == 1 and mask.any():
             return mask
+
+
+def awkward_floats(allow_non_finite=True):
+    """Floats that stress a text writer: signed zeros, subnormals, huge and whole values."""
+    special = [0.0, -0.0, -1.0, 1.0, 3.0, 2.0**53, 5e-324, -2.5e-310, 1e300, -1e300, 0.1]
+    return st.one_of(
+        st.sampled_from(special),
+        st.integers(-(10**6), 10**6).map(float),
+        st.floats(allow_nan=allow_non_finite, allow_infinity=allow_non_finite),
+    )
+
+
+def written_bytes(write, *args):
+    """The bytes ``write(*args, path)`` leaves at a fresh path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        write(*args, path)
+        with open(path, "rb") as f:
+            return f.read()

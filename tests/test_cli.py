@@ -1,10 +1,14 @@
 import filecmp
+import io
 import os
 import re
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anatomesh import pipeline
 from anatomesh.cli import main
@@ -13,7 +17,7 @@ from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
 from anatomesh.meshfit import FitConfig
 from anatomesh.synth import SynthConfig
-from anatomesh.volume import LabelVolume
+from anatomesh.volume import LabelVolume, ProbVolume, save_volume
 
 SMALL_CONFIG = """\
 [synth]
@@ -379,7 +383,8 @@ class TestPipeline:
 
     def test_predictions_well_formed(self, pipeline_run):
         _, out = pipeline_run
-        lines = open(os.path.join(out, "predictions.csv")).read().splitlines()
+        with open(os.path.join(out, "predictions.csv")) as f:
+            lines = f.read().splitlines()
         assert lines[0].startswith("# pv_threshold ")
         assert lines[1] == "case,truth,gc,vv,pv"
         assert len(lines) == 2 + 4
@@ -391,7 +396,8 @@ class TestPipeline:
 
     def test_train_log_ends_at_first_perfect_validation_epoch(self, pipeline_run):
         cfg, out = pipeline_run
-        lines = open(os.path.join(out, "train_log.csv")).read().splitlines()
+        with open(os.path.join(out, "train_log.csv")) as f:
+            lines = f.read().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         accs = [float(line.split(",")[3]) for line in lines[1:]]
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(len(accs)))
@@ -402,7 +408,8 @@ class TestPipeline:
 
     def test_manifest_lists_all_stages(self, pipeline_run):
         cfg, out = pipeline_run
-        text = open(os.path.join(out, "manifest.txt")).read()
+        with open(os.path.join(out, "manifest.txt")) as f:
+            text = f.read()
         for stage in ("synth-gen", "build-prototype", "fit-mesh", "render-zones",
                       "pool-features", "train", "classify", "eval"):
             assert f"stage {stage}" in text
@@ -499,3 +506,34 @@ class TestPvThreshold:
         # truths are case classes, so blob voxels (2) mean class 2, tube (3) class 4
         vols = [volume(2, 3), volume(2, 8), volume(3, 2), volume(3, 9)]
         assert pipeline._select_pv_threshold(vols, [1, 2, 1, 4]) == 5
+
+
+class TestCaseFileFormats:
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_vertex_labels_bytes_match_savetxt(self, values):
+        labels = np.array(values, dtype=np.int64)
+        expect = io.BytesIO()
+        np.savetxt(expect, labels, fmt="%d")
+        with tempfile.TemporaryDirectory() as tmp:
+            pipeline._save_vertex_labels(labels, tmp)
+            with open(os.path.join(tmp, "vertex_labels.txt"), "rb") as f:
+                assert f.read() == expect.getvalue()
+
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segmentation_is_the_channel_argmax(self, dims, k, seed):
+        # rows drawn from a few values, so that ties between channels are common
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 3, size=dims + (k,)).astype(np.float32)
+        raw[raw.sum(axis=-1) == 0] = 1.0
+        probs = ProbVolume(raw / raw.sum(axis=-1, keepdims=True), (1.0, 2.0, 1.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_volume(probs, os.path.join(tmp, "probs"))
+            seg = pipeline._load_segmentation(tmp)
+        assert seg.spacing == probs.spacing
+        assert np.array_equal(seg.data, probs.data.argmax(axis=-1))

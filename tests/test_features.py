@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anatomesh.features import (
     NO_MASS_SENTINEL,
@@ -13,7 +16,32 @@ from anatomesh.features import (
 from anatomesh.volume import LabelVolume, ProbVolume, VolumeError
 from anatomesh.zones import ZoneMap, render_zones
 
+from conftest import awkward_floats, written_bytes
 from test_zones import line_mesh, zone_mask
+
+
+def save_features_reference(feats, path):
+    """The per-value writer ``save_features`` replaced, kept as a byte-equality oracle."""
+    k = (feats.shape[1] - 5) // 2
+    cols = (
+        ["x", "y", "z", "e", "d"]
+        + [f"local_{i}" for i in range(k)]
+        + [f"global_{i}" for i in range(k)]
+    )
+    with open(path, "w") as f:
+        f.write(",".join(cols) + "\n")
+        for row in feats:
+            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def local_block_add_at(zmap, probs):
+    """Scatter-add oracle for the zone-mean block of :func:`pool_features`."""
+    organ = zmap.data > 0
+    z = zmap.data[organ] - 1
+    p = probs.data[organ].astype(np.float64)
+    local = np.zeros((zmap.n_zones, probs.channels))
+    np.add.at(local, z, p)
+    return local / np.bincount(z, minlength=zmap.n_zones)[:, None]
 
 
 def uniform_probs(dims, k):
@@ -152,6 +180,16 @@ class TestIO:
         back = load_features(path)
         np.testing.assert_array_equal(back, feats)
 
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda k: arrays(np.float64, st.tuples(st.integers(1, 6), st.just(5 + 2 * k)),
+                             elements=awkward_floats())
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_per_value_writer(self, feats):
+        assert written_bytes(save_features, feats) == written_bytes(save_features_reference, feats)
+
     def test_header_names(self, tmp_path):
         feats = np.zeros((2, 9))  # k = 2
         path = tmp_path / "f.csv"
@@ -176,3 +214,13 @@ class TestIO:
         bad = uniform_probs((5, 5, 5), 3)
         with pytest.raises(VolumeError, match="mismatch"):
             pool_features(mesh, zmap, bad, labels, {2})
+
+
+class TestZonePooling:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_local_block_matches_add_at_bit_for_bit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        mesh, zmap, probs, labels = scene(rng, grid=14, n_verts=6, k=1 + seed % 4)
+        feats = pool_features(mesh, zmap, probs, labels, {2})
+        local = feats[:, 5 : 5 + probs.channels]
+        assert local.tobytes() == local_block_add_at(zmap, probs).tobytes()

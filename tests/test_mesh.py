@@ -2,18 +2,32 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
 from anatomesh.mesh import (
     REGION_COUNTS,
+    REGION_NAMES,
     AnatomyMesh,
     MeshError,
     load_mesh,
     region_ranges,
     save_mesh,
 )
-from anatomesh.template import template_mesh_arrays
+from anatomesh.template import icosphere, template_mesh_arrays
 
-from conftest import vertex_region_names
+from conftest import awkward_floats, vertex_region_names, written_bytes
+
+
+def save_mesh_reference(mesh, path):
+    """The per-value writer ``save_mesh`` replaced, kept as a byte-equality oracle."""
+    with open(path, "w") as f:
+        for name, (a, b) in zip(REGION_NAMES, region_ranges(mesh.region_counts)):
+            f.write(f"# region {name} {a + 1} {b}\n")
+        for x, y, z in mesh.vertices:
+            f.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for i, j, k in mesh.faces:
+            f.write(f"f {i + 1} {j + 1} {k + 1}\n")
 
 
 def mean_incident_edge_lengths_add_at(mesh):
@@ -124,6 +138,15 @@ class TestMeshIO:
         save_mesh(template, p1)
         save_mesh(load_mesh(p1), p2)
         assert (tmp_path / "a.obj").read_text() == (tmp_path / "b.obj").read_text()
+
+    @given(arrays(np.float64, (12, 3), elements=awkward_floats(allow_non_finite=False)))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_per_value_writer(self, verts):
+        mesh = AnatomyMesh(verts, icosphere(0)[1], (3, 3, 3, 3))
+        assert written_bytes(save_mesh, mesh) == written_bytes(save_mesh_reference, mesh)
+
+    def test_template_bytes_match_per_value_writer(self, template):
+        assert written_bytes(save_mesh, template) == written_bytes(save_mesh_reference, template)
 
     def test_missing_data(self, tmp_path):
         p = tmp_path / "empty.obj"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anatomesh.mesh import AnatomyMesh
 from anatomesh.meshfit import (
     FitConfig,
     FitError,
+    FitTrace,
     SurfaceIndex,
     edge_regularizers,
     fit_mesh,
@@ -13,7 +16,15 @@ from anatomesh.meshfit import (
 )
 from anatomesh.volume import LabelVolume
 
-from conftest import sphere_mask
+from conftest import awkward_floats, sphere_mask, written_bytes
+
+
+def trace_csv_reference(trace, path):
+    """The per-value writer ``FitTrace.to_csv`` replaced, kept as a byte-equality oracle."""
+    with open(path, "w") as f:
+        f.write("iter,L_pt,L_e1,L_e2,L_total\n")
+        for i, (a, b, c, d) in enumerate(zip(trace.point, trace.e1, trace.e2, trace.total)):
+            f.write(f"{i},{a:.9g},{b:.9g},{c:.9g},{d:.9g}\n")
 
 
 def edge_regularizer_gradients_add_at(mesh):
@@ -266,3 +277,13 @@ class TestFitMesh:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,L_pt,L_e1,L_e2,L_total"
         assert len(lines) == len(trace) + 1
+
+
+class TestTraceCsv:
+    @given(st.lists(st.tuples(*[awkward_floats()] * 4), max_size=30), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_per_value_writer(self, rows, as_numpy):
+        trace = FitTrace()
+        for row in rows:
+            trace.append(*(np.float64(v) if as_numpy else v for v in row))
+        assert written_bytes(FitTrace.to_csv, trace) == written_bytes(trace_csv_reference, trace)

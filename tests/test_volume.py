@@ -1,12 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomesh.volume import (
+    PROB_TOL,
     LabelVolume,
     ProbVolume,
     VolumeError,
+    channel_sum,
     detected,
     dice,
     load_volume,
@@ -17,6 +22,51 @@ from anatomesh.volume import (
 
 def random_label_volume(rng, dims=(4, 5, 6)):
     return LabelVolume(rng.integers(0, 4, size=dims).astype(np.uint8), (1.0, 0.5, 2.0))
+
+
+def random_prob_data(rng, dims=(3, 4, 2), k=3):
+    raw = rng.random(dims + (k,)).astype(np.float32)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def file_order(data):
+    """The same values laid out as a loaded volume is: w fastest, then h, then d."""
+    axes = (2, 1, 0) + tuple(range(3, data.ndim))
+    return np.ascontiguousarray(data.transpose(axes)).transpose(axes)
+
+
+def payload_reference(vol):
+    """The payload as ``save_volume`` wrote it before its one-copy write, kept as an oracle."""
+    if isinstance(vol, LabelVolume):
+        return vol.data.transpose(2, 1, 0).astype("<u1").tobytes()
+    return vol.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
+
+
+def prob_check_reference(data):
+    """The whole-volume probability check before the slab check, kept as an oracle.
+
+    Returns the error message, or None to accept. It lets NaN rows through;
+    on finite data ``ProbVolume`` must give the same outcome.
+    """
+    sums = channel_sum(np.moveaxis(data, -1, 0))
+    bad = np.abs(sums - 1.0) > PROB_TOL
+    if bad.any():
+        w, h, d = np.argwhere(bad)[0]
+        return (
+            f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
+            f"sums to {sums[w, h, d]:.6f}"
+        )
+    if (data < 0).any():
+        return "probability values must be non-negative"
+    return None
+
+
+def prob_check_outcome(data):
+    try:
+        ProbVolume(data, (1.0, 1.0, 1.0))
+    except VolumeError as exc:
+        return str(exc)
+    return None
 
 
 class TestCodec:
@@ -75,9 +125,137 @@ class TestCodec:
         with pytest.raises(VolumeError, match="non-negative"):
             ProbVolume(data, (1.0, 1.0, 1.0))
 
+    def test_prob_row_with_nan_rejected(self):
+        data = np.full((4, 4, 4, 2), 0.5, dtype=np.float32)
+        data[1, 2, 3, 0] = np.nan
+        with pytest.raises(VolumeError, match=r"voxel \(1,2,3\) sums to nan"):
+            ProbVolume(data, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("loaded_order", [False, True])
+    def test_prob_check_finds_a_bad_row_in_the_last_slab(self, loaded_order):
+        data = np.full((9, 9, 9, 2), 0.5, dtype=np.float32)
+        data[8, 8, 8, 1] = 0.75
+        data = file_order(data) if loaded_order else data
+        with pytest.raises(VolumeError, match=r"voxel \(8,8,8\) sums to 1\.250000"):
+            ProbVolume(data, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("loaded_order", [False, True])
+    def test_prob_check_names_the_first_bad_row_across_slabs(self, loaded_order):
+        # slabs run along d in the loaded order: (2,0,1) is in an earlier
+        # slab than (0,1,6), but (0,1,6) comes first in (w, h, d) order
+        data = np.full((3, 3, 9, 2), 0.5, dtype=np.float32)
+        data[2, 0, 1, 0] = 0.9
+        data[0, 1, 6, 1] = 0.1
+        data = file_order(data) if loaded_order else data
+        assert prob_check_reference(data).endswith("voxel (0,1,6) sums to 0.600000")
+        assert prob_check_outcome(data) == prob_check_reference(data)
+
+    @pytest.mark.parametrize("loaded_order", [False, True])
+    def test_prob_check_reports_a_bad_sum_before_a_negative_value(self, loaded_order):
+        data = np.full((3, 3, 9, 2), 0.5, dtype=np.float32)
+        data[0, 0, 0] = (1.5, -0.5)
+        assert "non-negative" in prob_check_outcome(file_order(data) if loaded_order else data)
+        data[2, 2, 8, 0] = 0.25
+        data = file_order(data) if loaded_order else data
+        assert prob_check_outcome(data) == prob_check_reference(data)
+        assert "voxel (2,2,8)" in prob_check_outcome(data)
+
+    @given(
+        st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), st.integers(0, 3),
+                st.sampled_from([-0.5, -1e-9, -0.0, 0.0, 1e-6, 4e-6, 2e-5, 0.3, 0.6, 1.0, 1e30]),
+                st.booleans(),
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_prob_check_matches_whole_volume_reference(self, dims, k, edits, loaded_order):
+        # an edit adds delta to one channel, or also takes it from the next one,
+        # which keeps the row sum and may leave a negative value
+        data = np.full(dims + (k,), 1.0 / k, dtype=np.float32)
+        for w, h, d, c, delta, move in edits:
+            row = data[w % dims[0], h % dims[1], d % dims[2]]
+            row[c % k] += np.float32(delta)
+            if move:
+                row[(c + 1) % k] -= np.float32(delta)
+        data = file_order(data) if loaded_order else data
+        assert prob_check_outcome(data) == prob_check_reference(data)
+
     def test_prob_without_channels_rejected(self):
         with pytest.raises(VolumeError, match=r"K >= 1\), got shape \(2, 2, 2, 0\)"):
             ProbVolume(np.zeros((2, 2, 2, 0), dtype=np.float32), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    def test_save_of_load_reproduces_both_files(self, tmp_path, kind):
+        rng = np.random.default_rng(2)
+        if kind == "label":
+            vol = random_label_volume(rng)
+        else:
+            vol = ProbVolume(random_prob_data(rng), (1.0, 1.0, 3.0))
+        save_volume(vol, str(tmp_path / "a"))
+        save_volume(load_volume(str(tmp_path / "a")), str(tmp_path / "b"))
+        for ext in (".hdr", ".raw"):
+            assert (tmp_path / f"b{ext}").read_bytes() == (tmp_path / f"a{ext}").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    def test_loaded_volume_is_a_read_only_view_of_the_file(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        if kind == "label":
+            vol = random_label_volume(rng)
+        else:
+            vol = ProbVolume(random_prob_data(rng), (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "v"))
+        back = load_volume(str(tmp_path / "v"))
+        assert not back.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.data[0, 0, 0] = 0
+        base = back.data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)
+        assert base == (tmp_path / "v.raw").read_bytes()
+        assert np.shares_memory(back.data, np.frombuffer(base, dtype=np.uint8))
+
+    def test_empty_volumes_round_trip(self, tmp_path):
+        for vol in (
+            LabelVolume(np.zeros((0, 2, 2), dtype=np.uint8), (1, 1, 1)),
+            ProbVolume(np.zeros((2, 0, 2, 3), dtype=np.float32), (1, 1, 1)),
+        ):
+            save_volume(vol, str(tmp_path / "e"))
+            assert (tmp_path / "e.raw").read_bytes() == b""
+            assert load_volume(str(tmp_path / "e")).data.shape == vol.data.shape
+
+    def test_truncated_float_payload_rejected(self, tmp_path):
+        (tmp_path / "t.hdr").write_text(
+            "dims 1 1 2\nspacing 1 1 1\nkind prob\nchannels 1\ndtype f32\n"
+        )
+        (tmp_path / "t.raw").write_bytes(bytes(7))
+        with pytest.raises(VolumeError, match="1.75 values, header implies 2"):
+            load_volume(str(tmp_path / "t"))
+
+    @given(
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_payload_matches_reference(self, dims, k, seed, loaded_order):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 256, size=dims).astype(np.uint8)
+        probs = random_prob_data(rng, dims, k)
+        if loaded_order:
+            labels, probs = file_order(labels), file_order(probs)
+        with tempfile.TemporaryDirectory() as tmp:
+            for vol in (LabelVolume(labels, (1, 1, 1)), ProbVolume(probs, (1, 1, 1))):
+                save_volume(vol, os.path.join(tmp, "v"))
+                with open(os.path.join(tmp, "v.raw"), "rb") as f:
+                    assert f.read() == payload_reference(vol)
 
     def test_w_fastest_payload_order(self, tmp_path):
         vol = LabelVolume(np.arange(8).reshape(2, 2, 2).astype(np.uint8), (1, 1, 1))
