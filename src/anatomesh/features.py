@@ -6,7 +6,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .mesh import AnatomyMesh
-from .volume import LabelVolume, ProbVolume, VolumeError, surface_mask
+from .volume import LabelVolume, ProbVolume, VolumeError, organ_box, surface_mask, voxel_indices
 from .zones import ZoneMap
 
 __all__ = ["pool_features", "feature_width", "save_features", "load_features"]
@@ -31,7 +31,9 @@ def pool_features(
     Coordinates are organ-centroid-relative, scaled by the organ bounding-box
     diagonal. ``d`` is the world distance to the nearest mass-surface voxel
     (-1 if no mass voxel exists). The local block averages probabilities
-    over each vertex zone, the global block over all organ voxels.
+    over each vertex zone, the global block over all organ voxels. Mass
+    labels are positive: every step runs on the box around the zone and
+    non-zero label voxels, which holds every organ and mass voxel.
     """
     if zmap.dims != probs.dims or zmap.dims != labels.dims:
         raise VolumeError(
@@ -42,9 +44,10 @@ def pool_features(
     n = mesh.n_vertices
     spacing = np.asarray(zmap.spacing, dtype=np.float64)
 
-    organ = zmap.data > 0
-    organ_idx = np.argwhere(organ)
-    organ_world = organ_idx * spacing
+    box = organ_box((zmap.data > 0) | (labels.data > 0))
+    zones = zmap.data[box]
+    organ = zones > 0
+    organ_world = voxel_indices(organ, box) * spacing
     centroid = organ_world.mean(axis=0)
     diag = float(np.linalg.norm(organ_world.max(axis=0) - organ_world.min(axis=0)))
     if diag == 0.0:
@@ -53,16 +56,16 @@ def pool_features(
 
     e = mesh.mean_incident_edge_lengths()
 
-    mass_mask = np.isin(labels.data, list(mass_labels))
+    mass_mask = np.isin(labels.data[box], list(mass_labels))
     if mass_mask.any():
         surf = surface_mask(mass_mask)
-        tree = cKDTree(np.argwhere(surf) * spacing)
+        tree = cKDTree(voxel_indices(surf, box) * spacing)
         d, _ = tree.query(mesh.vertices)
     else:
         d = np.full(n, NO_MASS_SENTINEL)
 
-    z = zmap.data[organ] - 1
-    p = probs.data[organ].astype(np.float64)
+    z = zones[organ] - 1
+    p = probs.data[box][organ].astype(np.float64)
     local = np.empty((n, k))
     for c in range(k):  # bincount adds in index order, as a scatter-add would
         local[:, c] = np.bincount(z, weights=p[:, c], minlength=n)

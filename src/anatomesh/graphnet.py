@@ -108,6 +108,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if not self.batch_size >= 1:
             raise ValueError("batch_size must be at least 1")
 

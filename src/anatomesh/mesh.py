@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +103,11 @@ class MeshTopology:
     def mean_degree(self) -> float:
         return 2 * len(self.edges) / self.n_vertices
 
+    @functools.cached_property
+    def face_rows(self) -> str:
+        """The f rows :func:`save_mesh` writes for these faces, formatted once."""
+        return "f %d %d %d\n" * len(self.faces) % tuple((self.faces + 1).ravel().tolist())
+
 
 class AnatomyMesh:
     """Closed triangular mesh whose vertex indices carry anatomical meaning.
@@ -172,14 +179,44 @@ class AnatomyMesh:
             )
 
 
+def _region_comments(counts: tuple[int, ...]) -> str:
+    ranges = zip(REGION_NAMES, region_ranges(counts))
+    return "".join(f"# region {name} {a + 1} {b}\n" for name, (a, b) in ranges)
+
+
 def save_mesh(mesh: AnatomyMesh, path: str) -> None:
     """Write Wavefront-style text: v/f lines plus region-range comments."""
     with open(path, "w") as f:
-        for name, (a, b) in zip(REGION_NAMES, region_ranges(mesh.region_counts)):
-            f.write(f"# region {name} {a + 1} {b}\n")
-        verts, faces = mesh.vertices.ravel().tolist(), (mesh.faces + 1).ravel().tolist()
-        f.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(verts))
-        f.write("f %d %d %d\n" * len(mesh.faces) % tuple(faces))
+        f.write(_region_comments(mesh.region_counts))
+        f.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist()))
+        f.write(mesh.topology.face_rows)
+
+
+# v rows as save_mesh writes them: a tag and three fields, one row per line
+_V_ROWS = re.compile(r"(?:v \S+ \S+ \S+\n)*")
+
+
+def _vertices_onto(text: str, like: AnatomyMesh) -> np.ndarray | None:
+    """The vertices of ``text`` if it is ``like``'s region comments, one v row
+    per vertex and ``like``'s f rows, as :func:`save_mesh` writes them; else None.
+
+    Only the v rows are split into fields. Whatever this accepts, the
+    line-by-line read accepts with the same vertices.
+    """
+    if len(like.region_counts) > len(REGION_NAMES) or not len(like.faces):
+        return None  # save_mesh cannot write such a mesh so that it reads back
+    head, tail = _region_comments(like.region_counts), like.topology.face_rows
+    if not (text.startswith(head) and text.endswith(tail)):
+        return None
+    rows = text[len(head) : len(text) - len(tail)]
+    if rows.count("\n") != like.n_vertices or not _V_ROWS.fullmatch(rows):
+        return None
+    fields = rows.split()
+    del fields[::4]  # the v tags
+    try:
+        return np.array(fields, dtype=np.float64).reshape(-1, 3)
+    except ValueError:
+        return None  # the line-by-line read names the field
 
 
 def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:
@@ -189,21 +226,29 @@ def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:
     the file must hold ``like``'s faces and region counts (else the same), and
     the result shares ``like``'s topology.
     """
+    try:
+        with open(path) as f:
+            text = f.read()
+    except ValueError as exc:  # not text
+        raise MeshError(f"{path}: {exc}") from exc
+    if like is not None:
+        vertices = _vertices_onto(text, like)
+        if vertices is not None:
+            return like.with_vertices(vertices)
     verts: list[list[str]] = []
     faces: list[list[str]] = []
     counts: list[int] = []
     try:
-        with open(path) as f:
-            for line in f:
-                parts = line.split()
-                if not parts:
-                    continue
-                if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
-                    counts.append(int(parts[4]) - int(parts[3]) + 1)
-                elif parts[0] == "v":
-                    verts.append(parts[1:4])
-                elif parts[0] == "f":
-                    faces.append(parts[1:4])
+        for line in text.split("\n"):
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
+                counts.append(int(parts[4]) - int(parts[3]) + 1)
+            elif parts[0] == "v":
+                verts.append(parts[1:4])
+            elif parts[0] == "f":
+                faces.append(parts[1:4])
         # a short or non-numeric v/f row fails here
         vertices = np.array(verts, dtype=np.float64)
         face_array = np.array(faces, dtype=np.int64) - 1

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .mesh import AnatomyMesh
-from .volume import LabelVolume, surface_mask
+from .volume import LabelVolume, organ_box, surface_mask, voxel_indices
 
 __all__ = [
     "SurfaceIndex",
@@ -41,10 +41,13 @@ class SurfaceIndex:
 
     @classmethod
     def from_mask(cls, target: LabelVolume, organ_label: int) -> "SurfaceIndex":
-        surf = surface_mask(target.mask(organ_label))
+        """The index over ``organ_label``'s surface voxels, found on the label's box."""
+        mask = target.mask(organ_label)
+        box = organ_box(mask)
+        surf = surface_mask(mask[box])
         if not surf.any():
             raise FitError(f"label {organ_label} has no surface voxels in target")
-        return cls(target.world_coords(surf))
+        return cls(voxel_indices(surf, box) * np.asarray(target.spacing, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -144,13 +147,16 @@ def edge_regularizers(
 
 
 def _objective(
-    mesh: AnatomyMesh, q: np.ndarray, cfg: FitConfig
-) -> tuple[float, float, float, float, np.ndarray]:
-    """(L_pt, L_e1, L_e2, total, gradient) with correspondences ``q`` held fixed."""
-    lpt, grad_pt = _point_term(mesh.vertices, q)
-    e1, e2, g1, g2 = edge_regularizers(mesh)
+    verts: np.ndarray, q: np.ndarray, regs: tuple, cfg: FitConfig
+) -> tuple[float, float, np.ndarray]:
+    """(L_pt, total, gradient) with correspondences ``q`` held fixed.
+
+    ``regs`` is :func:`edge_regularizers` of the same vertices.
+    """
+    lpt, grad_pt = _point_term(verts, q)
+    e1, e2, g1, g2 = regs
     total = lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
-    return lpt, e1, e2, total, grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
+    return lpt, total, grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
 
 
 def fit_mesh(
@@ -162,28 +168,32 @@ def fit_mesh(
     """Iteratively deform ``mesh`` onto the surface of ``organ_label`` in ``target``.
 
     Combinatorics and region labels are untouched; only vertex positions move.
+    The regularizers depend on the vertices alone, so those of the accepted
+    line-search candidate carry into the next iteration.
     """
     cfg = cfg or FitConfig()
     idx = SurfaceIndex.from_mask(target, organ_label)
     current = mesh.with_vertices(mesh.vertices.copy())
+    regs = edge_regularizers(current)
     trace = FitTrace()
     prev_total = None
     for it in range(cfg.max_iters):
         _, q = idx.nearest(current.vertices)
-        lpt, e1, e2, total, grad = _objective(current, q, cfg)
+        lpt, total, grad = _objective(current.vertices, q, regs, cfg)
         if not np.isfinite(total):
             raise FitError(f"non-finite loss at iteration {it}")
-        trace.append(lpt, e1, e2, total)
+        trace.append(lpt, regs[0], regs[1], total)
         step = cfg.step_size
         for _ in range(40):
             candidate = current.with_vertices(current.vertices - step * grad)
-            if _objective(candidate, q, cfg)[3] <= total:
+            candidate_regs = edge_regularizers(candidate)
+            if _objective(candidate.vertices, q, candidate_regs, cfg)[1] <= total:
                 break
             step *= 0.5
         else:
             # gradient is (numerically) zero: converged
             break
-        current = candidate
+        current, regs = candidate, candidate_regs
         if prev_total is not None and prev_total > 0:
             if (prev_total - total) / prev_total < cfg.tol and total <= prev_total:
                 break

@@ -7,7 +7,7 @@ import numpy as np
 from .mesh import AnatomyMesh, MeshError
 from .meshfit import FitConfig, SurfaceIndex, fit_mesh, mean_surface_distance
 from .template import template_mesh_arrays
-from .volume import LabelVolume, VolumeError, is_connected
+from .volume import LabelVolume, VolumeError, is_connected, organ_box, voxel_indices
 
 __all__ = ["mean_shape", "build_prototype", "assign_regions"]
 
@@ -29,9 +29,11 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
     binaries = [m.mask(organ_label) for m in masks]
     centroids = []
     for b in binaries:
-        if not b.any():
+        box = organ_box(b)
+        crop = b[box]
+        if not crop.any():
             raise VolumeError(f"a mask contains no voxels of label {organ_label}")
-        centroids.append(np.argwhere(b).mean(axis=0))
+        centroids.append(voxel_indices(crop, box).mean(axis=0))
     ref = np.round(np.mean(centroids, axis=0)).astype(int)
     acc = np.zeros_like(binaries[0], dtype=np.float64)  # masks' memory order: contiguous adds
     for b, c in zip(binaries, centroids):

@@ -125,6 +125,8 @@ class SynthConfig:
             raise SynthError("grid must be at least 32")
         if not 0.0 <= self.noise < 0.5:
             raise SynthError("noise must be in [0, 0.5)")
+        if not np.isfinite(self.bend):
+            raise SynthError("bend must be finite")
         mix = self.class_mix
         if not (len(mix) == len(DEFAULT_CLASSES) and min(mix) >= 0 and abs(sum(mix) - 1) <= 1e-9):
             raise SynthError(

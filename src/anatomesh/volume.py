@@ -17,6 +17,8 @@ __all__ = [
     "save_volume",
     "CONN6",
     "is_connected",
+    "organ_box",
+    "voxel_indices",
     "surface_mask",
     "dice",
     "detected",
@@ -54,11 +56,6 @@ class LabelVolume:
 
     def mask(self, label: int) -> np.ndarray:
         return self.data == label
-
-    def world_coords(self, index_mask: np.ndarray) -> np.ndarray:
-        """World (mm) coordinates of voxel centers selected by a boolean mask."""
-        idx = np.argwhere(index_mask)
-        return idx * np.asarray(self.spacing, dtype=np.float64)
 
 
 def channel_sum(channels: np.ndarray) -> np.ndarray:
@@ -215,6 +212,38 @@ def is_connected(mask: np.ndarray) -> bool:
     """True when the voxels of ``mask`` form exactly one 6-connected component."""
     _, n = ndimage.label(mask, structure=CONN6)
     return n == 1
+
+
+def organ_box(mask: np.ndarray) -> tuple[slice, slice, slice]:
+    """The bounding box of ``mask``'s voxels, as ``ndimage.find_objects`` gives it.
+
+    One pass over the mask finds the occupied planes of its memory-major
+    axis; only that slab is scanned for the other two axes. An empty mask
+    gives an empty box. Every voxel outside the box is off, which is what
+    :func:`surface_mask` assumes past a mask's edge, so it finds the same
+    surface on the box's crop as on the whole grid.
+    """
+    major = int(np.argmax(np.abs(mask.strides)))
+    rest = [a for a in range(3) if a != major]
+    planes = np.flatnonzero(mask.any(axis=tuple(rest)))
+    if not planes.size:
+        return (slice(0, 0),) * 3
+    box = [slice(int(planes[0]), int(planes[-1]) + 1)] * 3
+    projection = mask[(slice(None),) * major + (box[major],)].any(axis=major)
+    for k, axis in enumerate(rest):
+        occupied = np.flatnonzero(projection.any(axis=1 - k))
+        box[axis] = slice(int(occupied[0]), int(occupied[-1]) + 1)
+    return tuple(box)
+
+
+def voxel_indices(crop: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """Grid indices of the true voxels of ``crop``, the part of a mask inside ``box``.
+
+    The rows are those ``np.argwhere`` gives for these voxels on the whole
+    grid, in the same C order and the same column-major layout, so sums and
+    KD-trees over them see the same inputs.
+    """
+    return np.argwhere(crop) + [s.start for s in box]
 
 
 def surface_mask(mask: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .mesh import AnatomyMesh
-from .volume import CONN6, LabelVolume, VolumeError
+from .volume import CONN6, LabelVolume, VolumeError, organ_box
 
 __all__ = ["ZoneMap", "ZoneError", "render_zones", "vertex_labels"]
 
@@ -90,12 +90,12 @@ def render_zones(
     organ's bounding box: no voxel outside the organ is ever labeled, so the
     filter's constant border stands in for the rest of the grid.
     """
-    if not organ.any():
+    box = organ_box(organ)
+    crop = organ[box]
+    if not crop.any():
         raise ZoneError("organ mask is empty")
     sp = np.asarray(spacing, dtype=np.float64)
-    box = ndimage.find_objects(organ.astype(np.uint8))[0]
     offset = np.array([b.start for b in box])
-    crop = organ[box]
     zones = np.zeros(crop.shape, dtype=np.int32)
     seeds = _seed_voxels(mesh.vertices, crop, sp, offset)
     zones[tuple(seeds.T)] = np.arange(1, len(seeds) + 1)
@@ -126,10 +126,13 @@ def vertex_labels(zmap: ZoneMap, labels: LabelVolume) -> np.ndarray:
     """Per-vertex class label: the maximum voxel label inside each zone."""
     if zmap.dims != labels.dims:
         raise VolumeError(f"dimension mismatch: {zmap.dims} vs {labels.dims}")
-    n = zmap.n_zones
-    out = np.full(n, -1, dtype=np.int64)
-    organ = zmap.data > 0
-    np.maximum.at(out, zmap.data[organ] - 1, labels.data[organ])
+    box = organ_box(zmap.data > 0)
+    zones = zmap.data[box]
+    organ = zones > 0
+    z, voxel_labels = zones[organ] - 1, labels.data[box][organ]
+    out = np.full(int(zones.max(initial=0)), -1, dtype=np.int64)
+    for value in np.unique(voxel_labels):  # ascending: each zone keeps its largest
+        out[z[voxel_labels == value]] = value
     empty = np.flatnonzero(out < 0)
     if empty.size:
         raise ZoneError(f"zone of vertex {empty[0]} is empty")

@@ -8,6 +8,8 @@ from scipy import ndimage
 
 from anatomesh.mesh import REGION_NAMES, AnatomyMesh, region_ranges
 from anatomesh.template import icosphere, template_mesh_arrays
+from anatomesh.volume import LabelVolume, ProbVolume
+from anatomesh.zones import ZoneMap
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +71,83 @@ def written_bytes(write, *args):
         write(*args, path)
         with open(path, "rb") as f:
             return f.read()
+
+
+def file_order(data):
+    """The same values laid out as a loaded volume is: w fastest, then h, then d."""
+    axes = (2, 1, 0) + tuple(range(3, data.ndim))
+    return np.ascontiguousarray(data.transpose(axes)).transpose(axes)
+
+
+SIDES = ("low face", "high face", "both faces", "inside")
+
+
+@st.composite
+def boxed_masks(draw, dims=None, max_side=7):
+    """A non-empty boolean mask whose voxels fill part of a box.
+
+    On each axis the box touches the grid's low face, its high face, both,
+    or wherever it falls, so a draw reaches every face and corner of the
+    grid. One voxel at the box corner on the chosen faces is always on; at
+    density 0 it is the only one.
+    """
+    if dims is None:
+        dims = tuple(draw(st.integers(1, max_side)) for _ in range(3))
+    box, corner = [], []
+    for n in dims:
+        side = draw(st.sampled_from(SIDES))
+        lo = 0 if side in ("low face", "both faces") else draw(st.integers(0, n - 1))
+        hi = n if side in ("high face", "both faces") else draw(st.integers(lo + 1, n))
+        box.append(slice(lo, hi))
+        corner.append(hi - 1 if side == "high face" else lo)
+    density = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros(dims, dtype=bool)
+    mask[tuple(box)] = rng.random(mask[tuple(box)].shape) < density
+    mask[tuple(corner)] = True
+    return mask
+
+
+SPACINGS = st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.3, 2.5])] * 3)
+
+
+@st.composite
+def organ_scenes(draw, max_zones=4):
+    """(mesh, zone map, probabilities, labels, mass labels) for pool_features and vertex_labels.
+
+    The organ is a :func:`boxed_masks` draw whose voxels carry label 1 and
+    zones 1..n, each zone non-empty. The mass is absent, inside the organ,
+    or another boxed mask anywhere in the grid: on a grid face, partly or
+    wholly outside the zone voxels. Its voxels carry labels 2 and 3. The
+    label and probability volumes are laid out as loaded (w fastest) or in
+    C order.
+    """
+    organ = draw(boxed_masks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_organ = int(organ.sum())
+    n = draw(st.integers(1, min(max_zones, n_organ)))
+    zone_of = rng.integers(1, n + 1, size=n_organ)
+    zone_of[:n] = rng.permutation(n) + 1
+    zones = np.zeros(organ.shape, dtype=np.int32)
+    zones[organ] = zone_of
+    labels = organ.astype(np.uint8)
+    mass_kind = draw(st.sampled_from(["none", "inside the organ", "anywhere"]))
+    if mass_kind != "none":
+        mass = draw(boxed_masks(dims=organ.shape))
+        if mass_kind == "inside the organ":
+            mass &= organ
+        labels[mass] = rng.integers(2, 4, size=int(mass.sum()))
+    spacing = draw(SPACINGS)
+    k = draw(st.integers(1, 3))
+    raw = rng.random(organ.shape + (k,)).astype(np.float32)
+    raw /= raw.sum(axis=-1, keepdims=True)
+    layout = file_order if draw(st.booleans()) else np.ascontiguousarray
+    verts = rng.uniform(-1.0, np.array(organ.shape) + 1.0, size=(n, 3)) * spacing
+    faces = np.array([[i, i + 1, i + 2] for i in range(n - 2)], dtype=np.int64).reshape(-1, 3)
+    return (
+        AnatomyMesh(verts, faces, (n,)),
+        ZoneMap(zones, spacing),
+        ProbVolume(layout(raw), spacing),
+        LabelVolume(layout(labels), spacing),
+        draw(st.sampled_from([{2, 3}, {2}, {3}])),
+    )

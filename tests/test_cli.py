@@ -129,6 +129,9 @@ class TestConfig:
         ("synth", "class_mix", "0.5 0.5 0.5 0.5"),
         ("synth", "class_mix", "1.5 -0.5 0 0"),
         ("synth", "class_mix", "nan 0.25 0.25 0.25"),
+        ("synth", "bend", "nan"),
+        ("synth", "bend", "inf"),
+        ("synth", "bend", "-inf"),
         ("fit", "lambda1", "0"),
         ("fit", "lambda1", "nan"),
         ("fit", "lambda2", "-0.01"),
@@ -140,6 +143,10 @@ class TestConfig:
         ("train", "eta2", "-0.1"),
         ("train", "learning_rate", "-1"),
         ("train", "learning_rate", "nan"),
+        ("train", "momentum", "1.5"),
+        ("train", "momentum", "1.0"),
+        ("train", "momentum", "-0.1"),
+        ("train", "momentum", "nan"),
         ("train", "width", "0"),
         ("train", "seed", "-1"),
     ])

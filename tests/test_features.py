@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scipy.spatial import cKDTree
+
 from anatomesh.features import (
     NO_MASS_SENTINEL,
     feature_width,
@@ -13,10 +15,10 @@ from anatomesh.features import (
     pool_features,
     save_features,
 )
-from anatomesh.volume import LabelVolume, ProbVolume, VolumeError
+from anatomesh.volume import LabelVolume, ProbVolume, VolumeError, surface_mask
 from anatomesh.zones import ZoneMap, render_zones
 
-from conftest import awkward_floats, written_bytes
+from conftest import awkward_floats, organ_scenes, written_bytes
 from test_zones import line_mesh, zone_mask
 
 
@@ -32,6 +34,36 @@ def save_features_reference(feats, path):
         f.write(",".join(cols) + "\n")
         for row in feats:
             f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def pool_features_whole_grid(mesh, zmap, probs, labels, mass_labels):
+    """``pool_features`` before it worked on the organ's box, kept as a byte-equality oracle."""
+    k = probs.channels
+    n = mesh.n_vertices
+    spacing = np.asarray(zmap.spacing, dtype=np.float64)
+    organ = zmap.data > 0
+    organ_world = np.argwhere(organ) * spacing
+    centroid = organ_world.mean(axis=0)
+    diag = float(np.linalg.norm(organ_world.max(axis=0) - organ_world.min(axis=0)))
+    coords = (mesh.vertices - centroid) / (diag if diag != 0.0 else 1.0)
+    mass_mask = np.isin(labels.data, list(mass_labels))
+    if mass_mask.any():
+        d, _ = cKDTree(np.argwhere(surface_mask(mass_mask)) * spacing).query(mesh.vertices)
+    else:
+        d = np.full(n, NO_MASS_SENTINEL)
+    z = zmap.data[organ] - 1
+    p = probs.data[organ].astype(np.float64)
+    local = np.empty((n, k))
+    for c in range(k):
+        local[:, c] = np.bincount(z, weights=p[:, c], minlength=n)
+    local /= np.bincount(z, minlength=n).astype(np.float64)[:, None]
+    feats = np.empty((n, feature_width(k)))
+    feats[:, 0:3] = coords
+    feats[:, 3] = mesh.mean_incident_edge_lengths()
+    feats[:, 4] = d
+    feats[:, 5 : 5 + k] = local
+    feats[:, 5 + k :] = p.mean(axis=0)
+    return feats
 
 
 def local_block_add_at(zmap, probs):
@@ -224,3 +256,28 @@ class TestZonePooling:
         feats = pool_features(mesh, zmap, probs, labels, {2})
         local = feats[:, 5 : 5 + probs.channels]
         assert local.tobytes() == local_block_add_at(zmap, probs).tobytes()
+
+
+class TestOrganBoxCrop:
+    """pool_features works on the box around the organ and mass voxels, the oracle on the grid."""
+
+    @given(organ_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_grid_bit_for_bit(self, scene):
+        feats = pool_features(*scene)
+        assert feats.tobytes() == pool_features_whole_grid(*scene).tobytes()
+
+    def test_mass_outside_the_zone_voxels_on_the_grid_edge(self):
+        organ = np.zeros((9, 8, 7), dtype=bool)
+        organ[2:5, 3:6, 1:4] = True
+        lab = organ.astype(np.uint8)
+        lab[6:9, 0:2, 5:7] = 2  # beyond the organ's box, in a corner of the grid
+        lab[4, 4, 2] = 3
+        mesh = line_mesh(np.array([[3.0, 4.0, 2.0], [2.0, 3.0, 1.0], [4.0, 5.0, 3.0]]))
+        zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
+        probs = uniform_probs(organ.shape, 2)
+        labels = LabelVolume(lab, (1.0, 1.0, 1.0))
+        feats = pool_features(mesh, zmap, probs, labels, {2})
+        assert feats[0, 4] == np.sqrt(27.0)  # to (6, 1, 5)
+        assert feats.tobytes() == pool_features_whole_grid(
+            mesh, zmap, probs, labels, {2}).tobytes()

@@ -1,8 +1,11 @@
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anatomesh.mesh import (
@@ -28,6 +31,49 @@ def save_mesh_reference(mesh, path):
             f.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
         for i, j, k in mesh.faces:
             f.write(f"f {i + 1} {j + 1} {k + 1}\n")
+
+
+def load_mesh_line_by_line(path, like=None):
+    """``load_mesh`` before its read onto ``like`` split only the v rows, kept as an oracle."""
+    verts, faces, counts = [], [], []
+    try:
+        with open(path) as f:
+            for line in f:
+                parts = line.split()
+                if not parts:
+                    continue
+                if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
+                    counts.append(int(parts[4]) - int(parts[3]) + 1)
+                elif parts[0] == "v":
+                    verts.append(parts[1:4])
+                elif parts[0] == "f":
+                    faces.append(parts[1:4])
+        vertices = np.array(verts, dtype=np.float64)
+        face_array = np.array(faces, dtype=np.int64) - 1
+    except ValueError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
+    if not verts or not faces:
+        raise MeshError(f"{path}: no mesh data found")
+    region_counts = tuple(counts) if counts else (len(verts),)
+    if like is None:
+        return AnatomyMesh(vertices, face_array, region_counts)
+    if region_counts != like.region_counts or not np.array_equal(face_array, like.faces):
+        raise MeshError(f"{path}: faces or region counts differ from the prototype's")
+    return like.with_vertices(vertices)
+
+
+def read_outcome(load, text, like):
+    """The vertex bytes ``load`` reads from ``text`` onto ``like``, or its MeshError message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.obj")
+        with open(path, "w") as f:
+            f.write(text)
+        try:
+            mesh = load(path, like=like)
+        except MeshError as exc:
+            return str(exc).replace(path, "<path>")
+        assert mesh.topology is like.topology
+        return mesh.vertices.tobytes()
 
 
 def mean_incident_edge_lengths_add_at(mesh):
@@ -191,6 +237,79 @@ class TestMeshIO:
         for like in (None, template):
             with pytest.raises(MeshError, match=f"^{re.escape(str(path))}: "):
                 load_mesh(str(path), like=like)
+
+
+def edited(text, edit):
+    """``text`` of a saved mesh with one kind of damage."""
+    lines = text.splitlines(keepends=True)
+    r, v, f = (next(k for k, line in enumerate(lines) if line.startswith(tag))
+               for tag in ("# region", "v ", "f "))
+    if edit == "face order":
+        a, b, c = lines[f].split()[1:]
+        lines[f] = f"f {b} {a} {c}\n"
+    elif edit == "face dropped":
+        del lines[-1]
+    elif edit == "# no regions":
+        lines = [line for line in lines if not line.startswith("# region")]
+    elif edit == "# region count":
+        lines[r] = lines[r].replace(" 1 ", " 2 ", 1)
+    elif edit == "v short":
+        lines[v] = "v 1.0 2.0\n"
+    elif edit == "v text":
+        lines[v] = "v 1.0 two 3.0\n"
+    elif edit == "v two on a line":
+        lines[v : v + 2] = [lines[v].rstrip("\n") + " " + lines[v + 1]]
+    elif edit == "v dropped":
+        del lines[v]
+    elif edit == "v extra":
+        lines.insert(v, lines[v])
+    elif edit == "v spaced":
+        lines[v] = lines[v].replace(" ", "  ")
+    return "".join(lines)
+
+
+class TestReadOntoLike:
+    """load_mesh(like=) splits only the v rows; the line-by-line read is the oracle."""
+
+    @given(arrays(np.float64, (12, 3), elements=awkward_floats()))
+    @settings(max_examples=200, deadline=None)
+    def test_same_vertices_as_line_by_line(self, verts):
+        like = AnatomyMesh(np.zeros((12, 3)), icosphere(0)[1], (3, 3, 3, 3))
+        text = written_bytes(save_mesh, like.with_vertices(verts)).decode()
+        got = read_outcome(load_mesh, text, like)
+        assert isinstance(got, bytes)
+        assert got == read_outcome(load_mesh_line_by_line, text, like)
+
+    @pytest.mark.parametrize("edit", [
+        "face order", "face dropped", "# no regions", "# region count", "v short", "v text",
+        "v two on a line", "v dropped", "v extra", "v spaced",
+    ])
+    def test_damaged_file_gives_the_same_outcome(self, template, edit):
+        text = edited(written_bytes(save_mesh, template).decode(), edit)
+        got = read_outcome(load_mesh, text, template)
+        assert got == read_outcome(load_mesh_line_by_line, text, template)
+        # a doubled space is still a valid row; every other edit is rejected
+        assert isinstance(got, bytes) == (edit == "v spaced")
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_file_gives_the_same_outcome(self, template, data):
+        text = written_bytes(save_mesh, template).decode()
+        cut = data.draw(st.integers(0, len(text) - 1))
+        got = read_outcome(load_mesh, text[:cut], template)
+        assert got == read_outcome(load_mesh_line_by_line, text[:cut], template)
+        assert isinstance(got, bytes) == (cut == len(text) - 1)  # only the last newline may go
+
+    @pytest.mark.parametrize("like, message", [
+        # save_mesh names four regions, so a fifth is lost
+        (AnatomyMesh(*icosphere(0), (3, 3, 3, 2, 1)), "faces or region counts differ"),
+        (AnatomyMesh(np.ones((2, 3)), np.zeros((0, 3), dtype=np.int64), (2,)), "no mesh data"),
+    ], ids=["five-regions", "no-faces"])
+    def test_mesh_that_cannot_round_trip_is_rejected(self, like, message):
+        text = written_bytes(save_mesh, like).decode()
+        got = read_outcome(load_mesh, text, like)
+        assert got == read_outcome(load_mesh_line_by_line, text, like)
+        assert message in got
 
 
 class TestValidation:

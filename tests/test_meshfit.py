@@ -1,22 +1,26 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anatomesh import meshfit
 from anatomesh.mesh import AnatomyMesh
 from anatomesh.meshfit import (
     FitConfig,
     FitError,
     FitTrace,
     SurfaceIndex,
+    _point_term,
     edge_regularizers,
     fit_mesh,
     mean_surface_distance,
     point_loss,
 )
-from anatomesh.volume import LabelVolume
+from anatomesh.volume import LabelVolume, surface_mask
 
-from conftest import awkward_floats, sphere_mask, written_bytes
+from conftest import SPACINGS, awkward_floats, boxed_masks, file_order, sphere_mask, written_bytes
 
 
 def trace_csv_reference(trace, path):
@@ -41,6 +45,59 @@ def edge_regularizer_gradients_add_at(mesh):
     np.add.at(grad2, edges[:, 0], unit)
     np.add.at(grad2, edges[:, 1], -unit)
     return grad1, grad2
+
+
+def surface_points_whole_grid(target, organ_label):
+    """``SurfaceIndex.from_mask``'s points before it used the label's box, kept as an oracle."""
+    surf = surface_mask(target.mask(organ_label))
+    if not surf.any():
+        raise FitError(f"label {organ_label} has no surface voxels in target")
+    return np.argwhere(surf) * np.asarray(target.spacing, dtype=np.float64)
+
+
+def full_objective(mesh, q, cfg):
+    """(L_pt, L_e1, L_e2, total, gradient), the regularizers computed anew for ``mesh``."""
+    lpt, grad_pt = _point_term(mesh.vertices, q)
+    e1, e2, g1, g2 = edge_regularizers(mesh)
+    total = lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
+    return lpt, e1, e2, total, grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
+
+
+def fit_mesh_reference(mesh, target, organ_label, cfg):
+    """``fit_mesh`` with the full objective at every iteration and every
+    line-search candidate, on the whole-grid surface; also returns the
+    number of candidates tried."""
+    idx = SurfaceIndex(surface_points_whole_grid(target, organ_label))
+    current = mesh.with_vertices(mesh.vertices.copy())
+    trace = FitTrace()
+    prev_total = None
+    candidates = 0
+    for it in range(cfg.max_iters):
+        _, q = idx.nearest(current.vertices)
+        lpt, e1, e2, total, grad = full_objective(current, q, cfg)
+        if not np.isfinite(total):
+            raise FitError(f"non-finite loss at iteration {it}")
+        trace.append(lpt, e1, e2, total)
+        step = cfg.step_size
+        for _ in range(40):
+            candidate = current.with_vertices(current.vertices - step * grad)
+            candidates += 1
+            if full_objective(candidate, q, cfg)[3] <= total:
+                break
+            step *= 0.5
+        else:
+            break
+        current = candidate
+        if prev_total is not None and prev_total > 0:
+            if (prev_total - total) / prev_total < cfg.tol and total <= prev_total:
+                break
+        prev_total = total
+    return current, trace, candidates
+
+
+def trace_bytes(trace):
+    """The bytes of the trace.csv that ``trace`` writes."""
+    return written_bytes(FitTrace.to_csv, trace)
 
 
 def random_mesh(rng, scale=1.0):
@@ -74,6 +131,20 @@ class TestSurfaceIndex:
             dists = np.linalg.norm(pts - queries[k], axis=1)
             assert d[k] == pytest.approx(dists.min(), abs=1e-12)
             assert np.array_equal(q[k], pts[dists.argmin()])
+
+    @given(boxed_masks(), SPACINGS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_from_mask_matches_whole_grid(self, organ, spacing, loaded_order):
+        data = organ.astype(np.uint8)
+        data[organ & (np.indices(organ.shape).sum(axis=0) % 3 == 0)] = 2  # other labels inside
+        vol = LabelVolume(file_order(data) if loaded_order else data, spacing)
+        try:
+            expect = SurfaceIndex(surface_points_whole_grid(vol, 1)).points
+        except FitError as exc:
+            with pytest.raises(FitError, match=f"^{re.escape(str(exc))}$"):
+                SurfaceIndex.from_mask(vol, 1)
+        else:
+            assert SurfaceIndex.from_mask(vol, 1).points.tobytes() == expect.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(FitError):
@@ -277,6 +348,44 @@ class TestFitMesh:
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,L_pt,L_e1,L_e2,L_total"
         assert len(lines) == len(trace) + 1
+
+
+class TestRegularizerReuse:
+    """fit_mesh carries the accepted candidate's regularizers into the next iteration."""
+
+    @pytest.mark.parametrize("shift, cfg", [
+        (5, FitConfig(max_iters=2000)),
+        (3, FitConfig(lambda1=0.3, lambda2=0.07, max_iters=7)),
+        (0, FitConfig(tol=1e-15, max_iters=300)),
+    ], ids=["to-tolerance", "to-max-iters", "tight-tolerance"])
+    def test_same_bits_as_full_objective(self, monkeypatch, shift, cfg):
+        vol, mesh = sphere_volume(shift=shift), sphere_template()
+        expect, expect_trace, candidates = fit_mesh_reference(mesh, vol, 1, cfg)
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return edge_regularizers(m)
+
+        monkeypatch.setattr(meshfit, "edge_regularizers", counted)
+        fitted, trace = fit_mesh(mesh, vol, 1, cfg)
+        assert fitted.vertices.tobytes() == expect.vertices.tobytes()
+        assert trace_bytes(trace) == trace_bytes(expect_trace)
+        # one per line-search candidate, plus the start mesh's; the reference
+        # also evaluates each accepted mesh again
+        assert len(calls) <= candidates + 1 < candidates + len(trace)
+
+    def test_template_on_a_loaded_capsule(self, template):
+        from anatomesh.synth import SynthConfig, gen_organ
+
+        organ, _ = gen_organ(4, SynthConfig(grid=40))
+        vol = LabelVolume(file_order(organ.astype(np.uint8)), (1.0, 1.0, 1.0))
+        start = template.with_vertices(template.vertices * 8.0 + 19.5)
+        cfg = FitConfig(max_iters=60)
+        expect, expect_trace, candidates = fit_mesh_reference(start, vol, 1, cfg)
+        fitted, trace = fit_mesh(start, vol, 1, cfg)
+        assert fitted.vertices.tobytes() == expect.vertices.tobytes()
+        assert trace_bytes(trace) == trace_bytes(expect_trace)
 
 
 class TestTraceCsv:

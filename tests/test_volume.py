@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from anatomesh.volume import (
     PROB_TOL,
@@ -15,9 +16,13 @@ from anatomesh.volume import (
     detected,
     dice,
     load_volume,
+    organ_box,
     save_volume,
     surface_mask,
+    voxel_indices,
 )
+
+from conftest import boxed_masks, file_order
 
 
 def random_label_volume(rng, dims=(4, 5, 6)):
@@ -27,12 +32,6 @@ def random_label_volume(rng, dims=(4, 5, 6)):
 def random_prob_data(rng, dims=(3, 4, 2), k=3):
     raw = rng.random(dims + (k,)).astype(np.float32)
     return raw / raw.sum(axis=-1, keepdims=True)
-
-
-def file_order(data):
-    """The same values laid out as a loaded volume is: w fastest, then h, then d."""
-    axes = (2, 1, 0) + tuple(range(3, data.ndim))
-    return np.ascontiguousarray(data.transpose(axes)).transpose(axes)
 
 
 def payload_reference(vol):
@@ -322,6 +321,48 @@ class TestSurface:
         vol = LabelVolume(rng.integers(0, 3, size=(6, 6, 6)).astype(np.uint8), (1, 1, 1))
         all_voxels = {tuple(i) for i in np.argwhere(vol.data == 1)}
         assert surface_set(vol, 1) <= all_voxels
+
+
+def find_objects_box(mask):
+    """The whole-grid box render_zones took before :func:`organ_box`, kept as an oracle."""
+    boxes = ndimage.find_objects(mask.astype(np.uint8))
+    return boxes[0] if boxes else (slice(0, 0),) * 3
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "loaded": file_order, "reversed": lambda m: m[::-1, :, ::-1]}
+
+
+class TestOrganBox:
+    @given(boxed_masks(), st.sampled_from(sorted(LAYOUTS)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_find_objects(self, mask, layout):
+        mask = LAYOUTS[layout](mask)
+        assert organ_box(mask) == find_objects_box(mask)
+
+    @given(boxed_masks(), st.sampled_from(sorted(LAYOUTS)))
+    @settings(max_examples=300, deadline=None)
+    def test_crop_indices_are_argwhere_on_the_grid(self, mask, layout):
+        mask = LAYOUTS[layout](mask)
+        box = organ_box(mask)
+        got, expect = voxel_indices(mask[box], box), np.argwhere(mask)
+        # same rows in the same order and memory layout, so float sums over
+        # them (centroids, world coordinates) keep their bits
+        assert got.dtype == expect.dtype
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+            expect.flags.c_contiguous, expect.flags.f_contiguous)
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("corner", [(0, 0, 0), (4, 0, 6), (4, 5, 6), (0, 5, 0)])
+    def test_one_voxel_in_a_corner(self, corner):
+        mask = np.zeros((5, 6, 7), dtype=bool)
+        mask[corner] = True
+        assert organ_box(mask) == tuple(slice(c, c + 1) for c in corner)
+
+    def test_empty_mask_gives_an_empty_box(self):
+        mask = np.zeros((3, 4, 5), dtype=bool)
+        box = organ_box(mask)
+        assert mask[box].size == 0
+        assert voxel_indices(mask[box], box).shape == (0, 3)
 
 
 class TestDice:

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from anatomesh.mesh import AnatomyMesh
@@ -14,7 +18,7 @@ from anatomesh.zones import (
     vertex_labels,
 )
 
-from conftest import random_connected_mask, sphere_mask
+from conftest import organ_scenes, random_connected_mask, sphere_mask
 
 NEIGHBORS = (
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
@@ -76,6 +80,17 @@ def _seed_voxels_brute(verts, organ, spacing):
         else:
             raise ZoneError("more vertices than organ voxels: cannot seed zones")
     return organ_idx[seeds]
+
+
+def vertex_labels_whole_grid(zmap, labels):
+    """``vertex_labels`` before it worked on the organ's box, kept as an oracle."""
+    out = np.full(zmap.n_zones, -1, dtype=np.int64)
+    organ = zmap.data > 0
+    np.maximum.at(out, zmap.data[organ] - 1, labels.data[organ])
+    empty = np.flatnonzero(out < 0)
+    if empty.size:
+        raise ZoneError(f"zone of vertex {empty[0]} is empty")
+    return out
 
 
 def zone_mask(zmap, vertex):
@@ -347,6 +362,21 @@ class TestVertexLabels:
         zmap = self._zone_map()
         with pytest.raises(VolumeError, match="mismatch"):
             vertex_labels(zmap, LabelVolume(np.zeros((3, 3, 3), np.uint8), (1, 1, 1)))
+
+    @given(organ_scenes(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_grid(self, scene, dropped):
+        _, zmap, _, labels, _ = scene
+        if dropped < zmap.n_zones - 1:  # an empty zone below the last must be named alike
+            zmap = ZoneMap(np.where(zmap.data == dropped + 1, 0, zmap.data), zmap.spacing)
+        try:
+            expect = vertex_labels_whole_grid(zmap, labels)
+        except ZoneError as exc:
+            with pytest.raises(ZoneError, match=f"^{re.escape(str(exc))}$"):
+                vertex_labels(zmap, labels)
+        else:
+            got = vertex_labels(zmap, labels)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
