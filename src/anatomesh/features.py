@@ -7,7 +7,6 @@ from scipy.spatial import cKDTree
 
 from .mesh import AnatomyMesh
 from .volume import LabelVolume, ProbVolume, VolumeError, organ_box, surface_mask, voxel_indices
-from .zones import ZoneMap
 
 __all__ = ["pool_features", "feature_width", "save_features", "load_features"]
 
@@ -21,32 +20,33 @@ def feature_width(channels: int) -> int:
 
 def pool_features(
     mesh: AnatomyMesh,
-    zmap: ZoneMap,
+    zones: LabelVolume,
     probs: ProbVolume,
     labels: LabelVolume,
     mass_labels: set[int],
 ) -> np.ndarray:
     """Build the (V, 5+2K) per-vertex feature matrix.
 
-    Coordinates are organ-centroid-relative, scaled by the organ bounding-box
-    diagonal. ``d`` is the world distance to the nearest mass-surface voxel
-    (-1 if no mass voxel exists). The local block averages probabilities
-    over each vertex zone, the global block over all organ voxels. Mass
-    labels are positive: every step runs on the box around the zone and
-    non-zero label voxels, which holds every organ and mass voxel.
+    ``zones`` holds each organ voxel's 1-based vertex index, as render-zones
+    writes it. Coordinates are organ-centroid-relative, scaled by the organ
+    bounding-box diagonal. ``d`` is the world distance to the nearest
+    mass-surface voxel (-1 if no mass voxel exists). The local block averages
+    probabilities over each vertex zone, the global block over all organ
+    voxels. Mass labels are positive: every step runs on the box around the
+    zone and non-zero label voxels, which holds every organ and mass voxel.
     """
-    if zmap.dims != probs.dims or zmap.dims != labels.dims:
+    if zones.dims != probs.dims or zones.dims != labels.dims:
         raise VolumeError(
-            f"dimension mismatch: zones {zmap.dims}, probs {probs.dims}, "
+            f"dimension mismatch: zones {zones.dims}, probs {probs.dims}, "
             f"labels {labels.dims}"
         )
     k = probs.channels
     n = mesh.n_vertices
-    spacing = np.asarray(zmap.spacing, dtype=np.float64)
+    spacing = np.asarray(zones.spacing, dtype=np.float64)
 
-    box = organ_box((zmap.data > 0) | (labels.data > 0))
-    zones = zmap.data[box]
-    organ = zones > 0
+    box = organ_box((zones.data > 0) | (labels.data > 0))
+    crop = zones.data[box]
+    organ = crop > 0
     organ_world = voxel_indices(organ, box) * spacing
     centroid = organ_world.mean(axis=0)
     diag = float(np.linalg.norm(organ_world.max(axis=0) - organ_world.min(axis=0)))
@@ -64,7 +64,7 @@ def pool_features(
     else:
         d = np.full(n, NO_MASS_SENTINEL)
 
-    z = zones[organ] - 1
+    z = crop[organ] - 1
     p = probs.data[box][organ].astype(np.float64)
     local = np.empty((n, k))
     for c in range(k):  # bincount adds in index order, as a scatter-add would

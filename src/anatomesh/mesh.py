@@ -185,7 +185,15 @@ def _region_comments(counts: tuple[int, ...]) -> str:
 
 
 def save_mesh(mesh: AnatomyMesh, path: str) -> None:
-    """Write Wavefront-style text: v/f lines plus region-range comments."""
+    """Write Wavefront-style text: v/f lines plus region-range comments.
+
+    The comments name the regions of ``REGION_NAMES``; a mesh with more
+    regions would not read back, so it is refused before the file is opened.
+    """
+    if len(mesh.region_counts) > len(REGION_NAMES):
+        raise MeshError(
+            f"{path}: {len(mesh.region_counts)} regions, the format names {len(REGION_NAMES)}"
+        )
     with open(path, "w") as f:
         f.write(_region_comments(mesh.region_counts))
         f.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist()))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import os
 import shutil
-from contextlib import contextmanager
+from collections.abc import Callable
+from typing import TypeVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .synth import (
     save_case,
 )
 from .volume import LabelVolume, VolumeError, load_volume, save_volume
-from .zones import ZoneError, ZoneMap, render_zones, vertex_labels
+from .zones import ZoneError, render_zones, vertex_labels
 
 __all__ = [
     "stage_synth",
@@ -56,12 +57,14 @@ LABEL_TO_CLASS = {BLOB_LABEL: 2, TUBE_LABEL: 4}
 DEFAULT_CLASS = 1
 MASS_LABELS = {BLOB_LABEL, TUBE_LABEL}
 
+T = TypeVar("T")
 
-def _case_dirs(out_dir: str, split: str) -> list[str]:
+
+def _case_dirs(out_dir: str, *splits: str) -> list[str]:
+    """The case directories of each split in turn, each split's in name order."""
     root = os.path.join(out_dir, "cases")
-    return sorted(
-        os.path.join(root, d) for d in os.listdir(root) if d.startswith(split)
-    )
+    names = sorted(os.listdir(root))
+    return [os.path.join(root, d) for split in splits for d in names if d.startswith(split)]
 
 
 def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
@@ -72,13 +75,19 @@ def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 
-@contextmanager
-def _case_errors(d: str):
-    """Prefix a synth, fit, mesh, volume, zone or network error raised inside with d's name."""
-    try:
-        yield
-    except (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError) as exc:
-        raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
+def _per_case(dirs: list[str], work: Callable[[str], T]) -> list[T]:
+    """``work(d)`` for each case directory in order, and its results.
+
+    A synth, fit, mesh, volume, zone or network error that ``work`` raises
+    gets the case's name in front.
+    """
+    results = []
+    for d in dirs:
+        try:
+            results.append(work(d))
+        except (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError) as exc:
+            raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
+    return results
 
 
 def _load_prototype(out_dir: str) -> AnatomyMesh:
@@ -119,56 +128,56 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
         shutil.rmtree(cases)
     names = [f"train_{k:04d}" for k in range(n_train)] + [f"test_{k:04d}" for k in range(n_test)]
     dataset = iter_dataset(len(names), seed, cfg.synth)
-    for name in names:
-        d = os.path.join(cases, name)
-        with _case_errors(d):
-            save_case(next(dataset), d)
+    _per_case([os.path.join(cases, name) for name in names], lambda d: save_case(next(dataset), d))
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
     n_proto = cfg.get("fit", "prototype_cases")
     dirs = _case_dirs(out_dir, "train")[:n_proto]
-    masks = [_load_organ(d) for d in dirs]
-    head_ends = [load_case_info(d).head_end for d in dirs]
-    mean = mean_shape(masks, ORGAN_LABEL)
+    cases = _per_case(dirs, lambda d: (_load_organ(d), load_case_info(d).head_end))
+    mean = mean_shape([mask for mask, _ in cases], ORGAN_LABEL)
     proto = build_prototype(mean, cfg.fit)
-    proto = assign_regions(proto, np.mean(head_ends, axis=0))
+    proto = assign_regions(proto, np.mean([head_end for _, head_end in cases], axis=0))
     save_mesh(proto, os.path.join(out_dir, "prototype.obj"))
 
 
 def stage_fit(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
-    for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        with _case_errors(d):
-            fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, cfg.fit)
+
+    def fit(d: str) -> None:
+        fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, cfg.fit)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
+
+    _per_case(_case_dirs(out_dir, "train", "test"), fit)
 
 
 def stage_zones(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
-    for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        with _case_errors(d):
-            labels = load_volume(os.path.join(d, "labels"))
-            mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
-            zmap = render_zones(mesh, labels.data > 0, labels.spacing)
-            zvol = zmap.to_label_volume()
-            vl = vertex_labels(zmap, labels)
+
+    def zones(d: str) -> None:
+        labels = load_volume(os.path.join(d, "labels"))
+        mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
+        zvol = render_zones(mesh, labels.data > 0, labels.spacing)
+        vl = vertex_labels(zvol, labels)
         save_volume(zvol, os.path.join(d, "zones"))
         _save_vertex_labels(vl, d)
+
+    _per_case(_case_dirs(out_dir, "train", "test"), zones)
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
-    for d in _case_dirs(out_dir, "train") + _case_dirs(out_dir, "test"):
-        with _case_errors(d):
-            labels = load_volume(os.path.join(d, "labels"))
-            probs = load_volume(os.path.join(d, "probs"))
-            mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
-            zvol = load_volume(os.path.join(d, "zones"))
-            zmap = ZoneMap(zvol.data, zvol.spacing)
-            feats = pool_features(mesh, zmap, probs, labels, MASS_LABELS)
+
+    def features(d: str) -> None:
+        labels = load_volume(os.path.join(d, "labels"))
+        probs = load_volume(os.path.join(d, "probs"))
+        mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
+        zvol = load_volume(os.path.join(d, "zones"))
+        feats = pool_features(mesh, zvol, probs, labels, MASS_LABELS)
         save_features(feats, os.path.join(d, "features.csv"))
+
+    _per_case(_case_dirs(out_dir, "train", "test"), features)
 
 
 def _save_vertex_labels(labels: np.ndarray, d: str) -> None:
@@ -191,17 +200,18 @@ def _load_vertex_labels(d: str, n_rows: int) -> np.ndarray:
 
 def _load_dataset(dirs: list[str]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Each case's (features, vertex labels, class index); all features as wide as the first's."""
-    out = []
-    for d in dirs:
-        with _case_errors(d):
-            path = os.path.join(d, "features.csv")
-            feats = load_features(path)
-            width = out[0][0].shape[1] if out else feats.shape[1]
-            if feats.shape[1] != width:
-                raise VolumeError(f"{path}: {feats.shape[1]} columns, the first case has {width}")
-            labels = _load_vertex_labels(d, len(feats))
-            out.append((feats, labels, load_case_info(d).class_id - 1))
-    return out
+    widths = []
+
+    def load(d: str) -> tuple[np.ndarray, np.ndarray, int]:
+        path = os.path.join(d, "features.csv")
+        feats = load_features(path)
+        widths.append(feats.shape[1])
+        if widths[-1] != widths[0]:
+            raise VolumeError(f"{path}: {widths[-1]} columns, the first case has {widths[0]}")
+        labels = _load_vertex_labels(d, len(feats))
+        return feats, labels, load_case_info(d).class_id - 1
+
+    return _per_case(dirs, load)
 
 
 def stage_train(cfg: RunConfig, out_dir: str) -> None:
@@ -242,23 +252,18 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     topo = _load_prototype(out_dir).topology
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
-    segmentations, truths = [], []
-    for d in val_dirs:
-        with _case_errors(d):
-            segmentations.append(_load_segmentation(d))
-            truths.append(load_case_info(d).class_id)
-    pv_threshold = _select_pv_threshold(segmentations, truths)
-    rows = []
-    for d in _case_dirs(out_dir, "test"):
-        with _case_errors(d):
-            vp, gp = forward(params, load_features(os.path.join(d, "features.csv")), topo)
-            segmentation = _load_segmentation(d)
-            truth = load_case_info(d).class_id
-        gc = classify_gc(gp)
-        vv_raw = classify_vv(vp, MASS_LABELS, DEFAULT_CLASS)
-        vv = LABEL_TO_CLASS.get(vv_raw, DEFAULT_CLASS)
+    val = _per_case(val_dirs, lambda d: (_load_segmentation(d), load_case_info(d).class_id))
+    pv_threshold = _select_pv_threshold([seg for seg, _ in val], [truth for _, truth in val])
+
+    def predict(d: str) -> tuple[str, int, int, int, int]:
+        vp, gp = forward(params, load_features(os.path.join(d, "features.csv")), topo)
+        segmentation = _load_segmentation(d)
+        truth = load_case_info(d).class_id
+        vv = LABEL_TO_CLASS.get(classify_vv(vp, MASS_LABELS, DEFAULT_CLASS), DEFAULT_CLASS)
         pv = _pv_predict(segmentation, pv_threshold)
-        rows.append((os.path.basename(d), truth, gc, vv, pv))
+        return os.path.basename(d), truth, classify_gc(gp), vv, pv
+
+    rows = _per_case(_case_dirs(out_dir, "test"), predict)
     with open(os.path.join(out_dir, "predictions.csv"), "w") as f:
         f.write(f"# pv_threshold {pv_threshold}\n")
         f.write("case,truth,gc,vv,pv\n")
@@ -282,16 +287,17 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     mgmt_pred = [MANAGEMENT_BY_CLASS[r[2]] for r in rows]
     mgmt_true = [MANAGEMENT_BY_CLASS[r[1]] for r in rows]
     cm = management_report(mgmt_pred, mgmt_true)
-    seg_cases = []
-    for name, truth, *_ in rows:
-        d = os.path.join(out_dir, "cases", name)
-        with _case_errors(d):
-            labels = load_volume(os.path.join(d, "labels"))
-            gt_mass = np.isin(labels.data, list(MASS_LABELS))
-            if not gt_mass.any():
-                continue
-            pred_mass = np.isin(_load_segmentation(d).data, list(MASS_LABELS))
-        seg_cases.append((pred_mass, gt_mass, truth))
+
+    def masses(d: str) -> tuple[np.ndarray, np.ndarray] | None:
+        gt_mass = np.isin(load_volume(os.path.join(d, "labels")).data, list(MASS_LABELS))
+        if not gt_mass.any():
+            return None
+        return np.isin(_load_segmentation(d).data, list(MASS_LABELS)), gt_mass
+
+    dirs = [os.path.join(out_dir, "cases", row[0]) for row in rows]
+    seg_cases = [
+        (*pair, row[1]) for row, pair in zip(rows, _per_case(dirs, masses)) if pair is not None
+    ]
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     cm.to_csv(os.path.join(report_dir, "management_confusion.csv"))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
@@ -11,36 +9,11 @@ from scipy.spatial import cKDTree
 from .mesh import AnatomyMesh
 from .volume import CONN6, LabelVolume, VolumeError, organ_box
 
-__all__ = ["ZoneMap", "ZoneError", "render_zones", "vertex_labels"]
+__all__ = ["ZoneError", "render_zones", "vertex_labels"]
 
 
 class ZoneError(ValueError):
     """Inconsistent zone map inputs."""
-
-
-@dataclass(frozen=True)
-class ZoneMap:
-    """Per-voxel vertex assignment: 1-based vertex index on organ voxels, 0 off."""
-
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.int32))
-        self.data.setflags(write=False)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def n_zones(self) -> int:
-        return int(self.data.max())
-
-    def to_label_volume(self) -> LabelVolume:
-        if self.data.max() > 255:
-            raise ZoneError("too many zones for the u8 label codec")
-        return LabelVolume(self.data.astype(np.uint8), self.spacing)
 
 
 # Neighbours asked of the KD-tree per vertex at first. Collisions are rare,
@@ -80,8 +53,11 @@ def _seed_voxels(
 
 def render_zones(
     mesh: AnatomyMesh, organ: np.ndarray, spacing: tuple[float, float, float]
-) -> ZoneMap:
+) -> LabelVolume:
     """Grow one zone per vertex over the organ by synchronized 6-connected rounds.
+
+    The zones come back as a u8 label volume: 1-based vertex index on organ
+    voxels, 0 off. So a mesh may have at most 255 vertices.
 
     Each vertex seeds its nearest organ voxel (world distance). Per round,
     every unlabeled organ voxel adjacent to a labeled one takes the smallest
@@ -90,6 +66,8 @@ def render_zones(
     organ's bounding box: no voxel outside the organ is ever labeled, so the
     filter's constant border stands in for the rest of the grid.
     """
+    if mesh.n_vertices > np.iinfo(np.uint8).max:
+        raise ZoneError("too many zones for the u8 label codec")
     box = organ_box(organ)
     crop = organ[box]
     if not crop.any():
@@ -117,20 +95,20 @@ def render_zones(
             zones[tuple(rest.T)] = vi + 1
             break
         zones[reached] = best[reached]
-    full = np.zeros(organ.shape, dtype=np.int32)
+    full = np.zeros(organ.shape, dtype=np.uint8)
     full[box] = zones
-    return ZoneMap(full, tuple(spacing))
+    return LabelVolume(full, tuple(spacing))
 
 
-def vertex_labels(zmap: ZoneMap, labels: LabelVolume) -> np.ndarray:
+def vertex_labels(zones: LabelVolume, labels: LabelVolume) -> np.ndarray:
     """Per-vertex class label: the maximum voxel label inside each zone."""
-    if zmap.dims != labels.dims:
-        raise VolumeError(f"dimension mismatch: {zmap.dims} vs {labels.dims}")
-    box = organ_box(zmap.data > 0)
-    zones = zmap.data[box]
-    organ = zones > 0
-    z, voxel_labels = zones[organ] - 1, labels.data[box][organ]
-    out = np.full(int(zones.max(initial=0)), -1, dtype=np.int64)
+    if zones.dims != labels.dims:
+        raise VolumeError(f"dimension mismatch: {zones.dims} vs {labels.dims}")
+    box = organ_box(zones.data > 0)
+    crop = zones.data[box]
+    organ = crop > 0
+    z, voxel_labels = crop[organ] - 1, labels.data[box][organ]
+    out = np.full(int(crop.max(initial=0)), -1, dtype=np.int64)
     for value in np.unique(voxel_labels):  # ascending: each zone keeps its largest
         out[z[voxel_labels == value]] = value
     empty = np.flatnonzero(out < 0)

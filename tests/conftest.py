@@ -9,7 +9,6 @@ from scipy import ndimage
 from anatomesh.mesh import REGION_NAMES, AnatomyMesh, region_ranges
 from anatomesh.template import icosphere, template_mesh_arrays
 from anatomesh.volume import LabelVolume, ProbVolume
-from anatomesh.zones import ZoneMap
 
 
 @pytest.fixture(scope="session")
@@ -119,8 +118,8 @@ def organ_scenes(draw, max_zones=4):
     zones 1..n, each zone non-empty. The mass is absent, inside the organ,
     or another boxed mask anywhere in the grid: on a grid face, partly or
     wholly outside the zone voxels. Its voxels carry labels 2 and 3. The
-    label and probability volumes are laid out as loaded (w fastest) or in
-    C order.
+    zone, label and probability volumes are laid out as loaded (w fastest)
+    or in C order.
     """
     organ = draw(boxed_masks())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -128,7 +127,7 @@ def organ_scenes(draw, max_zones=4):
     n = draw(st.integers(1, min(max_zones, n_organ)))
     zone_of = rng.integers(1, n + 1, size=n_organ)
     zone_of[:n] = rng.permutation(n) + 1
-    zones = np.zeros(organ.shape, dtype=np.int32)
+    zones = np.zeros(organ.shape, dtype=np.uint8)
     zones[organ] = zone_of
     labels = organ.astype(np.uint8)
     mass_kind = draw(st.sampled_from(["none", "inside the organ", "anywhere"]))
@@ -146,7 +145,7 @@ def organ_scenes(draw, max_zones=4):
     faces = np.array([[i, i + 1, i + 2] for i in range(n - 2)], dtype=np.int64).reshape(-1, 3)
     return (
         AnatomyMesh(verts, faces, (n,)),
-        ZoneMap(zones, spacing),
+        LabelVolume(layout(zones), spacing),
         ProbVolume(layout(raw), spacing),
         LabelVolume(layout(labels), spacing),
         draw(st.sampled_from([{2, 3}, {2}, {3}])),

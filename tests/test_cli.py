@@ -274,6 +274,20 @@ class TestCliErrors:
         assert main(["train", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == f"anatomesh: train: {case}: {path}: {message}\n"
 
+    def test_prototype_error_names_the_case(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", "train_0001", "labels.hdr")
+        with open(path) as f:
+            lines = f.readlines()
+        with open(path, "w") as f:
+            f.writelines(line for line in lines if not line.startswith("kind"))
+        assert main(["build-prototype", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: build-prototype: train_0001: malformed header {path}: 'kind'\n"
+        )
+
     def test_eval_error_names_the_case(self, pipeline_run, tmp_path, capsys):
         cfg, out = pipeline_run
         work = str(tmp_path / "w")

@@ -300,15 +300,25 @@ class TestReadOntoLike:
         assert got == read_outcome(load_mesh_line_by_line, text[:cut], template)
         assert isinstance(got, bytes) == (cut == len(text) - 1)  # only the last newline may go
 
-    @pytest.mark.parametrize("like, message", [
-        # save_mesh names four regions, so a fifth is lost
-        (AnatomyMesh(*icosphere(0), (3, 3, 3, 2, 1)), "faces or region counts differ"),
-        (AnatomyMesh(np.ones((2, 3)), np.zeros((0, 3), dtype=np.int64), (2,)), "no mesh data"),
+    @pytest.mark.parametrize("like, fails_at, message", [
+        # save_mesh names four regions, so it refuses a fifth before it opens the file
+        (AnatomyMesh(*icosphere(0), (3, 3, 3, 2, 1)), "save",
+         "<path>: 5 regions, the format names 4"),
+        (AnatomyMesh(np.ones((2, 3)), np.zeros((0, 3), dtype=np.int64), (2,)), "load",
+         "no mesh data"),
     ], ids=["five-regions", "no-faces"])
-    def test_mesh_that_cannot_round_trip_is_rejected(self, like, message):
-        text = written_bytes(save_mesh, like).decode()
-        got = read_outcome(load_mesh, text, like)
-        assert got == read_outcome(load_mesh_line_by_line, text, like)
+    def test_mesh_that_cannot_round_trip_is_rejected(self, like, fails_at, message):
+        if fails_at == "save":
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "m.obj")
+                with pytest.raises(MeshError) as exc:
+                    save_mesh(like, path)
+                assert not os.path.exists(path)
+                got = str(exc.value).replace(path, "<path>")
+        else:
+            text = written_bytes(save_mesh, like).decode()
+            got = read_outcome(load_mesh, text, like)
+            assert got == read_outcome(load_mesh_line_by_line, text, like)
         assert message in got
 
 

@@ -12,7 +12,6 @@ from anatomesh.volume import LabelVolume
 from anatomesh.zones import (
     _SHORT_K,
     ZoneError,
-    ZoneMap,
     _seed_voxels,
     render_zones,
     vertex_labels,
@@ -84,7 +83,7 @@ def _seed_voxels_brute(verts, organ, spacing):
 
 def vertex_labels_whole_grid(zmap, labels):
     """``vertex_labels`` before it worked on the organ's box, kept as an oracle."""
-    out = np.full(zmap.n_zones, -1, dtype=np.int64)
+    out = np.full(int(zmap.data.max()), -1, dtype=np.int64)
     organ = zmap.data > 0
     np.maximum.at(out, zmap.data[organ] - 1, labels.data[organ])
     empty = np.flatnonzero(out < 0)
@@ -198,6 +197,30 @@ class TestRenderZones:
         with pytest.raises(ZoneError, match="more vertices"):
             render_zones(line_mesh(verts), organ, (1.0, 1.0, 1.0))
 
+    def test_template_zones_are_a_u8_label_volume(self, template):
+        organ = sphere_mask(16, 6)
+        zones = render_zones(template.with_vertices(template.vertices * 5 + 7.5), organ,
+                             (1.0, 1.0, 1.0))
+        assert isinstance(zones, LabelVolume) and zones.data.dtype == np.uint8
+        assert set(np.unique(zones.data[organ])) == set(range(1, 157))
+        assert np.all(zones.data[~organ] == 0)
+
+    def test_255_vertices_fill_the_u8_codec(self):
+        organ = np.ones((8, 8, 8), dtype=bool)
+        zones = render_zones(line_mesh(np.argwhere(organ)[:255]), organ, (1.0, 1.0, 1.0))
+        assert zones.data.dtype == np.uint8 and int(zones.data.max()) == 255
+
+    def test_256_vertices_rejected_before_growth(self, monkeypatch):
+        import anatomesh.zones
+
+        def no_growth(*args):
+            raise AssertionError("zones were seeded")
+
+        monkeypatch.setattr(anatomesh.zones, "_seed_voxels", no_growth)
+        organ = np.ones((8, 8, 8), dtype=bool)  # room for every vertex
+        with pytest.raises(ZoneError, match="^too many zones for the u8 label codec$"):
+            render_zones(line_mesh(np.argwhere(organ)[:256]), organ, (1.0, 1.0, 1.0))
+
     def test_full_template_on_capsule(self, template):
         from anatomesh.prototype import build_prototype
 
@@ -208,7 +231,7 @@ class TestRenderZones:
         vol = LabelVolume(organ.astype(np.uint8), (1.0, 1.0, 1.0))
         proto = build_prototype(vol)
         zmap = render_zones(proto, organ, (1.0, 1.0, 1.0))
-        assert zmap.n_zones == 156
+        assert int(zmap.data.max()) == 156
         assert np.all((zmap.data > 0) == organ)
         assert set(np.unique(zmap.data[organ])) == set(range(1, 157))
 
@@ -332,11 +355,11 @@ class TestBoxCrop:
 
 class TestVertexLabels:
     def _zone_map(self):
-        data = np.zeros((2, 2, 2), dtype=np.int32)
+        data = np.zeros((2, 2, 2), dtype=np.uint8)
         data[0, 0, 0] = 1
         data[0, 0, 1] = 1
         data[1, 1, 1] = 2
-        return ZoneMap(data, (1.0, 1.0, 1.0))
+        return LabelVolume(data, (1.0, 1.0, 1.0))
 
     def test_maximum_rule(self):
         zmap = self._zone_map()
@@ -367,8 +390,8 @@ class TestVertexLabels:
     @settings(max_examples=300, deadline=None)
     def test_matches_whole_grid(self, scene, dropped):
         _, zmap, _, labels, _ = scene
-        if dropped < zmap.n_zones - 1:  # an empty zone below the last must be named alike
-            zmap = ZoneMap(np.where(zmap.data == dropped + 1, 0, zmap.data), zmap.spacing)
+        if dropped < zmap.data.max() - 1:  # an empty zone below the last must be named alike
+            zmap = LabelVolume(np.where(zmap.data == dropped + 1, 0, zmap.data), zmap.spacing)
         try:
             expect = vertex_labels_whole_grid(zmap, labels)
         except ZoneError as exc:
