@@ -26,20 +26,25 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
             raise VolumeError(f"spacing mismatch: {m.spacing} vs {spacing}")
         if m.dims != dims:
             raise VolumeError(f"dims mismatch: {m.dims} vs {dims}")
-    binaries = [m.mask(organ_label) for m in masks]
-    centroids = []
-    for b in binaries:
+    boxes, crops, centroids = [], [], []
+    for m in masks:
+        b = m.mask(organ_label)
         box = organ_box(b)
         crop = b[box]
         if not crop.any():
             raise VolumeError(f"a mask contains no voxels of label {organ_label}")
+        boxes.append(box)
+        crops.append(crop)
         centroids.append(voxel_indices(crop, box).mean(axis=0))
     ref = np.round(np.mean(centroids, axis=0)).astype(int)
-    acc = np.zeros_like(binaries[0], dtype=np.float64)  # masks' memory order: contiguous adds
-    for b, c in zip(binaries, centroids):
+    # each crop votes at its box shifted by whole voxels, wrapping round the
+    # grid as np.roll does; the votes are whole counts, so every sum is exact
+    acc = np.zeros_like(masks[0].data, dtype=np.float64)  # the masks' memory order
+    for box, crop, c in zip(boxes, crops, centroids):
         shift = ref - np.round(c).astype(int)
-        acc += np.roll(b.astype(np.float64), tuple(shift), axis=(0, 1, 2))
-    acc /= len(binaries)
+        acc[np.ix_(*[(np.arange(s.start, s.stop) + k) % n
+                     for s, k, n in zip(box, shift, dims)])] += crop
+    acc /= len(masks)
     mean_mask = acc >= 0.5
     if not mean_mask.any():
         raise VolumeError("mean shape is empty")

@@ -1,173 +1,47 @@
-"""Fixed 156-vertex template: subdivided icosahedron simplified by edge collapse.
+"""Fixed 156-vertex template: a subdivided icosahedron simplified by edge collapse.
 
 The template's combinatorics are shared by every prototype and fitted mesh, so
 the same vertex index refers to the same anatomical locus across cases. The
-construction is fully deterministic: shortest-edge collapses from the
-642-vertex icosphere down to 156 vertices, ties broken by the smaller
-``(u, v)`` vertex pair. Candidate edges are kept in a min-heap keyed by
-``(length, u, v)`` and the neighbour sets are updated only around each merge,
-so the 486 collapses take a fraction of a second.
+mesh is a constant and ships with the package as ``template.obj``: ``%.17g``
+v rows, which round-trip float64, and 1-based f rows. The tests hold its
+construction (shortest-edge collapses from the 642-vertex icosphere, projected
+back to the unit sphere) and rebuild the file byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
+import os
 
 import numpy as np
 
-from .mesh import VERTEX_COUNT, MeshError, edges_from_faces
+from .mesh import VERTEX_COUNT, MeshError, load_mesh
 
-__all__ = ["icosphere", "collapse_to", "template_mesh_arrays"]
+__all__ = ["TEMPLATE_PATH", "template_mesh_arrays"]
 
-
-def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit icosphere: (vertices, faces). 0 subdivisions = icosahedron."""
-    t = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = np.array(
-        [
-            [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
-            [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
-            [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
-        ],
-        dtype=np.float64,
-    )
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = np.array(
-        [
-            [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-            [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-            [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-            [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-        ],
-        dtype=np.int64,
-    )
-    for _ in range(subdivisions):
-        vlist = list(verts)
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = (vlist[a] + vlist[b]) / 2.0
-                vlist.append(p / np.linalg.norm(p))
-                midpoint[key] = len(vlist) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces, dtype=np.int64)
-    return verts, faces
+TEMPLATE_PATH = os.path.join(os.path.dirname(__file__), "template.obj")
 
 
-def _link_ok(nbrs: list[set[int]], u: int, v: int) -> bool:
-    """Link condition: the endpoints share exactly the two face-opposite vertices."""
-    return len(nbrs[u] & nbrs[v]) == 2
+def _read_template(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, faces) of the template file at ``path``.
 
-
-def collapse_to(
-    verts: np.ndarray, faces: np.ndarray, target: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simplify a closed manifold mesh to ``target`` vertices.
-
-    Repeatedly collapses the shortest edge ``(u, v)``, ``u < v``, that passes
-    the link condition, keeping ``u`` at the edge midpoint and dropping ``v``.
-    Ties go to the lexicographically smallest ``(length, u, v)`` key.
-
-    The candidate edges sit in a min-heap of ``(length, u, v)`` entries, and
-    the per-vertex neighbour and face sets are updated only around each
-    merge. An entry is stale once an endpoint has moved or lost a neighbour;
-    a popped entry is used only if both endpoints are alive and adjacent, the
-    link condition holds and its length, recomputed the same way, is equal.
-    After a merge, every collapsible edge at ``u`` or at a vertex whose
-    neighbours changed is pushed again unless its newest entry already has
-    its current length, so each collapsible edge always has a current entry.
-    Faces keep their input order; a face is relabelled ``v -> u`` in place or
-    dropped when two of its corners merge.
+    A file without the template's vertex count, or without the edge count
+    (3V - 6) of a closed genus-0 mesh of that size, raises :class:`MeshError`
+    naming the path.
     """
-    n = len(verts)
-    pos = [v.copy() for v in verts]
-    face_list = [list(f) for f in faces]
-    face_alive = [True] * len(face_list)
-    vfaces: list[set[int]] = [set() for _ in range(n)]
-    for fi, f in enumerate(face_list):
-        for i in f:
-            vfaces[i].add(fi)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    heap: list[tuple[float, int, int]] = []
-    # (u, v) -> length of a heap entry known to be still queued
-    queued: dict[tuple[int, int], float] = {}
-
-    def refresh(x: int) -> None:
-        nbrs[x] = {i for fi in vfaces[x] for i in face_list[fi] if i != x}
-
-    def push_edges_at(x: int) -> None:
-        for y in nbrs[x]:
-            u, v = (x, y) if x < y else (y, x)
-            if _link_ok(nbrs, u, v):
-                d = float(np.linalg.norm(pos[u] - pos[v]))
-                if queued.get((u, v)) != d:
-                    queued[(u, v)] = d
-                    heapq.heappush(heap, (d, u, v))
-
-    for x in range(n):
-        refresh(x)
-    for x in range(n):
-        push_edges_at(x)
-
-    alive = set(range(n))
-    while len(alive) > target:
-        while heap:
-            d, u, v = heapq.heappop(heap)
-            if queued.get((u, v)) == d:
-                del queued[(u, v)]
-            # a dropped vertex has no neighbours, so adjacency implies both alive
-            if (
-                v in nbrs[u]
-                and _link_ok(nbrs, u, v)
-                and d == float(np.linalg.norm(pos[u] - pos[v]))
-            ):
-                break
-        else:
-            raise MeshError("no collapsible edge found before reaching target size")
-        pos[u] = (pos[u] + pos[v]) / 2.0
-        changed = nbrs[v] | {u}
-        for fi in vfaces[v]:
-            f = face_list[fi]
-            f[f.index(v)] = u
-            if len(set(f)) == 3:
-                vfaces[u].add(fi)
-            else:
-                face_alive[fi] = False
-                for i in set(f):
-                    vfaces[i].discard(fi)
-        vfaces[v], nbrs[v] = set(), set()
-        alive.discard(v)
-        for x in changed:
-            refresh(x)
-        for x in changed:
-            push_edges_at(x)
-    kept = sorted(alive)
-    remap = {old: new for new, old in enumerate(kept)}
-    out_verts = np.array([pos[old] for old in kept])
-    out_faces = np.array(
-        [[remap[i] for i in f] for f, ok in zip(face_list, face_alive) if ok],
-        dtype=np.int64,
-    )
-    return out_verts, out_faces
+    mesh = load_mesh(path)
+    v, e = mesh.n_vertices, len(mesh.edges)
+    if v != VERTEX_COUNT or e != 3 * VERTEX_COUNT - 6:
+        raise MeshError(
+            f"{path}: {v} vertices and {e} edges, the template has "
+            f"{VERTEX_COUNT} and {3 * VERTEX_COUNT - 6}"
+        )
+    return mesh.vertices, mesh.faces
 
 
 @functools.cache
 def template_mesh_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed unit-sphere template: 156 vertices, projected to the sphere."""
-    verts, faces = icosphere(3)  # 642 vertices
-    verts, faces = collapse_to(verts, faces, VERTEX_COUNT)
-    verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
+    """The fixed unit-sphere template: 156 vertices, read-only float64 and int64."""
+    verts, faces = _read_template(TEMPLATE_PATH)
     verts.setflags(write=False)
-    faces.setflags(write=False)
-    edges = edges_from_faces(faces)
-    assert len(verts) == VERTEX_COUNT and len(edges) == 3 * VERTEX_COUNT - 6
     return verts, faces

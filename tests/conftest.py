@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from anatomesh.mesh import REGION_NAMES, AnatomyMesh, region_ranges
-from anatomesh.template import icosphere, template_mesh_arrays
+from anatomesh.template import template_mesh_arrays
 from anatomesh.volume import LabelVolume, ProbVolume
+
+from template_build import icosphere
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,9 @@ from anatomesh.graphnet import (
     train,
 )
 from anatomesh.mesh import MeshTopology, region_ranges
-from anatomesh.template import icosphere
 from anatomesh.volume import LabelVolume
+
+from template_build import icosphere
 
 
 REGIONS = (3, 3, 3, 3)

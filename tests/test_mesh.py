@@ -17,9 +17,10 @@ from anatomesh.mesh import (
     region_ranges,
     save_mesh,
 )
-from anatomesh.template import icosphere, template_mesh_arrays
+from anatomesh.template import template_mesh_arrays
 
 from conftest import awkward_floats, vertex_region_names, written_bytes
+from template_build import icosphere
 
 
 def save_mesh_reference(mesh, path):

@@ -21,6 +21,7 @@ from anatomesh.meshfit import (
 from anatomesh.volume import LabelVolume, surface_mask
 
 from conftest import SPACINGS, awkward_floats, boxed_masks, file_order, sphere_mask, written_bytes
+from template_build import icosphere
 
 
 def trace_csv_reference(trace, path):
@@ -101,8 +102,6 @@ def trace_bytes(trace):
 
 
 def random_mesh(rng, scale=1.0):
-    from anatomesh.template import icosphere
-
     verts, faces = icosphere(1)  # 42 vertices
     verts = verts * scale + rng.normal(scale=0.05 * scale, size=verts.shape)
     return AnatomyMesh(verts, faces, (42,))
@@ -260,8 +259,6 @@ def sphere_volume(grid=48, radius=14, shift=0):
 
 
 def sphere_template(grid=48, radius=14):
-    from anatomesh.template import icosphere
-
     verts, faces = icosphere(1)
     c = (grid - 1) / 2.0
     return AnatomyMesh(verts * radius + c, faces, (42,))

@@ -1,16 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anatomesh.mesh import REGION_NAMES, MeshError
 from anatomesh.meshfit import SurfaceIndex, mean_surface_distance
 from anatomesh.prototype import assign_regions, build_prototype, mean_shape
-from anatomesh.volume import LabelVolume, VolumeError
+from anatomesh.volume import LabelVolume, VolumeError, is_connected
 
-from conftest import sphere_mask, vertex_region_names
+from conftest import boxed_masks, file_order, sphere_mask, vertex_region_names
 
 
 def label_vol(mask, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume(mask.astype(np.uint8), spacing)
+
+
+def mean_shape_whole_grid(masks, organ_label):
+    """``mean_shape`` before it voted on each mask's box: a float64 ``np.roll``
+    of every whole mask, kept as a bit-exact oracle."""
+    if not masks:
+        raise VolumeError("mean_shape needs at least one mask")
+    spacing = masks[0].spacing
+    dims = masks[0].dims
+    for m in masks[1:]:
+        if m.spacing != spacing:
+            raise VolumeError(f"spacing mismatch: {m.spacing} vs {spacing}")
+        if m.dims != dims:
+            raise VolumeError(f"dims mismatch: {m.dims} vs {dims}")
+    binaries = [m.mask(organ_label) for m in masks]
+    centroids = []
+    for b in binaries:
+        if not b.any():
+            raise VolumeError(f"a mask contains no voxels of label {organ_label}")
+        centroids.append(np.argwhere(b).mean(axis=0))
+    ref = np.round(np.mean(centroids, axis=0)).astype(int)
+    acc = np.zeros_like(binaries[0], dtype=np.float64)
+    for b, c in zip(binaries, centroids):
+        shift = ref - np.round(c).astype(int)
+        acc += np.roll(b.astype(np.float64), tuple(shift), axis=(0, 1, 2))
+    acc /= len(binaries)
+    mean_mask = acc >= 0.5
+    if not mean_mask.any():
+        raise VolumeError("mean shape is empty")
+    if not is_connected(mean_mask):
+        raise VolumeError("mean shape is disconnected")
+    return LabelVolume(mean_mask.astype(np.uint8), spacing)
+
+
+def outcome(f, masks):
+    """What ``f(masks, 1)`` gives: its data's bytes, strides and spacing, or its error."""
+    try:
+        out = f(masks, 1)
+    except VolumeError as exc:
+        return str(exc)
+    return out.data.dtype, out.data.tobytes(), out.data.strides, out.spacing
+
+
+@st.composite
+def mask_lists(draw):
+    """1-4 label volumes on one grid: an organ (label 1) that touches any
+    grid face or none, and sometimes other voxels of label 2, laid out as
+    loaded or in C order."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.0, 2.5)]))
+    layout = file_order if draw(st.booleans()) else np.ascontiguousarray
+    vols = []
+    for _ in range(draw(st.integers(1, 4))):
+        labels = draw(boxed_masks(dims=dims)).astype(np.uint8)
+        if draw(st.booleans()):
+            labels[draw(boxed_masks(dims=dims)) & (labels == 0)] = 2
+        vols.append(LabelVolume(layout(labels), spacing))
+    return vols
 
 
 def ellipsoid_mask(grid, center, axes):
@@ -50,6 +110,30 @@ class TestMeanShape:
             acc += np.roll(m.astype(float), tuple(shift), axis=(0, 1, 2))
         expect = acc / 3 >= 0.5
         assert np.array_equal(out.data.astype(bool), expect)
+
+    @given(mask_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_grid_roll(self, masks):
+        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
+
+    def test_votes_wrap_past_a_grid_face(self):
+        # a full row (centroid 3.5, rounded to 4) and one voxel at x = 7: the
+        # reference is round(5.25) = 5, so the row shifts by +1 and its x = 7
+        # voxel wraps to x = 0; the single voxel shifts by -2 to x = 5
+        row, dot = np.zeros((8, 3, 3), dtype=bool), np.zeros((8, 3, 3), dtype=bool)
+        row[:, 0, 0] = True
+        dot[7, 0, 0] = True
+        masks = [label_vol(row), label_vol(dot)]
+        out = mean_shape(masks, 1)
+        assert np.array_equal(out.data.astype(bool), row)
+        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
+        # with the voxel twice the reference is round(5.83) = 6: the row shifts
+        # by +2, wrapping x = 6 and 7, and only x = 6 gets 2 of 3 votes
+        masks = [label_vol(row), label_vol(dot), label_vol(dot)]
+        expect = np.zeros_like(row)
+        expect[6, 0, 0] = True
+        assert np.array_equal(mean_shape(masks, 1).data.astype(bool), expect)
+        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
 
     def test_empty_list_rejected(self):
         with pytest.raises(VolumeError):

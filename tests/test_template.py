@@ -1,54 +1,13 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from anatomesh.mesh import MeshError
-from anatomesh.template import collapse_to, icosphere, template_mesh_arrays
+from anatomesh.template import TEMPLATE_PATH, _read_template, template_mesh_arrays
 
-
-def _collapse_brute(verts, faces, target):
-    """Reference edge collapse: rescans every edge before each merge.
-
-    This is the original quadratic loop, kept as an oracle for the heap-based
-    ``collapse_to``: same link condition, same ``(length, u, v)`` key, same
-    midpoint placement and face order.
-    """
-    pos = {i: v.copy() for i, v in enumerate(verts)}
-    face_list = [tuple(f) for f in faces]
-    alive = set(pos)
-    while len(alive) > target:
-        nbrs = [set() for _ in range(len(verts))]
-        for a, b, c in face_list:
-            nbrs[a].update((b, c))
-            nbrs[b].update((a, c))
-            nbrs[c].update((a, b))
-        best = None
-        for u in sorted(alive):
-            for v in sorted(nbrs[u]):
-                if v <= u:
-                    continue
-                if len(nbrs[u] & nbrs[v]) != 2:
-                    continue
-                key = (float(np.linalg.norm(pos[u] - pos[v])), u, v)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise MeshError("no collapsible edge found before reaching target size")
-        _, u, v = best
-        pos[u] = (pos[u] + pos[v]) / 2.0
-        new_faces = []
-        for f in face_list:
-            g = tuple(u if i == v else i for i in f)
-            if len(set(g)) == 3:
-                new_faces.append(g)
-        face_list = new_faces
-        alive.discard(v)
-        del pos[v]
-    remap = {old: new for new, old in enumerate(sorted(alive))}
-    out_verts = np.array([pos[old] for old in sorted(alive)])
-    out_faces = np.array([[remap[i] for i in f] for f in face_list], dtype=np.int64)
-    return out_verts, out_faces
+from template_build import collapse_brute, collapse_to, icosphere, template_obj_text
 
 
 def _jittered_icosphere(subdivisions, seed):
@@ -77,7 +36,7 @@ class TestCollapseOracle:
     def test_matches_brute_force(self, subdivisions, target, seed):
         verts, faces = _jittered_icosphere(subdivisions, seed)
         got_v, got_f = collapse_to(verts, faces, target)
-        ref_v, ref_f = _collapse_brute(verts, faces, target)
+        ref_v, ref_f = collapse_brute(verts, faces, target)
         assert len(got_v) == target
         assert got_v.dtype == ref_v.dtype and got_f.dtype == ref_f.dtype
         assert got_v.tobytes() == ref_v.tobytes()
@@ -87,7 +46,7 @@ class TestCollapseOracle:
     def test_both_raise_below_smallest_collapse(self, subdivisions):
         verts, faces = icosphere(subdivisions)
         with pytest.raises(MeshError, match="no collapsible edge"):
-            _collapse_brute(verts, faces, 2)
+            collapse_brute(verts, faces, 2)
         with pytest.raises(MeshError, match="no collapsible edge"):
             collapse_to(verts, faces, 2)
 
@@ -111,3 +70,53 @@ class TestTemplatePinned:
     def test_arrays_read_only(self):
         verts, faces = template_mesh_arrays()
         assert not verts.flags.writeable and not faces.flags.writeable
+
+
+class TestTemplateFile:
+    def test_file_rebuilds_byte_for_byte(self):
+        with open(TEMPLATE_PATH, "rb") as f:
+            shipped = f.read()
+        assert shipped == template_obj_text().encode()
+
+    def test_file_reads_as_the_build(self):
+        verts, faces = _read_template(TEMPLATE_PATH)
+        ref_v, ref_f = template_mesh_arrays()
+        assert verts.tobytes() == ref_v.tobytes() and faces.tobytes() == ref_f.tobytes()
+
+    @staticmethod
+    def _copy(tmp_path, lines):
+        path = tmp_path / "template.obj"
+        path.write_text("".join(lines))
+        return str(path)
+
+    @staticmethod
+    def _rows(tag):
+        with open(TEMPLATE_PATH) as f:
+            return [line for line in f if line.startswith(tag + " ")]
+
+    def test_truncated_faces_rejected(self, tmp_path):
+        v, f = self._rows("v"), self._rows("f")
+        path = self._copy(tmp_path, v + f[: len(f) // 2])
+        with pytest.raises(MeshError, match=rf"^{re.escape(path)}: 156 vertices and \d+ edges, "
+                                            r"the template has 156 and 462$"):
+            _read_template(path)
+
+    def test_truncated_vertices_rejected(self, tmp_path):
+        path = self._copy(tmp_path, self._rows("v")[:100])
+        with pytest.raises(MeshError, match=rf"^{re.escape(path)}: no mesh data found$"):
+            _read_template(path)
+
+    def test_extra_vertex_rejected(self, tmp_path):
+        v, f = self._rows("v"), self._rows("f")
+        path = self._copy(tmp_path, v + ["v 0 0 0\n"] + f)
+        with pytest.raises(MeshError, match=rf"^{re.escape(path)}: 157 vertices and 462 edges, "):
+            _read_template(path)
+
+    def test_extra_face_rejected(self, tmp_path):
+        _, faces = template_mesh_arrays()
+        neighbours = set(faces[(faces == 0).any(axis=1)].ravel())
+        b, c = [i for i in range(156) if i not in neighbours][:2]
+        v, f = self._rows("v"), self._rows("f")
+        path = self._copy(tmp_path, v + f + [f"f 1 {b + 1} {c + 1}\n"])
+        with pytest.raises(MeshError, match=rf"^{re.escape(path)}: 156 vertices and 46[4-5] edges, "):
+            _read_template(path)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from anatomesh.mesh import AnatomyMesh
-from anatomesh.template import icosphere
 from anatomesh.volume import LabelVolume
 from anatomesh.zones import (
     _SHORT_K,
