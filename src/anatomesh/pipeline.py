@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import threading
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -32,7 +33,8 @@ from .synth import (
     ORGAN_LABEL,
     TUBE_LABEL,
     SynthError,
-    iter_dataset,
+    case_draws,
+    gen_case,
     load_case_info,
     save_case,
 )
@@ -75,19 +77,65 @@ def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 
-def _per_case(dirs: list[str], work: Callable[[str], T]) -> list[T]:
-    """``work(d)`` for each case directory in order, and its results.
+# The errors that a stage raises with the failing case's name in front.
+_CASE_ERRORS = (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError)
 
-    A synth, fit, mesh, volume, zone or network error that ``work`` raises
-    gets the case's name in front.
+
+def _per_case(dirs: list[str], work: Callable[[str], T], threads: int = 1) -> list[T]:
+    """``work(d)`` for each case directory, and its results in case order.
+
+    With ``threads`` above 1 the calling thread and ``threads - 1`` more
+    take the cases in order, so ``work`` must be safe to run on several
+    cases at once. Once a case has failed no case is started, the running
+    ones are waited for, and the failure of the first case in order is
+    raised. A synth, fit, mesh, volume, zone or network error gets the
+    case's name in front.
     """
-    results = []
-    for d in dirs:
-        try:
-            results.append(work(d))
-        except (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError) as exc:
-            raise type(exc)(f"{os.path.basename(d)}: {exc}") from exc
-    return results
+    results: dict[int, T] = {}
+    failures: dict[int, BaseException] = {}
+    todo = iter(enumerate(dirs))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def run() -> None:
+        while True:
+            with lock:
+                item = None if stop.is_set() else next(todo, None)
+            if item is None:
+                return
+            i, d = item
+            try:
+                results[i] = work(d)
+            except BaseException as exc:  # raised below, once every thread has stopped
+                with lock:
+                    failures[i] = exc
+                    stop.set()
+
+    helpers = [threading.Thread(target=run) for _ in range(threads - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run()
+    finally:
+        stop.set()
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    if failures:
+        first = min(failures)
+        exc = failures[first]
+        if isinstance(exc, _CASE_ERRORS):
+            raise type(exc)(f"{os.path.basename(dirs[first])}: {exc}") from exc
+        raise exc
+    return [results[i] for i in range(len(dirs))]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _load_prototype(out_dir: str) -> AnatomyMesh:
@@ -119,6 +167,12 @@ def _load_segmentation(d: str) -> LabelVolume:
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
+    """Generate and save every case, on one thread per CPU (capped at the case count).
+
+    Each case's (class id, seed) pair is drawn before any case is made,
+    and a case's bytes depend only on its pair, so the files do not
+    depend on the thread count.
+    """
     seed = cfg.get("synth", "seed")
     n_train = cfg.get("synth", "n_train")
     n_test = cfg.get("synth", "n_test")
@@ -127,8 +181,13 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     if os.path.isdir(cases):
         shutil.rmtree(cases)
     names = [f"train_{k:04d}" for k in range(n_train)] + [f"test_{k:04d}" for k in range(n_test)]
-    dataset = iter_dataset(len(names), seed, cfg.synth)
-    _per_case([os.path.join(cases, name) for name in names], lambda d: save_case(next(dataset), d))
+    dirs = [os.path.join(cases, name) for name in names]
+    draws = dict(zip(dirs, case_draws(len(dirs), seed, cfg.synth)))
+    _per_case(
+        dirs,
+        lambda d: save_case(gen_case(*draws[d], cfg.synth), d),
+        threads=min(_cpus(), len(dirs)),
+    )
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:

@@ -33,6 +33,8 @@ __all__ = [
     "SynthError",
     "DEFAULT_CLASSES",
     "MANAGEMENT_BY_CLASS",
+    "case_draws",
+    "gen_case",
     "gen_organ",
     "implant_mass",
     "soften",
@@ -171,17 +173,19 @@ def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
     Each centerline point is tested only against the voxels of its own
     bounding box, and its ball is OR-ed into the grid there. The boxes of
-    all points are found in one pass.
+    all points, and each point's squared distances to the grid planes of
+    each axis, are found in one pass: the loop makes few numpy calls per
+    point, each holding the interpreter lock that synth-gen's threads share.
     """
     inside = np.zeros((grid, grid, grid), dtype=bool)
-    # integer voxel coordinates as floats: ``coord[a:b] - c`` is ``np.arange(a, b) - c``
+    # integer voxel coordinates as floats: ``coord - c`` is ``np.arange(grid) - c``
     coord = np.arange(grid, dtype=np.float64)
+    sq_x, sq_y, sq_z = ((coord - points[:, [axis]]) ** 2 for axis in range(3))
     lows, highs = _bounds(grid, points, radii[:, None])
-    for (x, y, z), r, (ax, ay, az), (bx, by, bz) in zip(
-        points.tolist(), radii.tolist(), lows.tolist(), highs.tolist()
+    for i, (r, (ax, ay, az), (bx, by, bz)) in enumerate(
+        zip(radii.tolist(), lows.tolist(), highs.tolist())
     ):
-        dx, dy, dz = coord[ax:bx] - x, coord[ay:by] - y, coord[az:bz] - z
-        d2 = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+        d2 = sq_x[i, ax:bx, None, None] + sq_y[i, None, ay:by, None] + sq_z[i, az:bz]
         inside[ax:bx, ay:by, az:bz] |= d2 <= r**2
     return inside
 
@@ -287,43 +291,66 @@ def implant_mass(
     )
 
 
+# Planes of the first (W) axis per step of soften's blend: small enough that
+# a slab's float64 channels and random draw stay in cache.
+_SOFTEN_PLANES = 4
+
+
 def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANNELS) -> ProbVolume:
     """Noisy probability stand-in for a segmentation softmax.
 
     One-hot labels get a 1-voxel boundary blur, then are blended with seeded
     random probability vectors with weight ``noise``, in the [0, 0.5) that
     :class:`SynthConfig` allows. A label with no channel raises SynthError.
-    The work is done channel-first and in place, with the float64 arithmetic
-    of the per-voxel formula; a negative float32 result is set to 0.
+    The arithmetic is the per-voxel formula's, in float64; a negative
+    float32 result is set to 0.
+
+    Only the blurs of the channels present are whole-grid float64. The
+    blend, the random draw (taken from one stream in (W, H, D, K) order),
+    the normalisation and the cast go a few W planes at a time, into a
+    (D, H, W, K) buffer: the result is its (W, H, D, K) view, which
+    :func:`save_volume` writes without a copy.
     """
-    counts = np.bincount(labels.data.ravel(), minlength=channels)
-    if len(counts) > channels:
-        raise SynthError(f"label {len(counts) - 1} has no channel among {channels}")
-    one_hot = np.empty((channels, *labels.data.shape))
-    for k in range(channels):
-        np.equal(labels.data, k, out=one_hot[k])
-    # With no noise every row is exactly one 1.0, so normalising would divide by 1.0.
-    if noise > 0.0:
-        buf = np.empty(labels.data.shape)
-        for k in np.flatnonzero(counts):  # an absent channel blurs to exact zeros
-            ndimage.uniform_filter(one_hot[k], size=3, mode="nearest", output=buf)
-            one_hot[k] *= 0.75
-            buf *= 0.25
-            one_hot[k] += buf
-        # the draw stays (W, H, D, K), so the random stream is unchanged
-        rng = np.random.default_rng(seed)
-        r = np.moveaxis(rng.random((*labels.data.shape, channels)), -1, 0)
-        r_total = channel_sum(r)
-        one_hot *= 1.0 - noise
+    data = labels.data
+    top = int(data.max(initial=0))
+    if top >= channels:
+        raise SynthError(f"label {top} has no channel among {channels}")
+    out = np.empty((*data.shape[::-1], channels), dtype=np.float32)
+    probs = out.transpose(2, 1, 0, 3)
+    if not noise > 0.0:
+        # no noise: every row is exactly one 1.0, so normalising would divide by 1.0
         for k in range(channels):
-            np.divide(r[k], r_total, out=buf)
-            buf *= noise
-            one_hot[k] += buf
-        one_hot /= channel_sum(one_hot)
-    probs = np.moveaxis(one_hot, 0, -1).astype(np.float32, order="C")
-    # The blur's running sums leave about -1e-17 where a channel is exactly 0,
-    # which a noise weight below about 1e-16 does not cover: those are zeros.
-    probs[probs < 0] = 0.0
+            np.equal(data, k, out=probs[..., k])
+        return ProbVolume(probs, labels.spacing)
+    # (0.75 * one-hot + 0.25 * blur) * (1 - noise) of each present channel.
+    # Adding 0.75 only where the one-hot is 1 keeps the bits: the blur has
+    # no -0.0 that adding 0.0 would turn into 0.0.
+    smooth = {}
+    for k in range(channels):
+        channel = data == k
+        if not channel.any():
+            continue  # an absent channel blurs to exact zeros and adds nothing
+        smooth[k] = ndimage.uniform_filter(
+            channel, size=3, mode="nearest", output=np.empty(data.shape)
+        )
+        smooth[k] *= 0.25
+        np.add(smooth[k], 0.75, out=smooth[k], where=channel)
+        smooth[k] *= 1.0 - noise
+    rng = np.random.default_rng(seed)
+    for start in range(0, data.shape[0], _SOFTEN_PLANES):
+        planes = slice(start, start + _SOFTEN_PLANES)
+        # the slab's (W, H, D, K) draw, which becomes its blend in place
+        r = rng.random((*data[planes].shape, channels))
+        r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
+        r *= noise
+        for k, blend in smooth.items():
+            r[..., k] += blend[planes]
+        r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
+        dst = probs[planes]
+        dst[...] = r
+        # The blur's running sums leave about -1e-17 where a channel is exactly 0,
+        # which a noise weight below about 1e-16 does not cover: those are zeros.
+        dst[dst < 0] = 0.0
     return ProbVolume(probs, labels.spacing)
 
 
@@ -346,11 +373,12 @@ def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthC
     raise SynthError(f"case generation failed after {RETRY_LIMIT} retries: {last_err}")
 
 
-def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[SynthCase]:
-    """Deterministic stream of n cases drawn from the configured class mix.
+def case_draws(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[tuple[int, int]]:
+    """The (class id, case seed) of each of n cases, in order, from the configured class mix.
 
     Case i takes the i-th class draw from ``seed`` and its own seed from
-    ``(seed, i, 7)``, so each case can be saved as soon as it is made.
+    ``(seed, i, 7)``. A case's bytes depend only on this pair, so cases
+    can be made in any order once their pairs are drawn.
     """
     if n < 1:
         raise SynthError("dataset size must be >= 1")
@@ -360,7 +388,14 @@ def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[
     rng = np.random.default_rng(seed)
     for i in range(n):
         cid = ids[rng.choice(len(ids), p=mix)]
-        yield gen_case(cid, int(np.random.default_rng((seed, i, 7)).integers(2**31)), cfg)
+        yield cid, int(np.random.default_rng((seed, i, 7)).integers(2**31))
+
+
+def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[SynthCase]:
+    """Deterministic stream of the n cases of :func:`case_draws`."""
+    cfg = cfg or SynthConfig()
+    for cid, case_seed in case_draws(n, seed, cfg):
+        yield gen_case(cid, case_seed, cfg)
 
 
 def gen_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> list[SynthCase]:

@@ -4,6 +4,8 @@ import os
 import re
 import shutil
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from anatomesh.config import ConfigError, load_config
 from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
 from anatomesh.meshfit import FitConfig
-from anatomesh.synth import SynthConfig
+from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, save_volume
 
 SMALL_CONFIG = """\
@@ -514,6 +516,91 @@ class TestCaseFiles:
             builds.clear()
             assert main([stage, "--config", cfg, "--out", out]) == 0
             assert len(builds) <= 1, stage
+
+
+def _patch_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _synth_in_thread(cfg, out, timeout=60):
+    """Run stage_synth on a thread of its own; the error it raised, or None."""
+    raised = []
+
+    def run():
+        try:
+            pipeline.stage_synth(cfg, out)
+        except BaseException as exc:  # handed to the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "synth-gen did not finish"
+    return raised[0] if raised else None
+
+
+class TestSynthThreads:
+    """synth-gen makes its cases on one thread per CPU, capped at the case count."""
+
+    def _config(self, tmp_path, n_train, n_test):
+        text = SMALL_CONFIG.replace("n_train = 12", f"n_train = {n_train}")
+        text = text.replace("n_test = 4", f"n_test = {n_test}").replace("grid = 40", "grid = 32")
+        return load_config(write_config(tmp_path, text))
+
+    def test_files_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, 4, 1)
+        made = []
+        thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            made.append(thread(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(threading, "Thread", counted)
+        trees = {}
+        for cpus, helpers in ((1, 0), (8, 4)):
+            _patch_cpus(monkeypatch, cpus)
+            made.clear()
+            out = str(tmp_path / f"cpus{cpus}")
+            assert _synth_in_thread(cfg, out) is None
+            # the runner's thread, and the helpers: 8 CPUs and 5 cases make 4
+            assert len(made) == 1 + helpers, cpus
+            trees[cpus] = tree_digest(out)
+        assert trees[1] == trees[8]
+        assert len(trees[1]) == 5 * 5
+
+    def test_first_failing_case_named_and_no_case_started_after(self, tmp_path, monkeypatch):
+        # 6 + 4 cases on 8 threads: each of the first 8 is taken before case 3
+        # fails, and the last two would be taken only by a thread set free later
+        _patch_cpus(monkeypatch, 8)
+        cfg = self._config(tmp_path, 6, 4)
+        names = [f"train_{k:04d}" for k in range(6)] + [f"test_{k:04d}" for k in range(4)]
+        started = []
+        all_taken = threading.Barrier(8, timeout=10)
+        failed = threading.Event()
+
+        def save_case(case, d):
+            name = os.path.basename(d)
+            started.append(name)
+            if name in names[:8]:
+                all_taken.wait()
+            if name == "train_0003":
+                failed.set()
+                raise SynthError("organ unplaceable")
+            assert failed.wait(10)
+            time.sleep(0.1)  # _per_case records the failure meanwhile
+
+        monkeypatch.setattr(pipeline, "gen_case", lambda class_id, seed, cfg: None)
+        monkeypatch.setattr(pipeline, "save_case", save_case)
+        before = threading.active_count()
+        exc = _synth_in_thread(cfg, str(tmp_path / "w"))
+        assert isinstance(exc, SynthError)
+        assert str(exc) == "train_0003: organ unplaceable"
+        assert sorted(started) == sorted(names[:8])
+        deadline = time.monotonic() + 10
+        while threading.active_count() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
 
 
 class TestPvThreshold:

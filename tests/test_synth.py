@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from anatomesh.synth import (
     save_case,
     soften,
 )
-from anatomesh.volume import LabelVolume, VolumeError, load_volume
+from anatomesh.volume import LabelVolume, VolumeError, load_volume, save_volume
 
 
 CONN6 = ndimage.generate_binary_structure(3, 1)
@@ -262,6 +263,19 @@ class TestSoften:
             for noise in (0.0, 0.15, 0.2, 0.49):
                 got = soften(labels, noise, cid).data
                 assert got.tobytes() == soften_reference(labels, noise, cid).tobytes()
+
+    def test_result_is_in_file_order(self, tmp_path):
+        # the (W, H, D, K) view of a (D, H, W, K) buffer: save_volume writes it as is
+        probs = soften(self._labels(), 0.2, 7)
+        assert probs.data.transpose(2, 1, 0, 3).flags.c_contiguous
+        tracemalloc.start()
+        try:
+            save_volume(probs, str(tmp_path / "probs"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.data.nbytes / 10
+        assert np.array_equal(load_volume(str(tmp_path / "probs")).data, probs.data)
 
     def test_label_without_channel_named(self):
         data = np.zeros((5, 6, 7), dtype=np.uint8)
