@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -42,6 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The objects left by the imports live as long as the process: keep the
+    # collector from walking them in every full collection the stages set off.
+    gc.freeze()
     try:
         if args.command == "export-mesh":
             save_mesh(load_mesh(args.mesh), args.out)
@@ -64,6 +68,8 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"anatomesh: {args.command}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()  # an in-process caller gets its objects back
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Classification and segmentation evaluation: confusion matrices, rates, tables."""
+"""Evaluation: the PV, VV and GC decision rules, confusion matrices, rates, tables."""
 
 from __future__ import annotations
 
@@ -6,18 +6,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import dice, detected
+from .synth import DEFAULT_CLASSES
+from .volume import LabelVolume, dice, detected
 
 __all__ = [
     "ConfusionMatrix",
     "EvalError",
     "binary_metrics",
+    "classify_gc",
+    "classify_pv",
+    "classify_vv",
     "detection_table",
     "management_report",
+    "select_pv_threshold",
     "MANAGEMENT_LABELS",
 ]
 
 MANAGEMENT_LABELS = ("Surgery", "Monitoring", "Discharge")
+
+# mass voxel label -> the lowest case class whose mass carries it (blob -> 2, tube -> 4)
+LABEL_TO_CLASS = {
+    spec.voxel_label: class_id
+    for class_id, (spec, _) in sorted(DEFAULT_CLASSES.items(), reverse=True)  # lowest last
+    if spec is not None
+}
+MASS_LABELS = tuple(sorted(LABEL_TO_CLASS))  # ascending: PV and VV break ties to the lower
+# the class without a mass: PV's and VV's answer when no mass wins the vote
+DEFAULT_CLASS = min(c for c, (spec, _) in DEFAULT_CLASSES.items() if spec is None)
 
 
 class EvalError(ValueError):
@@ -60,7 +75,7 @@ class ConfusionMatrix:
 
 
 def binary_metrics(
-    preds: list[int], truths: list[int], positive: int
+    preds: list[int] | list[str], truths: list[int] | list[str], positive: int | str
 ) -> tuple[float | None, float | None, float | None]:
     """(accuracy, sensitivity, specificity) for one positive class.
 
@@ -142,3 +157,54 @@ def management_report(preds: list[str], truths: list[str]) -> ConfusionMatrix:
             raise EvalError(f"unknown management label: {p if p not in index else t}")
         counts[index[t], index[p]] += 1
     return ConfusionMatrix(MANAGEMENT_LABELS, counts)
+
+
+def _mass_counts(labels: LabelVolume) -> np.ndarray:
+    """The voxel count of each of ``MASS_LABELS``; "K" order does not copy a transposed view."""
+    counts = np.bincount(labels.data.ravel("K"), minlength=MASS_LABELS[-1] + 1)
+    return counts[list(MASS_LABELS)]
+
+
+def _pv_vote(counts: np.ndarray, threshold: int) -> int:
+    best = int(counts.argmax())  # the first of equal counts: the lower label
+    if counts[best] < max(threshold, 1):
+        return DEFAULT_CLASS
+    return LABEL_TO_CLASS[MASS_LABELS[best]]
+
+
+def classify_pv(pred_labels: LabelVolume, threshold: int) -> int:
+    """Pixel voting: the class of the mass label with the most voxels (ties to the
+    lower label), or ``DEFAULT_CLASS`` if it has fewer than ``threshold``."""
+    if threshold < 0:
+        raise ValueError("threshold must be >= 0")
+    return _pv_vote(_mass_counts(pred_labels), threshold)
+
+
+def select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
+    """The PV threshold most accurate on predicted segmentations of case classes ``truths``.
+
+    Each volume is counted once for every candidate; ties go to the smaller threshold.
+    """
+    counts = [_mass_counts(v) for v in volumes]
+    candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
+    best_t, best_acc = candidates[0], -1.0
+    for t in candidates:
+        acc = float(np.mean([_pv_vote(c, t) == y for c, y in zip(counts, truths)]))
+        if acc > best_acc:
+            best_t, best_acc = t, acc
+    return best_t
+
+
+def classify_vv(vertex_probs: np.ndarray) -> int:
+    """Vertex voting: the class of the mass label most vertices vote for (ties to the
+    lower label), or ``DEFAULT_CLASS`` without a mass vote."""
+    votes = vertex_probs.argmax(axis=1)
+    mass_votes = votes[np.isin(votes, MASS_LABELS)]
+    if mass_votes.size == 0:
+        return DEFAULT_CLASS
+    return LABEL_TO_CLASS[int(np.bincount(mass_votes).argmax())]  # argmax: the first on ties
+
+
+def classify_gc(global_probs: np.ndarray) -> int:
+    """Global classification: 1-based argmax, ties to the lower class id."""
+    return int(np.asarray(global_probs).argmax()) + 1

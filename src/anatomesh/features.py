@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -23,7 +25,7 @@ def pool_features(
     zones: LabelVolume,
     probs: ProbVolume,
     labels: LabelVolume,
-    mass_labels: set[int],
+    mass_labels: Collection[int],
 ) -> np.ndarray:
     """Build the (V, 5+2K) per-vertex feature matrix.
 

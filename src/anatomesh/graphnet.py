@@ -1,4 +1,4 @@
-"""Graph residual network over the mesh: forward, backprop, training, voting.
+"""Graph residual network over the mesh: forward, backprop, training.
 
 Each graph convolution is h'_p = W0^T h_p + sum_{p' in N(p)} W1^T h_{p'} + b
 with W1 shared across edges. Six layers, identity shortcuts after every
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluate import classify_gc
 from .mesh import MeshTopology, region_ranges
-from .volume import LabelVolume
 
 __all__ = [
     "GraphResNetParams",
@@ -27,9 +27,6 @@ __all__ = [
     "loss",
     "backward",
     "train",
-    "classify_pv",
-    "classify_vv",
-    "classify_gc",
     "save_params",
     "load_params",
 ]
@@ -464,44 +461,6 @@ def _evaluate(params, topo, cases, cfg) -> tuple[float, float]:
         if classify_gc(gp) - 1 == gt.argmax():
             correct += 1
     return total / len(cases), correct / len(cases)
-
-
-def classify_pv(
-    pred_labels: LabelVolume,
-    classes: set[int],
-    threshold: int,
-    default: int,
-) -> int:
-    """Pixel voting: the mass label with the most voxels, if at least ``threshold``.
-
-    Ties go to the lower class id; below threshold returns ``default``.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    counts = np.bincount(pred_labels.data.ravel())
-    best_label, best_count = None, -1
-    for c in sorted(classes):
-        n = int(counts[c]) if c < len(counts) else 0
-        if n > best_count:
-            best_label, best_count = c, n
-    if best_label is None or best_count < max(threshold, 1):
-        return default
-    return best_label
-
-
-def classify_vv(vertex_probs: np.ndarray, mass_classes: set[int], default: int) -> int:
-    """Vertex voting: majority argmax class among mass-voting vertices."""
-    votes = vertex_probs.argmax(axis=1)
-    mass_votes = votes[np.isin(votes, list(mass_classes))]
-    if mass_votes.size == 0:
-        return default
-    counts = np.bincount(mass_votes)
-    return int(counts.argmax())  # argmax takes the first (lowest) on ties
-
-
-def classify_gc(global_probs: np.ndarray) -> int:
-    """Global classification: 1-based argmax, ties to the lower class id."""
-    return int(np.asarray(global_probs).argmax()) + 1
 
 
 def save_params(params: GraphResNetParams, path: str) -> None:

@@ -49,9 +49,6 @@ class SurfaceIndex:
             raise FitError(f"label {organ_label} has no surface voxels in target")
         return cls(voxel_indices(surf, box) * np.asarray(target.spacing, dtype=np.float64))
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distances, nearest surface points) for each query point."""
         d, idx = self._tree.query(queries)

@@ -12,26 +12,24 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .evaluate import detection_table, management_report
-from .features import load_features, pool_features, save_features
-from .graphnet import (
-    GraphNetError,
+from .evaluate import (
+    MASS_LABELS,
+    binary_metrics,
     classify_gc,
     classify_pv,
     classify_vv,
-    forward,
-    load_params,
-    save_params,
-    train,
+    detection_table,
+    management_report,
+    select_pv_threshold,
 )
+from .features import load_features, pool_features, save_features
+from .graphnet import GraphNetError, forward, load_params, save_params, train
 from .mesh import AnatomyMesh, MeshError, load_mesh, save_mesh
 from .meshfit import FitError, fit_mesh
 from .prototype import assign_regions, build_prototype, mean_shape
 from .synth import (
-    BLOB_LABEL,
     MANAGEMENT_BY_CLASS,
     ORGAN_LABEL,
-    TUBE_LABEL,
     SynthError,
     case_draws,
     gen_case,
@@ -53,11 +51,6 @@ __all__ = [
     "run_pipeline",
     "write_manifest",
 ]
-
-# mass voxel label -> case class for pixel/vertex voting
-LABEL_TO_CLASS = {BLOB_LABEL: 2, TUBE_LABEL: 4}
-DEFAULT_CLASS = 1
-MASS_LABELS = {BLOB_LABEL, TUBE_LABEL}
 
 T = TypeVar("T")
 
@@ -286,41 +279,19 @@ def stage_train(cfg: RunConfig, out_dir: str) -> None:
     log.to_csv(os.path.join(out_dir, "train_log.csv"))
 
 
-def _pv_predict(labels: LabelVolume, threshold: int) -> int:
-    raw = classify_pv(labels, MASS_LABELS, threshold, DEFAULT_CLASS)
-    return LABEL_TO_CLASS.get(raw, DEFAULT_CLASS)
-
-
-def _select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
-    """The PV voxel-count threshold most accurate on predicted segmentations.
-
-    ``truths`` are case classes, compared with the class PV maps a mass
-    label to; ties go to the smaller threshold.
-    """
-    candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
-    best_t, best_acc = candidates[0], -1.0
-    for t in candidates:
-        acc = float(np.mean([_pv_predict(v, t) == y for v, y in zip(volumes, truths)]))
-        if acc > best_acc:
-            best_t, best_acc = t, acc
-    return best_t
-
-
 def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     params = load_params(os.path.join(out_dir, "model.ckpt"))
     topo = _load_prototype(out_dir).topology
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
     val = _per_case(val_dirs, lambda d: (_load_segmentation(d), load_case_info(d).class_id))
-    pv_threshold = _select_pv_threshold([seg for seg, _ in val], [truth for _, truth in val])
+    pv_threshold = select_pv_threshold([seg for seg, _ in val], [truth for _, truth in val])
 
     def predict(d: str) -> tuple[str, int, int, int, int]:
         vp, gp = forward(params, load_features(os.path.join(d, "features.csv")), topo)
-        segmentation = _load_segmentation(d)
+        pv = classify_pv(_load_segmentation(d), pv_threshold)
         truth = load_case_info(d).class_id
-        vv = LABEL_TO_CLASS.get(classify_vv(vp, MASS_LABELS, DEFAULT_CLASS), DEFAULT_CLASS)
-        pv = _pv_predict(segmentation, pv_threshold)
-        return os.path.basename(d), truth, classify_gc(gp), vv, pv
+        return os.path.basename(d), truth, classify_gc(gp), classify_vv(vp), pv
 
     rows = _per_case(_case_dirs(out_dir, "test"), predict)
     with open(os.path.join(out_dir, "predictions.csv"), "w") as f:
@@ -339,13 +310,13 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
             name, truth, gc, vv, pv = line.strip().split(",")
             rows.append((name, int(truth), int(gc), int(vv), int(pv)))
     truths = [r[1] for r in rows]
-    accs = {}
-    for label, col in (("gc", 2), ("vv", 3), ("pv", 4)):
-        preds = [r[col] for r in rows]
-        accs[label] = float(np.mean([p == t for p, t in zip(preds, truths)]))
-    mgmt_pred = [MANAGEMENT_BY_CLASS[r[2]] for r in rows]
-    mgmt_true = [MANAGEMENT_BY_CLASS[r[1]] for r in rows]
-    cm = management_report(mgmt_pred, mgmt_true)
+    preds = {label: [r[col] for r in rows] for label, col in (("gc", 2), ("vv", 3), ("pv", 4))}
+    accs = {k: float(np.mean([p == t for p, t in zip(preds[k], truths)])) for k in preds}
+    mgmt_true = [MANAGEMENT_BY_CLASS[t] for t in truths]
+    mgmt_pred = {k: [MANAGEMENT_BY_CLASS[p] for p in preds[k]] for k in preds}
+    cm = management_report(mgmt_pred["gc"], mgmt_true)
+    # Surgery against the rest: the paper's PDAC-vs-nonPDAC split
+    surgery = {k: binary_metrics(mgmt_pred[k], mgmt_true, "Surgery") for k in preds}
 
     def masses(d: str) -> tuple[np.ndarray, np.ndarray] | None:
         gt_mass = np.isin(load_volume(os.path.join(d, "labels")).data, list(MASS_LABELS))
@@ -369,10 +340,18 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
             f.write(f"  {k.upper()}: {accs[k]:.4f}\n")
         f.write("\nmanagement confusion (rows = truth)\n")
         f.write(cm.to_text() + "\n")
+        f.write("\nSurgery vs rest (test split)\n")
+        for k in ("gc", "vv", "pv"):
+            acc, sens, spec = ("n/a" if v is None else f"{v:.4f}" for v in surgery[k])
+            f.write(f"  {k.upper()}: accuracy {acc}  sensitivity {sens}  specificity {spec}\n")
     with open(os.path.join(report_dir, "accuracy.csv"), "w") as f:
         f.write("strategy,accuracy\n")
         for k in ("gc", "vv", "pv"):
             f.write(f"{k},{accs[k]:.9g}\n")
+    with open(os.path.join(report_dir, "surgery_vs_rest.csv"), "w") as f:
+        f.write("strategy,accuracy,sensitivity,specificity\n")
+        for k in ("gc", "vv", "pv"):
+            f.write(k + "".join("," if v is None else f",{v:.9g}" for v in surgery[k]) + "\n")
     return accs
 
 

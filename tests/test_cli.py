@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import io
 import os
 import re
@@ -353,6 +354,27 @@ class TestCliErrors:
         assert err.startswith("anatomesh: train:") and err.count("\n") == 1
 
 
+class TestGcFreeze:
+    """main freezes the objects alive before the command and unfreezes them after it."""
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+    def test_stage_runs_frozen_and_main_unfreezes(self, tmp_path, monkeypatch, fails):
+        from anatomesh import cli
+
+        seen = []
+
+        def stage(cfg, out_dir):
+            seen.append(gc.get_freeze_count())
+            if fails:
+                raise SynthError("organ unplaceable")
+
+        monkeypatch.setattr(cli, "STAGES", (("synth-gen", stage),))
+        argv = ["synth-gen", "--config", write_config(tmp_path), "--out", str(tmp_path / "w")]
+        assert main(argv) == int(fails)
+        assert len(seen) == 1 and seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+
 class TestExportMesh:
     def test_round_trip(self, tmp_path, template):
         from anatomesh.mesh import load_mesh, save_mesh
@@ -601,19 +623,6 @@ class TestSynthThreads:
         while threading.active_count() != before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert threading.active_count() == before
-
-
-class TestPvThreshold:
-    def test_select_pv_threshold(self):
-        def volume(label, n):
-            data = np.zeros(64, dtype=np.uint8)
-            data[:n] = label
-            return LabelVolume(data.reshape(4, 4, 4), (1.0, 1.0, 1.0))
-
-        # small masses are noise here: only threshold 5 gets every case right;
-        # truths are case classes, so blob voxels (2) mean class 2, tube (3) class 4
-        vols = [volume(2, 3), volume(2, 8), volume(3, 2), volume(3, 9)]
-        assert pipeline._select_pv_threshold(vols, [1, 2, 1, 4]) == 5
 
 
 class TestCaseFileFormats:

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from anatomesh import evaluate
+from anatomesh.config import load_config
 from anatomesh.evaluate import (
+    DEFAULT_CLASS,
+    LABEL_TO_CLASS,
     MANAGEMENT_LABELS,
+    MASS_LABELS,
     ConfusionMatrix,
     EvalError,
     binary_metrics,
+    classify_pv,
     detection_table,
     management_report,
+    select_pv_threshold,
 )
-from anatomesh.volume import dice
+from anatomesh.pipeline import stage_eval
+from anatomesh.synth import BLOB_LABEL, DEFAULT_CLASSES, TUBE_LABEL
+from anatomesh.volume import LabelVolume, dice, save_volume
 
 
 def block(n, on):
@@ -157,3 +166,103 @@ class TestManagementReport:
         assert np.array_equal(cm.counts, np.diag([3, 3, 3]))
         pct = cm.row_percentages()
         np.testing.assert_allclose(np.diag(pct), 100.0)
+
+
+class TestLabelToClass:
+    def test_blob_to_head_class_tube_to_diffuse_class(self):
+        assert LABEL_TO_CLASS == {BLOB_LABEL: 2, TUBE_LABEL: 4}
+        assert MASS_LABELS == (BLOB_LABEL, TUBE_LABEL)
+        assert DEFAULT_CLASS == 1
+
+    def test_each_label_goes_to_the_lowest_class_that_carries_it(self):
+        carriers = {}
+        for class_id, (spec, _) in DEFAULT_CLASSES.items():
+            if spec is not None:
+                carriers.setdefault(spec.voxel_label, []).append(class_id)
+        assert LABEL_TO_CLASS == {label: min(ids) for label, ids in carriers.items()}
+        assert DEFAULT_CLASSES[DEFAULT_CLASS][0] is None
+
+
+def _volume(label, n):
+    data = np.zeros(64, dtype=np.uint8)
+    data[:n] = label
+    return LabelVolume(data.reshape(4, 4, 4), (1.0, 1.0, 1.0))
+
+
+class TestPvThreshold:
+    def test_select_pv_threshold(self):
+        # small masses are noise here: only threshold 5 gets every case right;
+        # truths are case classes, so blob voxels (2) mean class 2, tube (3) class 4
+        vols = [_volume(2, 3), _volume(2, 8), _volume(3, 2), _volume(3, 9)]
+        assert select_pv_threshold(vols, [1, 2, 1, 4]) == 5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_once_scores_as_classify_pv_does(self, seed):
+        rng = np.random.default_rng(seed)
+        vols = []
+        for _ in range(6):
+            data = rng.choice(4, size=(6, 5, 4), p=[0.6, 0.3, 0.05, 0.05]).astype(np.uint8)
+            vols.append(LabelVolume(data.transpose(2, 1, 0), (1.0, 1.0, 1.0)))
+        truths = list(rng.integers(1, 5, size=len(vols)))
+        candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
+        accs = [np.mean([classify_pv(v, t) == y for v, y in zip(vols, truths)]) for t in candidates]
+        assert select_pv_threshold(vols, truths) == candidates[int(np.argmax(accs))]
+
+    def test_each_volume_counted_once(self, monkeypatch):
+        counted = []
+        count = evaluate._mass_counts
+        monkeypatch.setattr(evaluate, "_mass_counts", lambda v: counted.append(v) or count(v))
+        vols = [_volume(2, 3), _volume(3, 9)]
+        select_pv_threshold(vols, [1, 4])
+        assert counted == vols
+
+
+class TestSurgeryVsRest:
+    """eval's Surgery-against-the-rest rates, on hand-written predictions."""
+
+    def _eval(self, tmp_path, rows):
+        out = tmp_path / "run"
+        lines = ["# pv_threshold 5", "case,truth,gc,vv,pv"]
+        for k, row in enumerate(rows):
+            name = f"test_{k:04d}"
+            lines.append(",".join(str(v) for v in (name, *row)))
+            case = out / "cases" / name
+            case.mkdir(parents=True)
+            organ = np.zeros((4, 4, 4), dtype=np.uint8)
+            organ[1:3, 1:3, 1:3] = 1
+            save_volume(LabelVolume(organ, (1.0, 1.0, 1.0)), str(case / "labels"))
+        (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("")
+        stage_eval(load_config(str(cfg)), str(out))
+        return out / "report"
+
+    def test_hand_counts(self, tmp_path):
+        # (truth, gc, vv, pv); classes 2 and 4 are Surgery
+        rows = [(2, 2, 2, 2), (4, 4, 2, 1), (3, 3, 2, 2), (1, 1, 1, 1)]
+        report = self._eval(tmp_path, rows)
+        # GC: tp 2 tn 2; VV: tp 2 fp 1 tn 1; PV: tp 1 fn 1 fp 1 tn 1
+        assert (report / "surgery_vs_rest.csv").read_text() == (
+            "strategy,accuracy,sensitivity,specificity\n"
+            "gc,1,1,1\n"
+            "vv,0.75,1,0.5\n"
+            "pv,0.5,0.5,0.5\n"
+        )
+        text = (report / "report.txt").read_text()
+        assert "  VV: accuracy 0.7500  sensitivity 1.0000  specificity 0.5000\n" in text
+        assert (report / "accuracy.csv").read_text() == (
+            "strategy,accuracy\ngc,1\nvv,0.5\npv,0.5\n"
+        )
+
+    def test_undefined_ratio_is_an_empty_field(self, tmp_path):
+        # every case is Surgery: no negatives, so no specificity
+        report = self._eval(tmp_path, [(2, 2, 1, 4), (4, 4, 4, 2)])
+        assert (report / "surgery_vs_rest.csv").read_text() == (
+            "strategy,accuracy,sensitivity,specificity\n"
+            "gc,1,1,\n"
+            "vv,0.5,0.5,\n"
+            "pv,1,1,\n"
+        )
+        assert "  GC: accuracy 1.0000  sensitivity 1.0000  specificity n/a\n" in (
+            report / "report.txt"
+        ).read_text()

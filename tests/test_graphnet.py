@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from anatomesh.evaluate import classify_gc, classify_pv, classify_vv
 from anatomesh.graphnet import (
     GraphNetError,
     GraphResNetParams,
     TrainConfig,
     backward,
-    classify_gc,
-    classify_pv,
-    classify_vv,
     forward,
     graph_conv,
     init_params,
@@ -441,6 +439,8 @@ class TestTrain:
 
 
 class TestClassifiers:
+    """``evaluate``'s voting rules; each returns a case class (mass label 2 -> 2, 3 -> 4)."""
+
     def _volume(self, counts):
         """LabelVolume holding ``counts[label]`` voxels of each label."""
         total = sum(counts.values())
@@ -454,41 +454,43 @@ class TestClassifiers:
 
     def test_pv_majority(self):
         vol = self._volume({2: 10, 3: 4})
-        assert classify_pv(vol, {2, 3}, 1, 1) == 2
+        assert classify_pv(vol, 1) == 2
+        assert classify_pv(self._volume({2: 4, 3: 10}), 1) == 4
 
     def test_pv_threshold_returns_default(self):
         vol = self._volume({2: 3})
-        assert classify_pv(vol, {2, 3}, 5, 1) == 1
+        assert classify_pv(vol, 5) == 1
 
     def test_pv_tie_to_lower_class(self):
         vol = self._volume({2: 6, 3: 6})
-        assert classify_pv(vol, {2, 3}, 1, 1) == 2
+        assert classify_pv(vol, 1) == 2
 
     def test_pv_no_mass_voxels(self):
         vol = self._volume({0: 5})
-        assert classify_pv(vol, {2, 3}, 0, 1) == 1
+        assert classify_pv(vol, 0) == 1
 
     def test_pv_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            classify_pv(self._volume({2: 2}), {2}, -1, 1)
+            classify_pv(self._volume({2: 2}), -1)
 
     def test_vv_majority(self):
         probs = np.zeros((10, 4))
         probs[:6, 2] = 1.0  # six vertices vote class 2
         probs[6:8, 3] = 1.0
         probs[8:, 0] = 1.0
-        assert classify_vv(probs, {2, 3}, 1) == 2
+        assert classify_vv(probs) == 2
+        assert classify_vv(probs[:, [0, 1, 3, 2]]) == 4  # six votes for label 3
 
     def test_vv_no_mass_votes(self):
         probs = np.zeros((5, 4))
         probs[:, 0] = 1.0
-        assert classify_vv(probs, {2, 3}, 1) == 1
+        assert classify_vv(probs) == 1
 
     def test_vv_tie_lower_class(self):
         probs = np.zeros((4, 4))
         probs[:2, 2] = 1.0
         probs[2:, 3] = 1.0
-        assert classify_vv(probs, {2, 3}, 1) == 2
+        assert classify_vv(probs) == 2
 
     def test_gc_one_based_argmax(self):
         assert classify_gc(np.array([0.1, 0.2, 0.6, 0.1])) == 3
