@@ -18,6 +18,7 @@ __all__ = [
     "classify_vv",
     "detection_table",
     "management_report",
+    "mass_counts",
     "select_pv_threshold",
     "MANAGEMENT_LABELS",
 ]
@@ -159,7 +160,7 @@ def management_report(preds: list[str], truths: list[str]) -> ConfusionMatrix:
     return ConfusionMatrix(MANAGEMENT_LABELS, counts)
 
 
-def _mass_counts(labels: LabelVolume) -> np.ndarray:
+def mass_counts(labels: LabelVolume) -> np.ndarray:
     """The voxel count of each of ``MASS_LABELS``; "K" order does not copy a transposed view."""
     counts = np.bincount(labels.data.ravel("K"), minlength=MASS_LABELS[-1] + 1)
     return counts[list(MASS_LABELS)]
@@ -177,15 +178,15 @@ def classify_pv(pred_labels: LabelVolume, threshold: int) -> int:
     lower label), or ``DEFAULT_CLASS`` if it has fewer than ``threshold``."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return _pv_vote(_mass_counts(pred_labels), threshold)
+    return _pv_vote(mass_counts(pred_labels), threshold)
 
 
-def select_pv_threshold(volumes: list[LabelVolume], truths: list[int]) -> int:
+def select_pv_threshold(counts: list[np.ndarray], truths: list[int]) -> int:
     """The PV threshold most accurate on predicted segmentations of case classes ``truths``.
 
-    Each volume is counted once for every candidate; ties go to the smaller threshold.
+    ``counts`` holds each segmentation's :func:`mass_counts`, so a caller
+    can free each volume once it is counted. Ties go to the smaller threshold.
     """
-    counts = [_mass_counts(v) for v in volumes]
     candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
     best_t, best_acc = candidates[0], -1.0
     for t in candidates:

@@ -36,6 +36,7 @@ def pool_features(
     probabilities over each vertex zone, the global block over all organ
     voxels. Mass labels are positive: every step runs on the box around the
     zone and non-zero label voxels, which holds every organ and mass voxel.
+    ``probs`` must store that box; VolumeError names both boxes otherwise.
     """
     if zones.dims != probs.dims or zones.dims != labels.dims:
         raise VolumeError(
@@ -67,7 +68,7 @@ def pool_features(
         d = np.full(n, NO_MASS_SENTINEL)
 
     z = crop[organ] - 1
-    p = probs.data[box][organ].astype(np.float64)
+    p = probs.crop(box)[organ].astype(np.float64)
     local = np.empty((n, k))
     for c in range(k):  # bincount adds in index order, as a scatter-add would
         local[:, c] = np.bincount(z, weights=p[:, c], minlength=n)

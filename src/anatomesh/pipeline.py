@@ -20,6 +20,7 @@ from .evaluate import (
     classify_vv,
     detection_table,
     management_report,
+    mass_counts,
     select_pv_threshold,
 )
 from .features import load_features, pool_features, save_features
@@ -145,18 +146,21 @@ def _load_organ(d: str) -> LabelVolume:
 def _load_segmentation(d: str) -> LabelVolume:
     """A case's predicted segmentation: the argmax channel of its probability volume.
 
-    Ties go to the lower channel, as with ``np.argmax``. The channels are
-    compared one at a time in the file's (D, H, W) voxel order, several
-    times faster than ``argmax`` over rows of a few values.
+    Outside the volume's stored box the segmentation is 0: synth-gen stores
+    the box outside which channel 0 wins. Ties go to the lower channel, as
+    with ``np.argmax``. The channels are compared one at a time in the
+    file's (D, H, W) voxel order, several times faster than ``argmax`` over
+    rows of a few values.
     """
     probs = load_volume(os.path.join(d, "probs"))
     channels = np.moveaxis(probs.data, -1, 0).transpose(0, 3, 2, 1)
     best = channels[0].copy()
-    argmax = np.zeros(best.shape, dtype=np.uint8)
+    grid = np.zeros(probs.dims[::-1], dtype=np.uint8)
+    argmax = grid[probs.box[::-1]]
     for k in range(1, len(channels)):
         argmax[channels[k] > best] = k
         np.maximum(best, channels[k], out=best)
-    return LabelVolume(argmax.transpose(2, 1, 0), probs.spacing)
+    return LabelVolume(grid.transpose(2, 1, 0), probs.spacing)
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
@@ -284,8 +288,13 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
     topo = _load_prototype(out_dir).topology
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     val_dirs = val_dirs or train_dirs  # no validation split: choose on all train cases
-    val = _per_case(val_dirs, lambda d: (_load_segmentation(d), load_case_info(d).class_id))
-    pv_threshold = select_pv_threshold([seg for seg, _ in val], [truth for _, truth in val])
+
+    def count(d: str) -> tuple[np.ndarray, int]:
+        # only the mass counts are kept: each segmentation is freed once counted
+        return mass_counts(_load_segmentation(d)), load_case_info(d).class_id
+
+    val = _per_case(val_dirs, count)
+    pv_threshold = select_pv_threshold([counts for counts, _ in val], [truth for _, truth in val])
 
     def predict(d: str) -> tuple[str, int, int, int, int]:
         vp, gp = forward(params, load_features(os.path.join(d, "features.csv")), topo)

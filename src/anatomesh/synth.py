@@ -23,7 +23,16 @@ import numpy as np
 from scipy import ndimage
 
 from .mesh import REGION_COUNTS, REGION_NAMES
-from .volume import LabelVolume, ProbVolume, VolumeError, channel_sum, is_connected, save_volume
+from .volume import (
+    LabelVolume,
+    ProbVolume,
+    VolumeError,
+    channel_sum,
+    is_connected,
+    organ_box,
+    save_volume,
+    whole_box,
+)
 
 __all__ = [
     "CaseInfo",
@@ -291,13 +300,13 @@ def implant_mass(
     )
 
 
-# Planes of the first (W) axis per step of soften's blend: small enough that
-# a slab's float64 channels and random draw stay in cache.
-_SOFTEN_PLANES = 4
+def _grow(box: tuple[slice, ...], by: int, dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """``box`` grown by ``by`` voxels on every side, clipped to a grid of ``dims``."""
+    return tuple(slice(max(s.start - by, 0), min(s.stop + by, n)) for s, n in zip(box, dims))
 
 
 def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANNELS) -> ProbVolume:
-    """Noisy probability stand-in for a segmentation softmax.
+    """Noisy probability stand-in for a segmentation softmax, on the organ's neighbourhood.
 
     One-hot labels get a 1-voxel boundary blur, then are blended with seeded
     random probability vectors with weight ``noise``, in the [0, 0.5) that
@@ -305,53 +314,69 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     The arithmetic is the per-voxel formula's, in float64; a negative
     float32 result is set to 0.
 
-    Only the blurs of the channels present are whole-grid float64. The
-    blend, the random draw (taken from one stream in (W, H, D, K) order),
-    the normalisation and the cast go a few W planes at a time, into a
-    (D, H, W, K) buffer: the result is its (W, H, D, K) view, which
+    Only the box of the non-zero labels, grown by one voxel and clipped to
+    the grid, is computed and kept (labels with none keep the whole grid).
+    Outside it every 3x3x3 neighbourhood is background, so channel 0 holds
+    at least 1 - noise > noise and wins the argmax. The box's rows are the
+    whole-grid formula's bit for bit: each present channel is blurred on a
+    crop 2 voxels wider than the box, and voxel (w, h, d, k) takes element
+    ((w * H + h) * D + d) * K + k of the seed's stream of draws, reached by
+    advancing the generator to each (w, h) row of the box. The result is
+    the (w, h, d, K) view of a (d, h, w, K) buffer, which
     :func:`save_volume` writes without a copy.
     """
     data = labels.data
     top = int(data.max(initial=0))
     if top >= channels:
         raise SynthError(f"label {top} has no channel among {channels}")
-    out = np.empty((*data.shape[::-1], channels), dtype=np.float32)
+    dims = data.shape
+    box = _grow(organ_box(data > 0), 1, dims) if top else whole_box(dims)
+    size = tuple(s.stop - s.start for s in box)
+    out = np.empty((*size[::-1], channels), dtype=np.float32)
     probs = out.transpose(2, 1, 0, 3)
     if not noise > 0.0:
         # no noise: every row is exactly one 1.0, so normalising would divide by 1.0
         for k in range(channels):
-            np.equal(data, k, out=probs[..., k])
-        return ProbVolume(probs, labels.spacing)
+            np.equal(data[box], k, out=probs[..., k])
+        return ProbVolume(probs, labels.spacing, dims, box)
     # (0.75 * one-hot + 0.25 * blur) * (1 - noise) of each present channel.
     # Adding 0.75 only where the one-hot is 1 keeps the bits: the blur has
     # no -0.0 that adding 0.0 would turn into 0.0.
+    crop = _grow(box, 2, dims)
+    inner = tuple(slice(b.start - c.start, b.stop - c.start) for b, c in zip(box, crop))
     smooth = {}
     for k in range(channels):
-        channel = data == k
+        channel = data[crop] == k
         if not channel.any():
             continue  # an absent channel blurs to exact zeros and adds nothing
-        smooth[k] = ndimage.uniform_filter(
-            channel, size=3, mode="nearest", output=np.empty(data.shape)
-        )
-        smooth[k] *= 0.25
-        np.add(smooth[k], 0.75, out=smooth[k], where=channel)
-        smooth[k] *= 1.0 - noise
+        blend = ndimage.uniform_filter(
+            channel, size=3, mode="nearest", output=np.empty(channel.shape)
+        )[inner]
+        blend *= 0.25
+        np.add(blend, 0.75, out=blend, where=channel[inner])
+        blend *= 1.0 - noise
+        smooth[k] = blend
+    # the box's (w, h, d, K) draw, which becomes its blend in place: the row
+    # of box column (w, h) starts at element ((w * H + h) * D + d0) * K
+    r = np.empty((*size, channels))
+    rows = r.reshape(size[0] * size[1], size[2] * channels)
+    ws, hs = (np.arange(s.start, s.stop) for s in box[:2])
+    starts = (((ws[:, None] * dims[1] + hs) * dims[2] + box[2].start) * channels).ravel()
+    skips = np.diff(starts, prepend=-rows.shape[1]) - rows.shape[1]
     rng = np.random.default_rng(seed)
-    for start in range(0, data.shape[0], _SOFTEN_PLANES):
-        planes = slice(start, start + _SOFTEN_PLANES)
-        # the slab's (W, H, D, K) draw, which becomes its blend in place
-        r = rng.random((*data[planes].shape, channels))
-        r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
-        r *= noise
-        for k, blend in smooth.items():
-            r[..., k] += blend[planes]
-        r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
-        dst = probs[planes]
-        dst[...] = r
-        # The blur's running sums leave about -1e-17 where a channel is exactly 0,
-        # which a noise weight below about 1e-16 does not cover: those are zeros.
-        dst[dst < 0] = 0.0
-    return ProbVolume(probs, labels.spacing)
+    for row, skip in zip(rows, skips.tolist()):
+        rng.bit_generator.advance(skip)
+        rng.random(out=row)
+    r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
+    r *= noise
+    for k, blend in smooth.items():
+        r[..., k] += blend
+    r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
+    probs[...] = r
+    # The blur's running sums leave about -1e-17 where a channel is exactly 0,
+    # which a noise weight below about 1e-16 does not cover: those are zeros.
+    probs[probs < 0] = 0.0
+    return ProbVolume(probs, labels.spacing, dims, box)
 
 
 def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthCase:

@@ -19,6 +19,7 @@ __all__ = [
     "is_connected",
     "organ_box",
     "voxel_indices",
+    "whole_box",
     "surface_mask",
     "dice",
     "detected",
@@ -75,12 +76,13 @@ def channel_sum(channels: np.ndarray) -> np.ndarray:
 _SLAB_PLANES = 4
 
 
-def _check_probabilities(data: np.ndarray) -> None:
+def _check_probabilities(data: np.ndarray, origin: list[int]) -> None:
     """Raise VolumeError unless every (W, H, D, K) row is non-negative and sums to 1.
 
     The rows are summed in slabs along the axis that strides furthest in
-    memory. A bad row is reported by its first voxel in (w, h, d) order;
-    a NaN sum fails.
+    memory. A bad row is reported by its first voxel in (w, h, d) order,
+    as a grid voxel: ``origin`` is where ``data`` starts in the grid. A NaN
+    sum fails.
     """
     axis = int(np.argmax(np.abs(data.strides[:3])))
     bad_rows = []
@@ -93,7 +95,7 @@ def _check_probabilities(data: np.ndarray) -> None:
             first = np.argwhere(bad)[0]
             total = sums[tuple(first)]
             first[axis] += start
-            bad_rows.append((tuple(first.tolist()), total))
+            bad_rows.append((tuple((first + origin).tolist()), total))
         negative = negative or bool((slab < 0).any())
     if bad_rows:
         (w, h, d), total = min(bad_rows)
@@ -105,29 +107,69 @@ def _check_probabilities(data: np.ndarray) -> None:
         raise VolumeError("probability values must be non-negative")
 
 
+def whole_box(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """The box of every voxel of a grid of ``dims``."""
+    return tuple(slice(0, n) for n in dims)
+
+
+def _box_text(box: tuple[slice, ...]) -> str:
+    return "[" + ", ".join(f"{s.start}:{s.stop}" for s in box) + "]"
+
+
+def _check_box(box: tuple[slice, ...], dims: tuple[int, ...]) -> None:
+    """Raise VolumeError unless ``box`` lies in a grid of ``dims`` and, if the grid
+    holds a voxel, holds one too."""
+    if not all(0 <= s.start <= s.stop <= n for s, n in zip(box, dims)):
+        raise VolumeError(f"box {_box_text(box)} is outside the grid {tuple(dims)}")
+    if all(dims) and any(s.start == s.stop for s in box):
+        raise VolumeError(f"box {_box_text(box)} is empty")
+
+
 @dataclass(frozen=True)
 class ProbVolume:
-    """Per-voxel class probability grid, shape (W, H, D, K), dtype float32."""
+    """Per-voxel class probabilities on a box of a (W, H, D) grid.
+
+    ``data`` has shape (w, h, d, K), dtype float32: the rows of the grid
+    voxels in ``box``, three slices of a grid of ``dims``. Both default to
+    the whole of ``data``. Only the box's rows are stored and checked; what
+    the grid holds outside the box is for a consumer to say.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
+    dims: tuple[int, int, int] | None = None
+    box: tuple[slice, slice, slice] | None = None
 
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[3] < 1:
             raise VolumeError(f"prob data must be (W, H, D, K >= 1), got shape {self.data.shape}")
         if any(s <= 0 for s in self.spacing):
             raise VolumeError(f"spacing must be positive, got {self.spacing}")
+        dims = tuple(self.data.shape[:3]) if self.dims is None else tuple(self.dims)
+        box = whole_box(dims) if self.box is None else tuple(self.box)
+        _check_box(box, dims)
+        if tuple(s.stop - s.start for s in box) != self.data.shape[:3]:
+            raise VolumeError(
+                f"prob data of shape {self.data.shape} does not fill box {_box_text(box)}"
+            )
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "box", box)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
-        _check_probabilities(self.data)
+        _check_probabilities(self.data, [s.start for s in box])
         self.data.setflags(write=False)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[:3]
 
     @property
     def channels(self) -> int:
         return self.data.shape[3]
+
+    def crop(self, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """The rows of the grid voxels in ``box``; VolumeError unless it lies in the stored box."""
+        if not all(s.start <= b.start <= b.stop <= s.stop for b, s in zip(box, self.box)):
+            raise VolumeError(
+                f"box {_box_text(box)} is not inside the stored box {_box_text(self.box)}"
+            )
+        at = tuple(slice(b.start - s.start, b.stop - s.start) for b, s in zip(box, self.box))
+        return self.data[at]
 
 
 def _header_path(path: str) -> tuple[str, str]:
@@ -141,7 +183,9 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
     """Write the two-file volume codec: text ``.hdr`` plus raw ``.raw`` payload.
 
     Payload order is w-fastest (w, then h, then d); prob volumes store K
-    consecutive f32 per voxel. Little-endian throughout.
+    consecutive f32 per voxel, for the voxels of their box only: the header
+    holds the grid's ``dims`` and a ``box x0 x1 y0 y1 z0 z1`` line.
+    Little-endian throughout.
     """
     hdr_path, raw_path = _header_path(path)
     w, h, d = vol.dims
@@ -158,6 +202,8 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         f.write(f"kind {kind}\n")
         f.write(f"channels {channels}\n")
         f.write(f"dtype {dtype}\n")
+        if kind == "prob":
+            f.write("box " + " ".join(f"{s.start} {s.stop}" for s in vol.box) + "\n")
     with open(raw_path, "wb") as f:
         f.write(memoryview(payload.reshape(-1)))
 
@@ -166,7 +212,9 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
     """Load a volume written by :func:`save_volume`.
 
     The data is a read-only view of the payload bytes, in the file's
-    w-fastest order: a consumer that needs another order copies.
+    w-fastest order: a consumer that needs another order copies. A header
+    without a ``box`` line holds the whole grid; only a prob volume may hold
+    less.
     """
     hdr_path, raw_path = _header_path(path)
     fields = {}
@@ -178,19 +226,29 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
             key, *rest = line.split()
             fields[key] = rest
     try:
-        w, h, d = (int(v) for v in fields["dims"])
+        dims = tuple(int(v) for v in fields["dims"])
+        w, h, d = dims
         spacing = tuple(float(v) for v in fields["spacing"])
         kind = fields["kind"][0]
         channels = int(fields["channels"][0])
         dtype = fields["dtype"][0]
+        x0, x1, y0, y1, z0, z1 = (int(v) for v in fields.get("box", (0, w, 0, h, 0, d)))
     except (KeyError, ValueError, IndexError) as exc:
         raise VolumeError(f"malformed header {hdr_path}: {exc}") from exc
     if kind not in ("label", "prob") or dtype not in ("u8", "f32"):
         raise VolumeError(f"malformed header {hdr_path}: kind={kind} dtype={dtype}")
+    box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
+    try:
+        _check_box(box, dims)
+    except VolumeError as exc:
+        raise VolumeError(f"{hdr_path}: {exc}") from None
+    if kind == "label" and box != whole_box(dims):
+        raise VolumeError(f"{hdr_path}: a label volume holds the whole grid, not {_box_text(box)}")
     item = np.dtype("<u1" if dtype == "u8" else "<f4")
     with open(raw_path, "rb") as f:
         payload = f.read()
-    expect = w * h * d * (channels if kind == "prob" else 1)
+    bw, bh, bd = x1 - x0, y1 - y0, z1 - z0
+    expect = bw * bh * bd * (channels if kind == "prob" else 1)
     if len(payload) != expect * item.itemsize:
         raise VolumeError(
             f"{raw_path}: payload has {len(payload) / item.itemsize:g} values, "
@@ -200,8 +258,8 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
     if kind == "label":
         data = raw.reshape(d, h, w).transpose(2, 1, 0)
         return LabelVolume(data, spacing)
-    data = raw.reshape(d, h, w, channels).transpose(2, 1, 0, 3)
-    return ProbVolume(data, spacing)
+    data = raw.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3)
+    return ProbVolume(data, spacing, dims, box)
 
 
 # 6-connectivity: voxels are neighbours when they share a face.

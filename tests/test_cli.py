@@ -20,7 +20,9 @@ from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
 from anatomesh.meshfit import FitConfig
 from anatomesh.synth import SynthConfig, SynthError
-from anatomesh.volume import LabelVolume, ProbVolume, save_volume
+from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
+
+from test_synth import grown_box
 
 SMALL_CONFIG = """\
 [synth]
@@ -474,6 +476,36 @@ class TestPipeline:
         for k in sorted(keys):
             assert a[k] == b[k], k
 
+    def test_probability_files_hold_the_grown_box(self, pipeline_run):
+        _, out = pipeline_run
+        for d in pipeline._case_dirs(out, "train", "test"):
+            labels = load_volume(os.path.join(d, "labels"))
+            probs = load_volume(os.path.join(d, "probs"))
+            assert probs.dims == labels.dims
+            assert probs.box == grown_box(labels) != tuple(slice(0, n) for n in labels.dims)
+
+    def test_classify_keeps_each_validation_count_not_its_volume(
+        self, pipeline_run, tmp_path, monkeypatch
+    ):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        counted, searched = [], []
+        count, search = pipeline.mass_counts, pipeline.select_pv_threshold
+        monkeypatch.setattr(pipeline, "mass_counts", lambda seg: counted.append(1) or count(seg))
+        monkeypatch.setattr(
+            pipeline, "select_pv_threshold",
+            lambda counts, truths: searched.append(counts) or search(counts, truths),
+        )
+        pipeline.stage_classify(load_config(cfg), work)
+        _, val_dirs = pipeline._split_train(load_config(cfg), work)
+        assert len(counted) == len(val_dirs) > 0
+        [counts] = searched
+        expect = [count(pipeline._load_segmentation(d)) for d in val_dirs]
+        assert [c.tolist() for c in counts] == [c.tolist() for c in expect]
+        assert filecmp.cmp(os.path.join(out, "predictions.csv"),
+                           os.path.join(work, "predictions.csv"), shallow=False)
+
     def test_rerun_bit_identical(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
         again = str(tmp_path / "again")
@@ -637,20 +669,26 @@ class TestCaseFileFormats:
             with open(os.path.join(tmp, "vertex_labels.txt"), "rb") as f:
                 assert f.read() == expect.getvalue()
 
-    @given(
-        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-        st.integers(1, 4),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_segmentation_is_the_channel_argmax(self, dims, k, seed):
+    @given(st.data(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_segmentation_is_the_channel_argmax(self, data, k, seed):
+        # the argmax of the stored box, 0 outside it; the box may be the whole grid
+        dims = data.draw(st.tuples(*[st.integers(1, 6)] * 3))
+        box = []
+        for n in dims:
+            lo = data.draw(st.integers(0, n - 1))
+            box.append(slice(lo, data.draw(st.integers(lo + 1, n))))
+        box = tuple(box)
         # rows drawn from a few values, so that ties between channels are common
         rng = np.random.default_rng(seed)
-        raw = rng.integers(0, 3, size=dims + (k,)).astype(np.float32)
+        raw = rng.integers(0, 3, size=tuple(s.stop - s.start for s in box) + (k,))
+        raw = raw.astype(np.float32)
         raw[raw.sum(axis=-1) == 0] = 1.0
-        probs = ProbVolume(raw / raw.sum(axis=-1, keepdims=True), (1.0, 2.0, 1.0))
+        probs = ProbVolume(raw / raw.sum(axis=-1, keepdims=True), (1.0, 2.0, 1.0), dims, box)
         with tempfile.TemporaryDirectory() as tmp:
             save_volume(probs, os.path.join(tmp, "probs"))
             seg = pipeline._load_segmentation(tmp)
+        expect = np.zeros(dims, dtype=np.uint8)
+        expect[box] = probs.data.argmax(axis=-1)
         assert seg.spacing == probs.spacing
-        assert np.array_equal(seg.data, probs.data.argmax(axis=-1))
+        assert np.array_equal(seg.data, expect)

@@ -14,6 +14,7 @@ from anatomesh.evaluate import (
     classify_pv,
     detection_table,
     management_report,
+    mass_counts,
     select_pv_threshold,
 )
 from anatomesh.pipeline import stage_eval
@@ -194,7 +195,7 @@ class TestPvThreshold:
         # small masses are noise here: only threshold 5 gets every case right;
         # truths are case classes, so blob voxels (2) mean class 2, tube (3) class 4
         vols = [_volume(2, 3), _volume(2, 8), _volume(3, 2), _volume(3, 9)]
-        assert select_pv_threshold(vols, [1, 2, 1, 4]) == 5
+        assert select_pv_threshold([mass_counts(v) for v in vols], [1, 2, 1, 4]) == 5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_counts_once_scores_as_classify_pv_does(self, seed):
@@ -206,15 +207,15 @@ class TestPvThreshold:
         truths = list(rng.integers(1, 5, size=len(vols)))
         candidates = [0, 1, 2, 5, 10, 20, 50, 100, 200]
         accs = [np.mean([classify_pv(v, t) == y for v, y in zip(vols, truths)]) for t in candidates]
-        assert select_pv_threshold(vols, truths) == candidates[int(np.argmax(accs))]
+        counts = [mass_counts(v) for v in vols]
+        assert select_pv_threshold(counts, truths) == candidates[int(np.argmax(accs))]
 
     def test_each_volume_counted_once(self, monkeypatch):
-        counted = []
-        count = evaluate._mass_counts
-        monkeypatch.setattr(evaluate, "_mass_counts", lambda v: counted.append(v) or count(v))
-        vols = [_volume(2, 3), _volume(3, 9)]
-        select_pv_threshold(vols, [1, 4])
-        assert counted == vols
+        # the caller counts each volume once, as it reads it; the search only
+        # scores those counts (stage_classify's side: test_cli.py)
+        counts = [mass_counts(_volume(2, 3)), mass_counts(_volume(3, 9))]
+        monkeypatch.setattr(evaluate, "mass_counts", lambda v: pytest.fail("counted again"))
+        assert select_pv_threshold(counts, [1, 4]) == 5
 
 
 class TestSurgeryVsRest:

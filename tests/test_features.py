@@ -19,6 +19,7 @@ from anatomesh.volume import LabelVolume, ProbVolume, VolumeError, surface_mask
 from anatomesh.zones import render_zones
 
 from conftest import awkward_floats, organ_scenes, written_bytes
+from test_synth import grown_box
 from test_zones import line_mesh, zone_mask
 
 
@@ -248,6 +249,15 @@ class TestIO:
         with pytest.raises(VolumeError, match="mismatch"):
             pool_features(mesh, zmap, bad, labels, {2})
 
+    def test_pooling_box_outside_the_stored_box_named(self):
+        rng = np.random.default_rng(13)
+        mesh, zmap, probs, labels = scene(rng)
+        box = (slice(2, 10), slice(2, 10), slice(3, 10))  # the organ reaches plane z = 2
+        stored = ProbVolume(probs.crop(box), probs.spacing, probs.dims, box)
+        with pytest.raises(VolumeError, match=r"box \[2:10, 2:10, 2:10\] is not inside "
+                                              r"the stored box \[2:10, 2:10, 3:10\]"):
+            pool_features(mesh, zmap, stored, labels, {2})
+
 
 class TestZonePooling:
     @pytest.mark.parametrize("seed", range(6))
@@ -266,6 +276,16 @@ class TestOrganBoxCrop:
     @settings(max_examples=300, deadline=None)
     def test_matches_whole_grid_bit_for_bit(self, scene):
         feats = pool_features(*scene)
+        assert feats.tobytes() == pool_features_whole_grid(*scene).tobytes()
+
+    @given(organ_scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_probabilities_stored_on_the_grown_box(self, scene):
+        # the box synth-gen stores: the non-zero labels' box grown by one voxel
+        mesh, zones, probs, labels, mass_labels = scene
+        box = grown_box(labels)
+        stored = ProbVolume(probs.crop(box), probs.spacing, probs.dims, box)
+        feats = pool_features(mesh, zones, stored, labels, mass_labels)
         assert feats.tobytes() == pool_features_whole_grid(*scene).tobytes()
 
     def test_mass_outside_the_zone_voxels_on_the_grid_edge(self):

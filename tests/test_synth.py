@@ -31,6 +31,8 @@ from anatomesh.synth import (
 )
 from anatomesh.volume import LabelVolume, VolumeError, load_volume, save_volume
 
+from conftest import boxed_masks
+
 
 CONN6 = ndimage.generate_binary_structure(3, 1)
 
@@ -225,6 +227,34 @@ def soften_reference(labels, noise, seed, channels=N_CHANNELS):
     return probs
 
 
+def grown_box(labels):
+    """The box of the non-zero labels grown by one voxel and clipped to the grid;
+    the whole grid when every label is 0."""
+    at = np.argwhere(labels.data > 0)
+    if not len(at):
+        return tuple(slice(0, n) for n in labels.dims)
+    lo = np.maximum(at.min(axis=0) - 1, 0)
+    hi = np.minimum(at.max(axis=0) + 2, labels.dims)
+    return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+
+
+def soften_matches_reference(labels, noise, seed, channels=N_CHANNELS):
+    """soften's volume is the reference's crop to the grown box, byte for byte."""
+    probs = soften(labels, noise, seed, channels)
+    box = grown_box(labels)
+    assert probs.dims == labels.dims and probs.box == box
+    reference = soften_reference(labels, noise, seed, channels)
+    assert probs.data.tobytes() == reference[box].tobytes()
+    return probs, reference
+
+
+def segmentation(probs):
+    """The whole-grid argmax of a stored box, 0 outside it."""
+    seg = np.zeros(probs.dims, dtype=np.int64)
+    seg[probs.box] = probs.data.argmax(axis=-1)
+    return seg
+
+
 @st.composite
 def label_volumes(draw):
     """Odd and non-cubic label volumes over a channel count, some channels absent."""
@@ -237,6 +267,18 @@ def label_volumes(draw):
     return LabelVolume(data, (1.0, 1.0, 1.0)), channels
 
 
+@st.composite
+def organ_volumes(draw):
+    """Labels in a box with a background margin on some faces and none on others,
+    so that the grown box is clipped by ``mode="nearest"``'s faces or is not."""
+    channels = draw(st.integers(2, N_CHANNELS))
+    mask = draw(boxed_masks(max_side=12))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.zeros(mask.shape, dtype=np.uint8)
+    data[mask] = pick.integers(1, channels, size=int(mask.sum()))
+    return LabelVolume(data, (1.0, 1.0, 1.0)), channels
+
+
 class TestSoften:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -246,8 +288,26 @@ class TestSoften:
     )
     def test_equals_reference(self, volume, noise, seed):
         labels, channels = volume
-        got = soften(labels, noise, seed, channels).data
-        assert got.tobytes() == soften_reference(labels, noise, seed, channels).tobytes()
+        soften_matches_reference(labels, noise, seed, channels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        organ_volumes(),
+        st.one_of(st.sampled_from([0.0, 1e-300, 0.4999]), st.floats(0.0, 0.4999)),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_box_holds_every_voxel_the_argmax_can_take(self, volume, noise, seed):
+        # outside the grown box the whole-grid reference's argmax is background
+        labels, channels = volume
+        probs, reference = soften_matches_reference(labels, noise, seed, channels)
+        outside = np.ones(labels.dims, dtype=bool)
+        outside[probs.box] = False
+        assert not reference.argmax(axis=-1)[outside].any()
+
+    def test_background_alone_keeps_the_whole_grid(self):
+        labels = LabelVolume(np.zeros((3, 4, 5), dtype=np.uint8), (1.0, 1.0, 1.0))
+        probs, _ = soften_matches_reference(labels, 0.2, 1)
+        assert probs.box == (slice(0, 3), slice(0, 4), slice(0, 5))
 
     @pytest.mark.parametrize("noise", [1e-323, 1e-20])
     def test_tiny_noise_gives_a_valid_volume(self, noise):
@@ -255,14 +315,16 @@ class TestSoften:
         # does not cover; that voxel's probability is 0, not negative
         data = np.array([[[2, 1, 1, 0, 0, 0, 0, 0], [0, 2, 1, 2, 1, 1, 2, 2]]], dtype=np.uint8)
         probs = soften(LabelVolume(data, (1.0, 1.0, 1.0)), noise, 0, 3)
+        assert probs.box == (slice(0, 1), slice(0, 2), slice(0, 8))
         assert probs.data.min() == 0.0
 
     def test_case_volumes_equal_reference(self):
         for cid in (1, 2, 3, 4):
             labels = gen_case(cid, 40 + cid).labels
-            for noise in (0.0, 0.15, 0.2, 0.49):
-                got = soften(labels, noise, cid).data
-                assert got.tobytes() == soften_reference(labels, noise, cid).tobytes()
+            # a tiny noise keeps the blur's running-sum residues in the float32
+            # result, so a crop too narrow for the blur's bits shows there
+            for noise in (0.0, 1e-300, 0.15, 0.2, 0.49):
+                soften_matches_reference(labels, noise, cid)
 
     def test_result_is_in_file_order(self, tmp_path):
         # the (W, H, D, K) view of a (D, H, W, K) buffer: save_volume writes it as is
@@ -275,7 +337,9 @@ class TestSoften:
         finally:
             tracemalloc.stop()
         assert peak < probs.data.nbytes / 10
-        assert np.array_equal(load_volume(str(tmp_path / "probs")).data, probs.data)
+        back = load_volume(str(tmp_path / "probs"))
+        assert back.box == probs.box and back.dims == probs.dims
+        assert np.array_equal(back.data, probs.data)
 
     def test_label_without_channel_named(self):
         data = np.zeros((5, 6, 7), dtype=np.uint8)
@@ -291,7 +355,8 @@ class TestSoften:
         labels = self._labels()
         probs = soften(labels, 0.0, 99)
         expect = np.eye(N_CHANNELS, dtype=np.float32)[labels.data]
-        assert np.array_equal(probs.data, expect)
+        assert np.array_equal(probs.data, expect[probs.box])
+        assert np.array_equal(segmentation(probs), labels.data)
 
     def test_rows_normalized(self):
         probs = soften(self._labels(), 0.2, 7)
@@ -300,13 +365,14 @@ class TestSoften:
     def test_argmax_mostly_agrees_with_labels(self):
         labels = self._labels(3)
         probs = soften(labels, 0.2, 8)
-        agree = (probs.data.argmax(axis=-1) == labels.data).mean()
+        agree = (segmentation(probs) == labels.data).mean()
         assert agree >= 0.99
 
     def test_deterministic(self):
         labels = self._labels(4)
         a = soften(labels, 0.2, 5)
         b = soften(labels, 0.2, 5)
+        assert a.box == b.box
         assert np.array_equal(a.data, b.data)
 
 
@@ -328,6 +394,7 @@ class TestCases:
         a = gen_case(2, 42)
         b = gen_case(2, 42)
         assert np.array_equal(a.labels.data, b.labels.data)
+        assert a.probs.box == b.probs.box
         assert np.array_equal(a.probs.data, b.probs.data)
 
     def test_dataset_deterministic_and_mixed(self):
@@ -349,23 +416,26 @@ class TestCases:
             gen_dataset(0, 0)
 
     def test_dataset_pinned(self):
-        # Digest captured with the full-grid _sweep_mask and implant_mass
-        # ellipsoid, before they were rewritten to test only local boxes:
-        # generated data must stay bit-identical. bend = 5.0 was the library
-        # default then.
+        # Digest over the labels, the stored box and its rows. The full-grid
+        # _sweep_mask and implant_mass ellipsoid, before they were rewritten to
+        # test only local boxes, and the whole-grid soften, cropped to each
+        # case's grown box, give the same digest: generated data must stay
+        # bit-identical. bend = 5.0 was the library default then.
         h = hashlib.sha256()
         for c in gen_dataset(24, 11, SynthConfig(grid=40, bend=5.0)):
             h.update(c.labels.data.tobytes())
+            h.update(np.array([(s.start, s.stop) for s in c.probs.box], dtype=np.int64).tobytes())
             h.update(c.probs.data.tobytes())
             h.update(np.array([c.class_id, c.seed], dtype=np.int64).tobytes())
             h.update(np.asarray(c.head_end, dtype=np.float64).tobytes())
-        assert h.hexdigest() == "f1493be687c1bd04b257715683872cc1b59caf61cfb109e6f54d600fd1af9bd8"
+        assert h.hexdigest() == "c5e3d0cc82cd4821a3303adf28ddc3fa937b87a45cf322e2a3c21a7d0f322818"
 
     def test_stream_is_lazy_and_matches_list(self):
         # a huge n costs nothing until cases are drawn; case i does not depend on n
         first = next(iter_dataset(10**9, 5))
         ref = gen_dataset(1, 5)[0]
         assert first.class_id == ref.class_id and first.seed == ref.seed
+        assert first.probs.box == ref.probs.box
         assert np.array_equal(first.probs.data, ref.probs.data)
 
 
@@ -378,6 +448,7 @@ class TestCaseIO:
         probs = load_volume(os.path.join(d, "probs"))
         back = load_case_info(d)
         assert np.array_equal(labels.data, case.labels.data)
+        assert probs.dims == case.probs.dims and probs.box == case.probs.box
         assert np.array_equal(probs.data, case.probs.data)
         assert back.class_id == case.class_id
         assert back.management == case.management

@@ -265,6 +265,84 @@ class TestCodec:
         assert list(payload) == expect
 
 
+PROB_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind prob\nchannels 2\ndtype f32\n"
+
+
+class TestProbBox:
+    """A prob volume stores the rows of a box of its grid, and the codec names a bad box."""
+
+    def _boxed(self):
+        rng = np.random.default_rng(4)
+        box = (slice(1, 3), slice(0, 4), slice(2, 3))
+        return ProbVolume(random_prob_data(rng, (2, 4, 1), 2), (1.0, 1.0, 1.0), (3, 4, 5), box)
+
+    def test_round_trip_keeps_dims_box_and_rows(self, tmp_path):
+        vol = self._boxed()
+        save_volume(vol, str(tmp_path / "p"))
+        assert (tmp_path / "p.hdr").read_text() == PROB_HEADER + "box 1 3 0 4 2 3\n"
+        assert (tmp_path / "p.raw").read_bytes() == payload_reference(vol)
+        back = load_volume(str(tmp_path / "p"))
+        assert (back.dims, back.box) == (vol.dims, vol.box)
+        assert back.data.tobytes() == vol.data.tobytes()
+
+    def test_header_without_a_box_holds_the_whole_grid(self, tmp_path):
+        (tmp_path / "w.hdr").write_text(PROB_HEADER)
+        (tmp_path / "w.raw").write_bytes(np.full(3 * 4 * 5 * 2, 0.5, dtype="<f4").tobytes())
+        back = load_volume(str(tmp_path / "w"))
+        assert back.dims == (3, 4, 5) and back.data.shape == (3, 4, 5, 2)
+        assert back.box == (slice(0, 3), slice(0, 4), slice(0, 5))
+
+    @pytest.mark.parametrize("box, payload_rows, match", [
+        ("1 1 0 4 0 5", 0, r"box \[1:1, 0:4, 0:5\] is empty"),
+        ("0 3 0 4 2 6", 12, r"box \[0:3, 0:4, 2:6\] is outside the grid \(3, 4, 5\)"),
+        ("-1 2 0 4 0 5", 60, r"box \[-1:2, 0:4, 0:5\] is outside the grid"),
+        ("2 1 0 4 0 5", 0, r"box \[2:1, 0:4, 0:5\] is outside the grid"),
+        ("0 1 0 1 0", 1, "malformed header"),
+    ], ids=["empty", "past-the-grid", "negative", "reversed", "five-numbers"])
+    def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
+        (tmp_path / "b.hdr").write_text(PROB_HEADER + f"box {box}\n")
+        (tmp_path / "b.raw").write_bytes(np.full(payload_rows * 2, 0.5, dtype="<f4").tobytes())
+        with pytest.raises(VolumeError, match=match) as err:
+            load_volume(str(tmp_path / "b"))
+        assert str(tmp_path / "b.hdr") in str(err.value)
+
+    def test_payload_of_another_box_names_the_payload(self, tmp_path):
+        save_volume(self._boxed(), str(tmp_path / "p"))
+        hdr = tmp_path / "p.hdr"
+        hdr.write_text(hdr.read_text().replace("box 1 3 0 4 2 3", "box 1 3 0 4 2 4"))
+        with pytest.raises(VolumeError, match="payload has 16 values, header implies 32") as err:
+            load_volume(str(tmp_path / "p"))
+        assert str(tmp_path / "p.raw") in str(err.value)
+
+    def test_label_volume_with_a_box_named(self, tmp_path):
+        (tmp_path / "l.hdr").write_text(
+            "dims 2 2 2\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\nbox 0 1 0 2 0 2\n"
+        )
+        (tmp_path / "l.raw").write_bytes(bytes(4))
+        with pytest.raises(VolumeError, match=r"whole grid, not \[0:1, 0:2, 0:2\]") as err:
+            load_volume(str(tmp_path / "l"))
+        assert str(tmp_path / "l.hdr") in str(err.value)
+
+    def test_data_must_fill_its_box(self):
+        data = random_prob_data(np.random.default_rng(5), (2, 4, 2), 2)
+        with pytest.raises(VolumeError, match=r"does not fill box \[1:3, 0:4, 2:3\]"):
+            ProbVolume(data, (1.0, 1.0, 1.0), (3, 4, 5), (slice(1, 3), slice(0, 4), slice(2, 3)))
+
+    def test_bad_row_named_by_its_grid_voxel(self):
+        data = np.full((2, 4, 1, 2), 0.5, dtype=np.float32)
+        data[1, 3, 0, 0] = 0.75
+        with pytest.raises(VolumeError, match=r"voxel \(2,3,2\) sums to 1\.250000"):
+            ProbVolume(data, (1.0, 1.0, 1.0), (3, 4, 5), (slice(1, 3), slice(0, 4), slice(2, 3)))
+
+    def test_crop_of_a_box_inside_the_stored_box(self):
+        vol = self._boxed()
+        inner = (slice(2, 3), slice(1, 3), slice(2, 3))
+        assert np.array_equal(vol.crop(inner), vol.data[1:2, 1:3, 0:1])
+        with pytest.raises(VolumeError, match=r"box \[0:3, 1:3, 2:3\] is not inside "
+                                              r"the stored box \[1:3, 0:4, 2:3\]"):
+            vol.crop((slice(0, 3), slice(1, 3), slice(2, 3)))
+
+
 def brute_force_surface(vol, label):
     w, h, d = vol.dims
     out = set()
