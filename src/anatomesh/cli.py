@@ -8,7 +8,7 @@ import os
 import sys
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import load_config
 from .mesh import load_mesh, save_mesh
 from .pipeline import STAGES, run_pipeline, write_manifest
 
@@ -56,13 +56,10 @@ def main(argv: list[str] | None = None) -> int:
             for k in sorted(accs):
                 print(f"{k} accuracy: {accs[k]:.4f}")
             return 0
-        for name, fn in STAGES:
-            if name == args.command:
-                os.makedirs(args.out, exist_ok=True)
-                fn(cfg, args.out)
-                write_manifest(cfg, args.out, [name])
-                return 0
-        raise ConfigError(f"unknown command {args.command}")
+        os.makedirs(args.out, exist_ok=True)
+        dict(STAGES)[args.command](cfg, args.out)
+        write_manifest(cfg, args.out, [args.command])
+        return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit
         if args.debug:
             raise

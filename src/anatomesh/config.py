@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 from .graphnet import TrainConfig
 from .meshfit import FitConfig
@@ -14,51 +14,24 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "DEFAULTS"]
 
 
 class ConfigError(ValueError):
-    """Unknown key, malformed line or value, value out of range, or missing config file."""
+    """Unknown, repeated or malformed key, bad value, undecodable or missing config file."""
 
 
-# section -> its stage settings class, whose fields hold the section's
-# defaults and whose __post_init__ holds their range rules
+# section -> its settings class: each field is one of the section's keys,
+# with the run default, and __post_init__ holds the keys' range rules
 SETTINGS = {"synth": SynthConfig, "fit": FitConfig, "train": TrainConfig}
 
-# section -> key -> default value; also serves as the schema, each value
-# fixing its key's type. The keys outside the settings classes are run-level.
-DEFAULTS: dict[str, dict[str, object]] = {
-    "synth": {"n_train": 400, "n_test": 100, "seed": 0, **asdict(SynthConfig())},
-    "fit": {**asdict(FitConfig()), "prototype_cases": 10},
-    "train": {**asdict(TrainConfig()), "width": 64, "val_fraction": 0.2},
-}
-
-
-# [section] key -> (test, rule) for run-level values of the right type that no stage can use
-RANGES = {
-    ("synth", "n_train"): (lambda v: v >= 1, "at least 1"),
-    ("synth", "n_test"): (lambda v: v >= 1, "at least 1"),
-    ("synth", "seed"): (lambda v: v >= 0, "at least 0"),
-    ("fit", "prototype_cases"): (lambda v: v >= 1, "at least 1"),
-    ("train", "width"): (lambda v: v >= 1, "at least 1"),
-    ("train", "val_fraction"): (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-}
+# section -> key -> default value; each value fixes its key's type
+DEFAULTS: dict[str, dict[str, object]] = {s: asdict(cls()) for s, cls in SETTINGS.items()}
 
 
 @dataclass
 class RunConfig:
-    values: dict[str, dict[str, object]]
     path: str
     digest: str
     synth: SynthConfig
     fit: FitConfig
     train: TrainConfig
-
-    def get(self, section: str, key: str):
-        """The value of ``[section] key``, of its default's type."""
-        return self.values[section][key]
-
-
-def _settings(section: str, values: dict[str, object]):
-    """The section's settings object; its class raises '<key> must be <rule>' on a bad value."""
-    cls = SETTINGS[section]
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _parse(value: str, default: object) -> object:
@@ -79,15 +52,23 @@ def _type_name(default: object) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse a config file; unknown sections or keys and bad values are rejected."""
+    """Parse a config file; unknown sections or keys, keys set twice and bad
+    values are rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path, "rb") as f:
         raw = f.read()
     digest = hashlib.sha256(raw).hexdigest()
-    values = {s: dict(kv) for s, kv in DEFAULTS.items()}
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+    settings = {s: cls() for s, cls in SETTINGS.items()}
+    set_on: dict[tuple[str, str], int] = {}  # [section] key -> the line that set it
     section = None
-    for lineno, line in enumerate(raw.decode().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -103,17 +84,18 @@ def load_config(path: str) -> RunConfig:
         key, value = (p.strip() for p in line.split("=", 1))
         if key not in DEFAULTS[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}' in [{section}]")
+        if (section, key) in set_on:
+            raise ConfigError(f"{path}:{lineno}: [{section}] {key} is already set "
+                              f"on line {set_on[section, key]}")
+        set_on[section, key] = lineno
         default = DEFAULTS[section][key]
         try:
-            values[section][key] = _parse(value, default)
+            parsed = _parse(value, default)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: [{section}] {key} must be "
                               f"{_type_name(default)}, got {value!r}") from None
-        test, rule = RANGES.get((section, key), (None, None))
         try:
-            if test and not test(values[section][key]):
-                raise ValueError(f"{key} must be {rule}")
-            _settings(section, values[section])
+            settings[section] = replace(settings[section], **{key: parsed})
         except (ValueError, SynthError) as exc:
             raise ConfigError(f"{path}:{lineno}: [{section}] {exc}, got {value!r}") from None
-    return RunConfig(values, path, digest, **{s: _settings(s, values[s]) for s in SETTINGS})
+    return RunConfig(path, digest, **settings)

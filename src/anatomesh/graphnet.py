@@ -87,8 +87,7 @@ class GraphResNetParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The ``[train]`` settings but ``width`` and ``val_fraction``; the field
-    defaults are the run defaults."""
+    """The ``[train]`` settings; the field defaults are the run defaults."""
 
     eta1: float = 0.1
     eta2: float = 0.1
@@ -97,6 +96,8 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 16
     seed: int = 0
+    width: int = 64  # features per vertex after each graph conv layer
+    val_fraction: float = 0.2  # share of the train cases held out for validation
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -107,8 +108,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("batch_size", "width"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in [0, 1)")
 
 
 def _glorot(
@@ -123,8 +127,8 @@ def init_params(
     k_vertex: int,
     k_global: int,
     topo: MeshTopology,
-    width: int = 64,
-    seed: int = 0,
+    width: int,
+    seed: int,
 ) -> GraphResNetParams:
     """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree."""
     rng = np.random.default_rng(seed)
@@ -379,7 +383,6 @@ def train(
     topo: MeshTopology,
     cfg: TrainConfig,
     validation: list[tuple[np.ndarray, np.ndarray, int]] | None = None,
-    width: int = 64,
 ) -> tuple[GraphResNetParams, TrainLog]:
     """Momentum gradient descent over (features, vertex labels, global label) cases.
 
@@ -404,7 +407,7 @@ def train(
     )
     feats0, _, _ = dataset[0]
     params = init_params(
-        feats0.shape[1], k_vertex, k_global, topo, width=width, seed=cfg.seed
+        feats0.shape[1], k_vertex, k_global, topo, width=cfg.width, seed=cfg.seed
     )
     stacked = np.concatenate([f for f, _, _ in dataset])
     params.input_mean = stacked.mean(axis=0)

@@ -64,14 +64,16 @@ class FitConfig:
     step_size: float = 0.25
     max_iters: int = 400
     tol: float = 1e-6
+    prototype_cases: int = 10  # train cases whose mean shape the prototype is fitted to
 
     def __post_init__(self):
         # each test is written so that NaN fails it
         for name in ("lambda1", "lambda2", "step_size", "tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("max_iters", "prototype_cases"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

@@ -65,9 +65,8 @@ def _case_dirs(out_dir: str, *splits: str) -> list[str]:
 
 def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
     """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
-    fraction = cfg.get("train", "val_fraction")
     dirs = _case_dirs(out_dir, "train")
-    n_val = int(round(fraction * len(dirs)))
+    n_val = int(round(cfg.train.val_fraction * len(dirs)))
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 
@@ -170,16 +169,14 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     and a case's bytes depend only on its pair, so the files do not
     depend on the thread count.
     """
-    seed = cfg.get("synth", "seed")
-    n_train = cfg.get("synth", "n_train")
-    n_test = cfg.get("synth", "n_test")
     # synth-gen owns cases/: a rerun with fewer cases must not leave old ones behind
     cases = os.path.join(out_dir, "cases")
     if os.path.isdir(cases):
         shutil.rmtree(cases)
-    names = [f"train_{k:04d}" for k in range(n_train)] + [f"test_{k:04d}" for k in range(n_test)]
+    names = [f"train_{k:04d}" for k in range(cfg.synth.n_train)]
+    names += [f"test_{k:04d}" for k in range(cfg.synth.n_test)]
     dirs = [os.path.join(cases, name) for name in names]
-    draws = dict(zip(dirs, case_draws(len(dirs), seed, cfg.synth)))
+    draws = dict(zip(dirs, case_draws(len(dirs), cfg.synth.seed, cfg.synth)))
     _per_case(
         dirs,
         lambda d: save_case(gen_case(*draws[d], cfg.synth), d),
@@ -188,8 +185,7 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
-    n_proto = cfg.get("fit", "prototype_cases")
-    dirs = _case_dirs(out_dir, "train")[:n_proto]
+    dirs = _case_dirs(out_dir, "train")[: cfg.fit.prototype_cases]
     cases = _per_case(dirs, lambda d: (_load_organ(d), load_case_info(d).head_end))
     mean = mean_shape([mask for mask, _ in cases], ORGAN_LABEL)
     proto = build_prototype(mean, cfg.fit)
@@ -275,10 +271,7 @@ def stage_train(cfg: RunConfig, out_dir: str) -> None:
     cases = _load_dataset(train_dirs + val_dirs)
     dataset, validation = cases[: len(train_dirs)], cases[len(train_dirs) :] or None
     topo = _load_prototype(out_dir).topology
-    params, log = train(
-        dataset, topo, cfg.train,
-        validation=validation, width=cfg.get("train", "width"),
-    )
+    params, log = train(dataset, topo, cfg.train, validation=validation)
     save_params(params, os.path.join(out_dir, "model.ckpt"))
     log.to_csv(os.path.join(out_dir, "train_log.csv"))
 

@@ -53,16 +53,13 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
     return LabelVolume(mean_mask.astype(np.uint8), spacing)
 
 
-def build_prototype(
-    mean_mask: LabelVolume, cfg: FitConfig | None = None
-) -> AnatomyMesh:
+def build_prototype(mean_mask: LabelVolume, cfg: FitConfig) -> AnatomyMesh:
     """Fit the fixed 156-vertex template to a mean organ mask.
 
     The template starts as the bounding ellipsoid of the mask and is deformed
     by the mask-to-mesh loss. Fails if vertices end up on average further
     than 1.5 voxels from the mask surface.
     """
-    cfg = cfg or FitConfig(max_iters=2000)
     tverts, tfaces = template_mesh_arrays()
     organ = mean_mask.mask(1)
     idx_pts = np.argwhere(organ)

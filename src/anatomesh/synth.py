@@ -125,6 +125,9 @@ RETRY_LIMIT = 10  # tries per case, and per mass placement
 class SynthConfig:
     """The ``[synth]`` settings; the field defaults are the run defaults."""
 
+    n_train: int = 400
+    n_test: int = 100
+    seed: int = 0
     grid: int = 48
     noise: float = 0.2
     bend: float = 6.0  # voxels of centerline deflection
@@ -132,6 +135,11 @@ class SynthConfig:
 
     def __post_init__(self):
         # each test is written so that NaN fails it
+        for name in ("n_train", "n_test"):
+            if not getattr(self, name) >= 1:
+                raise SynthError(f"{name} must be at least 1")
+        if not self.seed >= 0:
+            raise SynthError("seed must be at least 0")
         if not self.grid >= 32:
             raise SynthError("grid must be at least 32")
         if not 0.0 <= self.noise < 0.5:

@@ -71,39 +71,22 @@ def channel_sum(channels: np.ndarray) -> np.ndarray:
     return total
 
 
-# Planes of the memory-major axis per step of the probability check: small
-# enough that a slab's float64 sums stay in cache.
-_SLAB_PLANES = 4
-
-
 def _check_probabilities(data: np.ndarray, origin: list[int]) -> None:
     """Raise VolumeError unless every (W, H, D, K) row is non-negative and sums to 1.
 
-    The rows are summed in slabs along the axis that strides furthest in
-    memory. A bad row is reported by its first voxel in (w, h, d) order,
-    as a grid voxel: ``origin`` is where ``data`` starts in the grid. A NaN
-    sum fails.
+    A bad row is reported by its first voxel in (w, h, d) order, as a grid
+    voxel: ``origin`` is where ``data`` starts in the grid. A NaN sum fails.
     """
-    axis = int(np.argmax(np.abs(data.strides[:3])))
-    bad_rows = []
-    negative = False
-    for start in range(0, data.shape[axis], _SLAB_PLANES):
-        slab = data[(slice(None),) * axis + (slice(start, start + _SLAB_PLANES),)]
-        sums = channel_sum(np.moveaxis(slab, -1, 0))
-        bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
-        if bad.any():
-            first = np.argwhere(bad)[0]
-            total = sums[tuple(first)]
-            first[axis] += start
-            bad_rows.append((tuple((first + origin).tolist()), total))
-        negative = negative or bool((slab < 0).any())
-    if bad_rows:
-        (w, h, d), total = min(bad_rows)
+    sums = channel_sum(np.moveaxis(data, -1, 0))
+    bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        w, h, d = (first + origin).tolist()
         raise VolumeError(
             f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
-            f"sums to {total:.6f}"
+            f"sums to {sums[tuple(first)]:.6f}"
         )
-    if negative:
+    if (data < 0).any():
         raise VolumeError("probability values must be non-negative")
 
 

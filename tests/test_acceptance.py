@@ -254,7 +254,7 @@ class TestNegativeControl:
             tcfg = dataclasses.replace(cfg.train, seed=seed, epochs=epochs)
             params, log = train(
                 cases[:n_train], topo, tcfg,
-                validation=cases[n_train : n_train + n_val], width=cfg.get("train", "width"),
+                validation=cases[n_train : n_train + n_val],
             )
             hits = [
                 classify_gc(forward(params, feats, topo)[1]) - 1 == cls
@@ -263,7 +263,7 @@ class TestNegativeControl:
             ]
             return float(np.mean(hits)), len(log.epochs), len(hits)
 
-        acc, epochs, n = head_vs_body_accuracy(intact, cfg.get("train", "epochs"))
+        acc, epochs, n = head_vs_body_accuracy(intact, cfg.train.epochs)
         shuffled_acc, _, _ = head_vs_body_accuracy(shuffled, epochs)
         assert n >= 30
         assert acc >= 0.9, f"intact class 2/3 accuracy {acc:.3f}"

@@ -64,8 +64,8 @@ def tree_digest(root):
 class TestConfig:
     def test_defaults_without_file_sections(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
-        assert cfg.get("train", "epochs") == 3
-        assert cfg.get("synth", "n_train") == 400  # untouched default
+        assert cfg.train.epochs == 3
+        assert cfg.synth.n_train == 400  # untouched default
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -86,8 +86,8 @@ class TestConfig:
     def test_comments_and_floats(self, tmp_path):
         text = "[synth]\nnoise = 0.1  # light noise\nclass_mix = 0.5 0.5 0 0\n"
         cfg = load_config(write_config(tmp_path, text))
-        assert cfg.get("synth", "noise") == 0.1
-        assert cfg.get("synth", "class_mix") == (0.5, 0.5, 0.0, 0.0)
+        assert cfg.synth.noise == 0.1
+        assert cfg.synth.class_mix == (0.5, 0.5, 0.0, 0.0)
 
     def test_non_integer_rejected(self, tmp_path):
         for value in ("2.9", "2.0", "1e3", "two"):
@@ -167,6 +167,37 @@ class TestConfig:
         assert cfg.synth == SynthConfig()
         assert cfg.fit == FitConfig()
         assert cfg.train == TrainConfig()
+        assert cfg.synth.n_train == 400
+        assert cfg.train.width == 64
+
+    @pytest.mark.parametrize("make, rule", [
+        (lambda: SynthConfig(n_train=0), "n_train must be at least 1"),
+        (lambda: SynthConfig(n_test=0), "n_test must be at least 1"),
+        (lambda: SynthConfig(seed=-1), "seed must be at least 0"),
+        (lambda: FitConfig(prototype_cases=0), "prototype_cases must be at least 1"),
+        (lambda: TrainConfig(width=0), "width must be at least 1"),
+        (lambda: TrainConfig(val_fraction=1.0), r"val_fraction must be in \[0, 1\)"),
+        (lambda: TrainConfig(val_fraction=-0.5), r"val_fraction must be in \[0, 1\)"),
+        (lambda: TrainConfig(val_fraction=float("nan")), r"val_fraction must be in \[0, 1\)"),
+    ], ids=["n_train", "n_test", "synth-seed", "prototype_cases", "width",
+            "val_fraction-1", "val_fraction-negative", "val_fraction-nan"])
+    def test_settings_class_holds_the_run_level_rule(self, make, rule):
+        with pytest.raises((ValueError, SynthError), match=f"^{rule}$"):
+            make()
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        # [synth] seed and [train] seed are two keys: line 7 loads
+        path = write_config(tmp_path, "[train]\nepochs = 3\n\n[synth]\nseed = 1\n"
+                                      "[train]\nseed = 2\nepochs = 5\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:8: [train] epochs is already set on line 2")):
+            load_config(path)
+
+    def test_file_that_is_not_utf8_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# comment\n[train]\nepochs = 3\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: not UTF-8 text")):
+            load_config(str(path))
 
     def test_digest_tracks_content(self, tmp_path):
         a = load_config(write_config(tmp_path, "[train]\nepochs = 3\n"))
@@ -451,7 +482,7 @@ class TestPipeline:
         if 1.0 in accs:
             assert len(accs) == accs.index(1.0) + 1
         else:
-            assert len(accs) == load_config(cfg).get("train", "epochs")
+            assert len(accs) == load_config(cfg).train.epochs
 
     def test_manifest_lists_all_stages(self, pipeline_run):
         cfg, out = pipeline_run

@@ -166,7 +166,7 @@ class TestForward:
             forward(params, np.zeros((10, 5)), ico_topology())
 
     def test_init_params_layer_shapes(self, template):
-        p = init_params(13, 4, 4, template.topology, width=64)
+        p = init_params(13, 4, 4, template.topology, width=64, seed=0)
         assert p.n_layers == 6
         assert p.widths == [13, 64, 64, 64, 64, 64, 64]
         assert p.vertex_w.shape == (64, 4)
@@ -322,9 +322,9 @@ class TestTrain:
         rng = np.random.default_rng(13)
         topo = ico_topology()
         data = tiny_dataset(rng)
-        cfg = TrainConfig(epochs=3, seed=5, learning_rate=1e-3)
-        p1, _ = train(data, topo, cfg, width=8)
-        p2, _ = train(data, topo, cfg, width=8)
+        cfg = TrainConfig(epochs=3, seed=5, learning_rate=1e-3, width=8)
+        p1, _ = train(data, topo, cfg)
+        p2, _ = train(data, topo, cfg)
         for a, b in zip(p1.tensors(), p2.tensors()):
             assert np.array_equal(a, b)
 
@@ -332,8 +332,8 @@ class TestTrain:
         rng = np.random.default_rng(14)
         topo = ico_topology()
         data = tiny_dataset(rng)
-        cfg = TrainConfig(epochs=0, seed=5)
-        got, log = train(data, topo, cfg, width=8)
+        cfg = TrainConfig(epochs=0, seed=5, width=8)
+        got, log = train(data, topo, cfg)
         expect = init_params(5, 2, 2, ico_topology(), width=8, seed=5)
         for a, b in zip(got.tensors(), expect.tensors()):
             assert np.array_equal(a, b)
@@ -343,8 +343,8 @@ class TestTrain:
         rng = np.random.default_rng(15)
         topo = ico_topology()
         data = tiny_dataset(rng, n=8)
-        cfg = TrainConfig(epochs=60, seed=0, learning_rate=1e-3, batch_size=4)
-        params, log = train(data, topo, cfg, width=8)
+        cfg = TrainConfig(epochs=60, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        params, log = train(data, topo, cfg)
         correct = 0
         for feats, _, g in data:
             _, gp = forward(params, feats, topo)
@@ -358,8 +358,8 @@ class TestTrain:
         topo = ico_topology()
         data = tiny_dataset(rng, n=8)
         val = tiny_dataset(rng, n=4)
-        cfg = TrainConfig(epochs=10, seed=0, learning_rate=1e-3, batch_size=4)
-        params, log = train(data, topo, cfg, validation=val, width=8)
+        cfg = TrainConfig(epochs=10, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        params, log = train(data, topo, cfg, validation=val)
         assert all(a is not None for a in log.val_acc)
         best = max(log.val_acc)
         correct = sum(
@@ -372,20 +372,20 @@ class TestTrain:
         topo = ico_topology()
         data = tiny_dataset(rng, n=8)
         val = tiny_dataset(rng, n=4)
-        cfg = TrainConfig(epochs=20, seed=0, learning_rate=1e-3, batch_size=4)
-        params, log = train(data, topo, cfg, validation=val, width=8)
+        cfg = TrainConfig(epochs=20, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        params, log = train(data, topo, cfg, validation=val)
         k = log.val_acc.index(1.0)
         assert len(log.epochs) == k + 1 < cfg.epochs
-        longer = TrainConfig(epochs=40, seed=0, learning_rate=1e-3, batch_size=4)
-        again, _ = train(data, topo, longer, validation=val, width=8)
+        longer = TrainConfig(epochs=40, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        again, _ = train(data, topo, longer, validation=val)
         for a, b in zip(params.tensors(), again.tensors()):
             assert np.array_equal(a, b)
 
     def test_runs_every_epoch_without_validation(self):
         rng = np.random.default_rng(16)
         topo = ico_topology()
-        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4)
-        _, log = train(tiny_dataset(rng, n=8), topo, cfg, width=8)
+        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        _, log = train(tiny_dataset(rng, n=8), topo, cfg)
         assert log.epochs == list(range(12))
 
     def test_runs_every_epoch_when_validation_never_perfect(self):
@@ -395,8 +395,8 @@ class TestTrain:
         val = tiny_dataset(rng, n=4)
         # two validation cases whose labels contradict their features
         val = val + [(f, vt, 1 - g) for f, vt, g in val[:2]]
-        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4)
-        _, log = train(data, topo, cfg, validation=val, width=8)
+        cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        _, log = train(data, topo, cfg, validation=val)
         assert max(log.val_acc) < 1.0
         assert log.epochs == list(range(12))
 
@@ -419,8 +419,8 @@ class TestTrain:
         f, vt, g = cases[split][case]
         cases[split][case] = (f, *edit(vt, g))
         with pytest.raises(GraphNetError, match=f"{split} case {case}: {name} labels"):
-            train(cases["training"], ico_topology(), TrainConfig(epochs=3),
-                  validation=cases["validation"], width=8)
+            train(cases["training"], ico_topology(), TrainConfig(epochs=3, width=8),
+                  validation=cases["validation"])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(GraphNetError, match="empty"):
@@ -429,8 +429,8 @@ class TestTrain:
     def test_log_csv(self, tmp_path):
         rng = np.random.default_rng(17)
         topo = ico_topology()
-        cfg = TrainConfig(epochs=2, learning_rate=1e-3)
-        _, log = train(tiny_dataset(rng), topo, cfg, width=8)
+        cfg = TrainConfig(epochs=2, learning_rate=1e-3, width=8)
+        _, log = train(tiny_dataset(rng), topo, cfg)
         path = tmp_path / "log.csv"
         log.to_csv(str(path))
         lines = path.read_text().splitlines()

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anatomesh.mesh import REGION_NAMES, MeshError
-from anatomesh.meshfit import SurfaceIndex, mean_surface_distance
+from anatomesh.meshfit import FitConfig, SurfaceIndex, mean_surface_distance
 from anatomesh.prototype import assign_regions, build_prototype, mean_shape
 from anatomesh.volume import LabelVolume, VolumeError, is_connected
 
 from conftest import boxed_masks, file_order, sphere_mask, vertex_region_names
+
+# an iteration budget the sphere and capsule fits converge within
+PROTOTYPE_FIT = FitConfig(max_iters=2000)
 
 
 def label_vol(mask, spacing=(1.0, 1.0, 1.0)):
@@ -148,7 +151,7 @@ class TestMeanShape:
 class TestBuildPrototype:
     def test_sphere_fit(self):
         vol = label_vol(sphere_mask(48, 14))
-        proto = build_prototype(vol)
+        proto = build_prototype(vol, PROTOTYPE_FIT)
         proto.validate_closed()
         assert proto.n_vertices == 156
         # every vertex close to the analytic sphere surface
@@ -157,14 +160,14 @@ class TestBuildPrototype:
 
     def test_deterministic(self):
         vol = label_vol(sphere_mask(40, 11))
-        a = build_prototype(vol)
-        b = build_prototype(vol)
+        a = build_prototype(vol, PROTOTYPE_FIT)
+        b = build_prototype(vol, PROTOTYPE_FIT)
         assert np.array_equal(a.vertices, b.vertices)
 
     def test_capsule_bounding_box(self):
         mask = ellipsoid_mask(48, (23.5, 23.5, 23.5), (18, 7, 7))
         vol = label_vol(mask)
-        proto = build_prototype(vol)
+        proto = build_prototype(vol, PROTOTYPE_FIT)
         got_min = proto.vertices.min(axis=0)
         got_max = proto.vertices.max(axis=0)
         want = np.argwhere(mask)
@@ -175,7 +178,7 @@ class TestBuildPrototype:
 class TestAssignRegions:
     def _capsule_mesh(self):
         vol = label_vol(ellipsoid_mask(48, (23.5, 23.5, 23.5), (18, 7, 7)))
-        return build_prototype(vol)
+        return build_prototype(vol, PROTOTYPE_FIT)
 
     def test_head_at_low_x(self):
         mesh = self._capsule_mesh()

@@ -221,6 +221,7 @@ class TestRenderZones:
             render_zones(line_mesh(np.argwhere(organ)[:256]), organ, (1.0, 1.0, 1.0))
 
     def test_full_template_on_capsule(self, template):
+        from anatomesh.meshfit import FitConfig
         from anatomesh.prototype import build_prototype
 
         idx = np.indices((40, 40, 40)).reshape(3, -1).T
@@ -228,7 +229,7 @@ class TestRenderZones:
             (((idx - 19.5) / np.array([15, 7, 7])) ** 2).sum(axis=1) <= 1.0
         ).reshape(40, 40, 40)
         vol = LabelVolume(organ.astype(np.uint8), (1.0, 1.0, 1.0))
-        proto = build_prototype(vol)
+        proto = build_prototype(vol, FitConfig(max_iters=2000))
         zmap = render_zones(proto, organ, (1.0, 1.0, 1.0))
         assert int(zmap.data.max()) == 156
         assert np.all((zmap.data > 0) == organ)
