@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
+import pickle
 import shutil
-import threading
+import traceback
 from collections.abc import Callable
-from typing import TypeVar
+from typing import NoReturn, TypeVar
 
 import numpy as np
 
@@ -74,61 +77,110 @@ def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
 _CASE_ERRORS = (FitError, GraphNetError, MeshError, SynthError, VolumeError, ZoneError)
 
 
-def _per_case(dirs: list[str], work: Callable[[str], T], threads: int = 1) -> list[T]:
+def _per_case(dirs: list[str], work: Callable[[str], T], workers: int = 1) -> list[T]:
     """``work(d)`` for each case directory, and its results in case order.
 
-    With ``threads`` above 1 the calling thread and ``threads - 1`` more
-    take the cases in order, so ``work`` must be safe to run on several
-    cases at once. Once a case has failed no case is started, the running
-    ones are waited for, and the failure of the first case in order is
-    raised. A synth, fit, mesh, volume, zone or network error gets the
-    case's name in front.
+    With ``workers`` above 1 the calling process and ``workers - 1`` forked
+    ones take the cases in name order from one shared counter, so ``work``
+    must be safe to run on several cases at once, and a forked worker's
+    results must pickle. Once a case has failed no case is started, the
+    running ones finish, and the failure of the first case in order is
+    raised; a forked worker's failure carries its traceback as a note. A
+    synth, fit, mesh, volume, zone or network error gets the case's name in
+    front.
     """
-    results: dict[int, T] = {}
-    failures: dict[int, BaseException] = {}
-    todo = iter(enumerate(dirs))
-    lock = threading.Lock()
-    stop = threading.Event()
+    n = len(dirs)
+    if workers > 1:
+        import multiprocessing
 
-    def run() -> None:
+        fork = multiprocessing.get_context("fork")
+        next_case, lock = fork.RawValue("q", 0), fork.Lock()
+    else:
+        next_case, lock = ctypes.c_int64(0), contextlib.nullcontext()
+
+    def run() -> tuple[dict[int, T], tuple[int, BaseException] | None]:
+        done: dict[int, T] = {}
         while True:
             with lock:
-                item = None if stop.is_set() else next(todo, None)
-            if item is None:
-                return
-            i, d = item
+                i = next_case.value
+                next_case.value = i + 1
+            if i >= n:
+                return done, None
             try:
-                results[i] = work(d)
-            except BaseException as exc:  # raised below, once every thread has stopped
+                done[i] = work(dirs[i])
+            except BaseException as exc:  # raised below, once every worker has stopped
                 with lock:
-                    failures[i] = exc
-                    stop.set()
+                    next_case.value = n
+                return done, (i, exc)
 
-    helpers = [threading.Thread(target=run) for _ in range(threads - 1)]
+    readers = {}  # forked worker's pid -> the read end of its report pipe
     try:
-        for helper in helpers:
-            helper.start()
-        run()
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _report(run, w)
+            os.close(w)  # or a later worker inherits it, and this pipe never reaches EOF
+            readers[pid] = open(r, "rb")
+        outcomes = [run()]
+        # read to EOF before reaping, so a report longer than the pipe cannot block its worker
+        reports = [f.read() for f in readers.values()]
     finally:
-        stop.set()
-        for helper in helpers:
-            if helper.ident is not None:  # started
-                helper.join()
+        with lock:
+            next_case.value = n
+        statuses = []
+        for pid, f in readers.items():
+            f.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for report, status in zip(reports, statuses):
+        if not report:
+            raise RuntimeError(f"a case worker ended with exit status {status} and sent no report")
+        outcomes.append(pickle.loads(report))
+    results: dict[int, T] = {}
+    failures: dict[int, BaseException] = {}
+    for done, failure in outcomes:
+        results.update(done)
+        if failure is not None:
+            failures[failure[0]] = failure[1]
     if failures:
         first = min(failures)
         exc = failures[first]
         if isinstance(exc, _CASE_ERRORS):
             raise type(exc)(f"{os.path.basename(dirs[first])}: {exc}") from exc
         raise exc
-    return [results[i] for i in range(len(dirs))]
+    return [results[i] for i in range(n)]
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+def _report(run: Callable[[], tuple], w: int) -> NoReturn:
+    """In a forked worker: run its share of the cases, pickle the outcome into ``w``, exit."""
+    status = 1
     try:
-        return len(os.sched_getaffinity(0))
+        done, failure = run()
+        if failure is not None:
+            i, exc = failure
+            text = "".join(traceback.format_exception(exc))
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__} that cannot be pickled: {exc}")
+            # what add_note does; Python 3.10 keeps the note without printing it
+            note = f"in case worker {os.getpid()}:\n{text}"
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+            failure = i, exc
+        with open(w, "wb") as f:
+            f.write(pickle.dumps((done, failure)))
+        status = 0
+    finally:
+        os._exit(status)  # never return into the caller's stack
+
+
+def _workers(dirs: list[str]) -> int:
+    """One worker per CPU this process may run on, capped at the case count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(dirs))
 
 
 def _load_prototype(out_dir: str) -> AnatomyMesh:
@@ -163,11 +215,11 @@ def _load_segmentation(d: str) -> LabelVolume:
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
-    """Generate and save every case, on one thread per CPU (capped at the case count).
+    """Generate and save every case, on one worker process per CPU (capped at the case count).
 
-    Each case's (class id, seed) pair is drawn before any case is made,
+    Each case's (class id, seed) pair is drawn before any worker starts,
     and a case's bytes depend only on its pair, so the files do not
-    depend on the thread count.
+    depend on the worker count.
     """
     # synth-gen owns cases/: a rerun with fewer cases must not leave old ones behind
     cases = os.path.join(out_dir, "cases")
@@ -177,11 +229,7 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     names += [f"test_{k:04d}" for k in range(cfg.synth.n_test)]
     dirs = [os.path.join(cases, name) for name in names]
     draws = dict(zip(dirs, case_draws(len(dirs), cfg.synth.seed, cfg.synth)))
-    _per_case(
-        dirs,
-        lambda d: save_case(gen_case(*draws[d], cfg.synth), d),
-        threads=min(_cpus(), len(dirs)),
-    )
+    _per_case(dirs, lambda d: save_case(gen_case(*draws[d], cfg.synth), d), _workers(dirs))
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
@@ -201,7 +249,8 @@ def stage_fit(cfg: RunConfig, out_dir: str) -> None:
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
-    _per_case(_case_dirs(out_dir, "train", "test"), fit)
+    dirs = _case_dirs(out_dir, "train", "test")
+    _per_case(dirs, fit, _workers(dirs))
 
 
 def stage_zones(cfg: RunConfig, out_dir: str) -> None:
@@ -215,7 +264,8 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
         save_volume(zvol, os.path.join(d, "zones"))
         _save_vertex_labels(vl, d)
 
-    _per_case(_case_dirs(out_dir, "train", "test"), zones)
+    dirs = _case_dirs(out_dir, "train", "test")
+    _per_case(dirs, zones, _workers(dirs))
 
 
 def stage_features(cfg: RunConfig, out_dir: str) -> None:
@@ -229,7 +279,8 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
         feats = pool_features(mesh, zvol, probs, labels, MASS_LABELS)
         save_features(feats, os.path.join(d, "features.csv"))
 
-    _per_case(_case_dirs(out_dir, "train", "test"), features)
+    dirs = _case_dirs(out_dir, "train", "test")
+    _per_case(dirs, features, _workers(dirs))
 
 
 def _save_vertex_labels(labels: np.ndarray, d: str) -> None:

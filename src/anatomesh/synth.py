@@ -191,8 +191,8 @@ def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     Each centerline point is tested only against the voxels of its own
     bounding box, and its ball is OR-ed into the grid there. The boxes of
     all points, and each point's squared distances to the grid planes of
-    each axis, are found in one pass: the loop makes few numpy calls per
-    point, each holding the interpreter lock that synth-gen's threads share.
+    each axis, are found in one pass, so the loop makes few numpy calls per
+    point, whose fixed cost outweighs their work on such small boxes.
     """
     inside = np.zeros((grid, grid, grid), dtype=bool)
     # integer voxel coordinates as floats: ``coord - c`` is ``np.arange(grid) - c``

@@ -1,12 +1,14 @@
 import filecmp
 import gc
 import io
+import multiprocessing
 import os
 import re
 import shutil
+import signal
 import tempfile
-import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
 from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
-from anatomesh.meshfit import FitConfig
+from anatomesh.meshfit import FitConfig, FitError
 from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
 
@@ -562,6 +564,7 @@ class TestCaseFiles:
         ]
 
     def test_each_stage_reads_a_case_volume_once(self, tmp_path, monkeypatch):
+        _patch_cpus(monkeypatch, 1)  # a forked worker's reads would not reach this list
         out = str(tmp_path / "run")
         reads = []
 
@@ -585,6 +588,7 @@ class TestCaseFiles:
         assert len(by_stage["classify"]) == 7
 
     def test_each_stage_builds_one_mesh_topology(self, tmp_path, monkeypatch):
+        _patch_cpus(monkeypatch, 1)  # a forked worker's builds would not reach this list
         out = str(tmp_path / "run")
         cfg = write_config(tmp_path)
         for stage in ("synth-gen", "build-prototype"):
@@ -607,85 +611,214 @@ def _patch_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _synth_in_thread(cfg, out, timeout=60):
-    """Run stage_synth on a thread of its own; the error it raised, or None."""
-    raised = []
+def _forks(monkeypatch):
+    """The pids of the processes forked from here on, in fork order."""
+    made = []
+    fork = os.fork
 
-    def run():
-        try:
-            pipeline.stage_synth(cfg, out)
-        except BaseException as exc:  # handed to the test
-            raised.append(exc)
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout)
-    assert not runner.is_alive(), "synth-gen did not finish"
-    return raised[0] if raised else None
+    monkeypatch.setattr(os, "fork", counted)
+    return made
 
 
-class TestSynthThreads:
-    """synth-gen makes its cases on one thread per CPU, capped at the case count."""
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCaseWorkers:
+    """synth-gen, fit-mesh, render-zones and pool-features run their cases on
+    one process per CPU, capped at the case count; the calling process is one.
+
+    Each stage runs on the test's main thread, so nothing forks from a
+    process with a second thread.
+    """
 
     def _config(self, tmp_path, n_train, n_test):
         text = SMALL_CONFIG.replace("n_train = 12", f"n_train = {n_train}")
         text = text.replace("n_test = 4", f"n_test = {n_test}").replace("grid = 40", "grid = 32")
         return load_config(write_config(tmp_path, text))
 
-    def test_files_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch):
+    def test_synth_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, 4, 1)
-        made = []
-        thread = threading.Thread
-
-        def counted(*args, **kwargs):
-            made.append(thread(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(threading, "Thread", counted)
+        forks = _forks(monkeypatch)
         trees = {}
-        for cpus, helpers in ((1, 0), (8, 4)):
+        for cpus, workers in ((1, 1), (8, 5)):
             _patch_cpus(monkeypatch, cpus)
-            made.clear()
+            forks.clear()
             out = str(tmp_path / f"cpus{cpus}")
-            assert _synth_in_thread(cfg, out) is None
-            # the runner's thread, and the helpers: 8 CPUs and 5 cases make 4
-            assert len(made) == 1 + helpers, cpus
+            pipeline.stage_synth(cfg, out)
+            # the calling process is one worker: 8 CPUs and 5 cases make 4 forks
+            assert len(forks) == workers - 1, cpus
+            _assert_no_child_left()
             trees[cpus] = tree_digest(out)
         assert trees[1] == trees[8]
         assert len(trees[1]) == 5 * 5
 
+    def test_geometry_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, 4, 1)
+        prepared = str(tmp_path / "prepared")
+        _patch_cpus(monkeypatch, 1)
+        pipeline.stage_synth(cfg, prepared)
+        pipeline.stage_prototype(cfg, prepared)
+        forks = _forks(monkeypatch)
+        trees = {}
+        for cpus in (1, 8):
+            _patch_cpus(monkeypatch, cpus)
+            forks.clear()
+            out = str(tmp_path / f"cpus{cpus}")
+            shutil.copytree(prepared, out)
+            for stage in (pipeline.stage_fit, pipeline.stage_zones, pipeline.stage_features):
+                stage(cfg, out)
+            assert len(forks) == (0 if cpus == 1 else 3 * 4), cpus
+            _assert_no_child_left()
+            trees[cpus] = tree_digest(out)
+        assert trees[1] == trees[8]
+        assert len(trees[1]) - len(tree_digest(prepared)) == 5 * 6
+
     def test_first_failing_case_named_and_no_case_started_after(self, tmp_path, monkeypatch):
-        # 6 + 4 cases on 8 threads: each of the first 8 is taken before case 3
-        # fails, and the last two would be taken only by a thread set free later
+        # 6 + 4 cases on 8 workers: each of the first 8 is taken before case 3
+        # fails, and the last two would be taken only by a worker set free later
         _patch_cpus(monkeypatch, 8)
         cfg = self._config(tmp_path, 6, 4)
         names = [f"train_{k:04d}" for k in range(6)] + [f"test_{k:04d}" for k in range(4)]
-        started = []
-        all_taken = threading.Barrier(8, timeout=10)
-        failed = threading.Event()
+        started = tmp_path / "started"
+        started.mkdir()
+        fork = multiprocessing.get_context("fork")
+        all_taken = fork.Barrier(8, timeout=20)
+        failed = fork.Event()
 
         def save_case(case, d):
             name = os.path.basename(d)
-            started.append(name)
+            (started / name).touch()
             if name in names[:8]:
                 all_taken.wait()
             if name == "train_0003":
                 failed.set()
                 raise SynthError("organ unplaceable")
-            assert failed.wait(10)
-            time.sleep(0.1)  # _per_case records the failure meanwhile
+            assert failed.wait(20)
+            time.sleep(0.2)  # the failing worker stops the case counter meanwhile
 
         monkeypatch.setattr(pipeline, "gen_case", lambda class_id, seed, cfg: None)
         monkeypatch.setattr(pipeline, "save_case", save_case)
-        before = threading.active_count()
-        exc = _synth_in_thread(cfg, str(tmp_path / "w"))
-        assert isinstance(exc, SynthError)
-        assert str(exc) == "train_0003: organ unplaceable"
-        assert sorted(started) == sorted(names[:8])
-        deadline = time.monotonic() + 10
-        while threading.active_count() != before and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() == before
+        forks = _forks(monkeypatch)
+        with pytest.raises(SynthError) as info:
+            pipeline.stage_synth(cfg, str(tmp_path / "w"))
+        assert str(info.value) == "train_0003: organ unplaceable"
+        assert len(forks) == 7
+        assert sorted(os.listdir(started)) == sorted(names[:8])
+        _assert_no_child_left()
+
+    def _one_case_each(self, tmp_path, monkeypatch, in_worker, in_caller=lambda: None):
+        """synth-gen's 2 cases on 2 workers, one case each; the forked one calls ``in_worker``."""
+        _patch_cpus(monkeypatch, 2)
+        cfg = self._config(tmp_path, 1, 1)
+        caller = os.getpid()
+        both_taken = multiprocessing.get_context("fork").Barrier(2, timeout=20)
+
+        def save_case(case, d):
+            both_taken.wait()
+            (in_caller if os.getpid() == caller else in_worker)()
+
+        monkeypatch.setattr(pipeline, "gen_case", lambda class_id, seed, cfg: None)
+        monkeypatch.setattr(pipeline, "save_case", save_case)
+        forks = _forks(monkeypatch)
+        return lambda: pipeline.stage_synth(cfg, str(tmp_path / "w")), forks
+
+    def test_unpicklable_failure_comes_back_with_its_traceback(self, tmp_path, monkeypatch):
+        class Unpicklable(Exception):
+            def __init__(self):
+                super().__init__("holds a lambda")
+                self.hook = lambda: None
+
+        def raise_unpicklable():
+            raise Unpicklable()
+
+        stage, forks = self._one_case_each(tmp_path, monkeypatch, raise_unpicklable)
+        with pytest.raises(RuntimeError) as info:
+            stage()
+        assert str(info.value) == "Unpicklable that cannot be pickled: holds a lambda"
+        assert len(forks) == 1
+        [note] = info.value.__notes__
+        assert note.startswith(f"in case worker {forks[0]}:\n")
+        assert ", in raise_unpicklable\n" in note
+        _assert_no_child_left()
+
+    def test_killed_worker_named_by_its_exit_status(self, tmp_path, monkeypatch):
+        stage, forks = self._one_case_each(
+            tmp_path, monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        status = f"exit status -{int(signal.SIGKILL)} and sent no report"
+        with pytest.raises(RuntimeError, match=status):
+            stage()
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_interrupted_stage_leaves_no_worker(self, tmp_path, monkeypatch):
+        interrupted = multiprocessing.get_context("fork").Event()
+
+        def interrupt():
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        def outlast():
+            assert interrupted.wait(20)
+            time.sleep(0.2)  # still running when the caller's case has ended
+
+        stage, forks = self._one_case_each(tmp_path, monkeypatch, outlast, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            stage()
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_debug_shows_the_worker_frame(self, tmp_path, monkeypatch):
+        cfg = self._config(tmp_path, 1, 1)
+        out = str(tmp_path / "w")
+        pipeline.stage_synth(cfg, out)
+        pipeline.stage_prototype(cfg, out)
+        _patch_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        both_taken = multiprocessing.get_context("fork").Barrier(2, timeout=20)
+        fit = pipeline.fit_mesh
+
+        def fit_in_worker(*args):
+            both_taken.wait()
+            if os.getpid() != caller:
+                raise FitError("no surface points")
+            return fit(*args)
+
+        monkeypatch.setattr(pipeline, "fit_mesh", fit_in_worker)
+        argv = ["--debug", "fit-mesh", "--config", cfg.path, "--out", out]
+        with pytest.raises(FitError) as info:
+            main(argv)
+        assert re.fullmatch(r"t\w+_0000: no surface points", str(info.value))
+        shown = "".join(traceback.format_exception(info.value))
+        assert "in case worker " in shown and ", in fit_in_worker\n" in shown
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_every_case_runs_once_and_results_come_back_in_order(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # more workers than CPUs on one shared counter: a lost update would run
+        # a case twice, and its exclusive create would fail, or skip one; each
+        # worker's report is larger than a pipe's buffer
+        forks = _forks(monkeypatch)
+        dirs = [str(tmp_path / f"case_{k:03d}") for k in range(300)]
+
+        def work(d):
+            open(d, "x").close()
+            return os.path.basename(d) * 300
+
+        results = pipeline._per_case(dirs, work, workers)
+        assert results == [os.path.basename(d) * 300 for d in dirs]
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
 
 
 class TestCaseFileFormats:
