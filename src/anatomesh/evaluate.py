@@ -114,10 +114,7 @@ class DetectionTable:
             f.write(f"macro,{self.macro[0]:.9g},{self.macro[1]:.9g},\n")
 
 
-def detection_table(
-    cases: list[tuple[np.ndarray, np.ndarray, int]],
-    cutoff: float = 0.1,
-) -> DetectionTable:
+def detection_table(cases: list[tuple[np.ndarray, np.ndarray, int]]) -> DetectionTable:
     """Per-class mean Dice and detection rate, with micro and macro summaries.
 
     micro pools all cases; macro averages the values of the classes that
@@ -128,7 +125,7 @@ def detection_table(
     by_class: dict[int, list[tuple[float, bool]]] = {}
     for pred, gt, cls in cases:
         by_class.setdefault(cls, []).append(
-            (dice(pred, gt), detected(pred, gt, cutoff))
+            (dice(pred, gt), detected(pred, gt))
         )
     per_class = {}
     for cls, vals in sorted(by_class.items()):

@@ -52,10 +52,10 @@ class GraphResNetParams:
     global_w: np.ndarray
     global_b: np.ndarray
     region_counts: tuple[int, ...]
-    seed: int = 0
-    # fixed input standardization (not trained); identity by default
-    input_mean: np.ndarray | None = None
-    input_std: np.ndarray | None = None
+    seed: int
+    # fixed input standardization (not trained); the identity in a new network
+    input_mean: np.ndarray
+    input_std: np.ndarray
 
     @property
     def n_layers(self) -> int:
@@ -130,7 +130,10 @@ def init_params(
     width: int,
     seed: int,
 ) -> GraphResNetParams:
-    """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree."""
+    """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree.
+
+    The input standardization starts as the identity: mean 0, deviation 1.
+    """
     rng = np.random.default_rng(seed)
     w0s, w1s, bs = [], [], []
     w_in = input_width
@@ -154,6 +157,8 @@ def init_params(
         global_b=np.zeros(k_global),
         region_counts=topo.region_counts,
         seed=seed,
+        input_mean=np.zeros(input_width),
+        input_std=np.ones(input_width),
     )
 
 
@@ -213,9 +218,7 @@ def _forward_cache(
             f"{feats.shape[0]} feature rows do not match the mesh's {topo.n_vertices} vertices"
         )
     n_layers = params.n_layers
-    h = np.asarray(feats, dtype=np.float64)
-    if params.input_mean is not None:
-        h = (h - params.input_mean) / params.input_std
+    h = (np.asarray(feats, dtype=np.float64) - params.input_mean) / params.input_std
     inputs, neighbour_sums, preacts, shortcuts = [], [], [], []
     saved = None
     for layer in range(n_layers):
@@ -264,8 +267,8 @@ def loss(
     global_probs: np.ndarray,
     vertex_targets: np.ndarray,
     global_target: np.ndarray,
-    eta1: float = 0.1,
-    eta2: float = 0.1,
+    eta1: float,
+    eta2: float,
 ) -> float:
     """eta1 * summed per-vertex cross-entropy + eta2 * global cross-entropy, one-hot targets."""
     vp = np.clip(vertex_probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -281,8 +284,8 @@ def backward(
     topo: MeshTopology,
     vertex_targets: np.ndarray,
     global_target: np.ndarray,
-    eta1: float = 0.1,
-    eta2: float = 0.1,
+    eta1: float,
+    eta2: float,
 ) -> tuple[float, GraphResNetParams]:
     """Loss value and its gradient, as a params-shaped structure."""
     cache = _forward_cache(params, feats, topo)
@@ -339,6 +342,8 @@ def backward(
         global_b=g_global_b,
         region_counts=params.region_counts,
         seed=params.seed,
+        input_mean=params.input_mean,
+        input_std=params.input_std,
     )
     for t in grads.tensors():
         if not np.isfinite(t).all():
@@ -382,19 +387,19 @@ def train(
     dataset: list[tuple[np.ndarray, np.ndarray, int]],
     topo: MeshTopology,
     cfg: TrainConfig,
-    validation: list[tuple[np.ndarray, np.ndarray, int]] | None = None,
+    validation: list[tuple[np.ndarray, np.ndarray, int]],
 ) -> tuple[GraphResNetParams, TrainLog]:
     """Momentum gradient descent over (features, vertex labels, global label) cases.
 
-    Deterministic given the config seed. With a validation split, returns the
-    parameters of the first epoch with the best validation accuracy, and stops
-    after the first epoch whose accuracy is 1.0, since no later epoch can beat
-    it; ``cfg.epochs`` is a maximum. Training starts from :func:`init_params`
-    sized by ``topo``, with the training features' scaling.
+    Deterministic given the config seed. An empty ``validation`` means no
+    validation split. With one, returns the parameters of the first epoch
+    with the best validation accuracy, and stops after the first epoch whose
+    accuracy is 1.0, since no later epoch can beat it; ``cfg.epochs`` is a
+    maximum. Training starts from :func:`init_params` sized by ``topo``,
+    with the training features' scaling.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
-    validation = validation or []
     _check_labels(dataset, "training")
     _check_labels(validation, "validation")
     every = dataset + validation
@@ -477,13 +482,10 @@ def save_params(params: GraphResNetParams, path: str) -> None:
             f"k_global {params.k_global}\n"
             f"regions {' '.join(str(c) for c in params.region_counts)}\n"
             f"seed {params.seed}\n"
+            f"input_mean {' '.join(f'{v:.17g}' for v in params.input_mean)}\n"
+            f"input_std {' '.join(f'{v:.17g}' for v in params.input_std)}\n"
+            "end\n"
         )
-        if params.input_mean is not None:
-            header += (
-                f"input_mean {' '.join(f'{v:.17g}' for v in params.input_mean)}\n"
-                f"input_std {' '.join(f'{v:.17g}' for v in params.input_std)}\n"
-            )
-        header += "end\n"
         f.write(header.encode())
         for t in params.tensors():
             f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
@@ -511,10 +513,8 @@ def load_params(path: str) -> GraphResNetParams:
             w_in, w_out = widths[layer], widths[layer + 1]
             shapes += [(w_in, w_out), (w_in, w_out), (w_out,)]
         width = widths[-1]
-        mean = std = None
-        if "input_mean" in fields:
-            mean = np.array([float(v) for v in fields["input_mean"]])
-            std = np.array([float(v) for v in fields["input_std"]])
+        mean = np.array([float(v) for v in fields["input_mean"]])
+        std = np.array([float(v) for v in fields["input_std"]])
     except (KeyError, IndexError, ValueError) as exc:
         raise GraphNetError(f"{path}: malformed checkpoint: {exc!r}") from exc
     # the global head reads every region-pooled and every vertex embedding

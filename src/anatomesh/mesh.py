@@ -34,7 +34,7 @@ class MeshError(ValueError):
     """Invalid mesh structure."""
 
 
-def region_ranges(counts: tuple[int, ...] = REGION_COUNTS) -> tuple[tuple[int, int], ...]:
+def region_ranges(counts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Half-open 0-based (start, end) index ranges for each region."""
     out = []
     start = 0

@@ -40,13 +40,13 @@ class SurfaceIndex:
         self._tree = cKDTree(self.points)
 
     @classmethod
-    def from_mask(cls, target: LabelVolume, organ_label: int) -> "SurfaceIndex":
-        """The index over ``organ_label``'s surface voxels, found on the label's box."""
-        mask = target.mask(organ_label)
+    def from_mask(cls, target: LabelVolume) -> "SurfaceIndex":
+        """The index over the organ's surface voxels, found on the organ's box."""
+        mask = target.organ
         box = organ_box(mask)
         surf = surface_mask(mask[box])
         if not surf.any():
-            raise FitError(f"label {organ_label} has no surface voxels in target")
+            raise FitError("the organ has no surface voxels in target")
         return cls(voxel_indices(surf, box) * np.asarray(target.spacing, dtype=np.float64))
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,17 +161,15 @@ def _objective(
 def fit_mesh(
     mesh: AnatomyMesh,
     target: LabelVolume,
-    organ_label: int,
-    cfg: FitConfig | None = None,
+    cfg: FitConfig,
 ) -> tuple[AnatomyMesh, FitTrace]:
-    """Iteratively deform ``mesh`` onto the surface of ``organ_label`` in ``target``.
+    """Iteratively deform ``mesh`` onto the surface of the organ in ``target``.
 
     Combinatorics and region labels are untouched; only vertex positions move.
     The regularizers depend on the vertices alone, so those of the accepted
     line-search candidate carry into the next iteration.
     """
-    cfg = cfg or FitConfig()
-    idx = SurfaceIndex.from_mask(target, organ_label)
+    idx = SurfaceIndex.from_mask(target)
     current = mesh.with_vertices(mesh.vertices.copy())
     regs = edge_regularizers(current)
     trace = FitTrace()

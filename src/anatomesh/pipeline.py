@@ -17,6 +17,7 @@ from . import __version__
 from .config import RunConfig
 from .evaluate import (
     MASS_LABELS,
+    EvalError,
     binary_metrics,
     classify_gc,
     classify_pv,
@@ -33,7 +34,6 @@ from .meshfit import FitError, fit_mesh
 from .prototype import assign_regions, build_prototype, mean_shape
 from .synth import (
     MANAGEMENT_BY_CLASS,
-    ORGAN_LABEL,
     SynthError,
     case_draws,
     gen_case,
@@ -188,12 +188,6 @@ def _load_prototype(out_dir: str) -> AnatomyMesh:
     return load_mesh(os.path.join(out_dir, "prototype.obj"))
 
 
-def _load_organ(d: str) -> LabelVolume:
-    """A case's organ mask (organ and mass voxels) from its label volume."""
-    labels = load_volume(os.path.join(d, "labels"))
-    return LabelVolume((labels.data > 0).astype(np.uint8), labels.spacing)
-
-
 def _load_segmentation(d: str) -> LabelVolume:
     """A case's predicted segmentation: the argmax channel of its probability volume.
 
@@ -228,14 +222,16 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
     names = [f"train_{k:04d}" for k in range(cfg.synth.n_train)]
     names += [f"test_{k:04d}" for k in range(cfg.synth.n_test)]
     dirs = [os.path.join(cases, name) for name in names]
-    draws = dict(zip(dirs, case_draws(len(dirs), cfg.synth.seed, cfg.synth)))
+    draws = dict(zip(dirs, case_draws(cfg.synth)))
     _per_case(dirs, lambda d: save_case(gen_case(*draws[d], cfg.synth), d), _workers(dirs))
 
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
     dirs = _case_dirs(out_dir, "train")[: cfg.fit.prototype_cases]
-    cases = _per_case(dirs, lambda d: (_load_organ(d), load_case_info(d).head_end))
-    mean = mean_shape([mask for mask, _ in cases], ORGAN_LABEL)
+    cases = _per_case(
+        dirs, lambda d: (load_volume(os.path.join(d, "labels")), load_case_info(d).head_end)
+    )
+    mean = mean_shape([labels for labels, _ in cases])
     proto = build_prototype(mean, cfg.fit)
     proto = assign_regions(proto, np.mean([head_end for _, head_end in cases], axis=0))
     save_mesh(proto, os.path.join(out_dir, "prototype.obj"))
@@ -245,7 +241,7 @@ def stage_fit(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
 
     def fit(d: str) -> None:
-        fitted, trace = fit_mesh(proto, _load_organ(d), ORGAN_LABEL, cfg.fit)
+        fitted, trace = fit_mesh(proto, load_volume(os.path.join(d, "labels")), cfg.fit)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
@@ -259,7 +255,7 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
     def zones(d: str) -> None:
         labels = load_volume(os.path.join(d, "labels"))
         mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
-        zvol = render_zones(mesh, labels.data > 0, labels.spacing)
+        zvol = render_zones(mesh, labels.organ, labels.spacing)
         vl = vertex_labels(zvol, labels)
         save_volume(zvol, os.path.join(d, "zones"))
         _save_vertex_labels(vl, d)
@@ -320,9 +316,9 @@ def _load_dataset(dirs: list[str]) -> list[tuple[np.ndarray, np.ndarray, int]]:
 def stage_train(cfg: RunConfig, out_dir: str) -> None:
     train_dirs, val_dirs = _split_train(cfg, out_dir)
     cases = _load_dataset(train_dirs + val_dirs)
-    dataset, validation = cases[: len(train_dirs)], cases[len(train_dirs) :] or None
+    dataset, validation = cases[: len(train_dirs)], cases[len(train_dirs) :]
     topo = _load_prototype(out_dir).topology
-    params, log = train(dataset, topo, cfg.train, validation=validation)
+    params, log = train(dataset, topo, cfg.train, validation)
     save_params(params, os.path.join(out_dir, "model.ckpt"))
     log.to_csv(os.path.join(out_dir, "train_log.csv"))
 
@@ -354,14 +350,32 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
             f.write(",".join(str(v) for v in row) + "\n")
 
 
-def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
+def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
+    """classify's (case, truth, gc, vv, pv) rows; EvalError naming the file and line
+    for a row that does not parse or holds a class the class table lacks."""
     rows = []
-    with open(os.path.join(out_dir, "predictions.csv")) as f:
-        for line in f:
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
             if line.startswith("#") or line.startswith("case,"):
                 continue
-            name, truth, gc, vv, pv = line.strip().split(",")
-            rows.append((name, int(truth), int(gc), int(vv), int(pv)))
+            name, *fields = line.strip().split(",")
+            if len(fields) != 4:
+                raise EvalError(
+                    f"{path}:{n}: expected the 5 fields case,truth,gc,vv,pv, got {len(fields) + 1}"
+                )
+            try:
+                classes = [int(v) for v in fields]
+            except ValueError as exc:
+                raise EvalError(f"{path}:{n}: {exc}") from None
+            unknown = [c for c in classes if c not in MANAGEMENT_BY_CLASS]
+            if unknown:
+                raise EvalError(f"{path}:{n}: class {unknown[0]} is not in the class table")
+            rows.append((name, *classes))
+    return rows
+
+
+def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
+    rows = _load_predictions(os.path.join(out_dir, "predictions.csv"))
     truths = [r[1] for r in rows]
     preds = {label: [r[col] for r in rows] for label, col in (("gc", 2), ("vv", 3), ("pv", 4))}
     accs = {k: float(np.mean([p == t for p, t in zip(preds[k], truths)])) for k in preds}
@@ -385,7 +399,7 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     os.makedirs(report_dir, exist_ok=True)
     cm.to_csv(os.path.join(report_dir, "management_confusion.csv"))
     if seg_cases:
-        dt = detection_table(seg_cases, cutoff=0.1)
+        dt = detection_table(seg_cases)
         dt.to_csv(os.path.join(report_dir, "detection_table.csv"))
     with open(os.path.join(report_dir, "report.txt"), "w") as f:
         f.write("classification accuracy (test split)\n")

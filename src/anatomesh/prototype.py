@@ -12,7 +12,7 @@ from .volume import LabelVolume, VolumeError, is_connected, organ_box, voxel_ind
 __all__ = ["mean_shape", "build_prototype", "assign_regions"]
 
 
-def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
+def mean_shape(masks: list[LabelVolume]) -> LabelVolume:
     """Mean of centroid-aligned binary organ masks, thresholded at 0.5.
 
     Alignment is integer translation only; all inputs must share spacing.
@@ -28,11 +28,11 @@ def mean_shape(masks: list[LabelVolume], organ_label: int) -> LabelVolume:
             raise VolumeError(f"dims mismatch: {m.dims} vs {dims}")
     boxes, crops, centroids = [], [], []
     for m in masks:
-        b = m.mask(organ_label)
+        b = m.organ
         box = organ_box(b)
         crop = b[box]
         if not crop.any():
-            raise VolumeError(f"a mask contains no voxels of label {organ_label}")
+            raise VolumeError("a mask contains no organ voxels")
         boxes.append(box)
         crops.append(crop)
         centroids.append(voxel_indices(crop, box).mean(axis=0))
@@ -61,8 +61,7 @@ def build_prototype(mean_mask: LabelVolume, cfg: FitConfig) -> AnatomyMesh:
     than 1.5 voxels from the mask surface.
     """
     tverts, tfaces = template_mesh_arrays()
-    organ = mean_mask.mask(1)
-    idx_pts = np.argwhere(organ)
+    idx_pts = np.argwhere(mean_mask.organ)
     if idx_pts.size == 0:
         raise VolumeError("mean mask is empty")
     spacing = np.asarray(mean_mask.spacing)
@@ -71,8 +70,8 @@ def build_prototype(mean_mask: LabelVolume, cfg: FitConfig) -> AnatomyMesh:
     half = (world.max(axis=0) - world.min(axis=0)) / 2.0
     half = np.maximum(half, spacing)
     init = AnatomyMesh(tverts * half + center, tfaces)
-    fitted, _ = fit_mesh(init, mean_mask, 1, cfg)
-    surf = SurfaceIndex.from_mask(mean_mask, 1)
+    fitted, _ = fit_mesh(init, mean_mask, cfg)
+    surf = SurfaceIndex.from_mask(mean_mask)
     dist = mean_surface_distance(fitted, surf)
     limit = 1.5 * float(spacing.mean())
     if dist > limit:

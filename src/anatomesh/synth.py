@@ -47,8 +47,6 @@ __all__ = [
     "gen_organ",
     "implant_mass",
     "soften",
-    "gen_dataset",
-    "iter_dataset",
     "save_case",
     "load_case_info",
 ]
@@ -57,8 +55,6 @@ ORGAN_LABEL = 1
 BLOB_LABEL = 2
 TUBE_LABEL = 3
 N_CHANNELS = 4  # background, organ, blob mass, tube mass
-
-MANAGEMENTS = ("Surgery", "Monitoring", "Discharge")
 
 
 class SynthError(RuntimeError):
@@ -207,13 +203,12 @@ def _sweep_mask(grid: int, points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return inside
 
 
-def gen_organ(seed: int, cfg: SynthConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gen_organ(seed: int, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     """Binary organ mask and the head-end point (world coords, unit spacing).
 
     The base shape is deterministic per config; the seed jitters bend and
     radii slightly so cases differ.
     """
-    cfg = cfg or SynthConfig()
     rng = np.random.default_rng(seed)
     half_length = ORGAN_HALF_LENGTH * rng.uniform(0.92, 1.0)
     bend = cfg.bend * rng.uniform(0.8, 1.2) if cfg.bend else 0.0
@@ -257,7 +252,7 @@ def implant_mass(
     organ: np.ndarray,
     spec: MassSpec,
     seed: int,
-    cfg: SynthConfig | None = None,
+    cfg: SynthConfig,
 ) -> LabelVolume:
     """Place a mass of the given spec inside the organ, label per spec.
 
@@ -265,7 +260,6 @@ def implant_mass(
     20% of the mass may protrude outside the organ. Diffuse masses are a thin
     tube spanning the organ centerline.
     """
-    cfg = cfg or SynthConfig(grid=organ.shape[0])
     rng = np.random.default_rng(seed)
     points, _ = _centerline(cfg.grid, cfg.bend)
     grid = organ.shape[0]
@@ -387,8 +381,7 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     return ProbVolume(probs, labels.spacing, dims, box)
 
 
-def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthCase:
-    cfg = cfg or SynthConfig()
+def gen_case(class_id: int, seed: int, cfg: SynthConfig) -> SynthCase:
     spec, management = DEFAULT_CLASSES[class_id]
     last_err = None
     for attempt in range(RETRY_LIMIT):
@@ -406,34 +399,19 @@ def gen_case(class_id: int, seed: int, cfg: SynthConfig | None = None) -> SynthC
     raise SynthError(f"case generation failed after {RETRY_LIMIT} retries: {last_err}")
 
 
-def case_draws(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[tuple[int, int]]:
-    """The (class id, case seed) of each of n cases, in order, from the configured class mix.
+def case_draws(cfg: SynthConfig) -> Iterator[tuple[int, int]]:
+    """The (class id, case seed) of each train case, then each test case, from the class mix.
 
-    Case i takes the i-th class draw from ``seed`` and its own seed from
-    ``(seed, i, 7)``. A case's bytes depend only on this pair, so cases
-    can be made in any order once their pairs are drawn.
+    Case i takes the i-th class draw from ``cfg.seed`` and its own seed
+    from ``(cfg.seed, i, 7)``. A case's bytes depend only on this pair, so
+    cases can be made in any order once their pairs are drawn.
     """
-    if n < 1:
-        raise SynthError("dataset size must be >= 1")
-    cfg = cfg or SynthConfig()
     ids = sorted(DEFAULT_CLASSES)
     mix = np.asarray(cfg.class_mix, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    for i in range(n):
+    rng = np.random.default_rng(cfg.seed)
+    for i in range(cfg.n_train + cfg.n_test):
         cid = ids[rng.choice(len(ids), p=mix)]
-        yield cid, int(np.random.default_rng((seed, i, 7)).integers(2**31))
-
-
-def iter_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> Iterator[SynthCase]:
-    """Deterministic stream of the n cases of :func:`case_draws`."""
-    cfg = cfg or SynthConfig()
-    for cid, case_seed in case_draws(n, seed, cfg):
-        yield gen_case(cid, case_seed, cfg)
-
-
-def gen_dataset(n: int, seed: int, cfg: SynthConfig | None = None) -> list[SynthCase]:
-    """Deterministic dataset of n cases drawn from the configured class mix."""
-    return list(iter_dataset(n, seed, cfg))
+        yield cid, int(np.random.default_rng((cfg.seed, i, 7)).integers(2**31))
 
 
 def save_case(case: SynthCase, directory: str) -> None:

@@ -23,9 +23,12 @@ __all__ = [
     "surface_mask",
     "dice",
     "detected",
+    "DETECTION_CUTOFF",
 ]
 
 PROB_TOL = 1e-5
+# a mass is detected when the prediction covers at least this share of its voxels
+DETECTION_CUTOFF = 0.1
 
 
 class VolumeError(ValueError):
@@ -37,7 +40,8 @@ class LabelVolume:
     """Dense integer-labeled voxel grid.
 
     ``data`` has shape (W, H, D), dtype uint8. Label 0 is background,
-    1 the organ, >= 2 mass classes. ``spacing`` is mm per voxel.
+    1 the organ, >= 2 mass classes; the organ is every non-zero voxel,
+    masses included. ``spacing`` is mm per voxel.
     """
 
     data: np.ndarray
@@ -55,8 +59,10 @@ class LabelVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def mask(self, label: int) -> np.ndarray:
-        return self.data == label
+    @property
+    def organ(self) -> np.ndarray:
+        """The organ mask: every non-zero voxel."""
+        return self.data > 0
 
 
 def channel_sum(channels: np.ndarray) -> np.ndarray:
@@ -317,19 +323,11 @@ def dice(pred: np.ndarray, gt: np.ndarray) -> float:
     return 2.0 * inter / (a + b)
 
 
-def detected(pred: np.ndarray, gt: np.ndarray, cutoff: float = 0.1) -> bool:
-    """Detection rule: overlap with ground truth covers at least ``cutoff`` of it.
-
-    cutoff 0 means any nonzero overlap counts.
-    """
+def detected(pred: np.ndarray, gt: np.ndarray) -> bool:
+    """Detection rule: overlap with ground truth covers at least ``DETECTION_CUTOFF`` of it."""
     if pred.shape != gt.shape:
         raise VolumeError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
     n_gt = int(np.count_nonzero(gt))
     if n_gt == 0:
         raise VolumeError("detection rule undefined for empty ground truth")
-    if not 0.0 <= cutoff <= 1.0:
-        raise VolumeError(f"cutoff must be in [0, 1], got {cutoff}")
-    inter = int(np.count_nonzero(pred & gt))
-    if cutoff == 0.0:
-        return inter > 0
-    return inter / n_gt >= cutoff
+    return int(np.count_nonzero(pred & gt)) / n_gt >= DETECTION_CUTOFF

@@ -23,11 +23,11 @@ _SHORT_K = 8
 
 
 def _seed_voxels(
-    verts: np.ndarray, organ: np.ndarray, spacing: np.ndarray, offset=(0, 0, 0)
+    verts: np.ndarray, organ: np.ndarray, spacing: np.ndarray, offset: np.ndarray
 ) -> np.ndarray:
     """Nearest organ voxel per vertex, collision-free.
 
-    ``organ`` may be a box cut from the full grid at voxel index ``offset``;
+    ``organ`` is a box cut from the full grid at voxel index ``offset``;
     distances are measured in world units of the full grid and the seeds are
     returned as indices into ``organ``. If two vertices pick the same voxel
     the lower index keeps it and the higher index takes its nearest unclaimed

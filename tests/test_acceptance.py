@@ -40,9 +40,9 @@ class TestCriterion1MeshFit:
         vol = LabelVolume(mask.astype(np.uint8), (1.0, 1.0, 1.0))
         start = template.with_vertices(template.vertices * 20 + 31.5)
         t0 = time.perf_counter()
-        fitted, trace = fit_mesh(start, vol, 1, FitConfig(max_iters=2000))
+        fitted, trace = fit_mesh(start, vol, FitConfig(max_iters=2000))
         elapsed = time.perf_counter() - t0
-        idx = SurfaceIndex.from_mask(vol, 1)
+        idx = SurfaceIndex.from_mask(vol)
         msd = mean_surface_distance(fitted, idx)
         assert msd <= 1.0, f"mean surface distance {msd:.3f} > 1.0"
         totals = np.array(trace.total)
@@ -137,7 +137,7 @@ class TestCriterion3Zones:
             zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
             from anatomesh.zones import _seed_voxels
 
-            seeds = _seed_voxels(verts, organ, np.ones(3))
+            seeds = _seed_voxels(verts, organ, np.ones(3), np.zeros(3, int))
             expect = bfs_oracle([tuple(s) for s in seeds], organ)
             assert np.array_equal(zmap.data, expect), f"trial {trial}: oracle mismatch"
             assert np.all((zmap.data > 0) == organ), f"trial {trial}: not a partition"
@@ -290,9 +290,8 @@ class TestCriterion6Metrics:
         gt[:10] = True
         one = np.zeros_like(gt)
         one[0] = True
-        assert detected(one, gt, 0.1) is True        # exactly 10%
-        assert detected(one, gt, 0.2) is False
-        assert detected(np.zeros_like(gt), gt, 0.1) is False
+        assert detected(one, gt) is True        # exactly 10%
+        assert detected(np.zeros_like(gt), gt) is False
 
         # binary metrics: tp=2 tn=2 fp=1 fn=1
         acc, sens, spec = binary_metrics([1, 1, 0, 0, 1, 0], [1, 0, 0, 1, 1, 0], 1)
@@ -305,8 +304,7 @@ class TestCriterion6Metrics:
         half[:2] = True
         t = detection_table(
             [(g.copy(), g.copy(), 2), (half, g.copy(), 2),
-             (np.zeros_like(g), g.copy(), 3)],
-            cutoff=0.1,
+             (np.zeros_like(g), g.copy(), 3)]
         )
         assert t.per_class[2] == (pytest.approx((1.0 + 2 / 3) / 2), 1.0, 2)
         assert t.per_class[3] == (0.0, 0.0, 1)

@@ -256,7 +256,7 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == ("anatomesh: fit-mesh: train_0000: "
-                       "label 1 has no surface voxels in target\n")
+                       "the organ has no surface voxels in target\n")
 
     @pytest.mark.parametrize("stage", ["render-zones", "pool-features"])
     def test_changed_face_names_the_case_and_file(self, pipeline_run, tmp_path, capsys,
@@ -338,6 +338,29 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith(
             "anatomesh: eval: test_0002: probability rows must sum to 1"
         )
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda rows: rows[:2] + ["test_0000,2,2\n"] + rows[3:], 3,
+         "expected the 5 fields case,truth,gc,vv,pv, got 3"),
+        (lambda rows: rows[:3] + ["test_0001,9,1,1,1\n"] + rows[4:], 4,
+         "class 9 is not in the class table"),
+        (lambda rows: rows[:2] + ["test_0000,2,x,2,2\n"] + rows[3:], 3,
+         "invalid literal for int() with base 10: 'x'"),
+        (lambda rows: rows + ["\n"], None, "expected the 5 fields case,truth,gc,vv,pv, got 1"),
+    ], ids=["short-row", "unknown-class", "not-an-integer", "trailing-blank-line"])
+    def test_bad_prediction_row_names_the_file_and_line(self, pipeline_run, tmp_path, capsys,
+                                                         edit, line, message):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "predictions.csv")
+        with open(path) as f:
+            rows = f.readlines()
+        with open(path, "w") as f:
+            f.writelines(edit(rows))
+        line = line or len(rows) + 1
+        assert main(["eval", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == f"anatomesh: eval: {path}:{line}: {message}\n"
 
     def test_classify_network_error_names_the_case(self, pipeline_run, tmp_path, capsys):
         cfg, out = pipeline_run

@@ -64,7 +64,7 @@ class TestBinaryMetrics:
 
 class TestDetectionTable:
     def _cases(self):
-        # class 2: dice 1.0 and 0.5, both detected at cutoff 0.1
+        # class 2: dice 1.0 and 0.5, both detected at the 10% cutoff
         # class 3: dice 0, not detected
         gt = block(8, 4)
         return [
@@ -74,7 +74,7 @@ class TestDetectionTable:
         ]
 
     def test_per_class_hand_counts(self):
-        t = detection_table(self._cases(), cutoff=0.1)
+        t = detection_table(self._cases())
         d2, r2, n2 = t.per_class[2]
         assert n2 == 2
         assert d2 == pytest.approx((1.0 + dice(block(8, 2), block(8, 4))) / 2)
@@ -83,13 +83,13 @@ class TestDetectionTable:
         assert (d3, r3, n3) == (0.0, 0.0, 1)
 
     def test_micro_pools_cases(self):
-        t = detection_table(self._cases(), cutoff=0.1)
+        t = detection_table(self._cases())
         dices = [dice(p, g) for p, g, _ in self._cases()]
         assert t.micro[0] == pytest.approx(np.mean(dices))
         assert t.micro[1] == pytest.approx(2 / 3)
 
     def test_macro_unweighted(self):
-        t = detection_table(self._cases(), cutoff=0.1)
+        t = detection_table(self._cases())
         d2 = t.per_class[2][0]
         assert t.macro[0] == pytest.approx((d2 + 0.0) / 2)
         assert t.macro[1] == pytest.approx(0.5)

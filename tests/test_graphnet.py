@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,7 @@ def forward_oracle(params, feats, topo):
     """Per-node loop re-implementation of the forward pass."""
     a = topo.adjacency.toarray()
     n = a.shape[0]
-    h = feats.astype(np.float64)
-    if params.input_mean is not None:
-        h = (h - params.input_mean) / params.input_std
+    h = (feats.astype(np.float64) - params.input_mean) / params.input_std
     saved = None
     for layer in range(params.n_layers):
         if layer % 2 == 0:
@@ -191,7 +191,7 @@ class TestLoss:
         vp /= vp.sum(axis=1, keepdims=True)
         gt = np.eye(2)[0]
         gp = np.array([1.0 - 1e-12, 1e-12])
-        assert loss(vp, gp, vt, gt) < 1e-5
+        assert loss(vp, gp, vt, gt, 0.1, 0.1) < 1e-5
 
     def test_clamp_bounds_loss(self):
         # fully confident wrong answers stay finite through the clamp
@@ -323,8 +323,8 @@ class TestTrain:
         topo = ico_topology()
         data = tiny_dataset(rng)
         cfg = TrainConfig(epochs=3, seed=5, learning_rate=1e-3, width=8)
-        p1, _ = train(data, topo, cfg)
-        p2, _ = train(data, topo, cfg)
+        p1, _ = train(data, topo, cfg, [])
+        p2, _ = train(data, topo, cfg, [])
         for a, b in zip(p1.tensors(), p2.tensors()):
             assert np.array_equal(a, b)
 
@@ -333,7 +333,7 @@ class TestTrain:
         topo = ico_topology()
         data = tiny_dataset(rng)
         cfg = TrainConfig(epochs=0, seed=5, width=8)
-        got, log = train(data, topo, cfg)
+        got, log = train(data, topo, cfg, [])
         expect = init_params(5, 2, 2, ico_topology(), width=8, seed=5)
         for a, b in zip(got.tensors(), expect.tensors()):
             assert np.array_equal(a, b)
@@ -344,7 +344,7 @@ class TestTrain:
         topo = ico_topology()
         data = tiny_dataset(rng, n=8)
         cfg = TrainConfig(epochs=60, seed=0, learning_rate=1e-3, batch_size=4, width=8)
-        params, log = train(data, topo, cfg)
+        params, log = train(data, topo, cfg, [])
         correct = 0
         for feats, _, g in data:
             _, gp = forward(params, feats, topo)
@@ -385,7 +385,7 @@ class TestTrain:
         rng = np.random.default_rng(16)
         topo = ico_topology()
         cfg = TrainConfig(epochs=12, seed=0, learning_rate=1e-3, batch_size=4, width=8)
-        _, log = train(tiny_dataset(rng, n=8), topo, cfg)
+        _, log = train(tiny_dataset(rng, n=8), topo, cfg, [])
         assert log.epochs == list(range(12))
 
     def test_runs_every_epoch_when_validation_never_perfect(self):
@@ -424,13 +424,13 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(GraphNetError, match="empty"):
-            train([], ico_topology(), TrainConfig())
+            train([], ico_topology(), TrainConfig(), [])
 
     def test_log_csv(self, tmp_path):
         rng = np.random.default_rng(17)
         topo = ico_topology()
         cfg = TrainConfig(epochs=2, learning_rate=1e-3, width=8)
-        _, log = train(tiny_dataset(rng), topo, cfg)
+        _, log = train(tiny_dataset(rng), topo, cfg, [])
         path = tmp_path / "log.csv"
         log.to_csv(str(path))
         lines = path.read_text().splitlines()
@@ -517,14 +517,25 @@ class TestCheckpoint:
         assert back.seed == params.seed
 
     def test_round_trip_without_standardization(self, tmp_path):
+        # a new network standardizes by the identity, and saves it like any other
         rng = np.random.default_rng(19)
         params = small_params(rng)
         path = str(tmp_path / "m.ckpt")
         save_params(params, path)
         back = load_params(path)
-        assert back.input_mean is None
+        assert np.array_equal(back.input_mean, np.zeros(5))
+        assert np.array_equal(back.input_std, np.ones(5))
         for a, b in zip(params.tensors(), back.tensors()):
             assert np.array_equal(a, b)
+
+    def test_checkpoint_without_standardization_rejected(self, tmp_path):
+        params = small_params(np.random.default_rng(23))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+        text = p.read_bytes()
+        p.write_bytes(re.sub(rb"input_(mean|std) [^\n]*\n", b"", text))
+        with pytest.raises(GraphNetError, match=r"bad\.ckpt: malformed checkpoint: .*input_mean"):
+            load_params(str(p))
 
     def test_same_predictions_after_reload(self, tmp_path):
         rng = np.random.default_rng(20)

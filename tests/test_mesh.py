@@ -119,7 +119,7 @@ class TestRegions:
         assert sum(REGION_COUNTS) == 156
 
     def test_ranges_partition(self):
-        ranges = region_ranges()
+        ranges = region_ranges(REGION_COUNTS)
         assert ranges[0] == (0, 48)
         assert ranges[-1] == (135, 156)
         covered = [i for a, b in ranges for i in range(a, b)]

@@ -48,11 +48,11 @@ def edge_regularizer_gradients_add_at(mesh):
     return grad1, grad2
 
 
-def surface_points_whole_grid(target, organ_label):
-    """``SurfaceIndex.from_mask``'s points before it used the label's box, kept as an oracle."""
-    surf = surface_mask(target.mask(organ_label))
+def surface_points_whole_grid(target):
+    """``SurfaceIndex.from_mask``'s points before it used the organ's box, kept as an oracle."""
+    surf = surface_mask(target.data > 0)
     if not surf.any():
-        raise FitError(f"label {organ_label} has no surface voxels in target")
+        raise FitError("the organ has no surface voxels in target")
     return np.argwhere(surf) * np.asarray(target.spacing, dtype=np.float64)
 
 
@@ -64,11 +64,11 @@ def full_objective(mesh, q, cfg):
     return lpt, e1, e2, total, grad_pt + cfg.lambda1 * g1 + cfg.lambda2 * g2
 
 
-def fit_mesh_reference(mesh, target, organ_label, cfg):
+def fit_mesh_reference(mesh, target, cfg):
     """``fit_mesh`` with the full objective at every iteration and every
     line-search candidate, on the whole-grid surface; also returns the
     number of candidates tried."""
-    idx = SurfaceIndex(surface_points_whole_grid(target, organ_label))
+    idx = SurfaceIndex(surface_points_whole_grid(target))
     current = mesh.with_vertices(mesh.vertices.copy())
     trace = FitTrace()
     prev_total = None
@@ -138,12 +138,12 @@ class TestSurfaceIndex:
         data[organ & (np.indices(organ.shape).sum(axis=0) % 3 == 0)] = 2  # other labels inside
         vol = LabelVolume(file_order(data) if loaded_order else data, spacing)
         try:
-            expect = SurfaceIndex(surface_points_whole_grid(vol, 1)).points
+            expect = SurfaceIndex(surface_points_whole_grid(vol)).points
         except FitError as exc:
             with pytest.raises(FitError, match=f"^{re.escape(str(exc))}$"):
-                SurfaceIndex.from_mask(vol, 1)
+                SurfaceIndex.from_mask(vol)
         else:
-            assert SurfaceIndex.from_mask(vol, 1).points.tobytes() == expect.tobytes()
+            assert SurfaceIndex.from_mask(vol).points.tobytes() == expect.tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(FitError):
@@ -268,23 +268,23 @@ class TestFitMesh:
     def test_already_fitted_stays_put(self):
         vol = sphere_volume()
         mesh = sphere_template()
-        fitted, _ = fit_mesh(mesh, vol, 1, FitConfig(max_iters=300))
-        refitted, _ = fit_mesh(fitted, vol, 1, FitConfig(max_iters=300))
+        fitted, _ = fit_mesh(mesh, vol, FitConfig(max_iters=300))
+        refitted, _ = fit_mesh(fitted, vol, FitConfig(max_iters=300))
         disp = np.linalg.norm(refitted.vertices - fitted.vertices, axis=1)
         assert disp.max() < 0.5
 
     def test_translated_sphere_converges(self):
         vol = sphere_volume(shift=5)
         mesh = sphere_template()
-        fitted, trace = fit_mesh(mesh, vol, 1, FitConfig(max_iters=2000))
-        idx = SurfaceIndex.from_mask(vol, 1)
+        fitted, trace = fit_mesh(mesh, vol, FitConfig(max_iters=2000))
+        idx = SurfaceIndex.from_mask(vol)
         assert mean_surface_distance(fitted, idx) <= 1.0
         assert len(trace) >= 1
 
     def test_loss_non_increasing(self):
         vol = sphere_volume(shift=4)
         mesh = sphere_template()
-        _, trace = fit_mesh(mesh, vol, 1, FitConfig(max_iters=300))
+        _, trace = fit_mesh(mesh, vol, FitConfig(max_iters=300))
         totals = np.array(trace.total)
         # correspondences are refreshed between iterations; refreshing can
         # only decrease the point term, so the recorded totals never rise
@@ -293,7 +293,7 @@ class TestFitMesh:
     def test_combinatorics_and_regions_preserved(self, template):
         vol = sphere_volume(grid=48, radius=14)
         scaled = template.with_vertices(template.vertices * 14 + 23.5)
-        fitted, _ = fit_mesh(scaled, vol, 1, FitConfig(max_iters=50))
+        fitted, _ = fit_mesh(scaled, vol, FitConfig(max_iters=50))
         assert np.array_equal(fitted.faces, scaled.faces)
         assert np.array_equal(fitted.edges, scaled.edges)
         assert fitted.region_counts == scaled.region_counts
@@ -303,10 +303,10 @@ class TestFitMesh:
         # nearest surface point, so per-vertex distances shrink
         vol = sphere_volume(shift=3)
         mesh = sphere_template()
-        idx = SurfaceIndex.from_mask(vol, 1)
+        idx = SurfaceIndex.from_mask(vol)
         d0, _ = idx.nearest(mesh.vertices)
         cfg = FitConfig(lambda1=1e-12, lambda2=1e-12, step_size=0.25, max_iters=1)
-        stepped, _ = fit_mesh(mesh, vol, 1, cfg)
+        stepped, _ = fit_mesh(mesh, vol, cfg)
         d1, _ = idx.nearest(stepped.vertices)
         assert np.all(d1 <= d0 + 1e-9)
 
@@ -330,8 +330,8 @@ class TestFitMesh:
         vol = sphere_volume(shift=3)
         mesh = sphere_template()
         cfg = FitConfig(lambda1=0.3, lambda2=0.07, max_iters=3)
-        _, trace = fit_mesh(mesh, vol, 1, cfg)
-        lpt, _ = point_loss(mesh, SurfaceIndex.from_mask(vol, 1))
+        _, trace = fit_mesh(mesh, vol, cfg)
+        lpt, _ = point_loss(mesh, SurfaceIndex.from_mask(vol))
         e1, e2, _, _ = edge_regularizers(mesh)
         assert (trace.point[0], trace.e1[0], trace.e2[0]) == (lpt, e1, e2)
         assert trace.total[0] == lpt + cfg.lambda1 * e1 + cfg.lambda2 * e2
@@ -339,7 +339,7 @@ class TestFitMesh:
     def test_trace_csv(self, tmp_path):
         vol = sphere_volume()
         mesh = sphere_template()
-        _, trace = fit_mesh(mesh, vol, 1, FitConfig(max_iters=20))
+        _, trace = fit_mesh(mesh, vol, FitConfig(max_iters=20))
         path = tmp_path / "trace.csv"
         trace.to_csv(str(path))
         lines = path.read_text().splitlines()
@@ -357,7 +357,7 @@ class TestRegularizerReuse:
     ], ids=["to-tolerance", "to-max-iters", "tight-tolerance"])
     def test_same_bits_as_full_objective(self, monkeypatch, shift, cfg):
         vol, mesh = sphere_volume(shift=shift), sphere_template()
-        expect, expect_trace, candidates = fit_mesh_reference(mesh, vol, 1, cfg)
+        expect, expect_trace, candidates = fit_mesh_reference(mesh, vol, cfg)
         calls = []
 
         def counted(m):
@@ -365,7 +365,7 @@ class TestRegularizerReuse:
             return edge_regularizers(m)
 
         monkeypatch.setattr(meshfit, "edge_regularizers", counted)
-        fitted, trace = fit_mesh(mesh, vol, 1, cfg)
+        fitted, trace = fit_mesh(mesh, vol, cfg)
         assert fitted.vertices.tobytes() == expect.vertices.tobytes()
         assert trace_bytes(trace) == trace_bytes(expect_trace)
         # one per line-search candidate, plus the start mesh's; the reference
@@ -379,8 +379,8 @@ class TestRegularizerReuse:
         vol = LabelVolume(file_order(organ.astype(np.uint8)), (1.0, 1.0, 1.0))
         start = template.with_vertices(template.vertices * 8.0 + 19.5)
         cfg = FitConfig(max_iters=60)
-        expect, expect_trace, candidates = fit_mesh_reference(start, vol, 1, cfg)
-        fitted, trace = fit_mesh(start, vol, 1, cfg)
+        expect, expect_trace, candidates = fit_mesh_reference(start, vol, cfg)
+        fitted, trace = fit_mesh(start, vol, cfg)
         assert fitted.vertices.tobytes() == expect.vertices.tobytes()
         assert trace_bytes(trace) == trace_bytes(expect_trace)
 

@@ -18,7 +18,7 @@ def label_vol(mask, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume(mask.astype(np.uint8), spacing)
 
 
-def mean_shape_whole_grid(masks, organ_label):
+def mean_shape_whole_grid(masks):
     """``mean_shape`` before it voted on each mask's box: a float64 ``np.roll``
     of every whole mask, kept as a bit-exact oracle."""
     if not masks:
@@ -30,11 +30,11 @@ def mean_shape_whole_grid(masks, organ_label):
             raise VolumeError(f"spacing mismatch: {m.spacing} vs {spacing}")
         if m.dims != dims:
             raise VolumeError(f"dims mismatch: {m.dims} vs {dims}")
-    binaries = [m.mask(organ_label) for m in masks]
+    binaries = [m.data > 0 for m in masks]
     centroids = []
     for b in binaries:
         if not b.any():
-            raise VolumeError(f"a mask contains no voxels of label {organ_label}")
+            raise VolumeError("a mask contains no organ voxels")
         centroids.append(np.argwhere(b).mean(axis=0))
     ref = np.round(np.mean(centroids, axis=0)).astype(int)
     acc = np.zeros_like(binaries[0], dtype=np.float64)
@@ -51,9 +51,9 @@ def mean_shape_whole_grid(masks, organ_label):
 
 
 def outcome(f, masks):
-    """What ``f(masks, 1)`` gives: its data's bytes, strides and spacing, or its error."""
+    """What ``f(masks)`` gives: its data's bytes, strides and spacing, or its error."""
     try:
-        out = f(masks, 1)
+        out = f(masks)
     except VolumeError as exc:
         return str(exc)
     return out.data.dtype, out.data.tobytes(), out.data.strides, out.spacing
@@ -61,9 +61,9 @@ def outcome(f, masks):
 
 @st.composite
 def mask_lists(draw):
-    """1-4 label volumes on one grid: an organ (label 1) that touches any
-    grid face or none, and sometimes other voxels of label 2, laid out as
-    loaded or in C order."""
+    """1-4 label volumes on one grid: voxels of label 1 that touch any grid
+    face or none, and sometimes voxels of label 2 beside them, which the
+    organ holds too, laid out as loaded or in C order."""
     dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
     spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.0, 2.5)]))
     layout = file_order if draw(st.booleans()) else np.ascontiguousarray
@@ -85,13 +85,13 @@ def ellipsoid_mask(grid, center, axes):
 class TestMeanShape:
     def test_single_mask_identity(self):
         mask = sphere_mask(24, 6)
-        out = mean_shape([label_vol(mask)], 1)
+        out = mean_shape([label_vol(mask)])
         assert np.array_equal(out.data.astype(bool), mask)
 
     def test_shifted_pair_recentres(self):
         base = sphere_mask(32, 5, (12, 15.5, 15.5))
         shifted = np.roll(base, 2, axis=0)
-        out = mean_shape([label_vol(base), label_vol(shifted)], 1)
+        out = mean_shape([label_vol(base), label_vol(shifted)])
         # mean of the two centroids: shape re-centered one voxel over
         expect = np.roll(base, 1, axis=0)
         assert np.array_equal(out.data.astype(bool), expect)
@@ -103,7 +103,7 @@ class TestMeanShape:
             center = rng.uniform(12, 20, size=3)
             axes = rng.uniform(4, 7, size=3)
             masks.append(ellipsoid_mask(32, center, axes))
-        out = mean_shape([label_vol(m) for m in masks], 1)
+        out = mean_shape([label_vol(m) for m in masks])
         # independent recomputation: align centroids by integer shift, mean, >= 0.5
         centroids = [np.argwhere(m).mean(axis=0) for m in masks]
         ref = np.round(np.mean(centroids, axis=0)).astype(int)
@@ -127,7 +127,7 @@ class TestMeanShape:
         row[:, 0, 0] = True
         dot[7, 0, 0] = True
         masks = [label_vol(row), label_vol(dot)]
-        out = mean_shape(masks, 1)
+        out = mean_shape(masks)
         assert np.array_equal(out.data.astype(bool), row)
         assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
         # with the voxel twice the reference is round(5.83) = 6: the row shifts
@@ -135,17 +135,17 @@ class TestMeanShape:
         masks = [label_vol(row), label_vol(dot), label_vol(dot)]
         expect = np.zeros_like(row)
         expect[6, 0, 0] = True
-        assert np.array_equal(mean_shape(masks, 1).data.astype(bool), expect)
+        assert np.array_equal(mean_shape(masks).data.astype(bool), expect)
         assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
 
     def test_empty_list_rejected(self):
         with pytest.raises(VolumeError):
-            mean_shape([], 1)
+            mean_shape([])
 
     def test_spacing_mismatch_rejected(self):
         m = sphere_mask(16, 4)
         with pytest.raises(VolumeError, match="spacing"):
-            mean_shape([label_vol(m), label_vol(m, (1.0, 1.0, 2.0))], 1)
+            mean_shape([label_vol(m), label_vol(m, (1.0, 1.0, 2.0))])
 
 
 class TestBuildPrototype:

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import os
 import tracemalloc
 
@@ -18,13 +20,12 @@ from anatomesh.synth import (
     MassSpec,
     SynthConfig,
     SynthError,
+    case_draws,
     gen_case,
-    gen_dataset,
     _centerline,
     _sweep_mask,
     gen_organ,
     implant_mass,
-    iter_dataset,
     load_case_info,
     save_case,
     soften,
@@ -35,6 +36,15 @@ from conftest import boxed_masks
 
 
 CONN6 = ndimage.generate_binary_structure(3, 1)
+DEFAULTS = SynthConfig()
+
+
+def gen_dataset(n, seed, cfg=DEFAULTS):
+    """The first n cases that synth-gen makes for ``cfg`` with ``seed``: case i
+    depends on its index and the seed alone, not on the case count."""
+    cfg = dataclasses.replace(cfg, seed=seed)
+    draws = itertools.islice(case_draws(cfg), n)
+    return [gen_case(cid, case_seed, cfg) for cid, case_seed in draws]
 
 
 def sweep_mask_reference(grid, points, radii):
@@ -81,19 +91,19 @@ class TestSweepMask:
 
 class TestGenOrgan:
     def test_deterministic(self):
-        m1, h1 = gen_organ(3)
-        m2, h2 = gen_organ(3)
+        m1, h1 = gen_organ(3, DEFAULTS)
+        m2, h2 = gen_organ(3, DEFAULTS)
         assert np.array_equal(m1, m2)
         assert np.array_equal(h1, h2)
 
     def test_seeds_differ(self):
-        m1, _ = gen_organ(1)
-        m2, _ = gen_organ(2)
+        m1, _ = gen_organ(1, DEFAULTS)
+        m2, _ = gen_organ(2, DEFAULTS)
         assert not np.array_equal(m1, m2)
 
     def test_connected_and_inside_grid(self):
         for seed in range(6):
-            mask, _ = gen_organ(seed)
+            mask, _ = gen_organ(seed, DEFAULTS)
             _, n = ndimage.label(mask, structure=CONN6)
             assert n == 1
             assert not mask[[0, -1], :, :].any()
@@ -101,14 +111,14 @@ class TestGenOrgan:
             assert not mask[:, :, [0, -1]].any()
 
     def test_head_end_on_low_x_side(self):
-        mask, head = gen_organ(0)
+        mask, head = gen_organ(0, DEFAULTS)
         xs = np.argwhere(mask)[:, 0]
         # the head end sits at the low-x extremity of the organ
         assert abs(head[0] - xs.min()) < 10
         assert head[0] < xs.mean()
 
     def test_head_thicker_than_tail(self):
-        mask, head = gen_organ(4)
+        mask, head = gen_organ(4, DEFAULTS)
         occ = np.argwhere(mask)
         lo_x = occ[:, 0].min()
         hi_x = occ[:, 0].max()
@@ -142,8 +152,8 @@ class TestImplantMass:
         hits = 0
         for seed in range(40):
             try:
-                organ, _ = gen_organ(seed)
-                labels = implant_mass(organ, spec, seed + 1000)
+                organ, _ = gen_organ(seed, DEFAULTS)
+                labels = implant_mass(organ, spec, seed + 1000, DEFAULTS)
             except SynthError:
                 continue
             hits += 1
@@ -162,8 +172,8 @@ class TestImplantMass:
         hits = 0
         for seed in range(40):
             try:
-                organ, _ = gen_organ(seed)
-                labels = implant_mass(organ, spec, seed + 2000)
+                organ, _ = gen_organ(seed, DEFAULTS)
+                labels = implant_mass(organ, spec, seed + 2000, DEFAULTS)
             except SynthError:
                 continue
             hits += 1
@@ -176,16 +186,16 @@ class TestImplantMass:
 
     def test_protrusion_bounded(self):
         spec = DEFAULT_CLASSES[2][0]
-        organ, _ = gen_organ(0)
-        labels = implant_mass(organ, spec, 11)
+        organ, _ = gen_organ(0, DEFAULTS)
+        labels = implant_mass(organ, spec, 11, DEFAULTS)
         mass = labels.data == BLOB_LABEL
         outside = np.count_nonzero(mass & ~organ)
         assert outside <= 0.2 * np.count_nonzero(mass) + 1
 
     def test_tube_uses_tube_label(self):
         spec = DEFAULT_CLASSES[4][0]
-        organ, _ = gen_organ(1)
-        labels = implant_mass(organ, spec, 12)
+        organ, _ = gen_organ(1, DEFAULTS)
+        labels = implant_mass(organ, spec, 12, DEFAULTS)
         assert (labels.data == TUBE_LABEL).any()
         assert not (labels.data == BLOB_LABEL).any()
         # the tube stays inside the organ and spans much of its length
@@ -196,8 +206,8 @@ class TestImplantMass:
 
     def test_organ_voxels_keep_organ_label(self):
         spec = DEFAULT_CLASSES[3][0]
-        organ, _ = gen_organ(2)
-        labels = implant_mass(organ, spec, 13)
+        organ, _ = gen_organ(2, DEFAULTS)
+        labels = implant_mass(organ, spec, 13, DEFAULTS)
         mass = labels.data > ORGAN_LABEL
         assert np.array_equal(labels.data > 0, organ | mass)
         assert np.all(labels.data[organ & ~mass] == ORGAN_LABEL)
@@ -320,7 +330,7 @@ class TestSoften:
 
     def test_case_volumes_equal_reference(self):
         for cid in (1, 2, 3, 4):
-            labels = gen_case(cid, 40 + cid).labels
+            labels = gen_case(cid, 40 + cid, DEFAULTS).labels
             # a tiny noise keeps the blur's running-sum residues in the float32
             # result, so a crop too narrow for the blur's bits shows there
             for noise in (0.0, 1e-300, 0.15, 0.2, 0.49):
@@ -348,8 +358,8 @@ class TestSoften:
             soften(LabelVolume(data, (1.0, 1.0, 1.0)), 0.2, 0)
 
     def _labels(self, seed=0):
-        organ, _ = gen_organ(seed)
-        return implant_mass(organ, DEFAULT_CLASSES[2][0], seed + 1)
+        organ, _ = gen_organ(seed, DEFAULTS)
+        return implant_mass(organ, DEFAULT_CLASSES[2][0], seed + 1, DEFAULTS)
 
     def test_zero_noise_is_exact_one_hot(self):
         labels = self._labels()
@@ -382,17 +392,17 @@ class TestCases:
             1: "Discharge", 2: "Surgery", 3: "Monitoring", 4: "Surgery"
         }
         for cid in (1, 2, 3, 4):
-            case = gen_case(cid, 100 + cid)
+            case = gen_case(cid, 100 + cid, DEFAULTS)
             assert case.class_id == cid
             assert case.management == MANAGEMENT_BY_CLASS[cid]
 
     def test_class_one_has_no_mass(self):
-        case = gen_case(1, 7)
+        case = gen_case(1, 7, DEFAULTS)
         assert set(np.unique(case.labels.data)) <= {0, ORGAN_LABEL}
 
     def test_case_deterministic(self):
-        a = gen_case(2, 42)
-        b = gen_case(2, 42)
+        a = gen_case(2, 42, DEFAULTS)
+        b = gen_case(2, 42, DEFAULTS)
         assert np.array_equal(a.labels.data, b.labels.data)
         assert a.probs.box == b.probs.box
         assert np.array_equal(a.probs.data, b.probs.data)
@@ -411,9 +421,11 @@ class TestCases:
         d = gen_dataset(6, 1, cfg)
         assert all(c.class_id == 2 for c in d)
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(SynthError):
-            gen_dataset(0, 0)
+    def test_one_draw_per_train_and_test_case(self):
+        cfg = SynthConfig(n_train=5, n_test=3, seed=2)
+        draws = list(case_draws(cfg))
+        assert len(draws) == 8
+        assert draws == list(case_draws(SynthConfig(n_train=2, n_test=6, seed=2)))
 
     def test_dataset_pinned(self):
         # Digest over the labels, the stored box and its rows. The full-grid
@@ -431,8 +443,8 @@ class TestCases:
         assert h.hexdigest() == "c5e3d0cc82cd4821a3303adf28ddc3fa937b87a45cf322e2a3c21a7d0f322818"
 
     def test_stream_is_lazy_and_matches_list(self):
-        # a huge n costs nothing until cases are drawn; case i does not depend on n
-        first = next(iter_dataset(10**9, 5))
+        # a huge case count costs nothing until cases are drawn; case i does not depend on it
+        first = gen_case(*next(case_draws(SynthConfig(n_train=10**9, seed=5))), DEFAULTS)
         ref = gen_dataset(1, 5)[0]
         assert first.class_id == ref.class_id and first.seed == ref.seed
         assert first.probs.box == ref.probs.box
@@ -441,7 +453,7 @@ class TestCases:
 
 class TestCaseIO:
     def test_round_trip(self, tmp_path):
-        case = gen_case(3, 17)
+        case = gen_case(3, 17, DEFAULTS)
         d = str(tmp_path / "case")
         save_case(case, d)
         labels = load_volume(os.path.join(d, "labels"))
@@ -465,7 +477,7 @@ class TestCaseIO:
     )
     def test_malformed_case_file_named(self, tmp_path, edit, match):
         d = tmp_path / "case"
-        save_case(gen_case(3, 17), str(d))
+        save_case(gen_case(3, 17, DEFAULTS), str(d))
         path = d / "case.txt"
         path.write_text(edit(path.read_text()))
         with pytest.raises(VolumeError, match=match) as err:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from anatomesh.volume import (
+    DETECTION_CUTOFF,
     PROB_TOL,
     LabelVolume,
     ProbVolume,
@@ -366,7 +367,7 @@ def brute_force_surface(vol, label):
 
 def surface_set(vol, label):
     """Surface voxels of ``label`` in ``vol`` as a set of index triples."""
-    return {tuple(ijk) for ijk in np.argwhere(surface_mask(vol.mask(label)))}
+    return {tuple(ijk) for ijk in np.argwhere(surface_mask(vol.data == label))}
 
 
 class TestSurface:
@@ -501,29 +502,27 @@ class TestDetected:
 
     def test_ten_percent_rule(self):
         pred, gt = self._masks(10, 1)
-        assert detected(pred, gt, 0.1)
-
-    def test_zero_overlap_zero_cutoff(self):
-        gt = np.zeros((2, 2, 2), dtype=bool)
-        gt[0, 0, 0] = True
-        pred = np.zeros_like(gt)
-        assert not detected(pred, gt, 0.0)
+        assert DETECTION_CUTOFF == 0.1
+        assert detected(pred, gt)
 
     def test_below_cutoff(self):
-        pred, gt = self._masks(7, 3)
-        assert not detected(pred, gt, 0.5)
+        pred, gt = self._masks(11, 1)
+        assert not detected(pred, gt)
 
     def test_empty_gt_raises(self):
         with pytest.raises(VolumeError):
             detected(np.zeros((2, 2, 2), dtype=bool), np.zeros((2, 2, 2), dtype=bool))
 
     def test_monotone_in_overlap(self):
+        # one ground-truth voxel more at a time: once detected, always detected
         rng = np.random.default_rng(5)
         gt = rng.random((6, 6, 6)) < 0.4
         gt[0, 0, 0] = True
-        pred = gt & (rng.random((6, 6, 6)) < 0.5)
-        for cutoff in (0.0, 0.1, 0.5, 1.0):
-            before = detected(pred, gt, cutoff)
-            grown = pred | (gt & (rng.random((6, 6, 6)) < 0.5))
-            after = detected(grown, gt, cutoff)
+        pred = np.zeros_like(gt)
+        before = False
+        for voxel in rng.permutation(np.argwhere(gt)):
+            pred[tuple(voxel)] = True
+            after = detected(pred, gt)
             assert after or not before
+            before = after
+        assert before

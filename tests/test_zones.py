@@ -137,7 +137,7 @@ class TestRenderZones:
             mesh = line_mesh(verts)
             zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
             # recover the seeds: round zero of the production run
-            seeds = _seed_voxels(verts, organ, np.ones(3))
+            seeds = _seed_voxels(verts, organ, np.ones(3), np.zeros(3, int))
             expect = bfs_oracle([tuple(s) for s in seeds], organ)
             assert np.array_equal(zmap.data, expect)
 
@@ -242,7 +242,7 @@ class TestSeedVoxels:
     def _check(self, verts, organ, spacing):
         sp = np.asarray(spacing, dtype=np.float64)
         expect = _seed_voxels_brute(verts, organ, sp)
-        assert np.array_equal(_seed_voxels(verts, organ, sp), expect)
+        assert np.array_equal(_seed_voxels(verts, organ, sp, np.zeros(3, int)), expect)
         # cut to the organ's box, with the offset restoring world positions
         idx = np.argwhere(organ)
         lo, hi = idx.min(axis=0), idx.max(axis=0) + 1
@@ -274,7 +274,7 @@ class TestSeedVoxels:
         # seedings may swap tied voxels but never pick a farther one.
         organ = sphere_mask(16, 5)
         verts = np.tile([[7.2, 7.6, 7.4]], (3 * _SHORT_K // 2, 1))
-        got = _seed_voxels(verts, organ, np.ones(3))
+        got = _seed_voxels(verts, organ, np.ones(3), np.zeros(3, int))
         expect = _seed_voxels_brute(verts, organ, np.ones(3))
         dist = lambda seeds: ((seeds - verts) ** 2).sum(axis=1)
         assert np.array_equal(dist(got), dist(expect))
@@ -287,16 +287,17 @@ class TestSeedVoxels:
         verts = np.tile([[2.0, 2.0, 3.0]], (n, 1))
         self._check(verts, organ, (1.0, 1.0, 1.0))
         # the vertex count only just fits: every voxel but one is a seed
-        seeds = _seed_voxels(verts, organ, np.ones(3))
+        seeds = _seed_voxels(verts, organ, np.ones(3), np.zeros(3, int))
         assert len({tuple(s) for s in seeds}) == n
 
     def test_more_vertices_than_voxels_rejected_by_both(self):
         organ = np.zeros((4, 4, 16), dtype=bool)
         organ[1, 1, 2 : 2 + _SHORT_K + 2] = True
         verts = np.tile([[1.0, 1.0, 2.0]], (_SHORT_K + 3, 1))
-        for seed in (_seed_voxels, _seed_voxels_brute):
-            with pytest.raises(ZoneError, match="more vertices"):
-                seed(verts, organ, np.ones(3))
+        with pytest.raises(ZoneError, match="more vertices"):
+            _seed_voxels(verts, organ, np.ones(3), np.zeros(3, int))
+        with pytest.raises(ZoneError, match="more vertices"):
+            _seed_voxels_brute(verts, organ, np.ones(3))
 
 
 class TestBoxCrop:
