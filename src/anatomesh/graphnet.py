@@ -10,12 +10,14 @@ over the concatenation of 4 region-pooled vectors and all vertex embeddings.
 from __future__ import annotations
 
 import copy
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .evaluate import classify_gc
 from .mesh import MeshTopology, region_ranges
+from .workers import Channel, Worker, cpus, forked
 
 __all__ = [
     "GraphResNetParams",
@@ -83,6 +85,23 @@ class GraphResNetParams:
 
     def copy(self) -> "GraphResNetParams":
         return copy.deepcopy(self)
+
+    @classmethod
+    def from_tensors(
+        cls,
+        tensors: list[np.ndarray],
+        region_counts: tuple[int, ...],
+        seed: int,
+        input_mean: np.ndarray,
+        input_std: np.ndarray,
+    ) -> "GraphResNetParams":
+        """Parameters whose arrays are ``tensors``, in :meth:`tensors` order."""
+        n_layers = (len(tensors) - 4) // 3
+        return cls(
+            tensors[0 : 3 * n_layers : 3], tensors[1 : 3 * n_layers : 3],
+            tensors[2 : 3 * n_layers : 3], *tensors[3 * n_layers :],
+            region_counts, seed, input_mean, input_std,
+        )
 
 
 @dataclass(frozen=True)
@@ -287,7 +306,10 @@ def backward(
     eta1: float,
     eta2: float,
 ) -> tuple[float, GraphResNetParams]:
-    """Loss value and its gradient, as a params-shaped structure."""
+    """Loss value and its gradient, as a params-shaped structure.
+
+    The gradient is not checked: :func:`train` checks each batch's sum.
+    """
     cache = _forward_cache(params, feats, topo)
     value = loss(
         cache["vertex_probs"], cache["global_probs"],
@@ -345,9 +367,6 @@ def backward(
         input_mean=params.input_mean,
         input_std=params.input_std,
     )
-    for t in grads.tensors():
-        if not np.isfinite(t).all():
-            raise GraphNetError("non-finite gradient")
     return value, grads
 
 
@@ -397,6 +416,14 @@ def train(
     accuracy is 1.0, since no later epoch can beat it; ``cfg.epochs`` is a
     maximum. Training starts from :func:`init_params` sized by ``topo``,
     with the training features' scaling.
+
+    The cases run on ``min(CPUs, batch size, training cases)`` processes:
+    the calling one and ones forked from it. Each batch, and the validation
+    split, is cut into contiguous shares in batch order, the calling
+    process's first. The batch's gradient sum is passed along the processes
+    in that order, each adding its own cases one at a time, and the losses
+    are added in case order, so every sum takes the same steps on any
+    number of processes, and so do the parameters and the log.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
@@ -415,60 +442,124 @@ def train(
         feats0.shape[1], k_vertex, k_global, topo, width=cfg.width, seed=cfg.seed
     )
     stacked = np.concatenate([f for f, _, _ in dataset])
-    params.input_mean = stacked.mean(axis=0)
-    params.input_std = np.maximum(stacked.std(axis=0), 1e-8)
+    # the workers read the parameters and add to the batch's gradient sum in shared memory
+    _, shared = _shared(params.tensors())
+    params = GraphResNetParams.from_tensors(
+        shared, params.region_counts, params.seed,
+        stacked.mean(axis=0), np.maximum(stacked.std(axis=0), 1e-8),
+    )
+    grad_flat, grad_sum = _shared(shared)
+
+    def case_grads(i: int, epoch: int) -> tuple[float, list[np.ndarray]]:
+        feats, vt, gt = train_cases[i]
+        value, grads = backward(params, feats, topo, vt, gt, cfg.eta1, cfg.eta2)
+        if not np.isfinite(value):
+            raise GraphNetError(f"divergence at epoch {epoch}")
+        return value, grads.tensors()
+
+    def add(grads: list[np.ndarray], first: bool) -> None:
+        """Add a case's gradient to the batch's sum, which the batch's first case starts."""
+        for acc, g in zip(grad_sum, grads):
+            if first:
+                acc[...] = g
+            else:
+                acc += g
+
+    def score(i: int) -> tuple[float, bool]:
+        feats, vt, gt = val_cases[i]
+        vp, gp = forward(params, feats, topo)
+        return loss(vp, gp, vt, gt, cfg.eta1, cfg.eta2), bool(classify_gc(gp) - 1 == gt.argmax())
+
+    def serve(channel: Channel) -> None:
+        """A forked worker's part: its share of each batch, or of the validation split."""
+        while (job := channel.recv()) is not None:
+            epoch, share = job
+            if epoch is None:
+                channel.send([score(i) for i in share])
+                continue
+            try:
+                computed = [case_grads(i, epoch) for i in share]
+            finally:
+                channel.recv()  # the sum holds every earlier case; a failure is raised in turn
+            for _, grads in computed:
+                add(grads, first=False)
+            channel.send([value for value, _ in computed])
+
+    def shares(cases: np.ndarray, epoch: int | None, team: list[Worker]) -> np.ndarray:
+        """Send each worker its share of ``cases`` (of the validation split for no
+        ``epoch``); the calling process's own share, the first."""
+        parts = np.array_split(cases, len(team) + 1)
+        for worker, part in zip(team, parts[1:]):
+            worker.send((epoch, part.tolist()))
+        return parts[0]
+
+    def evaluate(team: list[Worker]) -> tuple[float, float]:
+        """Mean loss and global accuracy over the validation cases."""
+        scores = [score(i) for i in shares(np.arange(len(val_cases)), None, team)]
+        for worker in team:
+            scores += worker.recv()
+        total, correct = 0.0, 0
+        for value, right in scores:
+            total += value
+            correct += right
+        return total / len(scores), correct / len(scores)
+
     rng = np.random.default_rng(cfg.seed)
     velocity = [np.zeros_like(t) for t in params.tensors()]
     log = TrainLog()
     best_acc, best_params = -1.0, params.copy()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            acc_grads = None
-            for i in batch:
-                feats, vt, gt = train_cases[i]
-                value, grads = backward(params, feats, topo, vt, gt, cfg.eta1, cfg.eta2)
-                if not np.isfinite(value):
-                    raise GraphNetError(f"divergence at epoch {epoch}")
-                total += value
-                if acc_grads is None:
-                    acc_grads = grads.tensors()
-                else:
-                    for agrad, g in zip(acc_grads, grads.tensors()):
-                        agrad += g
-            tensors = params.tensors()
-            for v, t, g in zip(velocity, tensors, acc_grads):
-                v *= cfg.momentum
-                v -= cfg.learning_rate * (g / len(batch))
-                t += v
-        mean_loss = total / len(dataset)
-        vl = va = None
-        if validation:
-            vl, va = _evaluate(params, topo, val_cases, cfg)
-            if va > best_acc:
-                best_acc, best_params = va, params.copy()
-        log.epochs.append(epoch)
-        log.train_loss.append(mean_loss)
-        log.val_loss.append(vl)
-        log.val_acc.append(va)
-        if va == 1.0:
-            break
+    with forked(min(cpus(), cfg.batch_size, len(dataset)) - 1, serve) as team:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(dataset))
+            total = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                for j, i in enumerate(shares(batch, epoch, team)):
+                    value, grads = case_grads(i, epoch)
+                    total += value
+                    add(grads, first=j == 0)
+                for worker in team:
+                    worker.send(True)  # its turn to add to the sum
+                    for value in worker.recv():
+                        total += value
+                # a non-finite addend makes the sum non-finite
+                if not np.isfinite(grad_flat).all():
+                    raise GraphNetError(f"non-finite gradient at epoch {epoch}")
+                for v, t, g in zip(velocity, params.tensors(), grad_sum):
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * (g / len(batch))
+                    t += v
+            mean_loss = total / len(dataset)
+            vl = va = None
+            if validation:
+                vl, va = evaluate(team)
+                if va > best_acc:
+                    best_acc, best_params = va, params.copy()
+            log.epochs.append(epoch)
+            log.train_loss.append(mean_loss)
+            log.val_loss.append(vl)
+            log.val_acc.append(va)
+            if va == 1.0:
+                break
+        for worker in team:
+            worker.send(None)
+            worker.recv()
     if validation:
         return best_params, log
     return params, log
 
 
-def _evaluate(params, topo, cases, cfg) -> tuple[float, float]:
-    """Mean loss and global accuracy over (features, one-hot, one-hot) cases."""
-    total, correct = 0.0, 0
-    for feats, vt, gt in cases:
-        vp, gp = forward(params, feats, topo)
-        total += loss(vp, gp, vt, gt, cfg.eta1, cfg.eta2)
-        if classify_gc(gp) - 1 == gt.argmax():
-            correct += 1
-    return total / len(cases), correct / len(cases)
+def _shared(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copies of ``arrays`` in one f64 block of memory that processes forked later share:
+    the block and the copies, which are views of it."""
+    sizes = [a.size for a in arrays]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    views = [
+        part.reshape(a.shape) for part, a in zip(np.split(flat, np.cumsum(sizes)[:-1]), arrays)
+    ]
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return flat, views
 
 
 def save_params(params: GraphResNetParams, path: str) -> None:
@@ -525,18 +616,16 @@ def load_params(path: str) -> GraphResNetParams:
         raise GraphNetError(
             f"{path}: payload holds {len(payload)} values, header implies {expected}"
         )
+    for name, values in (("input_mean", mean), ("input_std", std)):
+        if len(values) != widths[0]:
+            raise GraphNetError(
+                f"{path}: malformed checkpoint: {name} holds {len(values)} values, "
+                f"the input width is {widths[0]}"
+            )
     tensors = []
     pos = 0
     for s in shapes:
         n = int(np.prod(s))
         tensors.append(payload[pos : pos + n].reshape(s).copy())
         pos += n
-    conv_w0 = [tensors[3 * i] for i in range(n_layers)]
-    conv_w1 = [tensors[3 * i + 1] for i in range(n_layers)]
-    conv_b = [tensors[3 * i + 2] for i in range(n_layers)]
-    return GraphResNetParams(
-        conv_w0, conv_w1, conv_b,
-        tensors[3 * n_layers], tensors[3 * n_layers + 1],
-        tensors[3 * n_layers + 2], tensors[3 * n_layers + 3],
-        region_counts, seed, mean, std,
-    )
+    return GraphResNetParams.from_tensors(tensors, region_counts, seed, mean, std)

@@ -5,11 +5,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
-import pickle
 import shutil
-import traceback
 from collections.abc import Callable
-from typing import NoReturn, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +39,7 @@ from .synth import (
     save_case,
 )
 from .volume import LabelVolume, VolumeError, load_volume, save_volume
+from .workers import Channel, cpus, forked, in_worker
 from .zones import ZoneError, render_zones, vertex_labels
 
 __all__ = [
@@ -113,29 +112,16 @@ def _per_case(dirs: list[str], work: Callable[[str], T], workers: int = 1) -> li
                     next_case.value = n
                 return done, (i, exc)
 
-    readers = {}  # forked worker's pid -> the read end of its report pipe
-    try:
-        for _ in range(workers - 1):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _report(run, w)
-            os.close(w)  # or a later worker inherits it, and this pipe never reaches EOF
-            readers[pid] = open(r, "rb")
-        outcomes = [run()]
-        # read to EOF before reaping, so a report longer than the pipe cannot block its worker
-        reports = [f.read() for f in readers.values()]
-    finally:
-        with lock:
-            next_case.value = n
-        statuses = []
-        for pid, f in readers.items():
-            f.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for report, status in zip(reports, statuses):
-        if not report:
-            raise RuntimeError(f"a case worker ended with exit status {status} and sent no report")
-        outcomes.append(pickle.loads(report))
+    def serve(channel: Channel) -> tuple[dict[int, T], tuple[int, BaseException] | None]:
+        done, failure = run()
+        return done, failure and (failure[0], in_worker(failure[1]))
+
+    with forked(workers - 1, serve) as team:
+        try:
+            outcomes = [run()] + [worker.recv() for worker in team]
+        finally:
+            with lock:
+                next_case.value = n
     results: dict[int, T] = {}
     failures: dict[int, BaseException] = {}
     for done, failure in outcomes:
@@ -151,36 +137,9 @@ def _per_case(dirs: list[str], work: Callable[[str], T], workers: int = 1) -> li
     return [results[i] for i in range(n)]
 
 
-def _report(run: Callable[[], tuple], w: int) -> NoReturn:
-    """In a forked worker: run its share of the cases, pickle the outcome into ``w``, exit."""
-    status = 1
-    try:
-        done, failure = run()
-        if failure is not None:
-            i, exc = failure
-            text = "".join(traceback.format_exception(exc))
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__} that cannot be pickled: {exc}")
-            # what add_note does; Python 3.10 keeps the note without printing it
-            note = f"in case worker {os.getpid()}:\n{text}"
-            exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
-            failure = i, exc
-        with open(w, "wb") as f:
-            f.write(pickle.dumps((done, failure)))
-        status = 0
-    finally:
-        os._exit(status)  # never return into the caller's stack
-
-
 def _workers(dirs: list[str]) -> int:
     """One worker per CPU this process may run on, capped at the case count."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, len(dirs))
+    return min(cpus(), len(dirs))
 
 
 def _load_prototype(out_dir: str) -> AnatomyMesh:

@@ -152,3 +152,28 @@ def organ_scenes(draw, max_zones=4):
         LabelVolume(layout(labels), spacing),
         draw(st.sampled_from([{2, 3}, {2}, {3}])),
     )
+
+
+def patch_cpus(monkeypatch, n):
+    """Make this process see ``n`` CPUs, so the stages and train fork for ``n``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """The pids of the processes forked from here on, in fork order."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -24,6 +24,7 @@ from anatomesh.meshfit import FitConfig, FitError
 from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
 
+from conftest import assert_no_child_left, count_forks, patch_cpus
 from test_synth import grown_box
 
 SMALL_CONFIG = """\
@@ -587,7 +588,7 @@ class TestCaseFiles:
         ]
 
     def test_each_stage_reads_a_case_volume_once(self, tmp_path, monkeypatch):
-        _patch_cpus(monkeypatch, 1)  # a forked worker's reads would not reach this list
+        patch_cpus(monkeypatch, 1)  # a forked worker's reads would not reach this list
         out = str(tmp_path / "run")
         reads = []
 
@@ -611,7 +612,7 @@ class TestCaseFiles:
         assert len(by_stage["classify"]) == 7
 
     def test_each_stage_builds_one_mesh_topology(self, tmp_path, monkeypatch):
-        _patch_cpus(monkeypatch, 1)  # a forked worker's builds would not reach this list
+        patch_cpus(monkeypatch, 1)  # a forked worker's builds would not reach this list
         out = str(tmp_path / "run")
         cfg = write_config(tmp_path)
         for stage in ("synth-gen", "build-prototype"):
@@ -630,30 +631,6 @@ class TestCaseFiles:
             assert len(builds) <= 1, stage
 
 
-def _patch_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def _forks(monkeypatch):
-    """The pids of the processes forked from here on, in fork order."""
-    made = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return made
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestCaseWorkers:
     """synth-gen, fit-mesh, render-zones and pool-features run their cases on
     one process per CPU, capped at the case count; the calling process is one.
@@ -669,16 +646,16 @@ class TestCaseWorkers:
 
     def test_synth_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, 4, 1)
-        forks = _forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         trees = {}
         for cpus, workers in ((1, 1), (8, 5)):
-            _patch_cpus(monkeypatch, cpus)
+            patch_cpus(monkeypatch, cpus)
             forks.clear()
             out = str(tmp_path / f"cpus{cpus}")
             pipeline.stage_synth(cfg, out)
             # the calling process is one worker: 8 CPUs and 5 cases make 4 forks
             assert len(forks) == workers - 1, cpus
-            _assert_no_child_left()
+            assert_no_child_left()
             trees[cpus] = tree_digest(out)
         assert trees[1] == trees[8]
         assert len(trees[1]) == 5 * 5
@@ -686,20 +663,20 @@ class TestCaseWorkers:
     def test_geometry_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, 4, 1)
         prepared = str(tmp_path / "prepared")
-        _patch_cpus(monkeypatch, 1)
+        patch_cpus(monkeypatch, 1)
         pipeline.stage_synth(cfg, prepared)
         pipeline.stage_prototype(cfg, prepared)
-        forks = _forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         trees = {}
         for cpus in (1, 8):
-            _patch_cpus(monkeypatch, cpus)
+            patch_cpus(monkeypatch, cpus)
             forks.clear()
             out = str(tmp_path / f"cpus{cpus}")
             shutil.copytree(prepared, out)
             for stage in (pipeline.stage_fit, pipeline.stage_zones, pipeline.stage_features):
                 stage(cfg, out)
             assert len(forks) == (0 if cpus == 1 else 3 * 4), cpus
-            _assert_no_child_left()
+            assert_no_child_left()
             trees[cpus] = tree_digest(out)
         assert trees[1] == trees[8]
         assert len(trees[1]) - len(tree_digest(prepared)) == 5 * 6
@@ -707,7 +684,7 @@ class TestCaseWorkers:
     def test_first_failing_case_named_and_no_case_started_after(self, tmp_path, monkeypatch):
         # 6 + 4 cases on 8 workers: each of the first 8 is taken before case 3
         # fails, and the last two would be taken only by a worker set free later
-        _patch_cpus(monkeypatch, 8)
+        patch_cpus(monkeypatch, 8)
         cfg = self._config(tmp_path, 6, 4)
         names = [f"train_{k:04d}" for k in range(6)] + [f"test_{k:04d}" for k in range(4)]
         started = tmp_path / "started"
@@ -729,17 +706,17 @@ class TestCaseWorkers:
 
         monkeypatch.setattr(pipeline, "gen_case", lambda class_id, seed, cfg: None)
         monkeypatch.setattr(pipeline, "save_case", save_case)
-        forks = _forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         with pytest.raises(SynthError) as info:
             pipeline.stage_synth(cfg, str(tmp_path / "w"))
         assert str(info.value) == "train_0003: organ unplaceable"
         assert len(forks) == 7
         assert sorted(os.listdir(started)) == sorted(names[:8])
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def _one_case_each(self, tmp_path, monkeypatch, in_worker, in_caller=lambda: None):
         """synth-gen's 2 cases on 2 workers, one case each; the forked one calls ``in_worker``."""
-        _patch_cpus(monkeypatch, 2)
+        patch_cpus(monkeypatch, 2)
         cfg = self._config(tmp_path, 1, 1)
         caller = os.getpid()
         both_taken = multiprocessing.get_context("fork").Barrier(2, timeout=20)
@@ -750,7 +727,7 @@ class TestCaseWorkers:
 
         monkeypatch.setattr(pipeline, "gen_case", lambda class_id, seed, cfg: None)
         monkeypatch.setattr(pipeline, "save_case", save_case)
-        forks = _forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         return lambda: pipeline.stage_synth(cfg, str(tmp_path / "w")), forks
 
     def test_unpicklable_failure_comes_back_with_its_traceback(self, tmp_path, monkeypatch):
@@ -770,7 +747,7 @@ class TestCaseWorkers:
         [note] = info.value.__notes__
         assert note.startswith(f"in case worker {forks[0]}:\n")
         assert ", in raise_unpicklable\n" in note
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_killed_worker_named_by_its_exit_status(self, tmp_path, monkeypatch):
         stage, forks = self._one_case_each(
@@ -780,7 +757,7 @@ class TestCaseWorkers:
         with pytest.raises(RuntimeError, match=status):
             stage()
         assert len(forks) == 1
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_interrupted_stage_leaves_no_worker(self, tmp_path, monkeypatch):
         interrupted = multiprocessing.get_context("fork").Event()
@@ -797,14 +774,14 @@ class TestCaseWorkers:
         with pytest.raises(KeyboardInterrupt):
             stage()
         assert len(forks) == 1
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_debug_shows_the_worker_frame(self, tmp_path, monkeypatch):
         cfg = self._config(tmp_path, 1, 1)
         out = str(tmp_path / "w")
         pipeline.stage_synth(cfg, out)
         pipeline.stage_prototype(cfg, out)
-        _patch_cpus(monkeypatch, 2)
+        patch_cpus(monkeypatch, 2)
         caller = os.getpid()
         both_taken = multiprocessing.get_context("fork").Barrier(2, timeout=20)
         fit = pipeline.fit_mesh
@@ -822,7 +799,7 @@ class TestCaseWorkers:
         assert re.fullmatch(r"t\w+_0000: no surface points", str(info.value))
         shown = "".join(traceback.format_exception(info.value))
         assert "in case worker " in shown and ", in fit_in_worker\n" in shown
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_every_case_runs_once_and_results_come_back_in_order(
@@ -831,7 +808,7 @@ class TestCaseWorkers:
         # more workers than CPUs on one shared counter: a lost update would run
         # a case twice, and its exclusive create would fail, or skip one; each
         # worker's report is larger than a pipe's buffer
-        forks = _forks(monkeypatch)
+        forks = count_forks(monkeypatch)
         dirs = [str(tmp_path / f"case_{k:03d}") for k in range(300)]
 
         def work(d):
@@ -841,7 +818,7 @@ class TestCaseWorkers:
         results = pipeline._per_case(dirs, work, workers)
         assert results == [os.path.basename(d) * 300 for d in dirs]
         assert len(forks) == workers - 1
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestCaseFileFormats:

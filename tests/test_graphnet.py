@@ -1,8 +1,11 @@
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
+import anatomesh.graphnet as graphnet
 from anatomesh.evaluate import classify_gc, classify_pv, classify_vv
 from anatomesh.graphnet import (
     GraphNetError,
@@ -19,7 +22,9 @@ from anatomesh.graphnet import (
 )
 from anatomesh.mesh import MeshTopology, region_ranges
 from anatomesh.volume import LabelVolume
+from anatomesh.workers import _blas_threads
 
+from conftest import assert_no_child_left, count_forks, patch_cpus
 from template_build import icosphere
 
 
@@ -408,8 +413,6 @@ class TestTrain:
     ], ids=["negative-vertex", "negative-global", "fractional-vertex", "fractional-global"])
     def test_bad_label_rejected_before_first_epoch(self, monkeypatch, split, case, edit,
                                                    name):
-        import anatomesh.graphnet as graphnet
-
         def no_epoch(*args, **kwargs):
             raise AssertionError("an epoch ran")
 
@@ -436,6 +439,156 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert len(lines) == 3
+
+
+def trained_files(out, data, val, cfg):
+    """The model.ckpt and train_log.csv bytes of one train, and its log."""
+    params, log = train(data, ico_topology(), cfg, val)
+    save_params(params, str(out / "model.ckpt"))
+    log.to_csv(str(out / "train_log.csv"))
+    return (out / "model.ckpt").read_bytes(), (out / "train_log.csv").read_bytes(), log
+
+
+class TestTrainWorkers:
+    """train runs each batch on min(CPUs, batch size, training cases) processes,
+    the calling one among them, and writes the same bytes on any number.
+
+    Each test trains on the main thread, so nothing forks from a process with
+    a second thread.
+    """
+
+    @pytest.mark.parametrize("n_train, n_val, batch_size, epochs, stops", [
+        (8, 4, 4, 20, True),
+        (8, 0, 4, 6, False),
+        (9, 3, 4, 5, None),
+        (10, 5, 8, 4, None),
+    ], ids=["validation-stops-early", "no-validation", "last-batch-of-one",
+            "more-workers-than-cases"])
+    def test_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, n_train,
+                                                  n_val, batch_size, epochs, stops):
+        rng = np.random.default_rng(16)
+        data, val = tiny_dataset(rng, n=n_train), tiny_dataset(rng, n=n_val)
+        cfg = TrainConfig(epochs=epochs, seed=0, learning_rate=1e-3, batch_size=batch_size,
+                          width=8)
+        forks = count_forks(monkeypatch)
+        files = {}
+        for cpus in (1, 2, 8):
+            patch_cpus(monkeypatch, cpus)
+            forks.clear()
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            *files[cpus], log = trained_files(out, data, val, cfg)
+            assert len(forks) == min(cpus, batch_size, n_train) - 1, cpus
+            assert_no_child_left()
+            if stops is not None:
+                assert (len(log.epochs) < epochs) == stops
+        assert files[1] == files[2] == files[8]
+
+    @pytest.mark.parametrize("cpus, batch_size, n_train, forks", [
+        (1, 4, 9, 0), (2, 4, 9, 1), (8, 4, 9, 3), (8, 16, 3, 2), (8, 16, 1, 0),
+    ])
+    def test_one_process_per_cpu_capped_by_batch_and_cases(self, monkeypatch, cpus,
+                                                           batch_size, n_train, forks):
+        patch_cpus(monkeypatch, cpus)
+        made = count_forks(monkeypatch)
+        cfg = TrainConfig(epochs=1, batch_size=batch_size, width=8)
+        train(tiny_dataset(np.random.default_rng(0), n=n_train), ico_topology(), cfg, [])
+        assert len(made) == forks
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("loss", "divergence at epoch 0"),
+        ("gradient", "non-finite gradient at epoch 0"),
+    ])
+    def test_non_finite_case_on_a_worker_fails_as_on_one_cpu(self, tmp_path, monkeypatch,
+                                                             fault, message):
+        data = tiny_dataset(np.random.default_rng(16), n=8)
+        cfg = TrainConfig(epochs=3, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        # the last case of the first batch, which a forked worker takes on 2 CPUs
+        bad = data[np.random.default_rng(cfg.seed).permutation(len(data))[3]][0]
+        computed_by = tmp_path / "computed_by"
+        real = graphnet.backward
+
+        def faulty(params, feats, *args):
+            value, grads = real(params, feats, *args)
+            if feats is bad:
+                computed_by.write_text(str(os.getpid()))
+                if fault == "loss":
+                    value = np.nan
+                else:
+                    grads.global_w[0, 0] = np.inf
+            return value, grads
+
+        monkeypatch.setattr(graphnet, "backward", faulty)
+        forks = count_forks(monkeypatch)
+        for cpus in (1, 2):
+            patch_cpus(monkeypatch, cpus)
+            with pytest.raises(GraphNetError) as info:
+                train(data, ico_topology(), cfg, [])
+            assert str(info.value) == message
+            assert_no_child_left()
+        assert len(forks) == 1
+        assert computed_by.read_text() == str(forks[0])
+
+    def test_each_process_runs_blas_on_one_thread_while_forked(self, tmp_path, monkeypatch):
+        had = _blas_threads(2)
+        if had is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS")
+        try:
+            patch_cpus(monkeypatch, 2)
+            seen = tmp_path / "seen"
+            seen.mkdir()
+            real = graphnet.backward
+
+            def record(*args):
+                # setting one thread returns the count each process runs
+                (seen / str(os.getpid())).write_text(str(_blas_threads(1)))
+                return real(*args)
+
+            monkeypatch.setattr(graphnet, "backward", record)
+            cfg = TrainConfig(epochs=1, batch_size=4, width=8)
+            train(tiny_dataset(np.random.default_rng(0)), ico_topology(), cfg, [])
+            assert sorted(p.read_text() for p in seen.iterdir()) == ["1", "1"]
+            assert _blas_threads(had) == 2
+        finally:
+            _blas_threads(had)
+
+    def test_killed_worker_named_by_its_exit_status(self, monkeypatch):
+        patch_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        real = graphnet.backward
+
+        def killed_in_worker(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(graphnet, "backward", killed_in_worker)
+        forks = count_forks(monkeypatch)
+        cfg = TrainConfig(epochs=3, batch_size=4, width=8)
+        status = f"exit status -{int(signal.SIGKILL)} and sent no report"
+        with pytest.raises(RuntimeError, match=status):
+            train(tiny_dataset(np.random.default_rng(0)), ico_topology(), cfg, [])
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_interrupted_train_leaves_no_worker(self, monkeypatch):
+        patch_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        real = graphnet.backward
+
+        def interrupt_caller(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(graphnet, "backward", interrupt_caller)
+        forks = count_forks(monkeypatch)
+        cfg = TrainConfig(epochs=3, batch_size=4, width=8)
+        with pytest.raises(KeyboardInterrupt):
+            train(tiny_dataset(np.random.default_rng(0)), ico_topology(), cfg, [])
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 class TestClassifiers:
@@ -535,6 +688,28 @@ class TestCheckpoint:
         text = p.read_bytes()
         p.write_bytes(re.sub(rb"input_(mean|std) [^\n]*\n", b"", text))
         with pytest.raises(GraphNetError, match=r"bad\.ckpt: malformed checkpoint: .*input_mean"):
+            load_params(str(p))
+
+    @pytest.mark.parametrize("field", ["input_mean", "input_std"])
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_standardization_of_another_width_rejected(self, tmp_path, field, change):
+        params = small_params(np.random.default_rng(24))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+
+        def resize(m):
+            values = m.group(2).split()
+            values = values[:change] if change < 0 else values + values[-change:]
+            return m.group(1) + b" ".join(values) + b"\n"
+
+        pattern = rb"(" + field.encode() + rb" )([^\n]*)\n"
+        p.write_bytes(re.sub(pattern, resize, p.read_bytes(), count=1))
+        width = 5 + change
+        with pytest.raises(
+            GraphNetError,
+            match=rf"bad\.ckpt: malformed checkpoint: {field} holds {width} values, "
+            r"the input width is 5$",
+        ):
             load_params(str(p))
 
     def test_same_predictions_after_reload(self, tmp_path):
