@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -35,6 +36,13 @@ class VolumeError(ValueError):
     """Malformed volume file or inconsistent volume data."""
 
 
+def _check_spacing(spacing: tuple[float, ...]) -> None:
+    """Raise VolumeError unless ``spacing`` is three finite positive mm sizes."""
+    # written so that NaN fails it
+    if not (len(spacing) == 3 and all(0 < s < math.inf for s in spacing)):
+        raise VolumeError(f"spacing must be three finite positive values, got {tuple(spacing)}")
+
+
 @dataclass(frozen=True)
 class LabelVolume:
     """Dense integer-labeled voxel grid.
@@ -50,8 +58,7 @@ class LabelVolume:
     def __post_init__(self):
         if self.data.ndim != 3:
             raise VolumeError(f"label data must be 3-D, got shape {self.data.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise VolumeError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.uint8))
         self.data.setflags(write=False)
 
@@ -132,8 +139,7 @@ class ProbVolume:
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[3] < 1:
             raise VolumeError(f"prob data must be (W, H, D, K >= 1), got shape {self.data.shape}")
-        if any(s <= 0 for s in self.spacing):
-            raise VolumeError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         dims = tuple(self.data.shape[:3]) if self.dims is None else tuple(self.dims)
         box = whole_box(dims) if self.box is None else tuple(self.box)
         _check_box(box, dims)
@@ -171,17 +177,23 @@ def _header_path(path: str) -> tuple[str, str]:
 def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
     """Write the two-file volume codec: text ``.hdr`` plus raw ``.raw`` payload.
 
-    Payload order is w-fastest (w, then h, then d); prob volumes store K
-    consecutive f32 per voxel, for the voxels of their box only: the header
-    holds the grid's ``dims`` and a ``box x0 x1 y0 y1 z0 z1`` line.
-    Little-endian throughout.
+    The header holds the grid's ``dims`` and a ``box x0 x1 y0 y1 z0 z1``
+    line (ends exclusive); the payload holds the voxels of that box only,
+    w fastest (w, then h, then d). A label volume is stored on the box of
+    its non-zero voxels, or on the whole grid when it has none; every voxel
+    outside the box is 0. A prob volume is stored on its own box, K
+    consecutive f32 per voxel. Little-endian throughout.
     """
     hdr_path, raw_path = _header_path(path)
     w, h, d = vol.dims
     if isinstance(vol, LabelVolume):
+        box = organ_box(vol.organ)
+        if any(s.start == s.stop for s in box):
+            box = whole_box(vol.dims)
         kind, channels, dtype = "label", 1, "u8"
-        payload = np.ascontiguousarray(vol.data.transpose(2, 1, 0), dtype="<u1")
+        payload = np.ascontiguousarray(vol.data[box].transpose(2, 1, 0), dtype="<u1")
     else:
+        box = vol.box
         kind, channels, dtype = "prob", vol.channels, "f32"
         payload = np.ascontiguousarray(vol.data.transpose(2, 1, 0, 3), dtype="<f4")
     sx, sy, sz = vol.spacing
@@ -191,8 +203,7 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         f.write(f"kind {kind}\n")
         f.write(f"channels {channels}\n")
         f.write(f"dtype {dtype}\n")
-        if kind == "prob":
-            f.write("box " + " ".join(f"{s.start} {s.stop}" for s in vol.box) + "\n")
+        f.write("box " + " ".join(f"{s.start} {s.stop}" for s in box) + "\n")
     with open(raw_path, "wb") as f:
         f.write(memoryview(payload.reshape(-1)))
 
@@ -200,10 +211,11 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
 def load_volume(path: str) -> LabelVolume | ProbVolume:
     """Load a volume written by :func:`save_volume`.
 
-    The data is a read-only view of the payload bytes, in the file's
-    w-fastest order: a consumer that needs another order copies. A header
-    without a ``box`` line holds the whole grid; only a prob volume may hold
-    less.
+    A header without a ``box`` line holds the whole grid, as files written
+    before label volumes were boxed do. A prob volume's data is a read-only
+    view of the payload bytes, in the file's w-fastest order. A label
+    volume's box is copied once into a zeroed grid, read-only and in the
+    same order: a consumer that needs another order copies.
     """
     hdr_path, raw_path = _header_path(path)
     fields = {}
@@ -224,20 +236,24 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         x0, x1, y0, y1, z0, z1 = (int(v) for v in fields.get("box", (0, w, 0, h, 0, d)))
     except (KeyError, ValueError, IndexError) as exc:
         raise VolumeError(f"malformed header {hdr_path}: {exc}") from exc
-    if kind not in ("label", "prob") or dtype not in ("u8", "f32"):
-        raise VolumeError(f"malformed header {hdr_path}: kind={kind} dtype={dtype}")
+    label_ok = kind == "label" and dtype == "u8" and channels == 1
+    prob_ok = kind == "prob" and dtype == "f32" and channels >= 1
+    if not (label_ok or prob_ok):
+        raise VolumeError(
+            f"malformed header {hdr_path}: kind {kind}, dtype {dtype}, {channels} channels; "
+            f"a label volume is u8 with 1 channel, a prob volume f32 with 1 or more"
+        )
     box = (slice(x0, x1), slice(y0, y1), slice(z0, z1))
     try:
+        _check_spacing(spacing)
         _check_box(box, dims)
     except VolumeError as exc:
         raise VolumeError(f"{hdr_path}: {exc}") from None
-    if kind == "label" and box != whole_box(dims):
-        raise VolumeError(f"{hdr_path}: a label volume holds the whole grid, not {_box_text(box)}")
-    item = np.dtype("<u1" if dtype == "u8" else "<f4")
+    item = np.dtype("<u1" if kind == "label" else "<f4")
     with open(raw_path, "rb") as f:
         payload = f.read()
     bw, bh, bd = x1 - x0, y1 - y0, z1 - z0
-    expect = bw * bh * bd * (channels if kind == "prob" else 1)
+    expect = bw * bh * bd * channels
     if len(payload) != expect * item.itemsize:
         raise VolumeError(
             f"{raw_path}: payload has {len(payload) / item.itemsize:g} values, "
@@ -245,8 +261,9 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         )
     raw = np.frombuffer(payload, dtype=item)
     if kind == "label":
-        data = raw.reshape(d, h, w).transpose(2, 1, 0)
-        return LabelVolume(data, spacing)
+        grid = np.zeros((d, h, w), dtype=np.uint8)
+        grid[z0:z1, y0:y1, x0:x1] = raw.reshape(bd, bh, bw)
+        return LabelVolume(grid.transpose(2, 1, 0), spacing)
     data = raw.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3)
     return ProbVolume(data, spacing, dims, box)
 

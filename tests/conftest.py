@@ -74,6 +74,18 @@ def written_bytes(write, *args):
             return f.read()
 
 
+def save_whole_grid(vol, path):
+    """Write a label volume in the format used before label volumes were boxed:
+    a header without a ``box`` line, and every voxel of the grid, w fastest."""
+    w, h, d = vol.dims
+    sx, sy, sz = vol.spacing
+    with open(path + ".hdr", "w") as f:
+        f.write(f"dims {w} {h} {d}\nspacing {sx:.9g} {sy:.9g} {sz:.9g}\n"
+                "kind label\nchannels 1\ndtype u8\n")
+    with open(path + ".raw", "wb") as f:
+        f.write(vol.data.transpose(2, 1, 0).astype("<u1").tobytes())
+
+
 def file_order(data):
     """The same values laid out as a loaded volume is: w fastest, then h, then d."""
     axes = (2, 1, 0) + tuple(range(3, data.ndim))

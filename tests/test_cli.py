@@ -24,7 +24,7 @@ from anatomesh.meshfit import FitConfig, FitError
 from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
 
-from conftest import assert_no_child_left, count_forks, patch_cpus
+from conftest import assert_no_child_left, count_forks, patch_cpus, save_whole_grid
 from test_synth import grown_box
 
 SMALL_CONFIG = """\
@@ -610,6 +610,29 @@ class TestCaseFiles:
         assert not any(p.endswith("probs") for p in by_stage["build-prototype"])
         # 3 validation and 4 test cases, each predicted segmentation read once
         assert len(by_stage["classify"]) == 7
+
+    def test_work_directory_with_whole_grid_label_files(self, pipeline_run, tmp_path):
+        # labels.* and zones.* as written before label volumes were boxed
+        cfg, out = pipeline_run
+        work = str(tmp_path / "old")
+        shutil.copytree(out, work)
+        cases = sorted(os.listdir(os.path.join(out, "cases")))
+        for case in cases:
+            for name in ("labels", "zones"):
+                path = os.path.join(work, "cases", case, name)
+                save_whole_grid(load_volume(path), path)
+        # pool-features first, so that it reads the old zones files too
+        for stages in (["pool-features"], ["fit-mesh", "render-zones", "pool-features"]):
+            for stage in stages:
+                assert main([stage, "--config", cfg, "--out", work]) == 0
+            for case in cases:
+                here, there = (os.path.join(root, "cases", case) for root in (out, work))
+                assert "box" not in (tmp_path / "old" / "cases" / case / "labels.hdr").read_text()
+                for name in ("fitted.obj", "vertex_labels.txt", "features.csv"):
+                    assert filecmp.cmp(os.path.join(here, name), os.path.join(there, name),
+                                       shallow=False), (case, name)
+                zones = [load_volume(os.path.join(d, "zones")) for d in (here, there)]
+                assert np.array_equal(zones[0].data, zones[1].data), case
 
     def test_each_stage_builds_one_mesh_topology(self, tmp_path, monkeypatch):
         patch_cpus(monkeypatch, 1)  # a forked worker's builds would not reach this list

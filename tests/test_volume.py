@@ -23,7 +23,7 @@ from anatomesh.volume import (
     voxel_indices,
 )
 
-from conftest import boxed_masks, file_order
+from conftest import boxed_masks, file_order, save_whole_grid
 
 
 def random_label_volume(rng, dims=(4, 5, 6)):
@@ -35,10 +35,30 @@ def random_prob_data(rng, dims=(3, 4, 2), k=3):
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
+def find_objects_box(mask):
+    """The whole-grid box render_zones took before :func:`organ_box`, kept as an oracle."""
+    boxes = ndimage.find_objects(mask.astype(np.uint8))
+    return boxes[0] if boxes else (slice(0, 0),) * 3
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "loaded": file_order, "reversed": lambda m: m[::-1, :, ::-1]}
+
+
+def label_box_reference(data):
+    """The box a label volume is stored on: ``find_objects``' box of its
+    non-zero voxels, or the whole grid when it has none."""
+    if not data.any():
+        return tuple(slice(0, n) for n in data.shape)
+    return find_objects_box(data > 0)
+
+
 def payload_reference(vol):
-    """The payload as ``save_volume`` wrote it before its one-copy write, kept as an oracle."""
+    """The payload as ``save_volume`` wrote it before its one-copy write, kept as an oracle.
+
+    A label volume's payload is the voxels of :func:`label_box_reference`."""
     if isinstance(vol, LabelVolume):
-        return vol.data.transpose(2, 1, 0).astype("<u1").tobytes()
+        box = label_box_reference(vol.data)
+        return vol.data[box].transpose(2, 1, 0).astype("<u1").tobytes()
     return vol.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
 
 
@@ -202,13 +222,8 @@ class TestCodec:
         for ext in (".hdr", ".raw"):
             assert (tmp_path / f"b{ext}").read_bytes() == (tmp_path / f"a{ext}").read_bytes()
 
-    @pytest.mark.parametrize("kind", ["label", "prob"])
-    def test_loaded_volume_is_a_read_only_view_of_the_file(self, tmp_path, kind):
-        rng = np.random.default_rng(3)
-        if kind == "label":
-            vol = random_label_volume(rng)
-        else:
-            vol = ProbVolume(random_prob_data(rng), (1.0, 1.0, 1.0))
+    def test_loaded_prob_volume_is_a_read_only_view_of_the_file(self, tmp_path):
+        vol = ProbVolume(random_prob_data(np.random.default_rng(3)), (1.0, 1.0, 1.0))
         save_volume(vol, str(tmp_path / "v"))
         back = load_volume(str(tmp_path / "v"))
         assert not back.data.flags.writeable
@@ -267,6 +282,16 @@ class TestCodec:
 
 
 PROB_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind prob\nchannels 2\ndtype f32\n"
+LABEL_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\n"
+
+# (box line, voxels the payload holds, error) on a 3 x 4 x 5 grid
+BAD_BOXES = pytest.mark.parametrize("box, payload_rows, match", [
+    ("1 1 0 4 0 5", 0, r"box \[1:1, 0:4, 0:5\] is empty"),
+    ("0 3 0 4 2 6", 12, r"box \[0:3, 0:4, 2:6\] is outside the grid \(3, 4, 5\)"),
+    ("-1 2 0 4 0 5", 60, r"box \[-1:2, 0:4, 0:5\] is outside the grid"),
+    ("2 1 0 4 0 5", 0, r"box \[2:1, 0:4, 0:5\] is outside the grid"),
+    ("0 1 0 1 0", 1, "malformed header"),
+], ids=["empty", "past-the-grid", "negative", "reversed", "five-numbers"])
 
 
 class TestProbBox:
@@ -293,13 +318,7 @@ class TestProbBox:
         assert back.dims == (3, 4, 5) and back.data.shape == (3, 4, 5, 2)
         assert back.box == (slice(0, 3), slice(0, 4), slice(0, 5))
 
-    @pytest.mark.parametrize("box, payload_rows, match", [
-        ("1 1 0 4 0 5", 0, r"box \[1:1, 0:4, 0:5\] is empty"),
-        ("0 3 0 4 2 6", 12, r"box \[0:3, 0:4, 2:6\] is outside the grid \(3, 4, 5\)"),
-        ("-1 2 0 4 0 5", 60, r"box \[-1:2, 0:4, 0:5\] is outside the grid"),
-        ("2 1 0 4 0 5", 0, r"box \[2:1, 0:4, 0:5\] is outside the grid"),
-        ("0 1 0 1 0", 1, "malformed header"),
-    ], ids=["empty", "past-the-grid", "negative", "reversed", "five-numbers"])
+    @BAD_BOXES
     def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
         (tmp_path / "b.hdr").write_text(PROB_HEADER + f"box {box}\n")
         (tmp_path / "b.raw").write_bytes(np.full(payload_rows * 2, 0.5, dtype="<f4").tobytes())
@@ -314,15 +333,6 @@ class TestProbBox:
         with pytest.raises(VolumeError, match="payload has 16 values, header implies 32") as err:
             load_volume(str(tmp_path / "p"))
         assert str(tmp_path / "p.raw") in str(err.value)
-
-    def test_label_volume_with_a_box_named(self, tmp_path):
-        (tmp_path / "l.hdr").write_text(
-            "dims 2 2 2\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\nbox 0 1 0 2 0 2\n"
-        )
-        (tmp_path / "l.raw").write_bytes(bytes(4))
-        with pytest.raises(VolumeError, match=r"whole grid, not \[0:1, 0:2, 0:2\]") as err:
-            load_volume(str(tmp_path / "l"))
-        assert str(tmp_path / "l.hdr") in str(err.value)
 
     def test_data_must_fill_its_box(self):
         data = random_prob_data(np.random.default_rng(5), (2, 4, 2), 2)
@@ -342,6 +352,130 @@ class TestProbBox:
         with pytest.raises(VolumeError, match=r"box \[0:3, 1:3, 2:3\] is not inside "
                                               r"the stored box \[1:3, 0:4, 2:3\]"):
             vol.crop((slice(0, 3), slice(1, 3), slice(2, 3)))
+
+
+class TestLabelBox:
+    """A label volume is stored on the box of its non-zero voxels and loads
+    onto its whole grid, 0 outside the box."""
+
+    def _boxed(self):
+        data = np.zeros((3, 4, 5), dtype=np.uint8)
+        data[1, 2, 3] = 1
+        data[2, 0, 2] = 3
+        return LabelVolume(data, (1.0, 1.0, 1.0))
+
+    def test_box_line_and_a_payload_of_the_box_only(self, tmp_path):
+        vol = self._boxed()
+        save_volume(vol, str(tmp_path / "l"))
+        assert (tmp_path / "l.hdr").read_text() == LABEL_HEADER + "box 1 3 0 3 2 4\n"
+        payload = (tmp_path / "l.raw").read_bytes()
+        assert len(payload) == 2 * 3 * 2
+        assert payload == vol.data[1:3, 0:3, 2:4].transpose(2, 1, 0).tobytes()
+
+    def test_loaded_volume_is_read_only_in_file_order(self, tmp_path):
+        vol = self._boxed()
+        save_volume(vol, str(tmp_path / "l"))
+        back = load_volume(str(tmp_path / "l"))
+        assert isinstance(back, LabelVolume) and back.spacing == vol.spacing
+        assert np.array_equal(back.data, vol.data)
+        assert back.data.strides == file_order(vol.data).strides
+        assert not back.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.data[0, 0, 0] = 1
+
+    @given(boxed_masks(max_side=9), st.sampled_from(sorted(LAYOUTS)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_on_the_box_of_the_non_zero_voxels(self, mask, layout, seed):
+        rng = np.random.default_rng(seed)
+        data = LAYOUTS[layout](mask * rng.integers(1, 256, size=mask.shape).astype(np.uint8))
+        vol = LabelVolume(data, (0.5, 1.0, 2.5))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "l")
+            save_volume(vol, path)
+            with open(path + ".hdr") as f:
+                box_line = f.read().splitlines()[-1]
+            with open(path + ".raw", "rb") as f:
+                assert f.read() == payload_reference(vol)
+            back = load_volume(path)
+        box = label_box_reference(vol.data)
+        assert box_line == "box " + " ".join(f"{s.start} {s.stop}" for s in box)
+        assert np.array_equal(back.data, vol.data)
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (0, 2, 2), (2, 0, 3), (1, 1, 0)])
+    def test_all_zero_volume_round_trips_on_the_whole_grid(self, tmp_path, dims):
+        vol = LabelVolume(np.zeros(dims, dtype=np.uint8), (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "z"))
+        box = " ".join(f"0 {n}" for n in dims)
+        assert (tmp_path / "z.hdr").read_text().endswith(f"\nbox {box}\n")
+        assert (tmp_path / "z.raw").read_bytes() == bytes(int(np.prod(dims)))
+        back = load_volume(str(tmp_path / "z"))
+        assert back.dims == dims and not back.data.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whole_grid_file_without_a_box_loads_the_same_data(self, tmp_path, seed):
+        vol = random_label_volume(np.random.default_rng(seed), (6, 5, 7))
+        vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
+        save_whole_grid(vol, str(tmp_path / "old"))
+        save_volume(vol, str(tmp_path / "new"))
+        assert "box" not in (tmp_path / "old.hdr").read_text()
+        assert "box 0 6 2 5 0 7" in (tmp_path / "new.hdr").read_text()
+        old, new = load_volume(str(tmp_path / "old")), load_volume(str(tmp_path / "new"))
+        assert np.array_equal(old.data, vol.data) and np.array_equal(new.data, vol.data)
+        assert old.data.strides == new.data.strides and old.spacing == new.spacing
+        assert not old.data.flags.writeable
+
+    @BAD_BOXES
+    def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
+        (tmp_path / "b.hdr").write_text(LABEL_HEADER + f"box {box}\n")
+        (tmp_path / "b.raw").write_bytes(bytes(payload_rows))
+        with pytest.raises(VolumeError, match=match) as err:
+            load_volume(str(tmp_path / "b"))
+        assert str(tmp_path / "b.hdr") in str(err.value)
+
+
+class TestHeaderRules:
+    """A header states a kind the codec writes, and a spacing of three finite positive values."""
+
+    @pytest.mark.parametrize("kind, channels, dtype", [
+        ("label", 1, "f32"),
+        ("label", 2, "u8"),
+        ("label", 0, "u8"),
+        ("prob", 2, "u8"),
+        ("prob", 0, "f32"),
+        ("mask", 1, "u8"),
+    ])
+    def test_kind_channels_and_dtype_must_agree(self, tmp_path, kind, channels, dtype):
+        (tmp_path / "k.hdr").write_text(
+            f"dims 1 1 2\nspacing 1 1 1\nkind {kind}\nchannels {channels}\ndtype {dtype}\n"
+        )
+        # two f32 values, 1.7 and 300.0: a u8 cast would read them as 1 and 44
+        (tmp_path / "k.raw").write_bytes(np.array([1.7, 300.0], dtype="<f4").tobytes())
+        with pytest.raises(VolumeError, match=f"kind {kind}, dtype {dtype}, {channels} channels") as err:
+            load_volume(str(tmp_path / "k"))
+        assert f"malformed header {tmp_path / 'k.hdr'}" in str(err.value)
+
+    BAD_SPACINGS = [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf), (1.0, 1.0),
+                    (1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, -2.0, 1.0)]
+
+    @pytest.mark.parametrize("spacing", BAD_SPACINGS)
+    def test_volumes_reject_a_spacing_that_is_not_three_finite_positive_values(self, spacing):
+        match = r"spacing must be three finite positive values"
+        with pytest.raises(VolumeError, match=match):
+            LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8), spacing)
+        with pytest.raises(VolumeError, match=match):
+            ProbVolume(np.ones((2, 2, 2, 1), dtype=np.float32), spacing)
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    @pytest.mark.parametrize("spacing", ["nan 1 1", "1 inf 1", "1 1", "1 1 0", "1 -1 1"])
+    def test_bad_spacing_names_the_header(self, tmp_path, kind, spacing):
+        dtype = "u8" if kind == "label" else "f32"
+        (tmp_path / "s.hdr").write_text(
+            f"dims 1 1 1\nspacing {spacing}\nkind {kind}\nchannels 1\ndtype {dtype}\n"
+        )
+        (tmp_path / "s.raw").write_bytes(np.ones(1, dtype="<u1" if kind == "label" else "<f4"))
+        with pytest.raises(VolumeError, match="spacing must be three finite positive") as err:
+            load_volume(str(tmp_path / "s"))
+        assert str(tmp_path / "s.hdr") in str(err.value)
 
 
 def brute_force_surface(vol, label):
@@ -400,15 +534,6 @@ class TestSurface:
         vol = LabelVolume(rng.integers(0, 3, size=(6, 6, 6)).astype(np.uint8), (1, 1, 1))
         all_voxels = {tuple(i) for i in np.argwhere(vol.data == 1)}
         assert surface_set(vol, 1) <= all_voxels
-
-
-def find_objects_box(mask):
-    """The whole-grid box render_zones took before :func:`organ_box`, kept as an oracle."""
-    boxes = ndimage.find_objects(mask.astype(np.uint8))
-    return boxes[0] if boxes else (slice(0, 0),) * 3
-
-
-LAYOUTS = {"C": np.ascontiguousarray, "loaded": file_order, "reversed": lambda m: m[::-1, :, ::-1]}
 
 
 class TestOrganBox:
