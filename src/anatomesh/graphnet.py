@@ -9,7 +9,9 @@ over the concatenation of 4 region-pooled vectors and all vertex embeddings.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import functools
+import math
 import mmap
 from dataclasses import dataclass, field
 
@@ -42,66 +44,60 @@ class GraphNetError(RuntimeError):
     """Shape mismatch or numerical failure in the graph network."""
 
 
+@functools.cache
+def _layout(
+    widths: tuple[int, ...], k_vertex: int, k_global: int, region_counts: tuple[int, ...]
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Each parameter array's span of the flat block and its shape, in checkpoint order."""
+    shapes = []
+    for w_in, w_out in zip(widths, widths[1:]):
+        shapes += [(w_in, w_out), (w_in, w_out), (w_out,)]
+    # the global head reads every region-pooled and every vertex embedding
+    hvp_len = (len(region_counts) + sum(region_counts)) * widths[-1]
+    shapes += [(widths[-1], k_vertex), (k_vertex,), (hvp_len, k_global), (k_global,)]
+    stops = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return tuple((stop - math.prod(s), stop, s) for stop, s in zip(stops, shapes))
+
+
 @dataclass
 class GraphResNetParams:
-    """Conv layer weights plus vertex and global classification heads."""
+    """Conv layer weights plus vertex and global classification heads.
 
-    conv_w0: list[np.ndarray]
-    conv_w1: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    vertex_w: np.ndarray
-    vertex_b: np.ndarray
-    global_w: np.ndarray
-    global_b: np.ndarray
+    ``flat`` holds every weight, in checkpoint order; the named arrays are
+    views of it.
+    """
+
+    flat: np.ndarray
+    widths: list[int]
+    k_vertex: int
+    k_global: int
     region_counts: tuple[int, ...]
     seed: int
     # fixed input standardization (not trained); the identity in a new network
     input_mean: np.ndarray
     input_std: np.ndarray
+    conv_w0: list[np.ndarray] = field(init=False, repr=False)
+    conv_w1: list[np.ndarray] = field(init=False, repr=False)
+    conv_b: list[np.ndarray] = field(init=False, repr=False)
+    vertex_w: np.ndarray = field(init=False, repr=False)
+    vertex_b: np.ndarray = field(init=False, repr=False)
+    global_w: np.ndarray = field(init=False, repr=False)
+    global_b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        views = self.tensors()
+        n = 3 * self.n_layers
+        self.conv_w0, self.conv_w1, self.conv_b = views[0:n:3], views[1:n:3], views[2:n:3]
+        self.vertex_w, self.vertex_b, self.global_w, self.global_b = views[n:]
 
     @property
     def n_layers(self) -> int:
-        return len(self.conv_w0)
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.conv_w0[0].shape[0]] + [w.shape[1] for w in self.conv_w0]
-
-    @property
-    def k_vertex(self) -> int:
-        return self.vertex_w.shape[1]
-
-    @property
-    def k_global(self) -> int:
-        return self.global_w.shape[1]
+        return len(self.widths) - 1
 
     def tensors(self) -> list[np.ndarray]:
-        """All parameter arrays in checkpoint order."""
-        out = []
-        for w0, w1, b in zip(self.conv_w0, self.conv_w1, self.conv_b):
-            out += [w0, w1, b]
-        out += [self.vertex_w, self.vertex_b, self.global_w, self.global_b]
-        return out
-
-    def copy(self) -> "GraphResNetParams":
-        return copy.deepcopy(self)
-
-    @classmethod
-    def from_tensors(
-        cls,
-        tensors: list[np.ndarray],
-        region_counts: tuple[int, ...],
-        seed: int,
-        input_mean: np.ndarray,
-        input_std: np.ndarray,
-    ) -> "GraphResNetParams":
-        """Parameters whose arrays are ``tensors``, in :meth:`tensors` order."""
-        n_layers = (len(tensors) - 4) // 3
-        return cls(
-            tensors[0 : 3 * n_layers : 3], tensors[1 : 3 * n_layers : 3],
-            tensors[2 : 3 * n_layers : 3], *tensors[3 * n_layers :],
-            region_counts, seed, input_mean, input_std,
-        )
+        """All parameter arrays in checkpoint order, as views of ``flat``."""
+        layout = _layout(tuple(self.widths), self.k_vertex, self.k_global, self.region_counts)
+        return [self.flat[a:b].reshape(shape) for a, b, shape in layout]
 
 
 @dataclass(frozen=True)
@@ -134,11 +130,10 @@ class TrainConfig:
             raise ValueError("val_fraction must be in [0, 1)")
 
 
-def _glorot(
-    rng: np.random.Generator, fan_in: int, fan_out: int, eff_fan_in: float | None = None
-) -> np.ndarray:
+def _glorot(rng: np.random.Generator, out: np.ndarray, eff_fan_in: float | None = None) -> None:
+    fan_in, fan_out = out.shape
     limit = np.sqrt(6.0 / ((eff_fan_in or fan_in) + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
 
 
 def init_params(
@@ -153,32 +148,21 @@ def init_params(
 
     The input standardization starts as the identity: mean 0, deviation 1.
     """
+    widths = [input_width] + [width] * N_LAYERS
+    size = _layout(tuple(widths), k_vertex, k_global, topo.region_counts)[-1][1]
+    params = GraphResNetParams(
+        np.zeros(size), widths, k_vertex, k_global, topo.region_counts, seed,
+        input_mean=np.zeros(input_width), input_std=np.ones(input_width),
+    )
     rng = np.random.default_rng(seed)
-    w0s, w1s, bs = [], [], []
-    w_in = input_width
-    for _ in range(N_LAYERS):
-        w0s.append(_glorot(rng, w_in, width))
+    for w0, w1 in zip(params.conv_w0, params.conv_w1):
+        _glorot(rng, w0)
         # neighbor features are correlated, so the sum over N(p) scales the
         # effective fan-in of W1 by degree squared
-        w1s.append(_glorot(rng, w_in, width, eff_fan_in=w_in * max(topo.mean_degree, 1.0) ** 2))
-        bs.append(np.zeros(width))
-        w_in = width
-    vertex_w = _glorot(rng, width, k_vertex)
-    hvp_len = (len(topo.region_counts) + topo.n_vertices) * width
-    global_w = _glorot(rng, hvp_len, k_global)
-    return GraphResNetParams(
-        conv_w0=w0s,
-        conv_w1=w1s,
-        conv_b=bs,
-        vertex_w=vertex_w,
-        vertex_b=np.zeros(k_vertex),
-        global_w=global_w,
-        global_b=np.zeros(k_global),
-        region_counts=topo.region_counts,
-        seed=seed,
-        input_mean=np.zeros(input_width),
-        input_std=np.ones(input_width),
-    )
+        _glorot(rng, w1, eff_fan_in=w1.shape[0] * max(topo.mean_degree, 1.0) ** 2)
+    _glorot(rng, params.vertex_w)
+    _glorot(rng, params.global_w)
+    return params
 
 
 def graph_conv(
@@ -227,10 +211,10 @@ def _region_pool(h: np.ndarray, region_counts: tuple[int, ...]) -> np.ndarray:
 def _forward_cache(
     params: GraphResNetParams, feats: np.ndarray, topo: MeshTopology
 ) -> dict:
-    if feats.shape[1] != params.conv_w0[0].shape[0]:
+    if feats.shape[1] != params.widths[0]:
         raise GraphNetError(
             f"feature width {feats.shape[1]} does not match network input "
-            f"width {params.conv_w0[0].shape[0]}"
+            f"width {params.widths[0]}"
         )
     if feats.shape[0] != topo.n_vertices:
         raise GraphNetError(
@@ -323,10 +307,13 @@ def backward(
     d_vlogits = eta1 * (cache["vertex_probs"] - vertex_targets)
     d_glogits = eta2 * (cache["global_probs"] - global_target)
 
-    g_vertex_w = h.T @ d_vlogits
-    g_vertex_b = d_vlogits.sum(axis=0)
-    g_global_w = (d_glogits[:, None] * cache["hvp"]).T  # np.outer(hvp, d), long axis innermost
-    g_global_b = d_glogits.copy()
+    grads = dataclasses.replace(params, flat=np.empty(params.flat.size))
+    np.matmul(h.T, d_vlogits, out=grads.vertex_w)
+    d_vlogits.sum(axis=0, out=grads.vertex_b)
+    # np.outer(hvp, d), a column at a time: the long axis innermost
+    for k, d_k in enumerate(d_glogits):
+        np.multiply(cache["hvp"], d_k, out=grads.global_w[:, k])
+    grads.global_b[...] = d_glogits
 
     d_hvp = params.global_w @ d_glogits
     n_regions = len(params.region_counts)
@@ -336,16 +323,13 @@ def backward(
     for r, (ra, rb) in enumerate(region_ranges(params.region_counts)):
         d_h[ra:rb] += d_pool[r] / (rb - ra)
 
-    g_w0 = [None] * n_layers
-    g_w1 = [None] * n_layers
-    g_b = [None] * n_layers
     d_saved = None
     for layer in reversed(range(n_layers)):
         z = cache["preacts"][layer]
         dz = d_h if layer == n_layers - 1 else d_h * (z > 0.0)
-        g_w0[layer] = cache["inputs"][layer].T @ dz
-        g_w1[layer] = cache["neighbour_sums"][layer].T @ dz
-        g_b[layer] = dz.sum(axis=0)
+        np.matmul(cache["inputs"][layer].T, dz, out=grads.conv_w0[layer])
+        np.matmul(cache["neighbour_sums"][layer].T, dz, out=grads.conv_w1[layer])
+        dz.sum(axis=0, out=grads.conv_b[layer])
         if layer == 0:
             break  # nothing reads the gradient of the network's input
         d_h = dz @ params.conv_w0[layer].T + a @ (dz @ params.conv_w1[layer].T)
@@ -354,19 +338,6 @@ def backward(
         if layer % 2 == 0 and d_saved is not None:
             d_h = d_h + d_saved
             d_saved = None
-    grads = GraphResNetParams(
-        conv_w0=g_w0,
-        conv_w1=g_w1,
-        conv_b=g_b,
-        vertex_w=g_vertex_w,
-        vertex_b=g_vertex_b,
-        global_w=g_global_w,
-        global_b=g_global_b,
-        region_counts=params.region_counts,
-        seed=params.seed,
-        input_mean=params.input_mean,
-        input_std=params.input_std,
-    )
     return value, grads
 
 
@@ -443,27 +414,25 @@ def train(
     )
     stacked = np.concatenate([f for f, _, _ in dataset])
     # the workers read the parameters and add to the batch's gradient sum in shared memory
-    _, shared = _shared(params.tensors())
-    params = GraphResNetParams.from_tensors(
-        shared, params.region_counts, params.seed,
-        stacked.mean(axis=0), np.maximum(stacked.std(axis=0), 1e-8),
+    params = dataclasses.replace(
+        params, flat=_shared(params.flat),
+        input_mean=stacked.mean(axis=0), input_std=np.maximum(stacked.std(axis=0), 1e-8),
     )
-    grad_flat, grad_sum = _shared(shared)
+    grad_sum = _shared(params.flat)  # each batch's first case overwrites it
 
-    def case_grads(i: int, epoch: int) -> tuple[float, list[np.ndarray]]:
+    def case_grads(i: int, epoch: int) -> tuple[float, np.ndarray]:
         feats, vt, gt = train_cases[i]
         value, grads = backward(params, feats, topo, vt, gt, cfg.eta1, cfg.eta2)
         if not np.isfinite(value):
             raise GraphNetError(f"divergence at epoch {epoch}")
-        return value, grads.tensors()
+        return value, grads.flat
 
-    def add(grads: list[np.ndarray], first: bool) -> None:
+    def add(grads: np.ndarray, first: bool) -> None:
         """Add a case's gradient to the batch's sum, which the batch's first case starts."""
-        for acc, g in zip(grad_sum, grads):
-            if first:
-                acc[...] = g
-            else:
-                acc += g
+        if first:
+            grad_sum[...] = grads
+        else:
+            np.add(grad_sum, grads, out=grad_sum)
 
     def score(i: int) -> tuple[float, bool]:
         feats, vt, gt = val_cases[i]
@@ -505,9 +474,9 @@ def train(
         return total / len(scores), correct / len(scores)
 
     rng = np.random.default_rng(cfg.seed)
-    velocity = [np.zeros_like(t) for t in params.tensors()]
+    velocity = np.zeros_like(params.flat)
     log = TrainLog()
-    best_acc, best_params = -1.0, params.copy()
+    best_acc, best = -1.0, params.flat.copy()
     with forked(min(cpus(), cfg.batch_size, len(dataset)) - 1, serve) as team:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(dataset))
@@ -523,18 +492,17 @@ def train(
                     for value in worker.recv():
                         total += value
                 # a non-finite addend makes the sum non-finite
-                if not np.isfinite(grad_flat).all():
+                if not np.isfinite(grad_sum).all():
                     raise GraphNetError(f"non-finite gradient at epoch {epoch}")
-                for v, t, g in zip(velocity, params.tensors(), grad_sum):
-                    v *= cfg.momentum
-                    v -= cfg.learning_rate * (g / len(batch))
-                    t += v
+                velocity *= cfg.momentum
+                velocity -= cfg.learning_rate * (grad_sum / len(batch))
+                params.flat += velocity
             mean_loss = total / len(dataset)
             vl = va = None
             if validation:
                 vl, va = evaluate(team)
                 if va > best_acc:
-                    best_acc, best_params = va, params.copy()
+                    best_acc, best[...] = va, params.flat
             log.epochs.append(epoch)
             log.train_loss.append(mean_loss)
             log.val_loss.append(vl)
@@ -545,30 +513,23 @@ def train(
             worker.send(None)
             worker.recv()
     if validation:
-        return best_params, log
+        return dataclasses.replace(params, flat=best), log
     return params, log
 
 
-def _shared(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Copies of ``arrays`` in one f64 block of memory that processes forked later share:
-    the block and the copies, which are views of it."""
-    sizes = [a.size for a in arrays]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-    views = [
-        part.reshape(a.shape) for part, a in zip(np.split(flat, np.cumsum(sizes)[:-1]), arrays)
-    ]
-    for view, a in zip(views, arrays):
-        view[...] = a
-    return flat, views
+def _shared(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` in memory that processes forked later share."""
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
+    out[...] = a
+    return out
 
 
 def save_params(params: GraphResNetParams, path: str) -> None:
-    """Checkpoint: text header plus little-endian f64 payload in tensor order."""
-    widths = params.widths
+    """Checkpoint: text header plus little-endian f64 payload, ``params.flat`` as it is."""
     with open(path, "wb") as f:
         header = (
             f"layers {params.n_layers}\n"
-            f"widths {' '.join(str(w) for w in widths)}\n"
+            f"widths {' '.join(str(w) for w in params.widths)}\n"
             f"k_vertex {params.k_vertex}\n"
             f"k_global {params.k_global}\n"
             f"regions {' '.join(str(c) for c in params.region_counts)}\n"
@@ -578,8 +539,7 @@ def save_params(params: GraphResNetParams, path: str) -> None:
             "end\n"
         )
         f.write(header.encode())
-        for t in params.tensors():
-            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        f.write(params.flat.astype("<f8", copy=False))
 
 
 def load_params(path: str) -> GraphResNetParams:
@@ -595,23 +555,17 @@ def load_params(path: str) -> GraphResNetParams:
         fields = {key: rest for key, *rest in (line.decode().split() for line in header)}
         n_layers = int(fields["layers"][0])
         widths = [int(w) for w in fields["widths"]]
+        if len(widths) != n_layers + 1:
+            raise ValueError(f"{n_layers} layers take {n_layers + 1} widths, not {len(widths)}")
         k_vertex = int(fields["k_vertex"][0])
         k_global = int(fields["k_global"][0])
         region_counts = tuple(int(c) for c in fields["regions"])
         seed = int(fields["seed"][0])
-        shapes = []
-        for layer in range(n_layers):
-            w_in, w_out = widths[layer], widths[layer + 1]
-            shapes += [(w_in, w_out), (w_in, w_out), (w_out,)]
-        width = widths[-1]
         mean = np.array([float(v) for v in fields["input_mean"]])
         std = np.array([float(v) for v in fields["input_std"]])
     except (KeyError, IndexError, ValueError) as exc:
         raise GraphNetError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    # the global head reads every region-pooled and every vertex embedding
-    hvp_len = (len(region_counts) + sum(region_counts)) * width
-    shapes += [(width, k_vertex), (k_vertex,), (hvp_len, k_global), (k_global,)]
-    expected = sum(int(np.prod(s)) for s in shapes)
+    expected = _layout(tuple(widths), k_vertex, k_global, region_counts)[-1][1]
     if expected != len(payload):
         raise GraphNetError(
             f"{path}: payload holds {len(payload)} values, header implies {expected}"
@@ -622,10 +576,6 @@ def load_params(path: str) -> GraphResNetParams:
                 f"{path}: malformed checkpoint: {name} holds {len(values)} values, "
                 f"the input width is {widths[0]}"
             )
-    tensors = []
-    pos = 0
-    for s in shapes:
-        n = int(np.prod(s))
-        tensors.append(payload[pos : pos + n].reshape(s).copy())
-        pos += n
-    return GraphResNetParams.from_tensors(tensors, region_counts, seed, mean, std)
+    return GraphResNetParams(
+        payload.astype(np.float64), widths, k_vertex, k_global, region_counts, seed, mean, std
+    )

@@ -307,7 +307,7 @@ def _grow(box: tuple[slice, ...], by: int, dims: tuple[int, ...]) -> tuple[slice
     return tuple(slice(max(s.start - by, 0), min(s.stop + by, n)) for s, n in zip(box, dims))
 
 
-def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANNELS) -> ProbVolume:
+def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     """Noisy probability stand-in for a segmentation softmax, on the organ's neighbourhood.
 
     One-hot labels get a 1-voxel boundary blur, then are blended with seeded
@@ -329,16 +329,16 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     """
     data = labels.data
     top = int(data.max(initial=0))
-    if top >= channels:
-        raise SynthError(f"label {top} has no channel among {channels}")
+    if top >= N_CHANNELS:
+        raise SynthError(f"label {top} has no channel among {N_CHANNELS}")
     dims = data.shape
     box = _grow(organ_box(data > 0), 1, dims) if top else whole_box(dims)
     size = tuple(s.stop - s.start for s in box)
-    out = np.empty((*size[::-1], channels), dtype=np.float32)
+    out = np.empty((*size[::-1], N_CHANNELS), dtype=np.float32)
     probs = out.transpose(2, 1, 0, 3)
     if not noise > 0.0:
         # no noise: every row is exactly one 1.0, so normalising would divide by 1.0
-        for k in range(channels):
+        for k in range(N_CHANNELS):
             np.equal(data[box], k, out=probs[..., k])
         return ProbVolume(probs, labels.spacing, dims, box)
     # (0.75 * one-hot + 0.25 * blur) * (1 - noise) of each present channel.
@@ -347,7 +347,7 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
     crop = _grow(box, 2, dims)
     inner = tuple(slice(b.start - c.start, b.stop - c.start) for b, c in zip(box, crop))
     smooth = {}
-    for k in range(channels):
+    for k in range(N_CHANNELS):
         channel = data[crop] == k
         if not channel.any():
             continue  # an absent channel blurs to exact zeros and adds nothing
@@ -360,10 +360,10 @@ def soften(labels: LabelVolume, noise: float, seed: int, channels: int = N_CHANN
         smooth[k] = blend
     # the box's (w, h, d, K) draw, which becomes its blend in place: the row
     # of box column (w, h) starts at element ((w * H + h) * D + d0) * K
-    r = np.empty((*size, channels))
-    rows = r.reshape(size[0] * size[1], size[2] * channels)
+    r = np.empty((*size, N_CHANNELS))
+    rows = r.reshape(size[0] * size[1], size[2] * N_CHANNELS)
     ws, hs = (np.arange(s.start, s.stop) for s in box[:2])
-    starts = (((ws[:, None] * dims[1] + hs) * dims[2] + box[2].start) * channels).ravel()
+    starts = (((ws[:, None] * dims[1] + hs) * dims[2] + box[2].start) * N_CHANNELS).ravel()
     skips = np.diff(starts, prepend=-rows.shape[1]) - rows.shape[1]
     rng = np.random.default_rng(seed)
     for row, skip in zip(rows, skips.tolist()):

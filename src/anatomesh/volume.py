@@ -265,7 +265,10 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         grid[z0:z1, y0:y1, x0:x1] = raw.reshape(bd, bh, bw)
         return LabelVolume(grid.transpose(2, 1, 0), spacing)
     data = raw.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3)
-    return ProbVolume(data, spacing, dims, box)
+    try:
+        return ProbVolume(data, spacing, dims, box)
+    except VolumeError as exc:  # a bad probability row
+        raise VolumeError(f"{raw_path}: {exc}") from None
 
 
 # 6-connectivity: voxels are neighbours when they share a face.

@@ -337,7 +337,7 @@ class TestCliErrors:
             f.write(bytes(size))  # every probability 0
         assert main(["eval", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err.startswith(
-            "anatomesh: eval: test_0002: probability rows must sum to 1"
+            f"anatomesh: eval: test_0002: {path}: probability rows must sum to 1"
         )
 
     @pytest.mark.parametrize("edit, line, message", [

@@ -206,6 +206,20 @@ class TestCodec:
         data = file_order(data) if loaded_order else data
         assert prob_check_outcome(data) == prob_check_reference(data)
 
+    def test_bad_row_in_a_loaded_file_names_the_file(self, tmp_path):
+        vol = ProbVolume(np.full((3, 4, 2, 4), 0.25, dtype=np.float32), (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "probs"))
+        raw = tmp_path / "probs.raw"
+        payload = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
+        # the first channel of voxel (1, 2, 1): w fastest, K values a voxel
+        payload[4 * (1 + 3 * (2 + 4 * 1))] = 0.9
+        raw.write_bytes(payload.tobytes())
+        with pytest.raises(VolumeError) as info:
+            load_volume(str(tmp_path / "probs"))
+        assert str(info.value) == (
+            f"{raw}: probability rows must sum to 1 +- {PROB_TOL}; voxel (1,2,1) sums to 1.650000"
+        )
+
     def test_prob_without_channels_rejected(self):
         with pytest.raises(VolumeError, match=r"K >= 1\), got shape \(2, 2, 2, 0\)"):
             ProbVolume(np.zeros((2, 2, 2, 0), dtype=np.float32), (1.0, 1.0, 1.0))
