@@ -64,7 +64,9 @@ class GraphResNetParams:
     """Conv layer weights plus vertex and global classification heads.
 
     ``flat`` holds every weight, in checkpoint order; the named arrays are
-    views of it.
+    views of it. Its dtype is the network's: float32 from :func:`init_params`
+    and :func:`load_params`. Forward, backward and train compute in it, so a
+    float64 copy runs the same network at float64 precision.
     """
 
     flat: np.ndarray
@@ -144,14 +146,15 @@ def init_params(
     width: int,
     seed: int,
 ) -> GraphResNetParams:
-    """Glorot-initialized parameters sized by ``topo``'s vertices, regions and degree.
+    """Glorot-initialized float32 parameters sized by ``topo``'s vertices, regions
+    and degree; each float64 draw is rounded into its float32 view.
 
     The input standardization starts as the identity: mean 0, deviation 1.
     """
     widths = [input_width] + [width] * N_LAYERS
     size = _layout(tuple(widths), k_vertex, k_global, topo.region_counts)[-1][1]
     params = GraphResNetParams(
-        np.zeros(size), widths, k_vertex, k_global, topo.region_counts, seed,
+        np.zeros(size, dtype=np.float32), widths, k_vertex, k_global, topo.region_counts, seed,
         input_mean=np.zeros(input_width), input_std=np.ones(input_width),
     )
     rng = np.random.default_rng(seed)
@@ -221,7 +224,9 @@ def _forward_cache(
             f"{feats.shape[0]} feature rows do not match the mesh's {topo.n_vertices} vertices"
         )
     n_layers = params.n_layers
+    # standardized in float64, then cast once to the network's dtype
     h = (np.asarray(feats, dtype=np.float64) - params.input_mean) / params.input_std
+    h = h.astype(params.flat.dtype)
     inputs, neighbour_sums, preacts, shortcuts = [], [], [], []
     saved = None
     for layer in range(n_layers):
@@ -307,7 +312,7 @@ def backward(
     d_vlogits = eta1 * (cache["vertex_probs"] - vertex_targets)
     d_glogits = eta2 * (cache["global_probs"] - global_target)
 
-    grads = dataclasses.replace(params, flat=np.empty(params.flat.size))
+    grads = dataclasses.replace(params, flat=np.empty_like(params.flat))
     np.matmul(h.T, d_vlogits, out=grads.vertex_w)
     d_vlogits.sum(axis=0, out=grads.vertex_b)
     # np.outer(hvp, d), a column at a time: the long axis innermost
@@ -339,10 +344,6 @@ def backward(
             d_h = d_h + d_saved
             d_saved = None
     return value, grads
-
-
-def _one_hot(idx: np.ndarray | int, k: int) -> np.ndarray:
-    return np.eye(k)[np.asarray(idx)]
 
 
 def _check_labels(cases: list[tuple[np.ndarray, np.ndarray, int]], split: str) -> None:
@@ -403,14 +404,14 @@ def train(
     every = dataset + validation
     k_vertex = int(max(vt.max() for _, vt, _ in every)) + 1
     k_global = int(max(g for _, _, g in every)) + 1
-    # one-hot targets, built once for every epoch
-    train_cases, val_cases = (
-        [(f, _one_hot(vt, k_vertex), _one_hot(g, k_global)) for f, vt, g in cases]
-        for cases in (dataset, validation)
-    )
     feats0, _, _ = dataset[0]
     params = init_params(
         feats0.shape[1], k_vertex, k_global, topo, width=cfg.width, seed=cfg.seed
+    )
+    # one-hot targets in the network's dtype, built once for every epoch
+    eye_v, eye_g = (np.eye(k, dtype=params.flat.dtype) for k in (k_vertex, k_global))
+    train_cases, val_cases = (
+        [(f, eye_v[vt], eye_g[g]) for f, vt, g in cases] for cases in (dataset, validation)
     )
     stacked = np.concatenate([f for f, _, _ in dataset])
     # the workers read the parameters and add to the batch's gradient sum in shared memory
@@ -525,7 +526,10 @@ def _shared(a: np.ndarray) -> np.ndarray:
 
 
 def save_params(params: GraphResNetParams, path: str) -> None:
-    """Checkpoint: text header plus little-endian f64 payload, ``params.flat`` as it is."""
+    """Checkpoint: text header plus ``params.flat`` as a little-endian f32 payload.
+
+    The header names the payload's dtype and the global head's input length.
+    """
     with open(path, "wb") as f:
         header = (
             f"layers {params.n_layers}\n"
@@ -533,13 +537,15 @@ def save_params(params: GraphResNetParams, path: str) -> None:
             f"k_vertex {params.k_vertex}\n"
             f"k_global {params.k_global}\n"
             f"regions {' '.join(str(c) for c in params.region_counts)}\n"
+            f"global_inputs {params.global_w.shape[0]}\n"
             f"seed {params.seed}\n"
             f"input_mean {' '.join(f'{v:.17g}' for v in params.input_mean)}\n"
             f"input_std {' '.join(f'{v:.17g}' for v in params.input_std)}\n"
+            "dtype f32\n"
             "end\n"
         )
         f.write(header.encode())
-        f.write(params.flat.astype("<f8", copy=False))
+        f.write(params.flat.astype("<f4", copy=False))
 
 
 def load_params(path: str) -> GraphResNetParams:
@@ -551,8 +557,12 @@ def load_params(path: str) -> GraphResNetParams:
             header.append(line)
         raw = f.read()
     try:
-        payload = np.frombuffer(raw, dtype="<f8")
         fields = {key: rest for key, *rest in (line.decode().split() for line in header)}
+        if fields.get("dtype") != ["f32"]:  # the older float64 format has no dtype line
+            raise GraphNetError(
+                f"{path}: not a float32 checkpoint (no 'dtype f32' line); train again to write one"
+            )
+        payload = np.frombuffer(raw, dtype="<f4")
         n_layers = int(fields["layers"][0])
         widths = [int(w) for w in fields["widths"]]
         if len(widths) != n_layers + 1:
@@ -560,12 +570,20 @@ def load_params(path: str) -> GraphResNetParams:
         k_vertex = int(fields["k_vertex"][0])
         k_global = int(fields["k_global"][0])
         region_counts = tuple(int(c) for c in fields["regions"])
+        global_inputs = int(fields["global_inputs"][0])
         seed = int(fields["seed"][0])
         mean = np.array([float(v) for v in fields["input_mean"]])
         std = np.array([float(v) for v in fields["input_std"]])
     except (KeyError, IndexError, ValueError) as exc:
         raise GraphNetError(f"{path}: malformed checkpoint: {exc!r}") from exc
-    expected = _layout(tuple(widths), k_vertex, k_global, region_counts)[-1][1]
+    layout = _layout(tuple(widths), k_vertex, k_global, region_counts)
+    global_w_rows = layout[-2][2][0]
+    if global_inputs != global_w_rows:
+        raise GraphNetError(
+            f"{path}: malformed checkpoint: global_inputs {global_inputs}, the widths and "
+            f"regions give {global_w_rows}"
+        )
+    expected = layout[-1][1]
     if expected != len(payload):
         raise GraphNetError(
             f"{path}: payload holds {len(payload)} values, header implies {expected}"
@@ -577,5 +595,5 @@ def load_params(path: str) -> GraphResNetParams:
                 f"the input width is {widths[0]}"
             )
     return GraphResNetParams(
-        payload.astype(np.float64), widths, k_vertex, k_global, region_counts, seed, mean, std
+        payload.astype(np.float32), widths, k_vertex, k_global, region_counts, seed, mean, std
     )

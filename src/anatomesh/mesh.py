@@ -61,8 +61,10 @@ class MeshTopology:
 
     ``edges`` are the unique sorted vertex pairs of ``faces``; ``adjacency``
     is their symmetric V×V 0/1 CSR matrix, loop-free since no face repeats a
-    corner. ``ends`` is V×2E and 0/1: column e is the first end of edge e,
-    column E+e its second end. So ``ends @ np.concatenate([a, b])`` adds
+    corner. It is float32, the graph network's dtype; 0 and 1 are exact in
+    any float dtype, so a float64 product upcasts it exactly. ``ends`` is
+    V×2E and 0/1: column e is the first end of edge e, column E+e its second
+    end. So ``ends @ np.concatenate([a, b])`` adds
     ``a[e]`` to vertex ``edges[e, 0]`` and ``b[e]`` to ``edges[e, 1]``, in
     the order of ``np.add.at`` over the first ends and then the second ends.
     """
@@ -87,7 +89,7 @@ class MeshTopology:
         n = 2 * len(edges)
         # each edge from both ends: the first ends of all edges, then the second
         near, far = edges.T.ravel(), edges[:, ::-1].T.ravel()
-        adjacency = sparse.csr_array((np.ones(n), (near, far)), shape=(v, v))
+        adjacency = sparse.csr_array((np.ones(n, dtype=np.float32), (near, far)), shape=(v, v))
         ends = sparse.csr_array((np.ones(n), (near, np.arange(n))), shape=(v, n))
         faces.setflags(write=False)
         edges.setflags(write=False)

@@ -25,7 +25,14 @@ from anatomesh.volume import LabelVolume, detected, dice
 from anatomesh.zones import render_zones
 
 from conftest import random_connected_mask, sphere_mask
-from test_graphnet import REGIONS, forward_oracle, ico_topology, random_instance, small_params
+from test_graphnet import (
+    REGIONS,
+    float64_copy,
+    forward_oracle,
+    ico_topology,
+    random_instance,
+    small_params,
+)
 from test_meshfit import fd_gradient, random_mesh
 from test_zones import bfs_oracle, line_mesh
 
@@ -95,6 +102,7 @@ class TestCriterion2Gradients:
 
         for _ in range(20):
             params, feats, vt, gt = random_instance(rng, topo)
+            params = float64_copy(params)
             _, base_masks, _ = probe(params, feats, vt, gt)
             _, grads = backward(params, feats, topo, vt, gt, 0.1, 0.1)
             for t, g in zip(params.tensors(), grads.tensors()):
@@ -171,7 +179,7 @@ class TestCriterion4GraphConv:
         topo = ico_topology()
         worst = 0.0
         for _ in range(20):
-            params = small_params(rng)
+            params = float64_copy(small_params(rng))
             feats = rng.normal(size=(12, 5))
             vp, gp = forward(params, feats, topo)
             evp, egp = forward_oracle(params, feats, topo)

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import os
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,11 @@ def small_params(rng, input_width=5, width=8, k_vertex=3, k_global=4, scale=0.3)
     for t in p.tensors():
         t[...] = rng.normal(scale=scale, size=t.shape)
     return p
+
+
+def float64_copy(params):
+    """``params`` with its float32 weights upcast exactly: the oracles run at float64."""
+    return dataclasses.replace(params, flat=params.flat.astype(np.float64))
 
 
 def loop_softmax(z):
@@ -117,7 +124,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         topo = ico_topology()
         for _ in range(3):
-            params = small_params(rng)
+            params = float64_copy(small_params(rng))
             feats = rng.normal(size=(12, 5))
             vp, gp = forward(params, feats, topo)
             evp, egp = forward_oracle(params, feats, topo)
@@ -127,7 +134,7 @@ class TestForward:
     def test_with_standardization(self):
         rng = np.random.default_rng(3)
         topo = ico_topology()
-        params = small_params(rng)
+        params = float64_copy(small_params(rng))
         params.input_mean = rng.normal(size=5)
         params.input_std = rng.uniform(0.5, 2.0, size=5)
         feats = rng.normal(size=(12, 5)) * 10
@@ -139,7 +146,7 @@ class TestForward:
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(4)
         topo = ico_topology()
-        params = small_params(rng)
+        params = float64_copy(small_params(rng))
         vp, gp = forward(params, rng.normal(size=(12, 5)), topo)
         np.testing.assert_allclose(vp.sum(axis=1), 1.0, rtol=1e-12)
         assert gp.sum() == pytest.approx(1.0, rel=1e-12)
@@ -234,6 +241,7 @@ def random_instance(rng, topo, scale=0.3):
 
 class TestBackward:
     def fd_check(self, params, feats, topo, vt, gt, eta1, eta2, rng, step=1e-4):
+        params = float64_copy(params)
         value, grads = backward(params, feats, topo, vt, gt, eta1, eta2)
         tensors = params.tensors()
         gtens = grads.tensors()
@@ -459,11 +467,11 @@ class TestTrainBytes:
     """
 
     @pytest.mark.parametrize("n_val, ckpt_sha, log_sha", [
-        (0, "9b8dadf91244642d5f45984af4f549a22ad01d282c640d6e70aabad90d1e3585",
-         "0952a78c08449763b1bf3fa293dcd490b0fc2bd68e9e8b4deb4d9fee1635f2ae"),
+        (0, "e8eee6ab600e5a4eed5019754ff45521d3db7047447890afb6490ada21e80ddf",
+         "b0d3241cf08401857d453106e086e930fcd95ad8b739b4e33ae24fc73c3aeea7"),
         # the best validation epoch is epoch 1 of 6, so this pins the kept copy
-        (4, "6acc29f4cf138d56323a621a632b2dfac1654d3be0fbd2eae1877fdac24cd941",
-         "879dee7bcf10527fa03f103e631b634a1b2d6dd793876ea832727bfdfb363c7a"),
+        (4, "dcac03cbed779fc744dc848606b9f6aef039e75be17b253ba3c7d7170539de62",
+         "6168fb203a454a236638895f158ae48eafd7c658ddbb429e1ac93bc0fb15a9d6"),
     ], ids=["no-validation", "validation"])
     def test_files_keep_their_bytes(self, tmp_path, n_val, ckpt_sha, log_sha):
         rng = np.random.default_rng(16)
@@ -689,7 +697,7 @@ class TestLayout:
         offset = 0
         for t in params.tensors():
             assert t.flags.c_contiguous and np.shares_memory(t, params.flat)
-            assert t.__array_interface__["data"][0] == start + 8 * offset
+            assert t.__array_interface__["data"][0] == start + params.flat.itemsize * offset
             offset += t.size
         assert offset == params.flat.size
         params.global_w[-1, -1] = 7.0
@@ -719,7 +727,111 @@ class TestLayout:
         assert np.array_equal(back.flat, np.concatenate([t.ravel() for t in back.tensors()]))
 
 
+class TestFloat32:
+    """The network computes in float32, its parameters' dtype; a float64 copy of the
+    same weights is the reference it must agree with."""
+
+    # |float32 - float64| <= F32_TOL * the largest |float64| value of the same array:
+    # about 800 float32 epsilons, for rounding through six layers and two heads
+    F32_TOL = 1e-4
+
+    def assert_agree(self, got, expect):
+        assert got.dtype == np.float32 and expect.dtype == np.float64
+        assert np.abs(got - expect).max() <= self.F32_TOL * np.abs(expect).max()
+
+    def test_every_array_of_forward_and_backward_is_float32(self):
+        rng = np.random.default_rng(30)
+        topo = ico_topology()
+        params, feats, vt, gt = random_instance(rng, topo)
+        assert topo.adjacency.dtype == np.float32
+        cache = graphnet._forward_cache(params, feats, topo)
+        arrays = [a for v in cache.values() if isinstance(v, list) for a in v
+                  if isinstance(a, np.ndarray)]
+        arrays += [v for v in cache.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3 * params.n_layers + 4
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        _, grads = backward(params, feats, topo, vt.astype(np.float32), gt.astype(np.float32),
+                            0.1, 0.1)
+        assert grads.flat.dtype == np.float32
+
+    def test_train_keeps_every_block_in_float32(self, monkeypatch, tmp_path):
+        # train's blocks as they are when the workers fork: the shared parameters
+        # and gradient sum, the velocity, the best copy and the one-hot targets
+        seen = {}
+        real = graphnet.forked
+
+        def record(*args):
+            seen.update(sys._getframe(1).f_locals)
+            return real(*args)
+
+        monkeypatch.setattr(graphnet, "forked", record)
+        rng = np.random.default_rng(16)
+        cfg = TrainConfig(epochs=2, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        params, _ = train(tiny_dataset(rng, n=8), ico_topology(), cfg, tiny_dataset(rng, n=4))
+        blocks = [seen["params"].flat, seen["grad_sum"], seen["velocity"], seen["best"],
+                  params.flat]
+        for _, vt, gt in seen["train_cases"] + seen["val_cases"]:
+            blocks += [vt, gt]
+        assert {b.dtype for b in blocks} == {np.dtype(np.float32)}
+        save_params(params, str(tmp_path / "m.ckpt"))
+        assert load_params(str(tmp_path / "m.ckpt")).flat.dtype == np.float32
+
+    def test_forward_agrees_with_float64(self):
+        rng = np.random.default_rng(31)
+        topo = ico_topology()
+        for _ in range(5):
+            params = small_params(rng)
+            params.input_mean = rng.normal(size=5)
+            params.input_std = rng.uniform(0.5, 2.0, size=5)
+            feats = rng.normal(size=(12, 5)) * 10
+            for got, expect in zip(forward(params, feats, topo),
+                                   forward(float64_copy(params), feats, topo)):
+                self.assert_agree(got, expect)
+
+    def test_backward_agrees_with_float64(self):
+        rng = np.random.default_rng(32)
+        topo = ico_topology()
+        for _ in range(5):
+            params, feats, vt, gt = random_instance(rng, topo)
+            value, grads = backward(params, feats, topo, vt.astype(np.float32),
+                                    gt.astype(np.float32), 0.1, 0.1)
+            value64, grads64 = backward(float64_copy(params), feats, topo, vt, gt, 0.1, 0.1)
+            assert abs(value - value64) <= self.F32_TOL * abs(value64)
+            for got, expect in zip(grads.tensors(), grads64.tensors()):
+                self.assert_agree(got, expect)
+
+
 class TestCheckpoint:
+    def test_header_names_dtype_and_global_head_inputs(self, tmp_path):
+        params = small_params(np.random.default_rng(33))
+        save_params(params, str(tmp_path / "m.ckpt"))
+        header, payload = (tmp_path / "m.ckpt").read_bytes().split(b"end\n", 1)
+        lines = header.decode().splitlines()
+        # 4 region means and 12 vertices, each 8 wide
+        assert "global_inputs 128" in lines and lines[-1] == "dtype f32"
+        assert len(payload) == 4 * params.flat.size
+
+    def test_float64_checkpoint_rejected(self, tmp_path):
+        # the format before float32: no dtype line and an <f8 payload
+        params = small_params(np.random.default_rng(34))
+        p = tmp_path / "old.ckpt"
+        save_params(params, str(p))
+        header, _ = p.read_bytes().split(b"end\n", 1)
+        p.write_bytes(header.replace(b"dtype f32\n", b"") + b"end\n"
+                      + params.flat.astype("<f8").tobytes())
+        with pytest.raises(GraphNetError,
+                           match=r"old\.ckpt: not a float32 checkpoint \(no 'dtype f32' line\)"):
+            load_params(str(p))
+
+    def test_global_inputs_of_another_length_rejected(self, tmp_path):
+        params = small_params(np.random.default_rng(35))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+        p.write_bytes(p.read_bytes().replace(b"global_inputs 128\n", b"global_inputs 120\n"))
+        with pytest.raises(GraphNetError, match=r"bad\.ckpt: malformed checkpoint: "
+                           r"global_inputs 120, the widths and regions give 128"):
+            load_params(str(p))
+
     def test_widths_of_another_layer_count_rejected(self, tmp_path):
         params = small_params(np.random.default_rng(29))
         p = tmp_path / "bad.ckpt"
@@ -810,7 +922,7 @@ class TestCheckpoint:
         p = tmp_path / "bad.ckpt"
         save_params(params, str(p))
         with open(p, "ab") as f:
-            f.write(np.zeros(params.k_global, dtype="<f8").tobytes())
+            f.write(np.zeros(params.k_global, dtype="<f4").tobytes())
         with pytest.raises(GraphNetError, match=r"bad\.ckpt: payload holds"):
             load_params(str(p))
 
