@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Collection
-
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .evaluate import MASS_LABELS
 from .mesh import AnatomyMesh
 from .volume import LabelVolume, ProbVolume, VolumeError, organ_box, surface_mask, voxel_indices
 
@@ -25,17 +24,16 @@ def pool_features(
     zones: LabelVolume,
     probs: ProbVolume,
     labels: LabelVolume,
-    mass_labels: Collection[int],
 ) -> np.ndarray:
     """Build the (V, 5+2K) per-vertex feature matrix.
 
     ``zones`` holds each organ voxel's 1-based vertex index, as render-zones
     writes it. Coordinates are organ-centroid-relative, scaled by the organ
     bounding-box diagonal. ``d`` is the world distance to the nearest
-    mass-surface voxel (-1 if no mass voxel exists). The local block averages
-    probabilities over each vertex zone, the global block over all organ
-    voxels. Mass labels are positive: every step runs on the box around the
-    zone and non-zero label voxels, which holds every organ and mass voxel.
+    surface voxel of the mass, the voxels of ``MASS_LABELS`` (-1 if there
+    are none). The local block averages probabilities over each vertex zone,
+    the global block over all organ voxels. Every step runs on the box around
+    the zone and non-zero label voxels, which holds every organ and mass voxel.
     ``probs`` must store that box; VolumeError names both boxes otherwise.
     """
     if zones.dims != probs.dims or zones.dims != labels.dims:
@@ -59,7 +57,7 @@ def pool_features(
 
     e = mesh.mean_incident_edge_lengths()
 
-    mass_mask = np.isin(labels.data[box], list(mass_labels))
+    mass_mask = np.isin(labels.data[box], MASS_LABELS)
     if mass_mask.any():
         surf = surface_mask(mass_mask)
         tree = cKDTree(voxel_indices(surf, box) * spacing)

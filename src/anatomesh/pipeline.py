@@ -231,7 +231,7 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
         probs = load_volume(os.path.join(d, "probs"))
         mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
         zvol = load_volume(os.path.join(d, "zones"))
-        feats = pool_features(mesh, zvol, probs, labels, MASS_LABELS)
+        feats = pool_features(mesh, zvol, probs, labels)
         save_features(feats, os.path.join(d, "features.csv"))
 
     dirs = _case_dirs(out_dir, "train", "test")
@@ -354,8 +354,11 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     seg_cases = [
         (*pair, row[1]) for row, pair in zip(rows, _per_case(dirs, masses)) if pair is not None
     ]
+    # eval owns report/: a rerun without a mass case must not leave an old detection table
     report_dir = os.path.join(out_dir, "report")
-    os.makedirs(report_dir, exist_ok=True)
+    if os.path.isdir(report_dir):
+        shutil.rmtree(report_dir)
+    os.makedirs(report_dir)
     cm.to_csv(os.path.join(report_dir, "management_confusion.csv"))
     if seg_cases:
         dt = detection_table(seg_cases)

@@ -316,19 +316,11 @@ def voxel_indices(crop: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
 def surface_mask(mask: np.ndarray) -> np.ndarray:
     """Boolean mask of voxels in ``mask`` with a 6-neighbor outside the set.
 
-    Voxels on the grid boundary count as surface. A voxel is interior when
-    every offset of ``CONN6`` (itself and its six face neighbours) is in the
-    set; shifted slices are several times faster here than ``binary_erosion``.
+    A voxel is interior when it and its six face neighbours (``CONN6``) are
+    all in the set. Outside the grid counts as off, so voxels on the grid
+    boundary are surface.
     """
-    inside = np.pad(mask, 1, constant_values=False)
-    interior = np.ones_like(mask)
-    for dx, dy, dz in np.argwhere(CONN6) - 1:
-        interior &= inside[
-            1 + dx : inside.shape[0] - 1 + dx,
-            1 + dy : inside.shape[1] - 1 + dy,
-            1 + dz : inside.shape[2] - 1 + dz,
-        ]
-    return mask & ~interior
+    return mask & ~ndimage.binary_erosion(mask, CONN6)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:

@@ -109,8 +109,8 @@ def vertex_labels(zones: LabelVolume, labels: LabelVolume) -> np.ndarray:
     organ = crop > 0
     z, voxel_labels = crop[organ] - 1, labels.data[box][organ]
     out = np.full(int(crop.max(initial=0)), -1, dtype=np.int64)
-    for value in np.unique(voxel_labels):  # ascending: each zone keeps its largest
-        out[z[voxel_labels == value]] = value
+    # ufunc.at is fast only with intp indices and values of the output's dtype
+    np.maximum.at(out, z.astype(np.intp), voxel_labels.astype(np.int64))
     empty = np.flatnonzero(out < 0)
     if empty.size:
         raise ZoneError(f"zone of vertex {empty[0]} is empty")

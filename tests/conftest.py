@@ -126,14 +126,14 @@ SPACINGS = st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.3, 2.5])] * 3)
 
 @st.composite
 def organ_scenes(draw, max_zones=4):
-    """(mesh, zone map, probabilities, labels, mass labels) for pool_features and vertex_labels.
+    """(mesh, zone map, probabilities, labels) for pool_features and vertex_labels.
 
     The organ is a :func:`boxed_masks` draw whose voxels carry label 1 and
     zones 1..n, each zone non-empty. The mass is absent, inside the organ,
     or another boxed mask anywhere in the grid: on a grid face, partly or
-    wholly outside the zone voxels. Its voxels carry labels 2 and 3. The
-    zone, label and probability volumes are laid out as loaded (w fastest)
-    or in C order.
+    wholly outside the zone voxels. Its voxels carry label 2, label 3 or
+    both, the labels of ``MASS_LABELS``. The zone, label and probability
+    volumes are laid out as loaded (w fastest) or in C order.
     """
     organ = draw(boxed_masks())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -149,7 +149,7 @@ def organ_scenes(draw, max_zones=4):
         mass = draw(boxed_masks(dims=organ.shape))
         if mass_kind == "inside the organ":
             mass &= organ
-        labels[mass] = rng.integers(2, 4, size=int(mass.sum()))
+        labels[mass] = rng.choice(draw(st.sampled_from([(2, 3), (2,), (3,)])), int(mass.sum()))
     spacing = draw(SPACINGS)
     k = draw(st.integers(1, 3))
     raw = rng.random(organ.shape + (k,)).astype(np.float32)
@@ -162,7 +162,6 @@ def organ_scenes(draw, max_zones=4):
         LabelVolume(layout(zones), spacing),
         ProbVolume(layout(raw), spacing),
         LabelVolume(layout(labels), spacing),
-        draw(st.sampled_from([{2, 3}, {2}, {3}])),
     )
 
 

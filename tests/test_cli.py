@@ -1,5 +1,7 @@
 import filecmp
 import gc
+import glob
+import hashlib
 import io
 import multiprocessing
 import os
@@ -572,6 +574,55 @@ class TestPipeline:
         assert set(a) == set(b)
         for k in sorted(a):
             assert a[k] == b[k], k
+
+    def test_rerun_without_a_mass_case_leaves_only_its_own_report(self, pipeline_run, tmp_path):
+        _, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        report = os.path.join(work, "report")
+        assert "detection_table.csv" in os.listdir(report)
+        no_mass = SMALL_CONFIG.replace("noise", "class_mix = 1 0 0 0\nnoise")
+        assert main(["pipeline", "--config", write_config(tmp_path, no_mass), "--out", work]) == 0
+        assert sorted(os.listdir(report)) == [
+            "accuracy.csv", "management_confusion.csv", "report.txt", "surgery_vs_rest.csv"
+        ]
+
+
+class TestStageBytes:
+    """The bytes the geometry and decision stages write on ``SMALL_CONFIG``, pinned by
+    SHA-256: one digest per file kind, over its files in sorted relative-path order.
+
+    These stages have no other cross-commit pin, and ``_seed_voxels`` leaves
+    exact distance ties to cKDTree's result order, which a scipy upgrade could
+    change. ``predictions.csv`` and ``report/*`` follow the trained network, so
+    they carry ``TestTrainBytes``' caveat: the digests were taken with numpy's
+    bundled OpenBLAS on x86-64, and a BLAS with other summation orders moves
+    them.
+    """
+
+    DIGESTS = {
+        "prototype.obj": "93585c0339213a840eb64e15d5575a1432ed80b8b703059d718eb0106784f31c",
+        "cases/*/fitted.obj": "bf44daac91f5c3e9c20d5afbc705e5a2b67d913d93df8f8593d5bd61e1f6559a",
+        "cases/*/trace.csv": "042b4d3b2350ca1f86b72478b219e1185b17c8aad4b60cbe5e9059ce4bfb878c",
+        "cases/*/zones.*": "b2d2cba110b424cd0bb969975d76bc878f976be4acc07d991aacb55dadb895ef",
+        "cases/*/vertex_labels.txt":
+            "2a72774b15dc996d5fbbad80bb023d52b78d8bcf1e98b8ed3b52d658946cb7cd",
+        "cases/*/features.csv": "f4f2a4447fbff479c74f50a050bbf093879c321a07c21ff575958007d29f779e",
+        "predictions.csv": "521fd83cfaa27013044fb94222a1c5fb8e0b3bbad6988c2574bc2ef7849059c7",
+        "report/*": "f77202c83e36235c5b7cc43bf6b1334ee7f53e590669ca5b923d2d4d12d0f778",
+    }
+
+    @pytest.mark.parametrize("pattern", list(DIGESTS))
+    def test_files_keep_their_bytes(self, pipeline_run, pattern):
+        _, out = pipeline_run
+        paths = sorted(os.path.relpath(p, out) for p in glob.glob(os.path.join(out, pattern)))
+        assert paths
+        digest = hashlib.sha256()
+        for rel in paths:
+            with open(os.path.join(out, rel), "rb") as f:
+                data = f.read()
+            digest.update(f"{rel} {len(data)}\n".encode() + data)
+        assert digest.hexdigest() == self.DIGESTS[pattern]
 
 
 class TestCaseFiles:

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from scipy.spatial import cKDTree
 
+from anatomesh.evaluate import MASS_LABELS
 from anatomesh.features import (
     NO_MASS_SENTINEL,
     feature_width,
@@ -37,7 +38,7 @@ def save_features_reference(feats, path):
             f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def pool_features_whole_grid(mesh, zmap, probs, labels, mass_labels):
+def pool_features_whole_grid(mesh, zmap, probs, labels):
     """``pool_features`` before it worked on the organ's box, kept as a byte-equality oracle."""
     k = probs.channels
     n = mesh.n_vertices
@@ -47,7 +48,7 @@ def pool_features_whole_grid(mesh, zmap, probs, labels, mass_labels):
     centroid = organ_world.mean(axis=0)
     diag = float(np.linalg.norm(organ_world.max(axis=0) - organ_world.min(axis=0)))
     coords = (mesh.vertices - centroid) / (diag if diag != 0.0 else 1.0)
-    mass_mask = np.isin(labels.data, list(mass_labels))
+    mass_mask = np.isin(labels.data, MASS_LABELS)
     if mass_mask.any():
         d, _ = cKDTree(np.argwhere(surface_mask(mass_mask)) * spacing).query(mesh.vertices)
     else:
@@ -107,21 +108,21 @@ class TestShapeAndBlocks:
         rng = np.random.default_rng(0)
         mesh, zmap, _, labels = scene(rng, k=4)
         probs = uniform_probs(zmap.dims, 4)
-        feats = pool_features(mesh, zmap, probs, labels, {2, 3})
+        feats = pool_features(mesh, zmap, probs, labels)
         assert feats.shape == (mesh.n_vertices, 13)
         np.testing.assert_allclose(feats[:, 5:13], 0.25, rtol=1e-6)
 
     def test_global_block_identical_rows(self):
         rng = np.random.default_rng(1)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         g = feats[:, 5 + probs.channels :]
         assert np.all(g == g[0])
 
     def test_mean_pool_matches_direct_summation(self):
         rng = np.random.default_rng(2)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         k = probs.channels
         for v in range(mesh.n_vertices):
             zone = zone_mask(zmap, v)
@@ -138,16 +139,16 @@ class TestGeometryColumns:
     def test_coords_centered_and_bounded(self):
         rng = np.random.default_rng(5)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         # normalized by the bounding-box diagonal: coordinates stay small
         assert np.abs(feats[:, 0:3]).max() < 2.0
 
     def test_coords_translation_covariant(self):
         rng = np.random.default_rng(6)
         mesh, zmap, probs, labels = scene(rng)
-        a = pool_features(mesh, zmap, probs, labels, {2})
+        a = pool_features(mesh, zmap, probs, labels)
         shifted = mesh.with_vertices(mesh.vertices + [3.0, -1.0, 2.0])
-        b = pool_features(shifted, zmap, probs, labels, {2})
+        b = pool_features(shifted, zmap, probs, labels)
         # organ centroid is unchanged, so shifting the mesh shifts the
         # normalized coordinates by the same world offset over the diagonal
         organ_world = np.argwhere(zmap.data > 0).astype(float)
@@ -158,7 +159,7 @@ class TestGeometryColumns:
     def test_edge_column_matches_mesh(self):
         rng = np.random.default_rng(7)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         np.testing.assert_allclose(feats[:, 3], mesh.mean_incident_edge_lengths())
 
     def test_distance_zero_on_mass_surface(self):
@@ -171,14 +172,14 @@ class TestGeometryColumns:
         mesh = line_mesh(verts)
         zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
         probs = uniform_probs((10, 10, 10), 2)
-        feats = pool_features(mesh, zmap, probs, LabelVolume(lab, (1, 1, 1)), {2})
+        feats = pool_features(mesh, zmap, probs, LabelVolume(lab, (1, 1, 1)))
         assert feats[0, 4] == 0.0  # vertex sits on a mass surface voxel
         assert feats[1, 4] > 0.0
 
     def test_distance_matches_linear_scan(self):
         rng = np.random.default_rng(8)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2, 3})
+        feats = pool_features(mesh, zmap, probs, labels)
         from anatomesh.volume import surface_mask
 
         mass = np.isin(labels.data, [2, 3])
@@ -190,17 +191,17 @@ class TestGeometryColumns:
     def test_distance_is_one_lipschitz(self):
         rng = np.random.default_rng(9)
         mesh, zmap, probs, labels = scene(rng)
-        a = pool_features(mesh, zmap, probs, labels, {2})
+        a = pool_features(mesh, zmap, probs, labels)
         delta = rng.normal(scale=0.3, size=mesh.vertices.shape)
-        b = pool_features(mesh.with_vertices(mesh.vertices + delta), zmap, probs,
-                          labels, {2})
+        b = pool_features(mesh.with_vertices(mesh.vertices + delta), zmap, probs, labels)
         step = np.linalg.norm(delta, axis=1)
         assert np.all(np.abs(b[:, 4] - a[:, 4]) <= step + 1e-9)
 
     def test_no_mass_sentinel(self):
         rng = np.random.default_rng(10)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {99})
+        organ_only = LabelVolume(np.minimum(labels.data, 1), labels.spacing)
+        feats = pool_features(mesh, zmap, probs, organ_only)
         assert np.all(feats[:, 4] == NO_MASS_SENTINEL)
 
 
@@ -208,7 +209,7 @@ class TestIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
         mesh, zmap, probs, labels = scene(rng)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         path = str(tmp_path / "f.csv")
         save_features(feats, path)
         back = load_features(path)
@@ -247,7 +248,7 @@ class TestIO:
         mesh, zmap, _, labels = scene(rng)
         bad = uniform_probs((5, 5, 5), 3)
         with pytest.raises(VolumeError, match="mismatch"):
-            pool_features(mesh, zmap, bad, labels, {2})
+            pool_features(mesh, zmap, bad, labels)
 
     def test_pooling_box_outside_the_stored_box_named(self):
         rng = np.random.default_rng(13)
@@ -256,7 +257,7 @@ class TestIO:
         stored = ProbVolume(probs.crop(box), probs.spacing, probs.dims, box)
         with pytest.raises(VolumeError, match=r"box \[2:10, 2:10, 2:10\] is not inside "
                                               r"the stored box \[2:10, 2:10, 3:10\]"):
-            pool_features(mesh, zmap, stored, labels, {2})
+            pool_features(mesh, zmap, stored, labels)
 
 
 class TestZonePooling:
@@ -264,7 +265,7 @@ class TestZonePooling:
     def test_local_block_matches_add_at_bit_for_bit(self, seed):
         rng = np.random.default_rng(100 + seed)
         mesh, zmap, probs, labels = scene(rng, grid=14, n_verts=6, k=1 + seed % 4)
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         local = feats[:, 5 : 5 + probs.channels]
         assert local.tobytes() == local_block_add_at(zmap, probs).tobytes()
 
@@ -282,10 +283,10 @@ class TestOrganBoxCrop:
     @settings(max_examples=150, deadline=None)
     def test_probabilities_stored_on_the_grown_box(self, scene):
         # the box synth-gen stores: the non-zero labels' box grown by one voxel
-        mesh, zones, probs, labels, mass_labels = scene
+        mesh, zones, probs, labels = scene
         box = grown_box(labels)
         stored = ProbVolume(probs.crop(box), probs.spacing, probs.dims, box)
-        feats = pool_features(mesh, zones, stored, labels, mass_labels)
+        feats = pool_features(mesh, zones, stored, labels)
         assert feats.tobytes() == pool_features_whole_grid(*scene).tobytes()
 
     def test_mass_outside_the_zone_voxels_on_the_grid_edge(self):
@@ -293,12 +294,11 @@ class TestOrganBoxCrop:
         organ[2:5, 3:6, 1:4] = True
         lab = organ.astype(np.uint8)
         lab[6:9, 0:2, 5:7] = 2  # beyond the organ's box, in a corner of the grid
-        lab[4, 4, 2] = 3
+        lab[8, 1, 6] = 3  # the mass holds both mass labels
         mesh = line_mesh(np.array([[3.0, 4.0, 2.0], [2.0, 3.0, 1.0], [4.0, 5.0, 3.0]]))
         zmap = render_zones(mesh, organ, (1.0, 1.0, 1.0))
         probs = uniform_probs(organ.shape, 2)
         labels = LabelVolume(lab, (1.0, 1.0, 1.0))
-        feats = pool_features(mesh, zmap, probs, labels, {2})
+        feats = pool_features(mesh, zmap, probs, labels)
         assert feats[0, 4] == np.sqrt(27.0)  # to (6, 1, 5)
-        assert feats.tobytes() == pool_features_whole_grid(
-            mesh, zmap, probs, labels, {2}).tobytes()
+        assert feats.tobytes() == pool_features_whole_grid(mesh, zmap, probs, labels).tobytes()

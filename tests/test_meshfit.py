@@ -149,6 +149,12 @@ class TestSurfaceIndex:
         with pytest.raises(FitError):
             SurfaceIndex(np.zeros((0, 3)))
 
+    def test_empty_organ_rejected(self):
+        # an empty organ's box is a zero-size crop
+        empty = LabelVolume(np.zeros((4, 5, 6), dtype=np.uint8), (1.0, 1.0, 1.0))
+        with pytest.raises(FitError, match="^the organ has no surface voxels in target$"):
+            SurfaceIndex.from_mask(empty)
+
 
 class TestPointLoss:
     def test_zero_when_on_surface(self):

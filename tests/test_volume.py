@@ -532,12 +532,19 @@ class TestSurface:
         assert (2, 2, 2) not in surf
 
     def test_matches_brute_force_scan(self):
+        # in each layout the stages pass: C order, w fastest as loaded, and a reversed view
         rng = np.random.default_rng(7)
         for _ in range(5):
-            vol = LabelVolume(
-                rng.integers(0, 2, size=(8, 8, 8)).astype(np.uint8), (1, 1, 1)
-            )
-            assert surface_set(vol, 1) == brute_force_surface(vol, 1)
+            data = rng.integers(0, 2, size=(8, 8, 8)).astype(np.uint8)
+            for layout in LAYOUTS.values():
+                vol = LabelVolume(layout(data), (1, 1, 1))
+                assert surface_set(vol, 1) == brute_force_surface(vol, 1)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 0), (0, 4, 3), (2, 0, 5)])
+    def test_zero_size_crop_has_an_empty_surface(self, shape):
+        # the crop an empty mask's box gives
+        surf = surface_mask(np.zeros(shape, dtype=bool))
+        assert surf.shape == shape and surf.dtype == bool
 
     def test_absent_label_gives_empty_set(self):
         vol = LabelVolume(np.zeros((3, 3, 3), dtype=np.uint8), (1, 1, 1))

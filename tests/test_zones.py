@@ -390,7 +390,7 @@ class TestVertexLabels:
     @given(organ_scenes(), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
     def test_matches_whole_grid(self, scene, dropped):
-        _, zmap, _, labels, _ = scene
+        _, zmap, _, labels = scene
         if dropped < zmap.data.max() - 1:  # an empty zone below the last must be named alike
             zmap = LabelVolume(np.where(zmap.data == dropped + 1, 0, zmap.data), zmap.spacing)
         try:
