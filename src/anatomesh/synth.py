@@ -316,16 +316,18 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     The arithmetic is the per-voxel formula's, in float64; a negative
     float32 result is set to 0.
 
-    Only the box of the non-zero labels, grown by one voxel and clipped to
-    the grid, is computed and kept (labels with none keep the whole grid).
-    Outside it every 3x3x3 neighbourhood is background, so channel 0 holds
-    at least 1 - noise > noise and wins the argmax. The box's rows are the
-    whole-grid formula's bit for bit: each present channel is blurred on a
-    crop 2 voxels wider than the box, and voxel (w, h, d, k) takes element
-    ((w * H + h) * D + d) * K + k of the seed's stream of draws, reached by
-    advancing the generator to each (w, h) row of the box. The result is
-    the (w, h, d, K) view of a (d, h, w, K) buffer, which
-    :func:`save_volume` writes without a copy.
+    The volume holds the box of the non-zero labels, grown by one voxel and
+    clipped to the grid (labels with none hold the whole grid). Only the
+    rows whose 3x3x3 neighbourhood holds a non-zero label are computed;
+    every other row is background, (1, 0, ..., 0), where the formula gives
+    channel 0 at least 1 - noise > noise, so channel 0 wins the argmax
+    either way. The computed rows are the whole-grid formula's bit for bit:
+    each present channel is blurred on a crop 2 voxels wider than the box,
+    and voxel (w, h, d, k) takes element ((w * H + h) * D + d) * K + k of
+    the seed's stream of draws, reached by advancing the generator to the
+    span of computed rows of each (w, h) row of the box. The result is the
+    (w, h, d, K) view of a (d, h, w, K) buffer, which :func:`save_volume`
+    reads without a copy.
     """
     data = labels.data
     top = int(data.max(initial=0))
@@ -334,13 +336,15 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     dims = data.shape
     box = _grow(organ_box(data > 0), 1, dims) if top else whole_box(dims)
     size = tuple(s.stop - s.start for s in box)
-    out = np.empty((*size[::-1], N_CHANNELS), dtype=np.float32)
+    out = np.zeros((*size[::-1], N_CHANNELS), dtype=np.float32)
     probs = out.transpose(2, 1, 0, 3)
     if not noise > 0.0:
         # no noise: every row is exactly one 1.0, so normalising would divide by 1.0
         for k in range(N_CHANNELS):
             np.equal(data[box], k, out=probs[..., k])
         return ProbVolume(probs, labels.spacing, dims, box)
+    out[..., 0] = 1.0
+    near = ndimage.maximum_filter(data[box] != 0, size=3, mode="constant")
     # (0.75 * one-hot + 0.25 * blur) * (1 - noise) of each present channel.
     # Adding 0.75 only where the one-hot is 1 keeps the bits: the blur has
     # no -0.0 that adding 0.0 would turn into 0.0.
@@ -358,26 +362,39 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
         np.add(blend, 0.75, out=blend, where=channel[inner])
         blend *= 1.0 - noise
         smooth[k] = blend
-    # the box's (w, h, d, K) draw, which becomes its blend in place: the row
-    # of box column (w, h) starts at element ((w * H + h) * D + d0) * K
-    r = np.empty((*size, N_CHANNELS))
-    rows = r.reshape(size[0] * size[1], size[2] * N_CHANNELS)
-    ws, hs = (np.arange(s.start, s.stop) for s in box[:2])
-    starts = (((ws[:, None] * dims[1] + hs) * dims[2] + box[2].start) * N_CHANNELS).ravel()
-    skips = np.diff(starts, prepend=-rows.shape[1]) - rows.shape[1]
+    # Draw the span [lo, hi) of computed rows of each box column (w, h) that
+    # has one: its draws start at element ((w * H + h) * D + d0 + lo) * K.
+    cols = np.flatnonzero(near.any(axis=2))  # box column (w, h) is w * box height + h
+    lo = near.argmax(axis=2).ravel()[cols]
+    hi = size[2] - near[:, :, ::-1].argmax(axis=2).ravel()[cols]
+    w, h = np.divmod(cols, size[1])
+    starts = (((w + box[0].start) * dims[1] + h + box[1].start) * dims[2] + box[2].start + lo)
+    starts *= N_CHANNELS
+    lengths = (hi - lo) * N_CHANNELS
+    skips = starts - np.concatenate([[0], (starts + lengths)[:-1]])
+    firsts = (cols * size[2] + lo) * N_CHANNELS  # where each span goes in r
+    r = np.empty(near.size * N_CHANNELS)
     rng = np.random.default_rng(seed)
-    for row, skip in zip(rows, skips.tolist()):
-        rng.bit_generator.advance(skip)
-        rng.random(out=row)
-    r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
-    r *= noise
+    advance, draw = rng.bit_generator.advance, rng.random
+    for skip, a, b in zip(skips.tolist(), firsts.tolist(), (firsts + lengths).tolist()):
+        advance(skip)
+        draw(out=r[a:b])
+    # the computed rows, in (w, h, d) order, become their blend in place
+    at = np.flatnonzero(near)
+    rows = r.reshape(-1, N_CHANNELS).take(at, axis=0)
+    rows /= channel_sum(rows.T)[:, None]
+    rows *= noise
     for k, blend in smooth.items():
-        r[..., k] += blend
-    r /= channel_sum(np.moveaxis(r, -1, 0))[..., None]
-    probs[...] = r
+        rows[:, k] += blend.take(at)
+    rows /= channel_sum(rows.T)[:, None]
+    rows = rows.astype(np.float32)
     # The blur's running sums leave about -1e-17 where a channel is exactly 0,
     # which a noise weight below about 1e-16 does not cover: those are zeros.
-    probs[probs < 0] = 0.0
+    rows[rows < 0] = 0.0
+    # each computed row's place in the (d, h, w) buffer
+    at = np.arange(near.size).reshape(size[::-1]).transpose(2, 1, 0).ravel().take(at)
+    row = np.dtype((np.void, rows.itemsize * N_CHANNELS))
+    out.reshape(-1, N_CHANNELS).view(row)[at, 0] = rows.view(row)[:, 0]
     return ProbVolume(probs, labels.spacing, dims, box)
 
 

@@ -84,22 +84,24 @@ def channel_sum(channels: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_probabilities(data: np.ndarray, origin: list[int]) -> None:
-    """Raise VolumeError unless every (W, H, D, K) row is non-negative and sums to 1.
+def _check_probabilities(rows: np.ndarray, voxels) -> None:
+    """Raise VolumeError unless every (..., K) row is non-negative and sums to 1.
 
-    A bad row is reported by its first voxel in (w, h, d) order, as a grid
-    voxel: ``origin`` is where ``data`` starts in the grid. A NaN sum fails.
+    ``voxels(bad)`` gives the (n, 3) grid voxels of the rows that the
+    boolean ``bad`` marks; a bad row is reported by the first of them in
+    (w, h, d) order. A NaN sum fails.
     """
-    sums = channel_sum(np.moveaxis(data, -1, 0))
+    sums = channel_sum(np.moveaxis(rows, -1, 0))
     bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
     if bad.any():
-        first = np.argwhere(bad)[0]
-        w, h, d = (first + origin).tolist()
+        at = voxels(bad)
+        first = np.lexsort(at.T[::-1])[0]
+        w, h, d = at[first].tolist()
         raise VolumeError(
             f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
-            f"sums to {sums[tuple(first)]:.6f}"
+            f"sums to {sums[bad][first]:.6f}"
         )
-    if (data < 0).any():
+    if (rows < 0).any():
         raise VolumeError("probability values must be non-negative")
 
 
@@ -150,8 +152,19 @@ class ProbVolume:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
-        _check_probabilities(self.data, [s.start for s in box])
+        origin = [s.start for s in box]
+        _check_probabilities(self.data, lambda bad: np.argwhere(bad) + origin)
         self.data.setflags(write=False)
+
+    @classmethod
+    def _checked(cls, data, spacing, dims, box) -> ProbVolume:
+        """The volume the constructor would make of float32 ``data`` that fills
+        ``box``, for a caller that has checked its rows: they are not checked again."""
+        vol = object.__new__(cls)
+        for name, value in (("data", data), ("spacing", spacing), ("dims", dims), ("box", box)):
+            object.__setattr__(vol, name, value)
+        data.setflags(write=False)
+        return vol
 
     @property
     def channels(self) -> int:
@@ -174,15 +187,45 @@ def _header_path(path: str) -> tuple[str, str]:
     return path + ".hdr", path + ".raw"
 
 
+_ITEM = {"label": np.dtype("<u1"), "prob": np.dtype("<f4")}
+
+
+def _background(kind: str, channels: int) -> np.ndarray:
+    """The row a volume of ``kind`` does not store: label 0, or probability 1 on channel 0."""
+    row = np.zeros(channels, dtype=_ITEM[kind])
+    if kind == "prob":
+        row[0] = 1.0
+    return row
+
+
+def _stored(rows: np.ndarray, background: np.ndarray) -> np.ndarray:
+    """Which of the contiguous (n, K) ``rows`` differ from ``background`` in any bit.
+
+    Each row is compared as unsigned words of up to 8 bytes, one word
+    column at a time: two compares for four float32 channels, where
+    comparing floats would take four and would not see the sign of a -0.0.
+    """
+    word = np.dtype(f"<u{math.gcd(rows.shape[1] * rows.itemsize, 8)}")
+    words, background = rows.view(word), background.view(word)
+    stored = words[:, 0] != background[0]
+    for k in range(1, len(background)):
+        stored |= words[:, k] != background[k]
+    return stored
+
+
 def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
     """Write the two-file volume codec: text ``.hdr`` plus raw ``.raw`` payload.
 
-    The header holds the grid's ``dims`` and a ``box x0 x1 y0 y1 z0 z1``
-    line (ends exclusive); the payload holds the voxels of that box only,
-    w fastest (w, then h, then d). A label volume is stored on the box of
-    its non-zero voxels, or on the whole grid when it has none; every voxel
-    outside the box is 0. A prob volume is stored on its own box, K
-    consecutive f32 per voxel. Little-endian throughout.
+    The header holds the grid's ``dims``, a ``box x0 x1 y0 y1 z0 z1`` line
+    (ends exclusive) and a ``stored mask`` line. The payload holds the
+    box's non-background voxels only, as two parts: the bit mask of the
+    stored voxels over the box (``np.packbits``, most significant bit
+    first, w fastest: w, then h, then d), then the stored voxels' values in
+    the same order. Background is label 0 in a label volume and the row
+    (1, 0, ..., 0) in a prob volume. A label volume's box is the box of
+    its non-zero voxels, or the whole grid when it has none; a prob volume
+    is stored on its own box, K consecutive f32 per voxel. Little-endian
+    throughout.
     """
     hdr_path, raw_path = _header_path(path)
     w, h, d = vol.dims
@@ -191,11 +234,13 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         if any(s.start == s.stop for s in box):
             box = whole_box(vol.dims)
         kind, channels, dtype = "label", 1, "u8"
-        payload = np.ascontiguousarray(vol.data[box].transpose(2, 1, 0), dtype="<u1")
+        payload = vol.data[box].transpose(2, 1, 0)
     else:
         box = vol.box
         kind, channels, dtype = "prob", vol.channels, "f32"
-        payload = np.ascontiguousarray(vol.data.transpose(2, 1, 0, 3), dtype="<f4")
+        payload = vol.data.transpose(2, 1, 0, 3)
+    rows = np.ascontiguousarray(payload, dtype=_ITEM[kind]).reshape(-1, channels)
+    stored = _stored(rows, _background(kind, channels))
     sx, sy, sz = vol.spacing
     with open(hdr_path, "w") as f:
         f.write(f"dims {w} {h} {d}\n")
@@ -204,28 +249,42 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         f.write(f"channels {channels}\n")
         f.write(f"dtype {dtype}\n")
         f.write("box " + " ".join(f"{s.start} {s.stop}" for s in box) + "\n")
+        f.write("stored mask\n")
     with open(raw_path, "wb") as f:
-        f.write(memoryview(payload.reshape(-1)))
+        f.write(np.packbits(stored))
+        f.write(rows.compress(stored, axis=0))
+
+
+def _read_header(hdr_path: str) -> dict[str, list[str]]:
+    """The header's words by key; a key given twice raises VolumeError naming both lines."""
+    fields, line_of = {}, {}
+    with open(hdr_path) as f:
+        for lineno, line in enumerate(f, 1):
+            words = line.split()
+            if not words:
+                continue
+            key = words[0]
+            if key in fields:
+                raise VolumeError(
+                    f"{hdr_path}:{lineno}: {key} is already set on line {line_of[key]}"
+                )
+            fields[key], line_of[key] = words[1:], lineno
+    return fields
 
 
 def load_volume(path: str) -> LabelVolume | ProbVolume:
     """Load a volume written by :func:`save_volume`.
 
-    A header without a ``box`` line holds the whole grid, as files written
-    before label volumes were boxed do. A prob volume's data is a read-only
-    view of the payload bytes, in the file's w-fastest order. A label
-    volume's box is copied once into a zeroed grid, read-only and in the
-    same order: a consumer that needs another order copies.
+    The box is filled with background and the stored values are scattered
+    into it; only the stored rows of a prob volume are checked. A header
+    without a ``stored mask`` line has every voxel of its box in the
+    payload, and one without a ``box`` line holds the whole grid, as files
+    written before those lines do. The data is read-only, in the file's
+    w-fastest order: a consumer that needs another order copies. A label
+    volume's box is copied once into a zeroed grid.
     """
     hdr_path, raw_path = _header_path(path)
-    fields = {}
-    with open(hdr_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, *rest = line.split()
-            fields[key] = rest
+    fields = _read_header(hdr_path)
     try:
         dims = tuple(int(v) for v in fields["dims"])
         w, h, d = dims
@@ -234,6 +293,9 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         channels = int(fields["channels"][0])
         dtype = fields["dtype"][0]
         x0, x1, y0, y1, z0, z1 = (int(v) for v in fields.get("box", (0, w, 0, h, 0, d)))
+        stored = fields.get("stored")
+        if stored not in (None, ["mask"]):
+            raise ValueError(f"'stored {' '.join(stored)}', expected 'stored mask'")
     except (KeyError, ValueError, IndexError) as exc:
         raise VolumeError(f"malformed header {hdr_path}: {exc}") from exc
     label_ok = kind == "label" and dtype == "u8" and channels == 1
@@ -249,26 +311,51 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         _check_box(box, dims)
     except VolumeError as exc:
         raise VolumeError(f"{hdr_path}: {exc}") from None
-    item = np.dtype("<u1" if kind == "label" else "<f4")
+    item = _ITEM[kind]
     with open(raw_path, "rb") as f:
         payload = f.read()
     bw, bh, bd = x1 - x0, y1 - y0, z1 - z0
-    expect = bw * bh * bd * channels
-    if len(payload) != expect * item.itemsize:
+    size = bw * bh * bd
+    index, skip, count, implies = None, 0, size, "header implies"
+    if stored:
+        skip = -(-size // 8)
+        if len(payload) < skip:
+            raise VolumeError(
+                f"{raw_path}: payload has {len(payload)} bytes, the mask of box "
+                f"{_box_text(box)} takes {skip}"
+            )
+        mask = np.unpackbits(np.frombuffer(payload, np.uint8, skip), count=size)
+        index = np.flatnonzero(mask.view(bool))  # several times faster than on uint8
+        count, implies = len(index), f"the mask stores {len(index)} voxels of"
+    if len(payload) - skip != count * channels * item.itemsize:
         raise VolumeError(
-            f"{raw_path}: payload has {len(payload) / item.itemsize:g} values, "
-            f"header implies {expect}"
+            f"{raw_path}: payload has {(len(payload) - skip) / item.itemsize:g} values, "
+            f"{implies} {count * channels}"
         )
-    raw = np.frombuffer(payload, dtype=item)
+    values = np.frombuffer(payload, dtype=item, offset=skip).reshape(count, channels)
+    if index is not None and kind == "label" and not values.all():
+        raise VolumeError(f"{raw_path}: a stored label is 0, which is background")
+    if kind == "prob":
+        def grid_voxels(bad):
+            at = np.flatnonzero(bad) if index is None else index[bad]
+            return np.stack([at % bw, at // bw % bh, at // (bw * bh)], axis=1) + (x0, y0, z0)
+
+        try:
+            _check_probabilities(values, grid_voxels)
+        except VolumeError as exc:
+            raise VolumeError(f"{raw_path}: {exc}") from None
+    rows = values
+    if index is not None:
+        rows = np.zeros((size, channels), dtype=item)
+        rows[:, 0] = _background(kind, channels)[0]
+        row = np.dtype((np.void, channels * item.itemsize))
+        rows.view(row)[index, 0] = values.view(row)[:, 0]
     if kind == "label":
         grid = np.zeros((d, h, w), dtype=np.uint8)
-        grid[z0:z1, y0:y1, x0:x1] = raw.reshape(bd, bh, bw)
+        grid[z0:z1, y0:y1, x0:x1] = rows.reshape(bd, bh, bw)
         return LabelVolume(grid.transpose(2, 1, 0), spacing)
-    data = raw.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3)
-    try:
-        return ProbVolume(data, spacing, dims, box)
-    except VolumeError as exc:  # a bad probability row
-        raise VolumeError(f"{raw_path}: {exc}") from None
+    return ProbVolume._checked(rows.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3),
+                               spacing, dims, box)
 
 
 # 6-connectivity: voxels are neighbours when they share a face.

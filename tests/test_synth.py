@@ -248,13 +248,25 @@ def grown_box(labels):
     return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
 
 
+BACKGROUND = np.eye(1, N_CHANNELS, dtype=np.float32)[0]
+
+
+def is_background(rows):
+    """Which (..., K) rows are the background row (1, 0, ..., 0), bit for bit."""
+    return (rows.view(np.uint32) == BACKGROUND.view(np.uint32)).all(axis=-1)
+
+
 def soften_matches_reference(labels, noise, seed):
-    """soften's volume is the reference's crop to the grown box, byte for byte."""
+    """soften's volume is the grown box. Its rows within one voxel of a non-zero
+    label (the 3x3x3 dilation of the labels) are the reference's, byte for byte,
+    and every other row is the background."""
     probs = soften(labels, noise, seed)
     box = grown_box(labels)
     assert probs.dims == labels.dims and probs.box == box
     reference = soften_reference(labels, noise, seed)
-    assert probs.data.tobytes() == reference[box].tobytes()
+    near = ndimage.binary_dilation(labels.data != 0, np.ones((3, 3, 3), dtype=bool))[box]
+    assert probs.data[near].tobytes() == reference[box][near].tobytes()
+    assert is_background(probs.data[~near]).all()
     return probs, reference
 
 
@@ -313,6 +325,12 @@ class TestSoften:
         outside = np.ones(labels.dims, dtype=bool)
         outside[probs.box] = False
         assert not reference.argmax(axis=-1)[outside].any()
+        # in the box, the rows the codec stores are the reference's bit for
+        # bit, and on every row written as background its argmax is 0 too
+        written = is_background(probs.data)
+        reference = reference[probs.box]
+        assert probs.data[~written].tobytes() == reference[~written].tobytes()
+        assert not reference.argmax(axis=-1)[written].any()
 
     def test_background_alone_keeps_the_whole_grid(self):
         labels = LabelVolume(np.zeros((3, 4, 5), dtype=np.uint8), (1.0, 1.0, 1.0))
@@ -341,16 +359,21 @@ class TestSoften:
                 soften_matches_reference(labels, noise, cid)
 
     def test_result_is_in_file_order(self, tmp_path):
-        # the (W, H, D, K) view of a (D, H, W, K) buffer: save_volume writes it as is
+        # the (W, H, D, K) view of a (D, H, W, K) buffer: save_volume reads it
+        # as is and copies only the stored rows and their int64 indices,
+        # beside a few bytes a voxel for the mask
         probs = soften(self._labels(), 0.2, 7)
         assert probs.data.transpose(2, 1, 0, 3).flags.c_contiguous
+        voxels = probs.data[..., 0].size
+        stored = int(np.count_nonzero(~is_background(probs.data)))
+        assert 0 < stored < voxels / 2
         tracemalloc.start()
         try:
             save_volume(probs, str(tmp_path / "probs"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < probs.data.nbytes / 10
+        assert peak < stored * (BACKGROUND.nbytes + 8) + 4 * voxels
         back = load_volume(str(tmp_path / "probs"))
         assert back.box == probs.box and back.dims == probs.dims
         assert np.array_equal(back.data, probs.data)
@@ -435,8 +458,10 @@ class TestCases:
         # Digest over the labels, the stored box and its rows. The full-grid
         # _sweep_mask and implant_mass ellipsoid, before they were rewritten to
         # test only local boxes, and the whole-grid soften, cropped to each
-        # case's grown box, give the same digest: generated data must stay
-        # bit-identical. bend = 5.0 was the library default then.
+        # case's grown box with the background row written on every row that
+        # no non-zero label is within one voxel of, give the same digest:
+        # generated data must stay bit-identical. bend = 5.0 was the library
+        # default then.
         h = hashlib.sha256()
         for c in gen_dataset(24, 11, SynthConfig(grid=40, bend=5.0)):
             h.update(c.labels.data.tobytes())
@@ -444,7 +469,7 @@ class TestCases:
             h.update(c.probs.data.tobytes())
             h.update(np.array([c.class_id, c.seed], dtype=np.int64).tobytes())
             h.update(np.asarray(c.head_end, dtype=np.float64).tobytes())
-        assert h.hexdigest() == "c5e3d0cc82cd4821a3303adf28ddc3fa937b87a45cf322e2a3c21a7d0f322818"
+        assert h.hexdigest() == "2201462eb3b46a188b95e2a7d257071abcee91a85b431688e689989041049831"
 
     def test_stream_is_lazy_and_matches_list(self):
         # a huge case count costs nothing until cases are drawn; case i does not depend on it

@@ -23,7 +23,7 @@ from anatomesh.volume import (
     voxel_indices,
 )
 
-from conftest import boxed_masks, file_order, save_whole_grid
+from conftest import boxed_masks, file_order, save_dense_box, save_whole_grid
 
 
 def random_label_volume(rng, dims=(4, 5, 6)):
@@ -52,14 +52,30 @@ def label_box_reference(data):
     return find_objects_box(data > 0)
 
 
-def payload_reference(vol):
-    """The payload as ``save_volume`` wrote it before its one-copy write, kept as an oracle.
+def stored_payload(voxels, background):
+    """The payload of (n, K) voxel rows in file order, built a voxel at a time: the
+    bit mask of the rows whose bytes differ from ``background``, most significant
+    bit first, then those rows."""
+    stored = [row.tobytes() != background.tobytes() for row in voxels]
+    mask = bytearray((len(stored) + 7) // 8)
+    for i, bit in enumerate(stored):
+        if bit:
+            mask[i // 8] |= 0x80 >> (i % 8)
+    return bytes(mask) + b"".join(row.tobytes() for row, bit in zip(voxels, stored) if bit)
 
-    A label volume's payload is the voxels of :func:`label_box_reference`."""
+
+def payload_reference(vol):
+    """The payload ``save_volume`` writes, kept as an oracle.
+
+    A label volume's payload covers the voxels of :func:`label_box_reference`
+    and stores the non-zero ones; a prob volume's covers its box and stores
+    the rows other than (1, 0, ..., 0)."""
     if isinstance(vol, LabelVolume):
         box = label_box_reference(vol.data)
-        return vol.data[box].transpose(2, 1, 0).astype("<u1").tobytes()
-    return vol.data.transpose(2, 1, 0, 3).astype("<f4").tobytes()
+        voxels = vol.data[box].transpose(2, 1, 0).reshape(-1, 1).astype("<u1")
+        return stored_payload(voxels, np.zeros(1, dtype="<u1"))
+    voxels = vol.data.transpose(2, 1, 0, 3).reshape(-1, vol.channels).astype("<f4")
+    return stored_payload(voxels, np.eye(1, vol.channels, dtype="<f4")[0])
 
 
 def prob_check_reference(data):
@@ -210,10 +226,13 @@ class TestCodec:
         vol = ProbVolume(np.full((3, 4, 2, 4), 0.25, dtype=np.float32), (1.0, 1.0, 1.0))
         save_volume(vol, str(tmp_path / "probs"))
         raw = tmp_path / "probs.raw"
-        payload = np.frombuffer(raw.read_bytes(), dtype="<f4").copy()
+        # every row is stored: a 3-byte mask of 24 ones, then the rows
+        mask, payload = raw.read_bytes()[:3], np.frombuffer(raw.read_bytes()[3:], dtype="<f4")
+        assert mask == b"\xff" * 3
+        payload = payload.copy()
         # the first channel of voxel (1, 2, 1): w fastest, K values a voxel
         payload[4 * (1 + 3 * (2 + 4 * 1))] = 0.9
-        raw.write_bytes(payload.tobytes())
+        raw.write_bytes(mask + payload.tobytes())
         with pytest.raises(VolumeError) as info:
             load_volume(str(tmp_path / "probs"))
         assert str(info.value) == (
@@ -236,19 +255,17 @@ class TestCodec:
         for ext in (".hdr", ".raw"):
             assert (tmp_path / f"b{ext}").read_bytes() == (tmp_path / f"a{ext}").read_bytes()
 
-    def test_loaded_prob_volume_is_a_read_only_view_of_the_file(self, tmp_path):
-        vol = ProbVolume(random_prob_data(np.random.default_rng(3)), (1.0, 1.0, 1.0))
+    def test_loaded_prob_volume_is_read_only_in_file_order(self, tmp_path):
+        data = random_prob_data(np.random.default_rng(3))
+        data[1, 2] = (1.0, 0.0, 0.0)  # background rows: not stored, filled in on load
+        vol = ProbVolume(data, (1.0, 1.0, 1.0))
         save_volume(vol, str(tmp_path / "v"))
         back = load_volume(str(tmp_path / "v"))
+        assert back.data.tobytes() == vol.data.tobytes()
+        assert back.data.strides == file_order(vol.data).strides
         assert not back.data.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             back.data[0, 0, 0] = 0
-        base = back.data
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, bytes)
-        assert base == (tmp_path / "v.raw").read_bytes()
-        assert np.shares_memory(back.data, np.frombuffer(base, dtype=np.uint8))
 
     def test_empty_volumes_round_trip(self, tmp_path):
         for vol in (
@@ -290,9 +307,10 @@ class TestCodec:
         vol = LabelVolume(np.arange(8).reshape(2, 2, 2).astype(np.uint8), (1, 1, 1))
         save_volume(vol, str(tmp_path / "o"))
         payload = (tmp_path / "o.raw").read_bytes()
-        # flat index = w + W*(h + H*d)
+        # flat index = w + W*(h + H*d); voxel (0, 0, 0) holds 0 and is not stored
         expect = [vol.data[w, h, d] for d in range(2) for h in range(2) for w in range(2)]
-        assert list(payload) == expect
+        assert expect[0] == 0
+        assert list(payload) == [0b01111111] + expect[1:]
 
 
 PROB_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind prob\nchannels 2\ndtype f32\n"
@@ -319,7 +337,7 @@ class TestProbBox:
     def test_round_trip_keeps_dims_box_and_rows(self, tmp_path):
         vol = self._boxed()
         save_volume(vol, str(tmp_path / "p"))
-        assert (tmp_path / "p.hdr").read_text() == PROB_HEADER + "box 1 3 0 4 2 3\n"
+        assert (tmp_path / "p.hdr").read_text() == PROB_HEADER + "box 1 3 0 4 2 3\nstored mask\n"
         assert (tmp_path / "p.raw").read_bytes() == payload_reference(vol)
         back = load_volume(str(tmp_path / "p"))
         assert (back.dims, back.box) == (vol.dims, vol.box)
@@ -341,7 +359,7 @@ class TestProbBox:
         assert str(tmp_path / "b.hdr") in str(err.value)
 
     def test_payload_of_another_box_names_the_payload(self, tmp_path):
-        save_volume(self._boxed(), str(tmp_path / "p"))
+        save_dense_box(self._boxed(), str(tmp_path / "p"))
         hdr = tmp_path / "p.hdr"
         hdr.write_text(hdr.read_text().replace("box 1 3 0 4 2 3", "box 1 3 0 4 2 4"))
         with pytest.raises(VolumeError, match="payload has 16 values, header implies 32") as err:
@@ -381,10 +399,12 @@ class TestLabelBox:
     def test_box_line_and_a_payload_of_the_box_only(self, tmp_path):
         vol = self._boxed()
         save_volume(vol, str(tmp_path / "l"))
-        assert (tmp_path / "l.hdr").read_text() == LABEL_HEADER + "box 1 3 0 3 2 4\n"
+        assert (tmp_path / "l.hdr").read_text() == (
+            LABEL_HEADER + "box 1 3 0 3 2 4\nstored mask\n"
+        )
         payload = (tmp_path / "l.raw").read_bytes()
-        assert len(payload) == 2 * 3 * 2
-        assert payload == vol.data[1:3, 0:3, 2:4].transpose(2, 1, 0).tobytes()
+        # 2 * 3 * 2 voxels, w fastest: (2, 0, 2) is the 2nd and (1, 2, 3) the 11th
+        assert payload == bytes([0b01000000, 0b00100000, 3, 1])
 
     def test_loaded_volume_is_read_only_in_file_order(self, tmp_path):
         vol = self._boxed()
@@ -407,12 +427,13 @@ class TestLabelBox:
             path = os.path.join(tmp, "l")
             save_volume(vol, path)
             with open(path + ".hdr") as f:
-                box_line = f.read().splitlines()[-1]
+                box_line, stored_line = f.read().splitlines()[-2:]
             with open(path + ".raw", "rb") as f:
                 assert f.read() == payload_reference(vol)
             back = load_volume(path)
         box = label_box_reference(vol.data)
         assert box_line == "box " + " ".join(f"{s.start} {s.stop}" for s in box)
+        assert stored_line == "stored mask"
         assert np.array_equal(back.data, vol.data)
 
     @pytest.mark.parametrize("dims", [(3, 4, 5), (0, 2, 2), (2, 0, 3), (1, 1, 0)])
@@ -420,8 +441,9 @@ class TestLabelBox:
         vol = LabelVolume(np.zeros(dims, dtype=np.uint8), (1.0, 1.0, 1.0))
         save_volume(vol, str(tmp_path / "z"))
         box = " ".join(f"0 {n}" for n in dims)
-        assert (tmp_path / "z.hdr").read_text().endswith(f"\nbox {box}\n")
-        assert (tmp_path / "z.raw").read_bytes() == bytes(int(np.prod(dims)))
+        assert (tmp_path / "z.hdr").read_text().endswith(f"\nbox {box}\nstored mask\n")
+        # the mask's bits, all 0, and no value
+        assert (tmp_path / "z.raw").read_bytes() == bytes(-(-int(np.prod(dims)) // 8))
         back = load_volume(str(tmp_path / "z"))
         assert back.dims == dims and not back.data.any()
 
@@ -445,6 +467,209 @@ class TestLabelBox:
         with pytest.raises(VolumeError, match=match) as err:
             load_volume(str(tmp_path / "b"))
         assert str(tmp_path / "b.hdr") in str(err.value)
+
+
+@st.composite
+def stored_volumes(draw):
+    """A label or prob volume on a box of a grid, whose voxels are all
+    background, all stored, one stored voxel in a grid corner or a random mix."""
+    kind = draw(st.sampled_from(["label", "prob"]))
+    dims = tuple(draw(st.integers(1, 11)) for _ in range(3))
+    pattern = draw(st.sampled_from(["all background", "all stored", "one corner", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if pattern == "all background":
+        stored = np.zeros(dims, dtype=bool)
+    elif pattern == "all stored":
+        stored = np.ones(dims, dtype=bool)
+    elif pattern == "one corner":
+        stored = np.zeros(dims, dtype=bool)
+        stored[draw(st.tuples(*[st.sampled_from([0, -1])] * 3))] = True
+    else:
+        stored = rng.random(dims) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    if kind == "label":
+        data = np.where(stored, rng.integers(1, 256, size=dims), 0).astype(np.uint8)
+        return LabelVolume(LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](data), (1.0, 0.5, 2.0))
+    k = draw(st.integers(1, 4))
+    rows = np.zeros(dims + (k,), dtype=np.float32)
+    rows[..., 0] = 1.0  # the background row
+    if k == 1:
+        # the one row that sums to 1 besides the background's
+        rows[stored] = np.nextafter(np.float32(1.0), np.float32(0.0))
+    else:
+        # a random row; a one-hot row of another channel, as noise 0 gives;
+        # or the background row with -0.0, which differs in its sign bit
+        pick = rng.integers(3, size=dims)
+        random_rows = random_prob_data(rng, dims, k)
+        one_hot = np.eye(k, dtype=np.float32)[rng.integers(1, k, size=dims)]
+        rows[stored & (pick == 0)] = random_rows[stored & (pick == 0)]
+        rows[stored & (pick == 1)] = one_hot[stored & (pick == 1)]
+        rows[stored & (pick == 2), 1] = -0.0
+    grid = tuple(n + draw(st.integers(0, 3)) for n in dims)
+    at = [draw(st.integers(0, g - n)) for g, n in zip(grid, dims)]
+    box = tuple(slice(a, a + n) for a, n in zip(at, dims))
+    return ProbVolume(file_order(rows) if draw(st.booleans()) else rows, (1.0, 1.0, 1.0),
+                      grid, box)
+
+
+class TestStoredVoxels:
+    """Every volume stores only its non-background voxels: a bit mask over its
+    box, then the stored voxels' values, and loads them back bit for bit."""
+
+    @given(stored_volumes())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_is_bit_exact(self, vol):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = os.path.join(tmp, "a"), os.path.join(tmp, "b")
+            save_volume(vol, a)
+            with open(a + ".raw", "rb") as f:
+                assert f.read() == payload_reference(vol)
+            back = load_volume(a)
+            save_volume(back, b)
+            for ext in (".hdr", ".raw"):
+                with open(a + ext, "rb") as f, open(b + ext, "rb") as g:
+                    assert f.read() == g.read()
+        assert type(back) is type(vol) and back.dims == vol.dims
+        assert back.data.tobytes() == vol.data.tobytes()
+        axes = (2, 1, 0, 3)[: back.data.ndim]
+        assert back.data.transpose(axes).flags.c_contiguous  # in file order
+        assert not back.data.flags.writeable
+        if isinstance(vol, ProbVolume):
+            assert back.box == vol.box
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 5), (2, 4, 1), (9, 7, 3)])
+    def test_box_sizes_not_a_multiple_of_8(self, tmp_path, dims):
+        # 1, 15, 8 and 189 voxels: the mask's last byte is padded with 0 bits
+        data = np.full(dims, 7, dtype=np.uint8)
+        save_volume(LabelVolume(data, (1.0, 1.0, 1.0)), str(tmp_path / "l"))
+        n = int(np.prod(dims))
+        mask = np.packbits(np.ones(n, dtype=bool)).tobytes()
+        assert len(mask) == -(-n // 8) and mask[-1] == (0xFF << (-n % 8)) & 0xFF
+        assert (tmp_path / "l.raw").read_bytes() == mask + bytes([7]) * n
+        assert np.array_equal(load_volume(str(tmp_path / "l")).data, data)
+
+    def test_noise_free_probability_volume(self, tmp_path):
+        # the one-hot rows of a label volume: label 0 rows are not stored
+        labels = np.random.default_rng(6).integers(0, 4, size=(5, 6, 7))
+        vol = ProbVolume(np.eye(4, dtype=np.float32)[labels], (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "p"))
+        mask_bytes = -(-labels.size // 8)
+        stored = int(np.count_nonzero(labels))
+        assert len((tmp_path / "p.raw").read_bytes()) == mask_bytes + 16 * stored
+        assert load_volume(str(tmp_path / "p")).data.tobytes() == vol.data.tobytes()
+
+    def _saved(self, tmp_path, kind):
+        rng = np.random.default_rng(7)
+        if kind == "label":
+            vol = LabelVolume(rng.integers(0, 3, size=(5, 4, 3)).astype(np.uint8), (1, 1, 1))
+        else:
+            data = random_prob_data(rng, (5, 4, 3), 2)
+            data[rng.random((5, 4, 3)) < 0.5] = (1.0, 0.0)
+            vol = ProbVolume(data, (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "v"))
+        return tmp_path / "v.raw", (tmp_path / "v.raw").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    def test_mask_shorter_than_its_box_names_the_payload(self, tmp_path, kind):
+        raw, payload = self._saved(tmp_path, kind)
+        raw.write_bytes(payload[:7])  # the mask of the box's 60 voxels takes 8 bytes
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "v"))
+        assert str(err.value) == (
+            f"{raw}: payload has 7 bytes, the mask of box [0:5, 0:4, 0:3] takes 8"
+        )
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_value_count_must_match_the_mask(self, tmp_path, kind, change):
+        raw, payload = self._saved(tmp_path, kind)
+        stored = sum(bin(b).count("1") for b in payload[:8])
+        item, k = (1, 1) if kind == "label" else (4, 2)
+        values = len(payload[8:]) // item
+        assert values == stored * k
+        # one value more or fewer than the mask's stored voxels hold
+        raw.write_bytes(payload + bytes(item) if change > 0 else payload[:-item])
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "v"))
+        assert str(err.value) == (
+            f"{raw}: payload has {values + change} values, "
+            f"the mask stores {stored} voxels of {stored * k}"
+        )
+
+    def test_bad_stored_row_named_by_its_first_grid_voxel(self, tmp_path):
+        # rows (2, 0, 0) and (0, 1, 0) of the box come 3rd and 4th in the
+        # file, but (0, 1, 0) comes first in (w, h, d) order
+        data = np.zeros((3, 2, 2, 2), dtype=np.float32)
+        data[..., 0] = 1.0
+        data[2, 0, 0] = data[0, 1, 0] = data[1, 1, 1] = (0.5, 0.5)
+        vol = ProbVolume(data, (1.0, 1.0, 1.0), (5, 2, 4), (slice(2, 5), slice(0, 2), slice(1, 3)))
+        save_volume(vol, str(tmp_path / "p"))
+        raw = tmp_path / "p.raw"
+        mask, values = raw.read_bytes()[:2], np.frombuffer(raw.read_bytes()[2:], dtype="<f4")
+        assert mask == bytes([0b00110000, 0b00100000])
+        values = values.copy()
+        values[[0, 2]] = 0.75
+        raw.write_bytes(mask + values.tobytes())
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "p"))
+        assert str(err.value) == (
+            f"{raw}: probability rows must sum to 1 +- {PROB_TOL}; voxel (2,1,1) sums to 1.250000"
+        )
+
+    def test_stored_label_0_rejected(self, tmp_path):
+        raw, payload = self._saved(tmp_path, "label")
+        raw.write_bytes(payload[:9] + b"\x00" + payload[10:])
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "v"))
+        assert str(err.value) == f"{raw}: a stored label is 0, which is background"
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    def test_stored_line_other_than_mask_rejected(self, tmp_path, kind):
+        self._saved(tmp_path, kind)
+        hdr = tmp_path / "v.hdr"
+        hdr.write_text(hdr.read_text().replace("stored mask", "stored bits"))
+        with pytest.raises(VolumeError, match=f"malformed header {hdr}: "
+                                              "'stored bits', expected 'stored mask'"):
+            load_volume(str(tmp_path / "v"))
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_box_files_load_the_same_arrays(self, tmp_path, kind, seed):
+        # files written before only non-background voxels were stored: a box
+        # line or none, and every voxel of the box
+        rng = np.random.default_rng(seed)
+        if kind == "label":
+            vol = random_label_volume(rng, (6, 5, 7))
+            vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
+            save_whole_grid(vol, str(tmp_path / "no-box"))
+        else:
+            data = random_prob_data(rng, (6, 5, 7), 3)
+            data[rng.random((6, 5, 7)) < 0.5] = (1.0, 0.0, 0.0)
+            vol = ProbVolume(data, (1.0, 2.0, 1.0), (8, 5, 9),
+                             (slice(1, 7), slice(0, 5), slice(2, 9)))
+            whole = ProbVolume(data, (1.0, 2.0, 1.0))
+            save_dense_box(whole, str(tmp_path / "no-box"))
+            (tmp_path / "no-box.hdr").write_text(
+                (tmp_path / "no-box.hdr").read_text().replace("box 0 6 0 5 0 7\n", "")
+            )
+        save_dense_box(vol, str(tmp_path / "box"))
+        save_volume(vol, str(tmp_path / "new"))
+        loaded = {name: load_volume(str(tmp_path / name)) for name in ("no-box", "box", "new")}
+        assert "stored" not in (tmp_path / "box.hdr").read_text()
+        assert "box" not in (tmp_path / "no-box.hdr").read_text()
+        for back in loaded.values():
+            assert back.data.tobytes() == vol.data.tobytes()
+            assert back.data.strides == loaded["new"].data.strides
+            assert not back.data.flags.writeable
+        assert loaded["box"].dims == loaded["new"].dims == vol.dims
+        if kind == "prob":
+            assert loaded["box"].box == loaded["new"].box == vol.box
+
+    def test_header_key_given_twice_rejected(self, tmp_path):
+        (tmp_path / "t.hdr").write_text(LABEL_HEADER + "box 0 3 0 4 0 5\nbox 0 3 0 4 0 4\n")
+        (tmp_path / "t.raw").write_bytes(bytes(60))
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "t"))
+        assert str(err.value) == f"{tmp_path / 't.hdr'}:7: box is already set on line 6"
 
 
 class TestHeaderRules:
