@@ -9,7 +9,6 @@ import sys
 
 from . import __version__
 from .config import load_config
-from .mesh import load_mesh, save_mesh
 from .pipeline import STAGES, run_pipeline, write_manifest
 
 
@@ -26,18 +25,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, _ in STAGES:
-        p = sub.add_parser(name, help=f"run the {name} stage over a work directory")
+    commands = [(name, f"run the {name} stage over a work directory") for name, _ in STAGES]
+    for name, text in commands + [("pipeline", "run all stages end-to-end")]:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="work/output directory")
-
-    p = sub.add_parser("pipeline", help="run all stages end-to-end")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("export-mesh", help="re-export a mesh file (format round-trip)")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 
@@ -47,9 +39,6 @@ def main(argv: list[str] | None = None) -> int:
     # collector from walking them in every full collection the stages set off.
     gc.freeze()
     try:
-        if args.command == "export-mesh":
-            save_mesh(load_mesh(args.mesh), args.out)
-            return 0
         cfg = load_config(args.config)
         if args.command == "pipeline":
             accs = run_pipeline(cfg, args.out)

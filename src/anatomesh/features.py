@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -9,7 +11,7 @@ from .evaluate import MASS_LABELS
 from .mesh import AnatomyMesh
 from .volume import LabelVolume, ProbVolume, VolumeError, organ_box, surface_mask, voxel_indices
 
-__all__ = ["pool_features", "feature_width", "save_features", "load_features"]
+__all__ = ["pool_features", "feature_width", "save_features", "load_features", "load_rows"]
 
 NO_MASS_SENTINEL = -1.0
 
@@ -99,12 +101,22 @@ def save_features(feats: np.ndarray, path: str) -> None:
         f.write(row * len(feats) % tuple(feats.ravel().tolist()))
 
 
+def load_rows(path: str, error: type[Exception], **options) -> np.ndarray:
+    """``np.loadtxt(path, **options)``; ``error`` naming the file unless it parses and has rows."""
+    try:
+        with warnings.catch_warnings():  # numpy warns on a file with no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, **options)
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+    if not rows.size:
+        raise error(f"{path}: holds no rows")
+    return rows
+
+
 def load_features(path: str) -> np.ndarray:
     """Read a matrix written by :func:`save_features`; a malformed file raises VolumeError."""
-    try:
-        feats = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise VolumeError(f"{path}: {exc}") from exc
+    feats = load_rows(path, VolumeError, delimiter=",", skiprows=1, ndmin=2)
     width = feats.shape[1]
     if width < feature_width(1) or (width - feature_width(0)) % 2:
         raise VolumeError(f"{path}: {width} columns, expected 5 + 2K for K channels")

@@ -557,7 +557,12 @@ def load_params(path: str) -> GraphResNetParams:
             header.append(line)
         raw = f.read()
     try:
-        fields = {key: rest for key, *rest in (line.decode().split() for line in header)}
+        fields, line_of = {}, {}
+        for n, line in enumerate(header, 1):
+            key, *rest = line.decode().split()
+            if key in fields:
+                raise GraphNetError(f"{path}:{n}: {key} is already set on line {line_of[key]}")
+            fields[key], line_of[key] = rest, n
         if fields.get("dtype") != ["f32"]:  # the older float64 format has no dtype line
             raise GraphNetError(
                 f"{path}: not a float32 checkpoint (no 'dtype f32' line); train again to write one"

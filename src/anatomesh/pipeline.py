@@ -25,7 +25,7 @@ from .evaluate import (
     mass_counts,
     select_pv_threshold,
 )
-from .features import load_features, pool_features, save_features
+from .features import load_features, load_rows, pool_features, save_features
 from .graphnet import GraphNetError, forward, load_params, save_params, train
 from .mesh import AnatomyMesh, MeshError, load_mesh, save_mesh
 from .meshfit import FitError, fit_mesh
@@ -247,10 +247,7 @@ def _save_vertex_labels(labels: np.ndarray, d: str) -> None:
 def _load_vertex_labels(d: str, n_rows: int) -> np.ndarray:
     """A case's vertex labels; ZoneError naming the file unless there is one per feature row."""
     path = os.path.join(d, "vertex_labels.txt")
-    try:
-        labels = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise ZoneError(f"{path}: {exc}") from exc
+    labels = load_rows(path, ZoneError, dtype=np.int64, ndmin=1)
     if len(labels) != n_rows:
         raise ZoneError(f"{path}: {len(labels)} labels for {n_rows} feature rows")
     return labels

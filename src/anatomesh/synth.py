@@ -30,6 +30,7 @@ from .volume import (
     channel_sum,
     is_connected,
     organ_box,
+    read_fields,
     save_volume,
     whole_box,
 )
@@ -444,10 +445,9 @@ def save_case(case: SynthCase, directory: str) -> None:
 
 
 def load_case_info(directory: str) -> CaseInfo:
-    """Parse ``case.txt``; a missing or malformed field raises VolumeError naming the file."""
+    """Parse ``case.txt``; a bad, missing or repeated field raises VolumeError naming the file."""
     path = os.path.join(directory, "case.txt")
-    with open(path) as f:
-        fields = {parts[0]: parts[1:] for parts in map(str.split, f) if parts}
+    fields = read_fields(path)
 
     def parse(key, convert):
         if key not in fields:

@@ -15,6 +15,7 @@ __all__ = [
     "VolumeError",
     "channel_sum",
     "load_volume",
+    "read_fields",
     "save_volume",
     "CONN6",
     "is_connected",
@@ -255,10 +256,10 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
         f.write(rows.compress(stored, axis=0))
 
 
-def _read_header(hdr_path: str) -> dict[str, list[str]]:
-    """The header's words by key; a key given twice raises VolumeError naming both lines."""
+def read_fields(path: str) -> dict[str, list[str]]:
+    """Words by the first word of their line; VolumeError names both lines of a repeated key."""
     fields, line_of = {}, {}
-    with open(hdr_path) as f:
+    with open(path) as f:
         for lineno, line in enumerate(f, 1):
             words = line.split()
             if not words:
@@ -266,7 +267,7 @@ def _read_header(hdr_path: str) -> dict[str, list[str]]:
             key = words[0]
             if key in fields:
                 raise VolumeError(
-                    f"{hdr_path}:{lineno}: {key} is already set on line {line_of[key]}"
+                    f"{path}:{lineno}: {key} is already set on line {line_of[key]}"
                 )
             fields[key], line_of[key] = words[1:], lineno
     return fields
@@ -277,14 +278,16 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
 
     The box is filled with background and the stored values are scattered
     into it; only the stored rows of a prob volume are checked. A header
-    without a ``stored mask`` line has every voxel of its box in the
-    payload, and one without a ``box`` line holds the whole grid, as files
-    written before those lines do. The data is read-only, in the file's
-    w-fastest order: a consumer that needs another order copies. A label
-    volume's box is copied once into a zeroed grid.
+    without a ``box`` or a ``stored mask`` line predates this format and is
+    refused. The data is read-only, in the file's w-fastest order: a
+    consumer that needs another order copies. A label volume's box is
+    copied once into a zeroed grid.
     """
     hdr_path, raw_path = _header_path(path)
-    fields = _read_header(hdr_path)
+    fields = read_fields(hdr_path)
+    if "box" not in fields or "stored" not in fields:
+        raise VolumeError(f"{hdr_path}: no 'box' or 'stored mask' line: the file predates "
+                          "this format; rerun synth-gen to write it again")
     try:
         dims = tuple(int(v) for v in fields["dims"])
         w, h, d = dims
@@ -292,10 +295,9 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         kind = fields["kind"][0]
         channels = int(fields["channels"][0])
         dtype = fields["dtype"][0]
-        x0, x1, y0, y1, z0, z1 = (int(v) for v in fields.get("box", (0, w, 0, h, 0, d)))
-        stored = fields.get("stored")
-        if stored not in (None, ["mask"]):
-            raise ValueError(f"'stored {' '.join(stored)}', expected 'stored mask'")
+        x0, x1, y0, y1, z0, z1 = (int(v) for v in fields["box"])
+        if fields["stored"] != ["mask"]:
+            raise ValueError(f"'stored {' '.join(fields['stored'])}', expected 'stored mask'")
     except (KeyError, ValueError, IndexError) as exc:
         raise VolumeError(f"malformed header {hdr_path}: {exc}") from exc
     label_ok = kind == "label" and dtype == "u8" and channels == 1
@@ -316,40 +318,32 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         payload = f.read()
     bw, bh, bd = x1 - x0, y1 - y0, z1 - z0
     size = bw * bh * bd
-    index, skip, count, implies = None, 0, size, "header implies"
-    if stored:
-        skip = -(-size // 8)
-        if len(payload) < skip:
-            raise VolumeError(
-                f"{raw_path}: payload has {len(payload)} bytes, the mask of box "
-                f"{_box_text(box)} takes {skip}"
-            )
-        mask = np.unpackbits(np.frombuffer(payload, np.uint8, skip), count=size)
-        index = np.flatnonzero(mask.view(bool))  # several times faster than on uint8
-        count, implies = len(index), f"the mask stores {len(index)} voxels of"
-    if len(payload) - skip != count * channels * item.itemsize:
+    skip = -(-size // 8)
+    if len(payload) < skip:
+        raise VolumeError(
+            f"{raw_path}: payload has {len(payload)} bytes, the mask of box "
+            f"{_box_text(box)} takes {skip}"
+        )
+    mask = np.unpackbits(np.frombuffer(payload, np.uint8, skip), count=size)
+    index = np.flatnonzero(mask.view(bool))  # several times faster than on uint8
+    if len(payload) - skip != len(index) * channels * item.itemsize:
         raise VolumeError(
             f"{raw_path}: payload has {(len(payload) - skip) / item.itemsize:g} values, "
-            f"{implies} {count * channels}"
+            f"the mask stores {len(index)} voxels of {len(index) * channels}"
         )
-    values = np.frombuffer(payload, dtype=item, offset=skip).reshape(count, channels)
-    if index is not None and kind == "label" and not values.all():
+    values = np.frombuffer(payload, dtype=item, offset=skip).reshape(-1, channels)
+    if kind == "label" and not values.all():
         raise VolumeError(f"{raw_path}: a stored label is 0, which is background")
     if kind == "prob":
-        def grid_voxels(bad):
-            at = np.flatnonzero(bad) if index is None else index[bad]
-            return np.stack([at % bw, at // bw % bh, at // (bw * bh)], axis=1) + (x0, y0, z0)
-
         try:
-            _check_probabilities(values, grid_voxels)
+            _check_probabilities(values, lambda bad: np.column_stack(
+                np.unravel_index(index[bad], (bd, bh, bw))[::-1]) + (x0, y0, z0))
         except VolumeError as exc:
             raise VolumeError(f"{raw_path}: {exc}") from None
-    rows = values
-    if index is not None:
-        rows = np.zeros((size, channels), dtype=item)
-        rows[:, 0] = _background(kind, channels)[0]
-        row = np.dtype((np.void, channels * item.itemsize))
-        rows.view(row)[index, 0] = values.view(row)[:, 0]
+    rows = np.zeros((size, channels), dtype=item)
+    rows[:, 0] = _background(kind, channels)[0]
+    row = np.dtype((np.void, channels * item.itemsize))
+    rows.view(row)[index, 0] = values.view(row)[:, 0]
     if kind == "label":
         grid = np.zeros((d, h, w), dtype=np.uint8)
         grid[z0:z1, y0:y1, x0:x1] = rows.reshape(bd, bh, bw)

@@ -74,42 +74,6 @@ def written_bytes(write, *args):
             return f.read()
 
 
-def save_whole_grid(vol, path):
-    """Write a label volume in the format used before label volumes were boxed:
-    a header without a ``box`` line, and every voxel of the grid, w fastest."""
-    w, h, d = vol.dims
-    sx, sy, sz = vol.spacing
-    with open(path + ".hdr", "w") as f:
-        f.write(f"dims {w} {h} {d}\nspacing {sx:.9g} {sy:.9g} {sz:.9g}\n"
-                "kind label\nchannels 1\ndtype u8\n")
-    with open(path + ".raw", "wb") as f:
-        f.write(vol.data.transpose(2, 1, 0).astype("<u1").tobytes())
-
-
-def save_dense_box(vol, path):
-    """Write a volume in the format used before only non-background voxels were
-    stored: a header with a ``box`` line and no ``stored`` line, and every voxel
-    of the box, w fastest. A label volume's box is that of its non-zero voxels
-    (the whole grid when it has none); a prob volume's is its own."""
-    if isinstance(vol, LabelVolume):
-        at = np.argwhere(vol.data)
-        box = (tuple(slice(int(a), int(b) + 1) for a, b in zip(at.min(axis=0), at.max(axis=0)))
-               if len(at) else tuple(slice(0, n) for n in vol.dims))
-        kind, channels, dtype = "label", 1, "u8"
-        payload = vol.data[box].transpose(2, 1, 0).astype("<u1")
-    else:
-        box, kind, channels, dtype = vol.box, "prob", vol.channels, "f32"
-        payload = vol.data.transpose(2, 1, 0, 3).astype("<f4")
-    w, h, d = vol.dims
-    sx, sy, sz = vol.spacing
-    with open(path + ".hdr", "w") as f:
-        f.write(f"dims {w} {h} {d}\nspacing {sx:.9g} {sy:.9g} {sz:.9g}\n"
-                f"kind {kind}\nchannels {channels}\ndtype {dtype}\n"
-                "box " + " ".join(f"{s.start} {s.stop}" for s in box) + "\n")
-    with open(path + ".raw", "wb") as f:
-        f.write(payload.tobytes())
-
-
 def file_order(data):
     """The same values laid out as a loaded volume is: w fastest, then h, then d."""
     axes = (2, 1, 0) + tuple(range(3, data.ndim))

@@ -11,6 +11,7 @@ import signal
 import tempfile
 import time
 import traceback
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from anatomesh.meshfit import FitConfig, FitError
 from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
 
-from conftest import assert_no_child_left, count_forks, patch_cpus, save_whole_grid
+from conftest import assert_no_child_left, count_forks, patch_cpus
 from test_synth import grown_box
 
 SMALL_CONFIG = """\
@@ -301,7 +302,9 @@ class TestCliErrors:
          "7 columns, the first case has 13"),
         ("train_0002", "vertex_labels.txt", lambda lines: lines[:150],
          "150 labels for 156 feature rows"),
-    ], ids=["feature-width", "label-count"])
+        ("train_0003", "features.csv", lambda lines: lines[:1], "holds no rows"),
+        ("train_0002", "vertex_labels.txt", lambda lines: [], "holds no rows"),
+    ], ids=["feature-width", "label-count", "no-feature-rows", "no-labels"])
     def test_inconsistent_train_input_names_the_case_and_file(self, pipeline_run, tmp_path,
                                                               capsys, case, name, edit, message):
         cfg, out = pipeline_run
@@ -312,7 +315,9 @@ class TestCliErrors:
             lines = f.readlines()
         with open(path, "w") as f:
             f.writelines(edit(lines))
-        assert main(["train", "--config", cfg, "--out", work]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as CI's demo steps run: a warning would fail train
+            assert main(["train", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == f"anatomesh: train: {case}: {path}: {message}\n"
 
     def test_prototype_error_names_the_case(self, pipeline_run, tmp_path, capsys):
@@ -437,26 +442,6 @@ class TestGcFreeze:
         assert main(argv) == int(fails)
         assert len(seen) == 1 and seen[0] > 0
         assert gc.get_freeze_count() == 0
-
-
-class TestExportMesh:
-    def test_round_trip(self, tmp_path, template):
-        from anatomesh.mesh import load_mesh, save_mesh
-
-        src = str(tmp_path / "a.obj")
-        dst = str(tmp_path / "b.obj")
-        save_mesh(template, src)
-        assert main(["export-mesh", "--mesh", src, "--out", dst]) == 0
-        back = load_mesh(dst)
-        assert np.array_equal(back.faces, template.faces)
-        # a second export of the loaded mesh is byte-identical
-        dst2 = str(tmp_path / "c.obj")
-        assert main(["export-mesh", "--mesh", dst, "--out", dst2]) == 0
-        assert filecmp.cmp(dst, dst2, shallow=False)
-
-    def test_missing_mesh_exits_one(self, tmp_path, capsys):
-        rc = main(["export-mesh", "--mesh", "/no.obj", "--out", str(tmp_path / "o.obj")])
-        assert rc == 1
 
 
 @pytest.fixture(scope="module")
@@ -665,28 +650,25 @@ class TestCaseFiles:
         # 3 validation and 4 test cases, each predicted segmentation read once
         assert len(by_stage["classify"]) == 7
 
-    def test_work_directory_with_whole_grid_label_files(self, pipeline_run, tmp_path):
-        # labels.* and zones.* as written before label volumes were boxed
+    def test_work_directory_with_whole_grid_label_files(self, pipeline_run, tmp_path, capsys):
+        # one case's labels.* as written before label volumes were boxed: no box or
+        # stored line, and every voxel of the grid, w fastest
         cfg, out = pipeline_run
         work = str(tmp_path / "old")
         shutil.copytree(out, work)
-        cases = sorted(os.listdir(os.path.join(out, "cases")))
-        for case in cases:
-            for name in ("labels", "zones"):
-                path = os.path.join(work, "cases", case, name)
-                save_whole_grid(load_volume(path), path)
-        # pool-features first, so that it reads the old zones files too
-        for stages in (["pool-features"], ["fit-mesh", "render-zones", "pool-features"]):
-            for stage in stages:
-                assert main([stage, "--config", cfg, "--out", work]) == 0
-            for case in cases:
-                here, there = (os.path.join(root, "cases", case) for root in (out, work))
-                assert "box" not in (tmp_path / "old" / "cases" / case / "labels.hdr").read_text()
-                for name in ("fitted.obj", "vertex_labels.txt", "features.csv"):
-                    assert filecmp.cmp(os.path.join(here, name), os.path.join(there, name),
-                                       shallow=False), (case, name)
-                zones = [load_volume(os.path.join(d, "zones")) for d in (here, there)]
-                assert np.array_equal(zones[0].data, zones[1].data), case
+        path = os.path.join(work, "cases", "train_0002", "labels")
+        vol = load_volume(path)
+        (w, h, d), (sx, sy, sz) = vol.dims, vol.spacing
+        with open(path + ".hdr", "w") as f:
+            f.write(f"dims {w} {h} {d}\nspacing {sx:.9g} {sy:.9g} {sz:.9g}\n"
+                    "kind label\nchannels 1\ndtype u8\n")
+        with open(path + ".raw", "wb") as f:
+            f.write(vol.data.transpose(2, 1, 0).tobytes())
+        assert main(["fit-mesh", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: fit-mesh: train_0002: {path}.hdr: no 'box' or 'stored mask' line: "
+            "the file predates this format; rerun synth-gen to write it again\n"
+        )
 
     def test_each_stage_builds_one_mesh_topology(self, tmp_path, monkeypatch):
         patch_cpus(monkeypatch, 1)  # a forked worker's builds would not reach this list

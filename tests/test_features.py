@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -236,12 +237,16 @@ class TestIO:
         ("x,y\n1,2\n3,4\n", "2 columns, expected 5 + 2K"),
         ("x,y,z,e,d,l,g\n1,2,3,4,5,6,7\n1,2,3,4,5,6\n", "columns"),
         ("x,y,z,e,d,l,g\n1,2,3,4,5,6,seven\n", "seven"),
-    ], ids=["width", "ragged", "text"])
+        ("x,y,z,e,d,l,g\n", "holds no rows"),
+    ], ids=["width", "ragged", "text", "no-rows"])
     def test_malformed_file_names_its_path(self, tmp_path, text, match):
         path = tmp_path / "f.csv"
         path.write_text(text)
-        with pytest.raises(VolumeError, match=f"^{re.escape(str(path))}: .*{re.escape(match)}"):
-            load_features(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            with pytest.raises(VolumeError) as err:
+                load_features(str(path))
+        assert re.match(f"{re.escape(str(path))}: .*{re.escape(match)}", str(err.value))
 
     def test_dims_mismatch_rejected(self):
         rng = np.random.default_rng(12)

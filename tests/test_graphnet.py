@@ -823,6 +823,19 @@ class TestCheckpoint:
                            match=r"old\.ckpt: not a float32 checkpoint \(no 'dtype f32' line\)"):
             load_params(str(p))
 
+    def test_header_key_given_twice_rejected(self, tmp_path):
+        # taking the last copy would load the network with seed 99
+        params = small_params(np.random.default_rng(36))
+        p = tmp_path / "bad.ckpt"
+        save_params(params, str(p))
+        header, payload = p.read_bytes().split(b"end\n", 1)
+        lines = header.decode().splitlines()
+        first = next(n for n, line in enumerate(lines, 1) if line.startswith("seed "))
+        p.write_bytes(header + b"seed 99\nend\n" + payload)
+        with pytest.raises(GraphNetError) as err:
+            load_params(str(p))
+        assert str(err.value) == f"{p}:{len(lines) + 1}: seed is already set on line {first}"
+
     def test_global_inputs_of_another_length_rejected(self, tmp_path):
         params = small_params(np.random.default_rng(35))
         p = tmp_path / "bad.ckpt"

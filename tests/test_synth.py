@@ -512,3 +512,13 @@ class TestCaseIO:
         with pytest.raises(VolumeError, match=match) as err:
             load_case_info(str(d))
         assert str(path) in str(err.value)
+
+    def test_field_given_twice_rejected(self, tmp_path):
+        # taking the last copy would give the case seed 99
+        d = tmp_path / "case"
+        save_case(gen_case(3, 17, DEFAULTS), str(d))
+        path = d / "case.txt"
+        path.write_text(path.read_text() + "seed 99\n")
+        with pytest.raises(VolumeError) as err:
+            load_case_info(str(d))
+        assert str(err.value) == f"{path}:5: seed is already set on line 4"

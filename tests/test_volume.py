@@ -23,7 +23,7 @@ from anatomesh.volume import (
     voxel_indices,
 )
 
-from conftest import boxed_masks, file_order, save_dense_box, save_whole_grid
+from conftest import boxed_masks, file_order
 
 
 def random_label_volume(rng, dims=(4, 5, 6)):
@@ -126,24 +126,29 @@ class TestCodec:
     def test_payload_length_mismatch(self, tmp_path):
         (tmp_path / "bad.hdr").write_text(
             "dims 2 2 2\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\n"
+            "box 0 2 0 2 0 2\nstored mask\n"
         )
-        (tmp_path / "bad.raw").write_bytes(bytes(7))
+        # a mask storing all 8 voxels, then 7 labels
+        (tmp_path / "bad.raw").write_bytes(b"\xff" + bytes([1]) * 7)
         with pytest.raises(VolumeError, match="7 values"):
             load_volume(str(tmp_path / "bad"))
 
     def test_hand_written_file(self, tmp_path):
-        # 1x1x3 grid, labels 0,1,2 in w-fastest order
+        # 1x1x3 grid, labels 0,1,2 in w-fastest order: the mask stores the 2nd and 3rd
         (tmp_path / "h.hdr").write_text(
             "dims 1 1 3\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\n"
+            "box 0 1 0 1 0 3\nstored mask\n"
         )
-        (tmp_path / "h.raw").write_bytes(bytes([0, 1, 2]))
+        (tmp_path / "h.raw").write_bytes(bytes([0b01100000, 1, 2]))
         vol = load_volume(str(tmp_path / "h"))
         assert vol.dims == (1, 1, 3)
         assert [vol.data[0, 0, d] for d in range(3)] == [0, 1, 2]
 
     def test_malformed_header(self, tmp_path):
-        (tmp_path / "m.hdr").write_text("dims 2 two 2\nspacing 1 1 1\n")
-        (tmp_path / "m.raw").write_bytes(bytes(8))
+        (tmp_path / "m.hdr").write_text(
+            "dims 2 two 2\nspacing 1 1 1\nbox 0 2 0 2 0 2\nstored mask\n"
+        )
+        (tmp_path / "m.raw").write_bytes(b"\x00")
         with pytest.raises(VolumeError, match="malformed header"):
             load_volume(str(tmp_path / "m"))
 
@@ -279,9 +284,11 @@ class TestCodec:
     def test_truncated_float_payload_rejected(self, tmp_path):
         (tmp_path / "t.hdr").write_text(
             "dims 1 1 2\nspacing 1 1 1\nkind prob\nchannels 1\ndtype f32\n"
+            "box 0 1 0 1 0 2\nstored mask\n"
         )
-        (tmp_path / "t.raw").write_bytes(bytes(7))
-        with pytest.raises(VolumeError, match="1.75 values, header implies 2"):
+        # a mask storing both voxels, then 7 bytes of their two f32 values
+        (tmp_path / "t.raw").write_bytes(bytes([0b11000000]) + bytes(7))
+        with pytest.raises(VolumeError, match="1.75 values, the mask stores 2 voxels of 2"):
             load_volume(str(tmp_path / "t"))
 
     @given(
@@ -316,6 +323,13 @@ class TestCodec:
 PROB_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind prob\nchannels 2\ndtype f32\n"
 LABEL_HEADER = "dims 3 4 5\nspacing 1 1 1\nkind label\nchannels 1\ndtype u8\n"
 
+
+def stored_rows(rows, value):
+    """The payload of ``rows`` voxels that are all stored and all hold ``value``:
+    a mask of ones, then the values."""
+    return np.packbits(np.ones(rows, dtype=bool)).tobytes() + value * rows
+
+
 # (box line, voxels the payload holds, error) on a 3 x 4 x 5 grid
 BAD_BOXES = pytest.mark.parametrize("box, payload_rows, match", [
     ("1 1 0 4 0 5", 0, r"box \[1:1, 0:4, 0:5\] is empty"),
@@ -343,26 +357,23 @@ class TestProbBox:
         assert (back.dims, back.box) == (vol.dims, vol.box)
         assert back.data.tobytes() == vol.data.tobytes()
 
-    def test_header_without_a_box_holds_the_whole_grid(self, tmp_path):
-        (tmp_path / "w.hdr").write_text(PROB_HEADER)
-        (tmp_path / "w.raw").write_bytes(np.full(3 * 4 * 5 * 2, 0.5, dtype="<f4").tobytes())
-        back = load_volume(str(tmp_path / "w"))
-        assert back.dims == (3, 4, 5) and back.data.shape == (3, 4, 5, 2)
-        assert back.box == (slice(0, 3), slice(0, 4), slice(0, 5))
-
     @BAD_BOXES
     def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
-        (tmp_path / "b.hdr").write_text(PROB_HEADER + f"box {box}\n")
-        (tmp_path / "b.raw").write_bytes(np.full(payload_rows * 2, 0.5, dtype="<f4").tobytes())
+        (tmp_path / "b.hdr").write_text(PROB_HEADER + f"box {box}\nstored mask\n")
+        (tmp_path / "b.raw").write_bytes(
+            stored_rows(payload_rows, np.full(2, 0.5, dtype="<f4").tobytes())
+        )
         with pytest.raises(VolumeError, match=match) as err:
             load_volume(str(tmp_path / "b"))
         assert str(tmp_path / "b.hdr") in str(err.value)
 
     def test_payload_of_another_box_names_the_payload(self, tmp_path):
-        save_dense_box(self._boxed(), str(tmp_path / "p"))
+        save_volume(self._boxed(), str(tmp_path / "p"))
         hdr = tmp_path / "p.hdr"
         hdr.write_text(hdr.read_text().replace("box 1 3 0 4 2 3", "box 1 3 0 4 2 4"))
-        with pytest.raises(VolumeError, match="payload has 16 values, header implies 32") as err:
+        # the 16-voxel box's mask takes 2 bytes: the 8-voxel mask and a value's first byte
+        with pytest.raises(VolumeError, match=r"payload has 15.75 values, the mask stores "
+                                              r"\d+ voxels of \d+") as err:
             load_volume(str(tmp_path / "p"))
         assert str(tmp_path / "p.raw") in str(err.value)
 
@@ -447,23 +458,10 @@ class TestLabelBox:
         back = load_volume(str(tmp_path / "z"))
         assert back.dims == dims and not back.data.any()
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_whole_grid_file_without_a_box_loads_the_same_data(self, tmp_path, seed):
-        vol = random_label_volume(np.random.default_rng(seed), (6, 5, 7))
-        vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
-        save_whole_grid(vol, str(tmp_path / "old"))
-        save_volume(vol, str(tmp_path / "new"))
-        assert "box" not in (tmp_path / "old.hdr").read_text()
-        assert "box 0 6 2 5 0 7" in (tmp_path / "new.hdr").read_text()
-        old, new = load_volume(str(tmp_path / "old")), load_volume(str(tmp_path / "new"))
-        assert np.array_equal(old.data, vol.data) and np.array_equal(new.data, vol.data)
-        assert old.data.strides == new.data.strides and old.spacing == new.spacing
-        assert not old.data.flags.writeable
-
     @BAD_BOXES
     def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
-        (tmp_path / "b.hdr").write_text(LABEL_HEADER + f"box {box}\n")
-        (tmp_path / "b.raw").write_bytes(bytes(payload_rows))
+        (tmp_path / "b.hdr").write_text(LABEL_HEADER + f"box {box}\nstored mask\n")
+        (tmp_path / "b.raw").write_bytes(stored_rows(payload_rows, b"\x01"))
         with pytest.raises(VolumeError, match=match) as err:
             load_volume(str(tmp_path / "b"))
         assert str(tmp_path / "b.hdr") in str(err.value)
@@ -631,39 +629,6 @@ class TestStoredVoxels:
                                               "'stored bits', expected 'stored mask'"):
             load_volume(str(tmp_path / "v"))
 
-    @pytest.mark.parametrize("kind", ["label", "prob"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_dense_box_files_load_the_same_arrays(self, tmp_path, kind, seed):
-        # files written before only non-background voxels were stored: a box
-        # line or none, and every voxel of the box
-        rng = np.random.default_rng(seed)
-        if kind == "label":
-            vol = random_label_volume(rng, (6, 5, 7))
-            vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
-            save_whole_grid(vol, str(tmp_path / "no-box"))
-        else:
-            data = random_prob_data(rng, (6, 5, 7), 3)
-            data[rng.random((6, 5, 7)) < 0.5] = (1.0, 0.0, 0.0)
-            vol = ProbVolume(data, (1.0, 2.0, 1.0), (8, 5, 9),
-                             (slice(1, 7), slice(0, 5), slice(2, 9)))
-            whole = ProbVolume(data, (1.0, 2.0, 1.0))
-            save_dense_box(whole, str(tmp_path / "no-box"))
-            (tmp_path / "no-box.hdr").write_text(
-                (tmp_path / "no-box.hdr").read_text().replace("box 0 6 0 5 0 7\n", "")
-            )
-        save_dense_box(vol, str(tmp_path / "box"))
-        save_volume(vol, str(tmp_path / "new"))
-        loaded = {name: load_volume(str(tmp_path / name)) for name in ("no-box", "box", "new")}
-        assert "stored" not in (tmp_path / "box.hdr").read_text()
-        assert "box" not in (tmp_path / "no-box.hdr").read_text()
-        for back in loaded.values():
-            assert back.data.tobytes() == vol.data.tobytes()
-            assert back.data.strides == loaded["new"].data.strides
-            assert not back.data.flags.writeable
-        assert loaded["box"].dims == loaded["new"].dims == vol.dims
-        if kind == "prob":
-            assert loaded["box"].box == loaded["new"].box == vol.box
-
     def test_header_key_given_twice_rejected(self, tmp_path):
         (tmp_path / "t.hdr").write_text(LABEL_HEADER + "box 0 3 0 4 0 5\nbox 0 3 0 4 0 4\n")
         (tmp_path / "t.raw").write_bytes(bytes(60))
@@ -686,9 +651,12 @@ class TestHeaderRules:
     def test_kind_channels_and_dtype_must_agree(self, tmp_path, kind, channels, dtype):
         (tmp_path / "k.hdr").write_text(
             f"dims 1 1 2\nspacing 1 1 1\nkind {kind}\nchannels {channels}\ndtype {dtype}\n"
+            "box 0 1 0 1 0 2\nstored mask\n"
         )
-        # two f32 values, 1.7 and 300.0: a u8 cast would read them as 1 and 44
-        (tmp_path / "k.raw").write_bytes(np.array([1.7, 300.0], dtype="<f4").tobytes())
+        # both voxels stored, as two f32 values, 1.7 and 300.0: a u8 cast would read them
+        # as 1 and 44
+        values = np.array([1.7, 300.0], dtype="<f4").tobytes()
+        (tmp_path / "k.raw").write_bytes(bytes([0b11000000]) + values)
         with pytest.raises(VolumeError, match=f"kind {kind}, dtype {dtype}, {channels} channels") as err:
             load_volume(str(tmp_path / "k"))
         assert f"malformed header {tmp_path / 'k.hdr'}" in str(err.value)
@@ -710,11 +678,34 @@ class TestHeaderRules:
         dtype = "u8" if kind == "label" else "f32"
         (tmp_path / "s.hdr").write_text(
             f"dims 1 1 1\nspacing {spacing}\nkind {kind}\nchannels 1\ndtype {dtype}\n"
+            "box 0 1 0 1 0 1\nstored mask\n"
         )
-        (tmp_path / "s.raw").write_bytes(np.ones(1, dtype="<u1" if kind == "label" else "<f4"))
+        value = np.ones(1, dtype="<u1" if kind == "label" else "<f4").tobytes()
+        (tmp_path / "s.raw").write_bytes(stored_rows(1, value))
         with pytest.raises(VolumeError, match="spacing must be three finite positive") as err:
             load_volume(str(tmp_path / "s"))
         assert str(tmp_path / "s.hdr") in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    @pytest.mark.parametrize("line", ["box", "stored"])
+    def test_header_that_predates_the_format_refused(self, tmp_path, kind, line):
+        # each line is required on its own: older files lack the stored line, and
+        # label files older still the box line too
+        rng = np.random.default_rng(8)
+        if kind == "label":
+            vol = random_label_volume(rng)
+        else:
+            vol = ProbVolume(random_prob_data(rng), (1.0, 1.0, 1.0))
+        save_volume(vol, str(tmp_path / "v"))
+        hdr = tmp_path / "v.hdr"
+        lines = hdr.read_text().splitlines(keepends=True)
+        hdr.write_text("".join(text for text in lines if not text.startswith(line + " ")))
+        with pytest.raises(VolumeError) as err:
+            load_volume(str(tmp_path / "v"))
+        assert str(err.value) == (
+            f"{hdr}: no 'box' or 'stored mask' line: the file predates this format; "
+            "rerun synth-gen to write it again"
+        )
 
 
 def brute_force_surface(vol, label):
