@@ -397,6 +397,30 @@ class TestProbBox:
             vol.crop((slice(0, 3), slice(1, 3), slice(2, 3)))
 
 
+def save_old_layout(path, kind, data, dims, spacing, box=None):
+    """Write ``data`` in a layout older than today's: no ``stored`` line and every
+    voxel of ``box`` (the whole grid, with no ``box`` line, when ``box`` is None),
+    w fastest."""
+    channels, dtype, raw = (data.shape[3], "f32", "<f4") if kind == "prob" else (1, "u8", "<u1")
+    (w, h, d), (sx, sy, sz) = dims, spacing
+    with open(path + ".hdr", "w") as f:
+        f.write(f"dims {w} {h} {d}\nspacing {sx:.9g} {sy:.9g} {sz:.9g}\n"
+                f"kind {kind}\nchannels {channels}\ndtype {dtype}\n")
+        if box is not None:
+            f.write("box " + " ".join(f"{s.start} {s.stop}" for s in box) + "\n")
+    with open(path + ".raw", "wb") as f:
+        f.write(np.swapaxes(data, 0, 2).astype(raw).tobytes())
+
+
+def refused_as_predating(path):
+    with pytest.raises(VolumeError) as err:
+        load_volume(path)
+    assert str(err.value) == (
+        f"{path}.hdr: no 'box' or 'stored mask' line: the file predates this format; "
+        "rerun synth-gen to write it again"
+    )
+
+
 class TestLabelBox:
     """A label volume is stored on the box of its non-zero voxels and loads
     onto its whole grid, 0 outside the box."""
@@ -457,6 +481,21 @@ class TestLabelBox:
         assert (tmp_path / "z.raw").read_bytes() == bytes(-(-int(np.prod(dims)) // 8))
         back = load_volume(str(tmp_path / "z"))
         assert back.dims == dims and not back.data.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whole_grid_file_without_a_box_loads_the_same_data(self, tmp_path, seed):
+        # a file written before label volumes were boxed is refused; the file
+        # save_volume writes for the same volume on the rerun loads its data
+        vol = random_label_volume(np.random.default_rng(seed), (6, 5, 7))
+        vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
+        save_old_layout(str(tmp_path / "old"), "label", vol.data, vol.dims, vol.spacing)
+        save_volume(vol, str(tmp_path / "new"))
+        assert "box" not in (tmp_path / "old.hdr").read_text()
+        assert "box 0 6 2 5 0 7" in (tmp_path / "new.hdr").read_text()
+        refused_as_predating(str(tmp_path / "old"))
+        new = load_volume(str(tmp_path / "new"))
+        assert np.array_equal(new.data, vol.data) and new.spacing == vol.spacing
+        assert not new.data.flags.writeable
 
     @BAD_BOXES
     def test_bad_box_names_the_header(self, tmp_path, box, payload_rows, match):
@@ -554,6 +593,38 @@ class TestStoredVoxels:
         stored = int(np.count_nonzero(labels))
         assert len((tmp_path / "p.raw").read_bytes()) == mask_bytes + 16 * stored
         assert load_volume(str(tmp_path / "p")).data.tobytes() == vol.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["label", "prob"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_box_files_load_the_same_arrays(self, tmp_path, kind, seed):
+        # files written before only non-background voxels were stored, with a box
+        # line or none and every voxel of the box, are refused; the file
+        # save_volume writes for the same volume on the rerun loads its arrays
+        rng = np.random.default_rng(seed)
+        if kind == "label":
+            vol = random_label_volume(rng, (6, 5, 7))
+            vol = LabelVolume(vol.data * (np.indices(vol.dims)[1] >= 2), vol.spacing)
+            box = label_box_reference(vol.data)
+            save_old_layout(str(tmp_path / "no-box"), kind, vol.data, vol.dims, vol.spacing)
+            save_old_layout(str(tmp_path / "box"), kind, vol.data[box], vol.dims,
+                            vol.spacing, box)
+        else:
+            data = random_prob_data(rng, (6, 5, 7), 3)
+            data[rng.random((6, 5, 7)) < 0.5] = (1.0, 0.0, 0.0)
+            vol = ProbVolume(data, (1.0, 2.0, 1.0), (8, 5, 9),
+                             (slice(1, 7), slice(0, 5), slice(2, 9)))
+            save_old_layout(str(tmp_path / "no-box"), kind, data, data.shape[:3], vol.spacing)
+            save_old_layout(str(tmp_path / "box"), kind, data, vol.dims, vol.spacing, vol.box)
+        save_volume(vol, str(tmp_path / "new"))
+        assert "stored" not in (tmp_path / "box.hdr").read_text()
+        assert "box" not in (tmp_path / "no-box.hdr").read_text()
+        for name in ("no-box", "box"):
+            refused_as_predating(str(tmp_path / name))
+        new = load_volume(str(tmp_path / "new"))
+        assert new.data.tobytes() == vol.data.tobytes() and new.dims == vol.dims
+        assert not new.data.flags.writeable
+        if kind == "prob":
+            assert new.box == vol.box
 
     def _saved(self, tmp_path, kind):
         rng = np.random.default_rng(7)
