@@ -88,17 +88,23 @@ def pool_features(
 
 
 def save_features(feats: np.ndarray, path: str) -> None:
-    """Write the feature matrix as CSV with a named header row."""
+    """Write the feature matrix as CSV: a header naming the per-vertex columns
+    ``x,y,z,e,d,local_0..``, one ``global`` line with the K global values, then
+    one row of 5 + K values per vertex.
+
+    Every row must hold the same global block, bit for bit; VolumeError otherwise.
+    """
     k = (feats.shape[1] - 5) // 2
-    cols = (
-        ["x", "y", "z", "e", "d"]
-        + [f"local_{i}" for i in range(k)]
-        + [f"global_{i}" for i in range(k)]
-    )
-    row = ",".join(["%.17g"] * feats.shape[1]) + "\n"
+    glob = feats[:, 5 + k :]
+    bits = glob.view(np.uint64)
+    if not len(feats) or (bits != bits[0]).any():
+        raise VolumeError(f"{path}: the rows must hold one global block, bit for bit")
+    cols = ["x", "y", "z", "e", "d"] + [f"local_{i}" for i in range(k)]
+    row = ",".join(["%.17g"] * (5 + k)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        f.write(row * len(feats) % tuple(feats.ravel().tolist()))
+        f.write("global" + ",%.17g" * k % tuple(glob[0].tolist()) + "\n")
+        f.write(row * len(feats) % tuple(feats[:, : 5 + k].ravel().tolist()))
 
 
 def load_rows(path: str, error: type[Exception], **options) -> np.ndarray:
@@ -115,9 +121,23 @@ def load_rows(path: str, error: type[Exception], **options) -> np.ndarray:
 
 
 def load_features(path: str) -> np.ndarray:
-    """Read a matrix written by :func:`save_features`; a malformed file raises VolumeError."""
-    feats = load_rows(path, VolumeError, delimiter=",", skiprows=1, ndmin=2)
-    width = feats.shape[1]
-    if width < feature_width(1) or (width - feature_width(0)) % 2:
-        raise VolumeError(f"{path}: {width} columns, expected 5 + 2K for K channels")
-    return feats
+    """Read a matrix written by :func:`save_features`: each row's 5 + K values,
+    then the ``global`` line's K values. A malformed file raises VolumeError."""
+    try:
+        with open(path) as f:
+            f.readline()
+            words = f.readline().rstrip("\n").split(",")
+        glob = np.array(words[1:], dtype=np.float64)
+    except ValueError as exc:  # not text, or a value that is not a number
+        raise VolumeError(f"{path}: {exc}") from exc
+    if words[0] != "global":
+        raise VolumeError(f"{path}: no 'global' line after the header: the file predates "
+                          "this format; rerun pool-features to write it again")
+    rows = load_rows(path, VolumeError, delimiter=",", skiprows=2, ndmin=2)
+    width = rows.shape[1]
+    if width < 6:
+        raise VolumeError(f"{path}: {width} columns, expected 5 + K for K channels")
+    if len(glob) != width - 5:
+        raise VolumeError(f"{path}: the global line holds {len(glob)} values for "
+                          f"{width - 5} local columns")
+    return np.hstack([rows, np.broadcast_to(glob, (len(rows), len(glob)))])

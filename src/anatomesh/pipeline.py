@@ -309,24 +309,28 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
 def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
     """classify's (case, truth, gc, vv, pv) rows; EvalError naming the file and line
     for a row that does not parse or holds a class the class table lacks."""
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise EvalError(f"{path}: {exc}") from exc
     rows = []
-    with open(path) as f:
-        for n, line in enumerate(f, 1):
-            if line.startswith("#") or line.startswith("case,"):
-                continue
-            name, *fields = line.strip().split(",")
-            if len(fields) != 4:
-                raise EvalError(
-                    f"{path}:{n}: expected the 5 fields case,truth,gc,vv,pv, got {len(fields) + 1}"
-                )
-            try:
-                classes = [int(v) for v in fields]
-            except ValueError as exc:
-                raise EvalError(f"{path}:{n}: {exc}") from None
-            unknown = [c for c in classes if c not in MANAGEMENT_BY_CLASS]
-            if unknown:
-                raise EvalError(f"{path}:{n}: class {unknown[0]} is not in the class table")
-            rows.append((name, *classes))
+    for n, line in enumerate(lines, 1):
+        if line.startswith("#") or line.startswith("case,"):
+            continue
+        name, *fields = line.strip().split(",")
+        if len(fields) != 4:
+            raise EvalError(
+                f"{path}:{n}: expected the 5 fields case,truth,gc,vv,pv, got {len(fields) + 1}"
+            )
+        try:
+            classes = [int(v) for v in fields]
+        except ValueError as exc:
+            raise EvalError(f"{path}:{n}: {exc}") from None
+        unknown = [c for c in classes if c not in MANAGEMENT_BY_CLASS]
+        if unknown:
+            raise EvalError(f"{path}:{n}: class {unknown[0]} is not in the class table")
+        rows.append((name, *classes))
     return rows
 
 

@@ -258,18 +258,20 @@ def save_volume(vol: LabelVolume | ProbVolume, path: str) -> None:
 
 def read_fields(path: str) -> dict[str, list[str]]:
     """Words by the first word of their line; VolumeError names both lines of a repeated key."""
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise VolumeError(f"{path}: {exc}") from exc
     fields, line_of = {}, {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            words = line.split()
-            if not words:
-                continue
-            key = words[0]
-            if key in fields:
-                raise VolumeError(
-                    f"{path}:{lineno}: {key} is already set on line {line_of[key]}"
-                )
-            fields[key], line_of[key] = words[1:], lineno
+    for lineno, line in enumerate(lines, 1):
+        words = line.split()
+        if not words:
+            continue
+        key = words[0]
+        if key in fields:
+            raise VolumeError(f"{path}:{lineno}: {key} is already set on line {line_of[key]}")
+        fields[key], line_of[key] = words[1:], lineno
     return fields
 
 
@@ -358,7 +360,7 @@ CONN6 = ndimage.generate_binary_structure(3, 1)
 
 def is_connected(mask: np.ndarray) -> bool:
     """True when the voxels of ``mask`` form exactly one 6-connected component."""
-    _, n = ndimage.label(mask, structure=CONN6)
+    _, n = ndimage.label(mask[organ_box(mask)], structure=CONN6)
     return n == 1
 
 

@@ -290,19 +290,19 @@ class TestCliErrors:
         shutil.copytree(out, work)
         path = os.path.join(work, "cases", case, "features.csv")
         with open(path, "w") as f:
-            f.write("x,y\n" + "0.5,1.5\n" * 156)
+            f.write("x,y\nglobal,1.5\n" + "0.5,1.5\n" * 156)
         assert main([stage, "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
-            f"anatomesh: {stage}: {case}: {path}: 2 columns, expected 5 + 2K for K channels\n"
+            f"anatomesh: {stage}: {case}: {path}: 2 columns, expected 5 + K for K channels\n"
         )
 
     @pytest.mark.parametrize("case, name, edit, message", [
         ("train_0003", "features.csv",
-         lambda lines: ["x,y,z,e,d,local_0,global_0\n"] + ["0.5," * 6 + "0.5\n"] * 156,
+         lambda lines: ["x,y,z,e,d,local_0\n", "global,0.5\n"] + ["0.5," * 5 + "0.5\n"] * 156,
          "7 columns, the first case has 13"),
         ("train_0002", "vertex_labels.txt", lambda lines: lines[:150],
          "150 labels for 156 feature rows"),
-        ("train_0003", "features.csv", lambda lines: lines[:1], "holds no rows"),
+        ("train_0003", "features.csv", lambda lines: lines[:2], "holds no rows"),
         ("train_0002", "vertex_labels.txt", lambda lines: [], "holds no rows"),
     ], ids=["feature-width", "label-count", "no-feature-rows", "no-labels"])
     def test_inconsistent_train_input_names_the_case_and_file(self, pipeline_run, tmp_path,
@@ -332,6 +332,27 @@ class TestCliErrors:
         assert main(["build-prototype", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
             f"anatomesh: build-prototype: train_0001: malformed header {path}: 'kind'\n"
+        )
+
+    @pytest.mark.parametrize("stage, name, case", [
+        ("fit-mesh", "labels.hdr", "train_0002"),
+        ("train", "case.txt", "train_0002"),
+        ("eval", "predictions.csv", None),
+    ], ids=["volume-header", "case-file", "predictions"])
+    def test_file_that_is_not_utf8_named(self, pipeline_run, tmp_path, capsys, stage, name,
+                                         case):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, *(["cases", case] if case else []), name)
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[:14] + b"\xff" + data[15:])
+        assert main([stage, "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: {stage}: {case + ': ' if case else ''}{path}: 'utf-8' codec can't "
+            "decode byte 0xff in position 14: invalid start byte\n"
         )
 
     def test_eval_error_names_the_case(self, pipeline_run, tmp_path, capsys):
@@ -381,7 +402,7 @@ class TestCliErrors:
         with open(path) as f:
             lines = f.readlines()
         with open(path, "w") as f:
-            f.writelines(lines[:-6])  # the header and 150 of the 156 vertex rows
+            f.writelines(lines[:-6])  # the header, the global line and 150 of 156 rows
         assert main(["classify", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
             "anatomesh: classify: test_0002: 150 feature rows do not match the mesh's "
@@ -595,7 +616,7 @@ class TestStageBytes:
         "cases/*/zones.*": "da05cd0479c658cbc010e91825e6a34bdea741444931f56dcb41b005b2c09af7",
         "cases/*/vertex_labels.txt":
             "2a72774b15dc996d5fbbad80bb023d52b78d8bcf1e98b8ed3b52d658946cb7cd",
-        "cases/*/features.csv": "f4f2a4447fbff479c74f50a050bbf093879c321a07c21ff575958007d29f779e",
+        "cases/*/features.csv": "d0692bb1088cbbf4f8d938e4e16c0c58e308666e59b2818d807058e8b95f2990",
         "predictions.csv": "521fd83cfaa27013044fb94222a1c5fb8e0b3bbad6988c2574bc2ef7849059c7",
         "report/*": "f77202c83e36235c5b7cc43bf6b1334ee7f53e590669ca5b923d2d4d12d0f778",
     }

@@ -1,4 +1,6 @@
+import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -26,17 +28,33 @@ from test_zones import line_mesh, zone_mask
 
 
 def save_features_reference(feats, path):
-    """The per-value writer ``save_features`` replaced, kept as a byte-equality oracle."""
+    """A per-value writer of the ``save_features`` layout, kept as a byte-equality oracle."""
     k = (feats.shape[1] - 5) // 2
-    cols = (
-        ["x", "y", "z", "e", "d"]
-        + [f"local_{i}" for i in range(k)]
-        + [f"global_{i}" for i in range(k)]
-    )
     with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
+        f.write(",".join(["x", "y", "z", "e", "d"] + [f"local_{i}" for i in range(k)]) + "\n")
+        f.write(",".join(["global"] + [f"{v:.17g}" for v in feats[0, 5 + k :]]) + "\n")
+        for row in feats[:, : 5 + k]:
+            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def save_features_old_layout(feats, path):
+    """The layout written before the global block had one line: all 5 + 2K columns on each row."""
+    k = (feats.shape[1] - 5) // 2
+    with open(path, "w") as f:
+        f.write(",".join(["x", "y", "z", "e", "d"] + [f"local_{i}" for i in range(k)]
+                         + [f"global_{i}" for i in range(k)]) + "\n")
         for row in feats:
             f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def feature_matrices(elements):
+    """(rows, 5 + 2K) matrices for K = 1..4 and 1..6 rows, every row with one global block."""
+    def build(k):
+        return st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 6), st.just(5 + k)), elements=elements),
+            arrays(np.float64, k, elements=elements),
+        ).map(lambda parts: np.hstack([parts[0], np.broadcast_to(parts[1], (len(parts[0]), k))]))
+    return st.integers(1, 4).flatmap(build)
 
 
 def pool_features_whole_grid(mesh, zmap, probs, labels):
@@ -216,37 +234,73 @@ class TestIO:
         back = load_features(path)
         np.testing.assert_array_equal(back, feats)
 
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda k: arrays(np.float64, st.tuples(st.integers(1, 6), st.just(5 + 2 * k)),
-                             elements=awkward_floats())
-        )
-    )
+    @given(feature_matrices(awkward_floats(allow_non_finite=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_bit_for_bit(self, feats):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.csv")
+            save_features(feats, path)
+            back = load_features(path)
+        assert back.shape == feats.shape
+        assert back.view(np.uint64).tobytes() == feats.view(np.uint64).tobytes()
+
+    @given(feature_matrices(awkward_floats()))
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_per_value_writer(self, feats):
         assert written_bytes(save_features, feats) == written_bytes(save_features_reference, feats)
 
     def test_header_names(self, tmp_path):
         feats = np.zeros((2, 9))  # k = 2
+        feats[:, 7:] = [0.25, -0.0]
         path = tmp_path / "f.csv"
         save_features(feats, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "x,y,z,e,d,local_0,local_1,global_0,global_1"
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["x,y,z,e,d,local_0,local_1", "global,0.25,-0"]
+        assert lines[2:] == ["0,0,0,0,0,0,0"] * 2
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (5, 3)])
+    def test_unequal_global_columns_refused_on_save(self, tmp_path, row, col):
+        feats = np.zeros((6, 13))
+        feats[row, 9 + col] = -0.0  # equal as a number, not as bits
+        path = tmp_path / "f.csv"
+        with pytest.raises(VolumeError, match=re.escape(f"{path}: the rows must hold one "
+                                                        "global block, bit for bit")):
+            save_features(feats, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("text, match", [
-        ("x,y\n1,2\n3,4\n", "2 columns, expected 5 + 2K"),
-        ("x,y,z,e,d,l,g\n1,2,3,4,5,6,7\n1,2,3,4,5,6\n", "columns"),
-        ("x,y,z,e,d,l,g\n1,2,3,4,5,6,seven\n", "seven"),
-        ("x,y,z,e,d,l,g\n", "holds no rows"),
-    ], ids=["width", "ragged", "text", "no-rows"])
+        ("x,y\nglobal,1\n1,2\n3,4\n", "2 columns, expected 5 + K for K channels"),
+        ("x,y,z,e,d,l\nglobal,1\n1,2,3,4,5,6\n1,2,3,4,5\n", "columns"),
+        ("x,y,z,e,d,l\nglobal,1\n1,2,3,4,5,seven\n", "seven"),
+        ("x,y,z,e,d,l\nglobal,one\n1,2,3,4,5,6\n", "one"),
+        ("x,y,z,e,d,l\nglobal,1\n", "holds no rows"),
+        ("x,y,z,e,d,l,m\nglobal,1\n1,2,3,4,5,6,7\n",
+         "the global line holds 1 values for 2 local columns"),
+        ("x,y,z,e,d,l\nglobal,1,2\n1,2,3,4,5,6\n",
+         "the global line holds 2 values for 1 local columns"),
+        ("", "no 'global' line after the header"),
+        (b"x,y,z,e,d,l\nglobal,1\n1,2,3,4,5,\xff\n", "can't decode byte 0xff"),
+    ], ids=["width", "ragged", "text", "global-text", "no-rows", "short-global",
+            "long-global", "empty", "not-utf8"])
     def test_malformed_file_names_its_path(self, tmp_path, text, match):
         path = tmp_path / "f.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning on the way to the error
             with pytest.raises(VolumeError) as err:
                 load_features(str(path))
         assert re.match(f"{re.escape(str(path))}: .*{re.escape(match)}", str(err.value))
+
+    def test_old_layout_of_a_pooled_matrix_refused(self, tmp_path):
+        rng = np.random.default_rng(14)
+        feats = pool_features(*scene(rng, k=4))
+        path = tmp_path / "f.csv"
+        save_features_old_layout(feats, str(path))
+        assert path.read_text().splitlines()[1].count(",") == 12
+        with pytest.raises(VolumeError) as err:
+            load_features(str(path))
+        assert str(err.value) == (f"{path}: no 'global' line after the header: the file "
+                                  "predates this format; rerun pool-features to write it again")
 
     def test_dims_mismatch_rejected(self):
         rng = np.random.default_rng(12)

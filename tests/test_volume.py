@@ -16,6 +16,7 @@ from anatomesh.volume import (
     channel_sum,
     detected,
     dice,
+    is_connected,
     load_volume,
     organ_box,
     save_volume,
@@ -875,6 +876,38 @@ class TestOrganBox:
         box = organ_box(mask)
         assert mask[box].size == 0
         assert voxel_indices(mask[box], box).shape == (0, 3)
+
+
+class TestIsConnected:
+    """is_connected labels the mask's box; the oracle counts components on the whole grid."""
+
+    @staticmethod
+    def whole_grid(mask):
+        return ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))[1] == 1
+
+    @given(boxed_masks(max_side=9), st.sampled_from(sorted(LAYOUTS)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_whole_grid_count(self, mask, layout):
+        mask = LAYOUTS[layout](mask)
+        assert is_connected(mask) == self.whole_grid(mask)
+
+    def test_empty_mask_is_not_connected(self):
+        assert not is_connected(np.zeros((3, 4, 5), dtype=bool))
+
+    @pytest.mark.parametrize("corner", [(0, 0, 0), (4, 5, 6), (2, 3, 1)])
+    def test_one_voxel_is_connected(self, corner):
+        mask = np.zeros((5, 6, 7), dtype=bool)
+        mask[corner] = True
+        assert is_connected(mask)
+
+    @pytest.mark.parametrize("centre", [True, False], ids=["cross", "six-arms"])
+    def test_voxels_on_every_face_of_the_box(self, centre):
+        # a 3-D cross inside the grid, one arm ending on each face of its box;
+        # without its centre voxel the six arms are six components
+        mask = np.zeros((9, 8, 7), dtype=bool)
+        mask[1:6, 4, 3] = mask[3, 2:7, 3] = mask[3, 4, 1:6] = True
+        mask[3, 4, 3] = centre
+        assert is_connected(mask) == centre == self.whole_grid(mask)
 
 
 class TestDice:
