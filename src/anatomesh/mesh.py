@@ -202,73 +202,56 @@ def save_mesh(mesh: AnatomyMesh, path: str) -> None:
         f.write(mesh.topology.face_rows)
 
 
-# v rows as save_mesh writes them: a tag and three fields, one row per line
-_V_ROWS = re.compile(r"(?:v \S+ \S+ \S+\n)*")
+# The layout save_mesh writes: comment lines, among them the region lines,
+# then one v row per vertex and one f row per face, single spaces, every line
+# ending in a newline.
+_LAYOUT = re.compile(
+    r"((?:# region \S+ [0-9]+ [0-9]+\n|#(?! region ).*\n)*)"
+    r"((?:v \S+ \S+ \S+\n)*)"
+    r"((?:f [0-9]+ [0-9]+ [0-9]+\n)*)"
+)
+_REGION = re.compile(r"^# region \S+ ([0-9]+) ([0-9]+)$", re.MULTILINE)
 
 
-def _vertices_onto(text: str, like: AnatomyMesh) -> np.ndarray | None:
-    """The vertices of ``text`` if it is ``like``'s region comments, one v row
-    per vertex and ``like``'s f rows, as :func:`save_mesh` writes them; else None.
-
-    Only the v rows are split into fields. Whatever this accepts, the
-    line-by-line read accepts with the same vertices.
-    """
-    if len(like.region_counts) > len(REGION_NAMES) or not len(like.faces):
-        return None  # save_mesh cannot write such a mesh so that it reads back
-    head, tail = _region_comments(like.region_counts), like.topology.face_rows
-    if not (text.startswith(head) and text.endswith(tail)):
-        return None
-    rows = text[len(head) : len(text) - len(tail)]
-    if rows.count("\n") != like.n_vertices or not _V_ROWS.fullmatch(rows):
-        return None
+def _fields(rows: str, dtype: type) -> np.ndarray:
+    """The (N, 3) fields of N ``tag a b c`` rows."""
     fields = rows.split()
-    del fields[::4]  # the v tags
-    try:
-        return np.array(fields, dtype=np.float64).reshape(-1, 3)
-    except ValueError:
-        return None  # the line-by-line read names the field
+    del fields[::4]  # the tags
+    return np.array(fields, dtype=dtype).reshape(-1, 3)
 
 
 def load_mesh(path: str, like: AnatomyMesh | None = None) -> AnatomyMesh:
-    """Read a mesh written by :func:`save_mesh`.
+    """Read a mesh in the layout :func:`save_mesh` writes, and no other.
 
-    A malformed line raises :class:`MeshError` naming the path. Given ``like``,
-    the file must hold ``like``'s faces and region counts (else the same), and
-    the result shares ``like``'s topology.
+    The ``# region`` comments give the region counts; without them every
+    vertex is in one region. Another layout (named by its first line that
+    does not fit), a field that is not a number and a mesh that
+    :class:`AnatomyMesh` refuses raise :class:`MeshError` naming the path.
+    Given ``like``, the file must hold ``like``'s region counts and f rows
+    (else the same); only its v rows are split into fields, and the result
+    shares ``like``'s topology.
     """
     try:
-        with open(path) as f:
+        with open(path, newline="") as f:
             text = f.read()
-    except ValueError as exc:  # not text
+        layout = _LAYOUT.match(text)
+        end = layout.end()
+        if end < len(text):
+            line, newline, _ = text[end:].partition("\n")
+            n = text.count("\n", 0, end) + 1
+            why = ("is not a comment, v or f row as save_mesh writes them" if newline
+                   else "does not end in a newline")
+            raise MeshError(f"line {n} {line!r} {why}")
+        comments, v_rows, f_rows = layout.groups()
+        if not v_rows or not f_rows:
+            raise MeshError("no mesh data found")
+        vertices = _fields(v_rows, np.float64)
+        counts = tuple(int(b) - int(a) + 1 for a, b in _REGION.findall(comments))
+        counts = counts or (len(vertices),)
+        if like is None:
+            return AnatomyMesh(vertices, _fields(f_rows, np.int64) - 1, counts)
+        if counts != like.region_counts or f_rows != like.topology.face_rows:
+            raise MeshError("faces or region counts differ from the prototype's")
+        return like.with_vertices(vertices)
+    except (ValueError, OverflowError) as exc:  # not text, out of the layout or a bad mesh
         raise MeshError(f"{path}: {exc}") from exc
-    if like is not None:
-        vertices = _vertices_onto(text, like)
-        if vertices is not None:
-            return like.with_vertices(vertices)
-    verts: list[list[str]] = []
-    faces: list[list[str]] = []
-    counts: list[int] = []
-    try:
-        for line in text.split("\n"):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "#" and len(parts) >= 5 and parts[1] == "region":
-                counts.append(int(parts[4]) - int(parts[3]) + 1)
-            elif parts[0] == "v":
-                verts.append(parts[1:4])
-            elif parts[0] == "f":
-                faces.append(parts[1:4])
-        # a short or non-numeric v/f row fails here
-        vertices = np.array(verts, dtype=np.float64)
-        face_array = np.array(faces, dtype=np.int64) - 1
-    except ValueError as exc:
-        raise MeshError(f"{path}: {exc}") from exc
-    if not verts or not faces:
-        raise MeshError(f"{path}: no mesh data found")
-    region_counts = tuple(counts) if counts else (len(verts),)
-    if like is None:
-        return AnatomyMesh(vertices, face_array, region_counts)
-    if region_counts != like.region_counts or not np.array_equal(face_array, like.faces):
-        raise MeshError(f"{path}: faces or region counts differ from the prototype's")
-    return like.with_vertices(vertices)

@@ -12,7 +12,7 @@ from typing import TypeVar
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .evaluate import (
     MASS_LABELS,
     EvalError,
@@ -66,9 +66,18 @@ def _case_dirs(out_dir: str, *splits: str) -> list[str]:
 
 
 def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
-    """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
+    """Training and validation case dirs; validation is the last ``val_fraction`` of them.
+
+    A split that leaves no training case raises :class:`ConfigError`.
+    """
     dirs = _case_dirs(out_dir, "train")
     n_val = int(round(cfg.train.val_fraction * len(dirs)))
+    if n_val == len(dirs):
+        raise ConfigError(
+            f"[train] val_fraction = {cfg.train.val_fraction:g} leaves no training case: "
+            f"{n_val} of the {len(dirs)} train cases ([synth] n_train = {cfg.synth.n_train}) "
+            "are for validation"
+        )
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 

@@ -85,22 +85,20 @@ def channel_sum(channels: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_probabilities(rows: np.ndarray, voxels) -> None:
-    """Raise VolumeError unless every (..., K) row is non-negative and sums to 1.
+def _check_probabilities(rows: np.ndarray, origin: list[int]) -> None:
+    """Raise VolumeError unless every (w, h, d, K) row is non-negative and sums to 1.
 
-    ``voxels(bad)`` gives the (n, 3) grid voxels of the rows that the
-    boolean ``bad`` marks; a bad row is reported by the first of them in
-    (w, h, d) order. A NaN sum fails.
+    The first bad row in (w, h, d) order is named by its grid voxel, row
+    (0, 0, 0) being voxel ``origin``. A NaN sum fails.
     """
     sums = channel_sum(np.moveaxis(rows, -1, 0))
     bad = ~(np.abs(sums - 1.0) <= PROB_TOL)
     if bad.any():
-        at = voxels(bad)
-        first = np.lexsort(at.T[::-1])[0]
-        w, h, d = at[first].tolist()
+        at = np.argwhere(bad)[0]  # argwhere runs in C order: (w, h, d) order
+        w, h, d = (at + origin).tolist()
         raise VolumeError(
             f"probability rows must sum to 1 +- {PROB_TOL}; voxel ({w},{h},{d}) "
-            f"sums to {sums[bad][first]:.6f}"
+            f"sums to {sums[tuple(at)]:.6f}"
         )
     if (rows < 0).any():
         raise VolumeError("probability values must be non-negative")
@@ -153,19 +151,8 @@ class ProbVolume:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
-        origin = [s.start for s in box]
-        _check_probabilities(self.data, lambda bad: np.argwhere(bad) + origin)
+        _check_probabilities(self.data, [s.start for s in box])
         self.data.setflags(write=False)
-
-    @classmethod
-    def _checked(cls, data, spacing, dims, box) -> ProbVolume:
-        """The volume the constructor would make of float32 ``data`` that fills
-        ``box``, for a caller that has checked its rows: they are not checked again."""
-        vol = object.__new__(cls)
-        for name, value in (("data", data), ("spacing", spacing), ("dims", dims), ("box", box)):
-            object.__setattr__(vol, name, value)
-        data.setflags(write=False)
-        return vol
 
     @property
     def channels(self) -> int:
@@ -279,7 +266,8 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
     """Load a volume written by :func:`save_volume`.
 
     The box is filled with background and the stored values are scattered
-    into it; only the stored rows of a prob volume are checked. A header
+    into it; a prob volume's rows are checked as its constructor checks
+    them, and an error names the ``.raw`` file. A header
     without a ``box`` or a ``stored mask`` line predates this format and is
     refused. The data is read-only, in the file's w-fastest order: a
     consumer that needs another order copies. A label volume's box is
@@ -336,12 +324,6 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
     values = np.frombuffer(payload, dtype=item, offset=skip).reshape(-1, channels)
     if kind == "label" and not values.all():
         raise VolumeError(f"{raw_path}: a stored label is 0, which is background")
-    if kind == "prob":
-        try:
-            _check_probabilities(values, lambda bad: np.column_stack(
-                np.unravel_index(index[bad], (bd, bh, bw))[::-1]) + (x0, y0, z0))
-        except VolumeError as exc:
-            raise VolumeError(f"{raw_path}: {exc}") from None
     rows = np.zeros((size, channels), dtype=item)
     rows[:, 0] = _background(kind, channels)[0]
     row = np.dtype((np.void, channels * item.itemsize))
@@ -350,8 +332,11 @@ def load_volume(path: str) -> LabelVolume | ProbVolume:
         grid = np.zeros((d, h, w), dtype=np.uint8)
         grid[z0:z1, y0:y1, x0:x1] = rows.reshape(bd, bh, bw)
         return LabelVolume(grid.transpose(2, 1, 0), spacing)
-    return ProbVolume._checked(rows.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3),
-                               spacing, dims, box)
+    try:
+        return ProbVolume(rows.reshape(bd, bh, bw, channels).transpose(2, 1, 0, 3),
+                          spacing, dims, box)
+    except VolumeError as exc:  # a bad probability row
+        raise VolumeError(f"{raw_path}: {exc}") from None
 
 
 # 6-connectivity: voxels are neighbours when they share a face.

@@ -226,6 +226,19 @@ class TestCliErrors:
         assert rc == 1
         assert "anatomesh: train:" in capsys.readouterr().err
 
+    def test_no_training_case_left(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        for name in ("train_0000", "train_0001"):
+            (work / "cases" / name).mkdir(parents=True)
+        text = SMALL_CONFIG.replace("n_train = 12", "n_train = 2").replace(
+            "val_fraction = 0.25", "val_fraction = 0.75")
+        rc = main(["train", "--config", write_config(tmp_path, text), "--out", str(work)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "anatomesh: train: [train] val_fraction = 0.75 leaves no training case: "
+            "2 of the 2 train cases ([synth] n_train = 2) are for validation\n"
+        )
+
     def test_zone_error_names_the_case(self, tmp_path, capsys, template):
         from anatomesh.mesh import save_mesh
         from anatomesh.volume import save_volume
@@ -281,6 +294,28 @@ class TestCliErrors:
             f"anatomesh: {stage}: train_0002: {path}: "
             "faces or region counts differ from the prototype's\n"
         )
+
+    @pytest.mark.parametrize("stage, edit, message", [
+        ("render-zones", "face index", "face indices out of range"),
+        ("fit-mesh", "region count",
+         "region counts (47, 42, 45, 21) do not sum to vertex count 156"),
+    ])
+    def test_damaged_prototype_names_the_file(self, pipeline_run, tmp_path, capsys,
+                                              stage, edit, message):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "prototype.obj")
+        with open(path) as f:
+            lines = f.readlines()
+        if edit == "face index":
+            lines[-1] = "f 1 2 157\n"
+        else:
+            lines[0] = lines[0].replace(" 1 ", " 2 ", 1)
+        with open(path, "w") as f:
+            f.writelines(lines)
+        assert main([stage, "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == f"anatomesh: {stage}: {path}: {message}\n"
 
     @pytest.mark.parametrize("stage, case", [("train", "train_0003"), ("classify", "test_0001")])
     def test_bad_features_file_names_the_case_and_file(self, pipeline_run, tmp_path, capsys,

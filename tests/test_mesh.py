@@ -17,7 +17,8 @@ from anatomesh.mesh import (
     region_ranges,
     save_mesh,
 )
-from anatomesh.template import template_mesh_arrays
+from anatomesh.prototype import assign_regions
+from anatomesh.template import TEMPLATE_PATH, template_mesh_arrays
 
 from conftest import awkward_floats, vertex_region_names, written_bytes
 from template_build import icosphere
@@ -35,7 +36,12 @@ def save_mesh_reference(mesh, path):
 
 
 def load_mesh_line_by_line(path, like=None):
-    """``load_mesh`` before its read onto ``like`` split only the v rows, kept as an oracle."""
+    """``load_mesh`` before it read only the layout ``save_mesh`` writes, kept as an oracle.
+
+    It skips blank lines, splits each line on any whitespace and takes the
+    first three fields of a v or f row wherever it stands, so it also reads
+    layouts that no writer produces.
+    """
     verts, faces, counts = [], [], []
     try:
         with open(path) as f:
@@ -63,8 +69,9 @@ def load_mesh_line_by_line(path, like=None):
     return like.with_vertices(vertices)
 
 
-def read_outcome(load, text, like):
-    """The vertex bytes ``load`` reads from ``text`` onto ``like``, or its MeshError message."""
+def read_outcome(load, text, like=None):
+    """The vertex bytes, face bytes and region counts ``load`` reads from ``text``
+    (onto ``like`` if given), or its MeshError message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.obj")
         with open(path, "w") as f:
@@ -73,8 +80,16 @@ def read_outcome(load, text, like):
             mesh = load(path, like=like)
         except MeshError as exc:
             return str(exc).replace(path, "<path>")
-        assert mesh.topology is like.topology
-        return mesh.vertices.tobytes()
+        if like is not None:
+            assert mesh.topology is like.topology
+        return mesh.vertices.tobytes(), mesh.faces.tobytes(), mesh.region_counts
+
+
+def prototype_of(template):
+    """A mesh as build-prototype makes one: the template's faces, re-indexed by
+    :func:`assign_regions` along the long axis of a capsule."""
+    capsule = template.with_vertices(template.vertices * (20.0, 7.0, 7.0) + 24.0)
+    return assign_regions(capsule, np.array([0.0, 24.0, 24.0]))
 
 
 def mean_incident_edge_lengths_add_at(mesh):
@@ -266,31 +281,81 @@ def edited(text, edit):
         lines.insert(v, lines[v])
     elif edit == "v spaced":
         lines[v] = lines[v].replace(" ", "  ")
+    elif edit == "v extra field":
+        lines[v] = lines[v].replace("\n", " 1\n")
+    elif edit == "v crlf":
+        lines[v] = lines[v].replace("\n", "\r\n")
+    elif edit == "blank line":
+        lines.insert(v, "\n")
+    elif edit == "f among v":
+        lines.insert(v + 1, lines.pop(f))
+    elif edit == "# region short":
+        lines[r] = lines[r].rsplit(" ", 1)[0] + "\n"
+    elif edit == "no final newline":
+        lines[-1] = lines[-1].rstrip("\n")
     return "".join(lines)
 
 
+# Damaged files out of save_mesh's layout, with the first line load_mesh names.
+OUT_OF_LAYOUT = {"v spaced": 5, "v two on a line": 5, "v extra field": 5, "v crlf": 5,
+                 "blank line": 5, "f among v": 7, "# region short": 1, "no final newline": 468}
+# The damaged layouts the line-by-line read accepts: no writer produces them.
+LINE_BY_LINE_READS = {"v spaced", "v extra field", "v crlf", "blank line", "f among v",
+                      "no final newline"}
+
+
 class TestReadOntoLike:
-    """load_mesh(like=) splits only the v rows; the line-by-line read is the oracle."""
+    """load_mesh reads only the layout save_mesh writes; on every file save_mesh
+    writes it reads what the line-by-line oracle reads."""
 
     @given(arrays(np.float64, (12, 3), elements=awkward_floats()))
     @settings(max_examples=200, deadline=None)
     def test_same_vertices_as_line_by_line(self, verts):
         like = AnatomyMesh(np.zeros((12, 3)), icosphere(0)[1], (3, 3, 3, 3))
         text = written_bytes(save_mesh, like.with_vertices(verts)).decode()
-        got = read_outcome(load_mesh, text, like)
-        assert isinstance(got, bytes)
-        assert got == read_outcome(load_mesh_line_by_line, text, like)
+        for onto in (None, like):
+            got = read_outcome(load_mesh, text, onto)
+            assert isinstance(got, tuple)
+            assert got == read_outcome(load_mesh_line_by_line, text, onto)
 
-    @pytest.mark.parametrize("edit", [
+    @pytest.mark.parametrize("name", ["template", "template.obj", "prototype", "fitted"])
+    def test_written_meshes_read_as_line_by_line(self, template, name):
+        proto = prototype_of(template)
+        rng = np.random.default_rng(3)
+        fitted = proto.with_vertices(proto.vertices + rng.normal(size=proto.vertices.shape))
+        if name == "template.obj":
+            with open(TEMPLATE_PATH) as f:
+                text = f.read()
+        else:
+            mesh = {"template": template, "prototype": proto, "fitted": fitted}[name]
+            text = written_bytes(save_mesh, mesh).decode()
+        # template.obj has no region comments: one region, so not the template's four
+        likes = {"template": (None, template), "template.obj": (None,)}.get(name, (None, proto))
+        for like in likes:
+            got = read_outcome(load_mesh, text, like)
+            assert isinstance(got, tuple)
+            assert got == read_outcome(load_mesh_line_by_line, text, like)
+
+    @pytest.mark.parametrize("edit", sorted({
         "face order", "face dropped", "# no regions", "# region count", "v short", "v text",
-        "v two on a line", "v dropped", "v extra", "v spaced",
-    ])
+        "v dropped", "v extra", *OUT_OF_LAYOUT,
+    }))
     def test_damaged_file_gives_the_same_outcome(self, template, edit):
         text = edited(written_bytes(save_mesh, template).decode(), edit)
         got = read_outcome(load_mesh, text, template)
-        assert got == read_outcome(load_mesh_line_by_line, text, template)
-        # a doubled space is still a valid row; every other edit is rejected
-        assert isinstance(got, bytes) == (edit == "v spaced")
+        assert isinstance(got, str) and got.startswith("<path>: ")
+        oracle = read_outcome(load_mesh_line_by_line, text, template)
+        assert isinstance(oracle, str) == (edit not in LINE_BY_LINE_READS)
+
+    @pytest.mark.parametrize("edit", sorted(OUT_OF_LAYOUT))
+    def test_refusal_names_the_first_line_out_of_layout(self, template, edit):
+        text = edited(written_bytes(save_mesh, template).decode(), edit)
+        n = OUT_OF_LAYOUT[edit]
+        line = text.split("\n")[n - 1]
+        why = ("does not end in a newline" if edit == "no final newline"
+               else "is not a comment, v or f row as save_mesh writes them")
+        for like in (None, template):
+            assert read_outcome(load_mesh, text, like) == f"<path>: line {n} {line!r} {why}"
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -298,8 +363,10 @@ class TestReadOntoLike:
         text = written_bytes(save_mesh, template).decode()
         cut = data.draw(st.integers(0, len(text) - 1))
         got = read_outcome(load_mesh, text[:cut], template)
-        assert got == read_outcome(load_mesh_line_by_line, text[:cut], template)
-        assert isinstance(got, bytes) == (cut == len(text) - 1)  # only the last newline may go
+        assert isinstance(got, str) and got.startswith("<path>: ")
+        # the line-by-line read also accepts a file without its last newline
+        oracle = read_outcome(load_mesh_line_by_line, text[:cut], template)
+        assert isinstance(oracle, str) == (cut < len(text) - 1)
 
     @pytest.mark.parametrize("like, fails_at, message", [
         # save_mesh names four regions, so it refuses a fifth before it opens the file
@@ -321,6 +388,18 @@ class TestReadOntoLike:
             got = read_outcome(load_mesh, text, like)
             assert got == read_outcome(load_mesh_line_by_line, text, like)
         assert message in got
+
+    @pytest.mark.parametrize("edit, message", [
+        ("face index", "face indices out of range"),
+        ("# region count", "region counts (47, 42, 45, 21) do not sum to vertex count 156"),
+    ])
+    def test_structure_error_names_the_file(self, template, edit, message):
+        text = written_bytes(save_mesh, prototype_of(template)).decode()
+        if edit == "face index":
+            text = text[: text.rindex("f ")] + "f 1 2 157\n"
+        else:
+            text = edited(text, edit)
+        assert read_outcome(load_mesh, text) == f"<path>: {message}"
 
 
 class TestValidation:
