@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .synth import DEFAULT_CLASSES
-from .volume import LabelVolume, dice, detected
+from .volume import LabelVolume
 
 __all__ = [
     "ConfusionMatrix",
@@ -114,19 +114,17 @@ class DetectionTable:
             f.write(f"macro,{self.macro[0]:.9g},{self.macro[1]:.9g},\n")
 
 
-def detection_table(cases: list[tuple[np.ndarray, np.ndarray, int]]) -> DetectionTable:
+def detection_table(cases: list[tuple[float, bool, int]]) -> DetectionTable:
     """Per-class mean Dice and detection rate, with micro and macro summaries.
 
-    micro pools all cases; macro averages the values of the classes that
-    have cases.
+    Each case is its mass's (Dice, detected, class). micro pools all
+    cases; macro averages the values of the classes that have cases.
     """
     if not cases:
         raise EvalError("empty case list")
     by_class: dict[int, list[tuple[float, bool]]] = {}
-    for pred, gt, cls in cases:
-        by_class.setdefault(cls, []).append(
-            (dice(pred, gt), detected(pred, gt))
-        )
+    for d, hit, cls in cases:
+        by_class.setdefault(cls, []).append((d, hit))
     per_class = {}
     for cls, vals in sorted(by_class.items()):
         dices = [d for d, _ in vals]

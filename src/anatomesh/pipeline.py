@@ -29,7 +29,7 @@ from .features import load_features, load_rows, pool_features, save_features
 from .graphnet import GraphNetError, forward, load_params, save_params, train
 from .mesh import AnatomyMesh, MeshError, load_mesh, save_mesh
 from .meshfit import FitError, fit_mesh
-from .prototype import assign_regions, build_prototype, mean_shape
+from .prototype import assign_regions, build_prototype, mean_shape, organ_crop
 from .synth import (
     MANAGEMENT_BY_CLASS,
     SynthError,
@@ -38,7 +38,7 @@ from .synth import (
     load_case_info,
     save_case,
 )
-from .volume import LabelVolume, VolumeError, load_volume, save_volume
+from .volume import LabelVolume, VolumeError, detected, dice, load_volume, save_volume
 from .workers import Channel, cpus, forked, in_worker
 from .zones import ZoneError, render_zones, vertex_labels
 
@@ -65,19 +65,25 @@ def _case_dirs(out_dir: str, *splits: str) -> list[str]:
     return [os.path.join(root, d) for split in splits for d in names if d.startswith(split)]
 
 
-def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
-    """Training and validation case dirs; validation is the last ``val_fraction`` of them.
+def _n_val(cfg: RunConfig, n_cases: int) -> int:
+    """How many of ``n_cases`` train cases are for validation: ``val_fraction`` of them.
 
     A split that leaves no training case raises :class:`ConfigError`.
     """
-    dirs = _case_dirs(out_dir, "train")
-    n_val = int(round(cfg.train.val_fraction * len(dirs)))
-    if n_val == len(dirs):
+    n_val = int(round(cfg.train.val_fraction * n_cases))
+    if n_val == n_cases:
         raise ConfigError(
             f"[train] val_fraction = {cfg.train.val_fraction:g} leaves no training case: "
-            f"{n_val} of the {len(dirs)} train cases ([synth] n_train = {cfg.synth.n_train}) "
+            f"{n_val} of the {n_cases} train cases ([synth] n_train = {cfg.synth.n_train}) "
             "are for validation"
         )
+    return n_val
+
+
+def _split_train(cfg: RunConfig, out_dir: str) -> tuple[list[str], list[str]]:
+    """Training and validation case dirs; validation is the last ``val_fraction`` of them."""
+    dirs = _case_dirs(out_dir, "train")
+    n_val = _n_val(cfg, len(dirs))
     return dirs[: len(dirs) - n_val], dirs[len(dirs) - n_val :]
 
 
@@ -196,10 +202,12 @@ def stage_synth(cfg: RunConfig, out_dir: str) -> None:
 
 def stage_prototype(cfg: RunConfig, out_dir: str) -> None:
     dirs = _case_dirs(out_dir, "train")[: cfg.fit.prototype_cases]
+    # only each case's organ crop is kept: its whole label grid is freed once cropped
     cases = _per_case(
-        dirs, lambda d: (load_volume(os.path.join(d, "labels")), load_case_info(d).head_end)
+        dirs, lambda d: (organ_crop(load_volume(os.path.join(d, "labels"))),
+                         load_case_info(d).head_end)
     )
-    mean = mean_shape([labels for labels, _ in cases])
+    mean = mean_shape([crop for crop, _ in cases])
     proto = build_prototype(mean, cfg.fit)
     proto = assign_regions(proto, np.mean([head_end for _, head_end in cases], axis=0))
     save_mesh(proto, os.path.join(out_dir, "prototype.obj"))
@@ -354,15 +362,17 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     # Surgery against the rest: the paper's PDAC-vs-nonPDAC split
     surgery = {k: binary_metrics(mgmt_pred[k], mgmt_true, "Surgery") for k in preds}
 
-    def masses(d: str) -> tuple[np.ndarray, np.ndarray] | None:
+    def scores(d: str) -> tuple[float, bool] | None:
+        # only the scores are kept: each case's masks are freed once scored
         gt_mass = np.isin(load_volume(os.path.join(d, "labels")).data, list(MASS_LABELS))
         if not gt_mass.any():
             return None
-        return np.isin(_load_segmentation(d).data, list(MASS_LABELS)), gt_mass
+        pred_mass = np.isin(_load_segmentation(d).data, list(MASS_LABELS))
+        return dice(pred_mass, gt_mass), detected(pred_mass, gt_mass)
 
     dirs = [os.path.join(out_dir, "cases", row[0]) for row in rows]
-    seg_cases = [
-        (*pair, row[1]) for row, pair in zip(rows, _per_case(dirs, masses)) if pair is not None
+    scored = [
+        (*pair, row[1]) for row, pair in zip(rows, _per_case(dirs, scores)) if pair is not None
     ]
     # eval owns report/: a rerun without a mass case must not leave an old detection table
     report_dir = os.path.join(out_dir, "report")
@@ -370,8 +380,8 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
         shutil.rmtree(report_dir)
     os.makedirs(report_dir)
     cm.to_csv(os.path.join(report_dir, "management_confusion.csv"))
-    if seg_cases:
-        dt = detection_table(seg_cases)
+    if scored:
+        dt = detection_table(scored)
         dt.to_csv(os.path.join(report_dir, "detection_table.csv"))
     with open(os.path.join(report_dir, "report.txt"), "w") as f:
         f.write("classification accuracy (test split)\n")
@@ -416,6 +426,7 @@ def write_manifest(cfg: RunConfig, out_dir: str, stages: list[str]) -> None:
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str) -> dict[str, float]:
+    _n_val(cfg, cfg.synth.n_train)  # train's split rule, before synth-gen writes a case
     os.makedirs(out_dir, exist_ok=True)
     accs = {}
     for name, fn in STAGES:

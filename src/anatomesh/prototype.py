@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .mesh import AnatomyMesh, MeshError
@@ -9,43 +11,72 @@ from .meshfit import FitConfig, SurfaceIndex, fit_mesh, mean_surface_distance
 from .template import template_mesh_arrays
 from .volume import LabelVolume, VolumeError, is_connected, organ_box, voxel_indices
 
-__all__ = ["mean_shape", "build_prototype", "assign_regions"]
+__all__ = ["OrganCrop", "organ_crop", "mean_shape", "build_prototype", "assign_regions"]
 
 
-def mean_shape(masks: list[LabelVolume]) -> LabelVolume:
+@dataclass(frozen=True)
+class OrganCrop:
+    """What :func:`mean_shape` reads of a label volume: its organ on the organ's box.
+
+    ``mask`` is a box-sized copy, so the whole grid it was cut from can be
+    freed. ``axes`` lists the grid's axes from slowest to fastest in
+    memory, as ``np.zeros_like`` lays out a copy of the grid; the mean
+    shape keeps that layout.
+    """
+
+    mask: np.ndarray
+    box: tuple[slice, slice, slice]
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    axes: tuple[int, int, int]
+
+
+def organ_crop(labels: LabelVolume) -> OrganCrop:
+    """The organ of ``labels`` on its box; VolumeError if it has no organ voxel."""
+    organ = labels.organ
+    box = organ_box(organ)
+    mask = organ[box]
+    if not mask.any():
+        raise VolumeError("a mask contains no organ voxels")
+    data = labels.data
+    if data.flags.c_contiguous:
+        axes = (0, 1, 2)
+    elif data.flags.f_contiguous:
+        axes = (2, 1, 0)
+    else:
+        axes = tuple(int(k) for k in np.argsort([-abs(s) for s in data.strides], kind="stable"))
+    # a view would keep the whole-grid mask alive; "K" keeps its memory order
+    return OrganCrop(mask.copy(order="K"), box, labels.dims, labels.spacing, axes)
+
+
+def mean_shape(crops: list[OrganCrop]) -> LabelVolume:
     """Mean of centroid-aligned binary organ masks, thresholded at 0.5.
 
-    Alignment is integer translation only; all inputs must share spacing.
+    Alignment is integer translation only; all inputs must share spacing
+    and dims. The result is laid out as the first mask's grid.
     """
-    if not masks:
+    if not crops:
         raise VolumeError("mean_shape needs at least one mask")
-    spacing = masks[0].spacing
-    dims = masks[0].dims
-    for m in masks[1:]:
-        if m.spacing != spacing:
-            raise VolumeError(f"spacing mismatch: {m.spacing} vs {spacing}")
-        if m.dims != dims:
-            raise VolumeError(f"dims mismatch: {m.dims} vs {dims}")
-    boxes, crops, centroids = [], [], []
-    for m in masks:
-        b = m.organ
-        box = organ_box(b)
-        crop = b[box]
-        if not crop.any():
-            raise VolumeError("a mask contains no organ voxels")
-        boxes.append(box)
-        crops.append(crop)
-        centroids.append(voxel_indices(crop, box).mean(axis=0))
+    first = crops[0]
+    spacing, dims = first.spacing, first.dims
+    for c in crops[1:]:
+        if c.spacing != spacing:
+            raise VolumeError(f"spacing mismatch: {c.spacing} vs {spacing}")
+        if c.dims != dims:
+            raise VolumeError(f"dims mismatch: {c.dims} vs {dims}")
+    centroids = [voxel_indices(c.mask, c.box).mean(axis=0) for c in crops]
     ref = np.round(np.mean(centroids, axis=0)).astype(int)
     # each crop votes at its box shifted by whole voxels, wrapping round the
-    # grid as np.roll does; the votes are whole counts, so every sum is exact
-    acc = np.zeros_like(masks[0].data, dtype=np.float64)  # the masks' memory order
-    for box, crop, c in zip(boxes, crops, centroids):
-        shift = ref - np.round(c).astype(int)
-        acc[np.ix_(*[(np.arange(s.start, s.stop) + k) % n
-                     for s, k, n in zip(box, shift, dims)])] += crop
-    acc /= len(masks)
-    mean_mask = acc >= 0.5
+    # grid as np.roll does, in the smallest unsigned type that holds every vote
+    n = len(crops)
+    votes = np.zeros([dims[k] for k in first.axes], dtype=np.min_scalar_type(n))
+    votes = votes.transpose(np.argsort(first.axes))
+    for c, centroid in zip(crops, centroids):
+        shift = ref - np.round(centroid).astype(int)
+        votes[np.ix_(*[(np.arange(s.start, s.stop) + k) % m
+                       for s, k, m in zip(c.box, shift, dims)])] += c.mask
+    # votes / n >= 0.5 on whole counts; 2 * votes could overflow the vote type
+    mean_mask = votes >= (n + 1) // 2
     if not mean_mask.any():
         raise VolumeError("mean shape is empty")
     if not is_connected(mean_mask):

@@ -310,10 +310,8 @@ class TestCriterion6Metrics:
         g[:4] = True
         half = np.zeros_like(g)
         half[:2] = True
-        t = detection_table(
-            [(g.copy(), g.copy(), 2), (half, g.copy(), 2),
-             (np.zeros_like(g), g.copy(), 3)]
-        )
+        cases = [(g.copy(), g.copy(), 2), (half, g.copy(), 2), (np.zeros_like(g), g.copy(), 3)]
+        t = detection_table([(dice(p, gt), detected(p, gt), c) for p, gt, c in cases])
         assert t.per_class[2] == (pytest.approx((1.0 + 2 / 3) / 2), 1.0, 2)
         assert t.per_class[3] == (0.0, 0.0, 1)
         assert t.macro[1] == 0.5

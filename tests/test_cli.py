@@ -239,6 +239,20 @@ class TestCliErrors:
             "2 of the 2 train cases ([synth] n_train = 2) are for validation\n"
         )
 
+    def test_pipeline_refuses_a_split_without_training_case_before_synth_gen(
+        self, tmp_path, capsys
+    ):
+        work = tmp_path / "w"
+        text = SMALL_CONFIG.replace("n_train = 12", "n_train = 2").replace(
+            "val_fraction = 0.25", "val_fraction = 0.75")
+        rc = main(["pipeline", "--config", write_config(tmp_path, text), "--out", str(work)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "anatomesh: pipeline: [train] val_fraction = 0.75 leaves no training case: "
+            "2 of the 2 train cases ([synth] n_train = 2) are for validation\n"
+        )
+        assert not (work / "cases").exists()
+
     def test_zone_error_names_the_case(self, tmp_path, capsys, template):
         from anatomesh.mesh import save_mesh
         from anatomesh.volume import save_volume
@@ -367,6 +381,18 @@ class TestCliErrors:
         assert main(["build-prototype", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
             f"anatomesh: build-prototype: train_0001: malformed header {path}: 'kind'\n"
+        )
+
+    def test_prototype_case_without_organ_named(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "cases", "train_0001", "labels")
+        labels = load_volume(path)
+        save_volume(LabelVolume(np.zeros(labels.dims, np.uint8), labels.spacing), path)
+        assert main(["build-prototype", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == (
+            "anatomesh: build-prototype: train_0001: a mask contains no organ voxels\n"
         )
 
     @pytest.mark.parametrize("stage, name, case", [
@@ -608,6 +634,23 @@ class TestPipeline:
         assert [c.tolist() for c in counts] == [c.tolist() for c in expect]
         assert filecmp.cmp(os.path.join(out, "predictions.csv"),
                            os.path.join(work, "predictions.csv"), shallow=False)
+
+    def test_eval_keeps_each_mass_score_not_its_masks(self, pipeline_run, tmp_path,
+                                                      monkeypatch):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        tables = []
+        table = pipeline.detection_table
+        monkeypatch.setattr(pipeline, "detection_table",
+                            lambda cases: tables.append(cases) or table(cases))
+        pipeline.stage_eval(load_config(cfg), work)
+        [cases] = tables
+        assert cases and all(
+            type(d) is float and type(hit) is bool and type(c) is int for d, hit, c in cases
+        )
+        assert filecmp.cmp(os.path.join(out, "report", "detection_table.csv"),
+                           os.path.join(work, "report", "detection_table.csv"), shallow=False)
 
     def test_rerun_bit_identical(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run

@@ -19,13 +19,19 @@ from anatomesh.evaluate import (
 )
 from anatomesh.pipeline import stage_eval
 from anatomesh.synth import BLOB_LABEL, DEFAULT_CLASSES, TUBE_LABEL
-from anatomesh.volume import LabelVolume, dice, save_volume
+from anatomesh.volume import LabelVolume, detected, dice, save_volume
 
 
 def block(n, on):
     m = np.zeros((n, 1, 1), dtype=bool)
     m.reshape(-1)[:on] = True
     return m
+
+
+def scored(cases):
+    """Each (predicted mass, true mass, class) case as the (Dice, detected, class)
+    row ``detection_table`` takes."""
+    return [(dice(pred, gt), detected(pred, gt), cls) for pred, gt, cls in cases]
 
 
 class TestBinaryMetrics:
@@ -74,7 +80,7 @@ class TestDetectionTable:
         ]
 
     def test_per_class_hand_counts(self):
-        t = detection_table(self._cases())
+        t = detection_table(scored(self._cases()))
         d2, r2, n2 = t.per_class[2]
         assert n2 == 2
         assert d2 == pytest.approx((1.0 + dice(block(8, 2), block(8, 4))) / 2)
@@ -83,13 +89,13 @@ class TestDetectionTable:
         assert (d3, r3, n3) == (0.0, 0.0, 1)
 
     def test_micro_pools_cases(self):
-        t = detection_table(self._cases())
+        t = detection_table(scored(self._cases()))
         dices = [dice(p, g) for p, g, _ in self._cases()]
         assert t.micro[0] == pytest.approx(np.mean(dices))
         assert t.micro[1] == pytest.approx(2 / 3)
 
     def test_macro_unweighted(self):
-        t = detection_table(self._cases())
+        t = detection_table(scored(self._cases()))
         d2 = t.per_class[2][0]
         assert t.macro[0] == pytest.approx((d2 + 0.0) / 2)
         assert t.macro[1] == pytest.approx(0.5)
@@ -102,7 +108,7 @@ class TestDetectionTable:
             gt[0, 0, 0] = True
             pred = gt & (rng.random((6, 6, 6)) < 0.8)
             cases.append((pred, gt, 2 + i % 3))
-        t = detection_table(cases)
+        t = detection_table(scored(cases))
         per_dice = [v[0] for v in t.per_class.values()]
         assert min(per_dice) - 1e-12 <= t.micro[0] <= max(per_dice) + 1e-12
 
@@ -111,7 +117,7 @@ class TestDetectionTable:
             detection_table([])
 
     def test_csv(self, tmp_path):
-        t = detection_table(self._cases())
+        t = detection_table(scored(self._cases()))
         path = tmp_path / "t.csv"
         t.to_csv(str(path))
         lines = path.read_text().splitlines()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from anatomesh.mesh import REGION_NAMES, MeshError
 from anatomesh.meshfit import FitConfig, SurfaceIndex, mean_surface_distance
-from anatomesh.prototype import assign_regions, build_prototype, mean_shape
+from anatomesh.prototype import assign_regions, build_prototype, mean_shape, organ_crop
 from anatomesh.volume import LabelVolume, VolumeError, is_connected
 
 from conftest import boxed_masks, file_order, sphere_mask, vertex_region_names
@@ -50,6 +50,11 @@ def mean_shape_whole_grid(masks):
     return LabelVolume(mean_mask.astype(np.uint8), spacing)
 
 
+def mean_of(masks):
+    """``mean_shape`` of the masks' organ crops, as build-prototype takes it."""
+    return mean_shape([organ_crop(m) for m in masks])
+
+
 def outcome(f, masks):
     """What ``f(masks)`` gives: its data's bytes, strides and spacing, or its error."""
     try:
@@ -63,10 +68,16 @@ def outcome(f, masks):
 def mask_lists(draw):
     """1-4 label volumes on one grid: voxels of label 1 that touch any grid
     face or none, and sometimes voxels of label 2 beside them, which the
-    organ holds too, laid out as loaded or in C order."""
+    organ holds too, laid out as loaded, in C order or with the axes in
+    another memory order."""
     dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
     spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.0, 2.5)]))
-    layout = file_order if draw(st.booleans()) else np.ascontiguousarray
+    perm = draw(st.permutations(range(3)))
+    layout = draw(st.sampled_from([
+        file_order,
+        np.ascontiguousarray,
+        lambda a: np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm)),
+    ]))
     vols = []
     for _ in range(draw(st.integers(1, 4))):
         labels = draw(boxed_masks(dims=dims)).astype(np.uint8)
@@ -85,13 +96,13 @@ def ellipsoid_mask(grid, center, axes):
 class TestMeanShape:
     def test_single_mask_identity(self):
         mask = sphere_mask(24, 6)
-        out = mean_shape([label_vol(mask)])
+        out = mean_of([label_vol(mask)])
         assert np.array_equal(out.data.astype(bool), mask)
 
     def test_shifted_pair_recentres(self):
         base = sphere_mask(32, 5, (12, 15.5, 15.5))
         shifted = np.roll(base, 2, axis=0)
-        out = mean_shape([label_vol(base), label_vol(shifted)])
+        out = mean_of([label_vol(base), label_vol(shifted)])
         # mean of the two centroids: shape re-centered one voxel over
         expect = np.roll(base, 1, axis=0)
         assert np.array_equal(out.data.astype(bool), expect)
@@ -103,7 +114,7 @@ class TestMeanShape:
             center = rng.uniform(12, 20, size=3)
             axes = rng.uniform(4, 7, size=3)
             masks.append(ellipsoid_mask(32, center, axes))
-        out = mean_shape([label_vol(m) for m in masks])
+        out = mean_of([label_vol(m) for m in masks])
         # independent recomputation: align centroids by integer shift, mean, >= 0.5
         centroids = [np.argwhere(m).mean(axis=0) for m in masks]
         ref = np.round(np.mean(centroids, axis=0)).astype(int)
@@ -117,7 +128,7 @@ class TestMeanShape:
     @given(mask_lists())
     @settings(max_examples=300, deadline=None)
     def test_matches_whole_grid_roll(self, masks):
-        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
+        assert outcome(mean_of, masks) == outcome(mean_shape_whole_grid, masks)
 
     def test_votes_wrap_past_a_grid_face(self):
         # a full row (centroid 3.5, rounded to 4) and one voxel at x = 7: the
@@ -127,16 +138,43 @@ class TestMeanShape:
         row[:, 0, 0] = True
         dot[7, 0, 0] = True
         masks = [label_vol(row), label_vol(dot)]
-        out = mean_shape(masks)
+        out = mean_of(masks)
         assert np.array_equal(out.data.astype(bool), row)
-        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
+        assert outcome(mean_of, masks) == outcome(mean_shape_whole_grid, masks)
         # with the voxel twice the reference is round(5.83) = 6: the row shifts
         # by +2, wrapping x = 6 and 7, and only x = 6 gets 2 of 3 votes
         masks = [label_vol(row), label_vol(dot), label_vol(dot)]
         expect = np.zeros_like(row)
         expect[6, 0, 0] = True
-        assert np.array_equal(mean_shape(masks).data.astype(bool), expect)
-        assert outcome(mean_shape, masks) == outcome(mean_shape_whole_grid, masks)
+        assert np.array_equal(mean_of(masks).data.astype(bool), expect)
+        assert outcome(mean_of, masks) == outcome(mean_shape_whole_grid, masks)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    @pytest.mark.parametrize("wide", [0, 1], ids=["one-vote-short", "at-half"])
+    def test_votes_at_the_vote_type_boundary(self, n, wide):
+        # every mask centred on x = 2, so none shifts: the five-voxel row gets
+        # ceil(n / 2) - 1 + wide votes and the centre voxel all n, which a
+        # uint8 count holds for 255 masks and not for 256
+        row, dot = np.zeros((5, 1, 1), dtype=bool), np.zeros((5, 1, 1), dtype=bool)
+        row[:, 0, 0] = True
+        dot[2, 0, 0] = True
+        k = (n + 1) // 2 - 1 + wide
+        masks = [label_vol(row)] * k + [label_vol(dot)] * (n - k)
+        assert outcome(mean_of, masks) == outcome(mean_shape_whole_grid, masks)
+        assert np.array_equal(mean_of(masks).data.astype(bool), row if wide else dot)
+
+    def test_crop_is_a_box_sized_copy(self):
+        labels = np.zeros((9, 8, 7), dtype=np.uint8)
+        labels[2:5, 3:4, 1:6] = 1
+        labels[3, 3, 2] = 2
+        crop = organ_crop(label_vol(labels))
+        assert crop.box == (slice(2, 5), slice(3, 4), slice(1, 6))
+        assert crop.mask.base is None and crop.mask.all()
+        assert crop.mask.shape == (3, 1, 5)
+
+    def test_mask_without_organ_rejected(self):
+        with pytest.raises(VolumeError, match="a mask contains no organ voxels"):
+            organ_crop(label_vol(np.zeros((4, 4, 4), dtype=bool)))
 
     def test_empty_list_rejected(self):
         with pytest.raises(VolumeError):
@@ -145,7 +183,11 @@ class TestMeanShape:
     def test_spacing_mismatch_rejected(self):
         m = sphere_mask(16, 4)
         with pytest.raises(VolumeError, match="spacing"):
-            mean_shape([label_vol(m), label_vol(m, (1.0, 1.0, 2.0))])
+            mean_of([label_vol(m), label_vol(m, (1.0, 1.0, 2.0))])
+
+    def test_dims_mismatch_rejected(self):
+        with pytest.raises(VolumeError, match="dims"):
+            mean_of([label_vol(sphere_mask(16, 4)), label_vol(sphere_mask(15, 4))])
 
 
 class TestBuildPrototype:
