@@ -325,10 +325,11 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     either way. The computed rows are the whole-grid formula's bit for bit:
     each present channel is blurred on a crop 2 voxels wider than the box,
     and voxel (w, h, d, k) takes element ((w * H + h) * D + d) * K + k of
-    the seed's stream of draws, reached by advancing the generator to the
-    span of computed rows of each (w, h) row of the box. The result is the
-    (w, h, d, K) view of a (d, h, w, K) buffer, which :func:`save_volume`
-    reads without a copy.
+    the seed's stream of draws. The draws are made one box plane at a time:
+    plane w's rows h0..h1 over every d are one run of the stream, and the
+    generator is advanced past the rows outside the box between two runs.
+    The result is the (w, h, d, K) view of a (d, h, w, K) buffer, which
+    :func:`save_volume` reads without a copy.
     """
     data = labels.data
     top = int(data.max(initial=0))
@@ -363,39 +364,26 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
         np.add(blend, 0.75, out=blend, where=channel[inner])
         blend *= 1.0 - noise
         smooth[k] = blend
-    # Draw the span [lo, hi) of computed rows of each box column (w, h) that
-    # has one: its draws start at element ((w * H + h) * D + d0 + lo) * K.
-    cols = np.flatnonzero(near.any(axis=2))  # box column (w, h) is w * box height + h
-    lo = near.argmax(axis=2).ravel()[cols]
-    hi = size[2] - near[:, :, ::-1].argmax(axis=2).ravel()[cols]
-    w, h = np.divmod(cols, size[1])
-    starts = (((w + box[0].start) * dims[1] + h + box[1].start) * dims[2] + box[2].start + lo)
-    starts *= N_CHANNELS
-    lengths = (hi - lo) * N_CHANNELS
-    skips = starts - np.concatenate([[0], (starts + lengths)[:-1]])
-    firsts = (cols * size[2] + lo) * N_CHANNELS  # where each span goes in r
-    r = np.empty(near.size * N_CHANNELS)
+    # Each box plane's rows h0..h1 over the grid's whole depth are one run of
+    # the stream; the generator skips the other rows between two planes.
+    r = np.empty((size[0], size[1], dims[2], N_CHANNELS))
     rng = np.random.default_rng(seed)
-    advance, draw = rng.bit_generator.advance, rng.random
-    for skip, a, b in zip(skips.tolist(), firsts.tolist(), (firsts + lengths).tolist()):
-        advance(skip)
-        draw(out=r[a:b])
+    rng.bit_generator.advance((box[0].start * dims[1] + box[1].start) * dims[2] * N_CHANNELS)
+    for plane in r:
+        rng.random(out=plane)
+        rng.bit_generator.advance((dims[1] - size[1]) * dims[2] * N_CHANNELS)
     # the computed rows, in (w, h, d) order, become their blend in place
-    at = np.flatnonzero(near)
-    rows = r.reshape(-1, N_CHANNELS).take(at, axis=0)
+    rows = r[:, :, box[2]][near]
     rows /= channel_sum(rows.T)[:, None]
     rows *= noise
     for k, blend in smooth.items():
-        rows[:, k] += blend.take(at)
+        rows[:, k] += blend[near]
     rows /= channel_sum(rows.T)[:, None]
     rows = rows.astype(np.float32)
     # The blur's running sums leave about -1e-17 where a channel is exactly 0,
     # which a noise weight below about 1e-16 does not cover: those are zeros.
     rows[rows < 0] = 0.0
-    # each computed row's place in the (d, h, w) buffer
-    at = np.arange(near.size).reshape(size[::-1]).transpose(2, 1, 0).ravel().take(at)
-    row = np.dtype((np.void, rows.itemsize * N_CHANNELS))
-    out.reshape(-1, N_CHANNELS).view(row)[at, 0] = rows.view(row)[:, 0]
+    probs[near] = rows
     return ProbVolume(probs, labels.spacing, dims, box)
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -377,6 +378,34 @@ class TestSoften:
         back = load_volume(str(tmp_path / "probs"))
         assert back.box == probs.box and back.dims == probs.dims
         assert np.array_equal(back.data, probs.data)
+
+    def test_one_run_of_draws_per_box_plane(self, monkeypatch):
+        # one random call per plane of the box, and one advance to its first
+        # draw plus at most one after each plane; not one of each per column
+        labels = gen_case(2, 3, DEFAULTS).labels
+        expect = soften(labels, 0.2, 7)
+        calls = collections.Counter()
+        real_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+                self.bit_generator = self
+
+            def random(self, *args, **kwargs):
+                calls["random"] += 1
+                return self.rng.random(*args, **kwargs)
+
+            def advance(self, delta):
+                calls["advance"] += 1
+                self.rng.bit_generator.advance(delta)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        probs = soften(labels, 0.2, 7)
+        assert probs.data.tobytes() == expect.data.tobytes()
+        planes = probs.box[0].stop - probs.box[0].start
+        assert calls["random"] == planes
+        assert calls["advance"] <= planes + 1
 
     def test_label_without_channel_named(self):
         data = np.zeros((5, 6, 7), dtype=np.uint8)
