@@ -25,29 +25,30 @@ def pool_features(
     mesh: AnatomyMesh,
     zones: LabelVolume,
     probs: ProbVolume,
-    labels: LabelVolume,
+    segmentation: LabelVolume,
 ) -> np.ndarray:
     """Build the (V, 5+2K) per-vertex feature matrix.
 
     ``zones`` holds each organ voxel's 1-based vertex index, as render-zones
     writes it. Coordinates are organ-centroid-relative, scaled by the organ
     bounding-box diagonal. ``d`` is the world distance to the nearest
-    surface voxel of the mass, the voxels of ``MASS_LABELS`` (-1 if there
-    are none). The local block averages probabilities over each vertex zone,
-    the global block over all organ voxels. Every step runs on the box around
-    the zone and non-zero label voxels, which holds every organ and mass voxel.
-    ``probs`` must store that box; VolumeError names both boxes otherwise.
+    surface voxel of the mass, the voxels of ``MASS_LABELS`` in
+    ``segmentation`` (-1 if there are none). The local block averages
+    probabilities over each vertex zone, the global block over all organ
+    voxels. Every step runs on the box around the zone and non-zero
+    segmentation voxels, which holds every organ and mass voxel. ``probs``
+    must store that box; VolumeError names both boxes otherwise.
     """
-    if zones.dims != probs.dims or zones.dims != labels.dims:
+    if zones.dims != probs.dims or zones.dims != segmentation.dims:
         raise VolumeError(
             f"dimension mismatch: zones {zones.dims}, probs {probs.dims}, "
-            f"labels {labels.dims}"
+            f"segmentation {segmentation.dims}"
         )
     k = probs.channels
     n = mesh.n_vertices
     spacing = np.asarray(zones.spacing, dtype=np.float64)
 
-    box = organ_box((zones.data > 0) | (labels.data > 0))
+    box = organ_box((zones.data > 0) | (segmentation.data > 0))
     crop = zones.data[box]
     organ = crop > 0
     organ_world = voxel_indices(organ, box) * spacing
@@ -59,7 +60,7 @@ def pool_features(
 
     e = mesh.mean_incident_edge_lengths()
 
-    mass_mask = np.isin(labels.data[box], MASS_LABELS)
+    mass_mask = np.isin(segmentation.data[box], MASS_LABELS)
     if mass_mask.any():
         surf = surface_mask(mass_mask)
         tree = cKDTree(voxel_indices(surf, box) * spacing)

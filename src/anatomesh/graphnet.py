@@ -19,7 +19,7 @@ import numpy as np
 
 from .evaluate import classify_gc
 from .mesh import MeshTopology, region_ranges
-from .workers import Channel, Worker, cpus, forked
+from .workers import Channel, cpus, forked
 
 __all__ = [
     "GraphResNetParams",
@@ -389,13 +389,14 @@ def train(
     maximum. Training starts from :func:`init_params` sized by ``topo``,
     with the training features' scaling.
 
-    The cases run on ``min(CPUs, batch size, training cases)`` processes:
-    the calling one and ones forked from it. Each batch, and the validation
-    split, is cut into contiguous shares in batch order, the calling
-    process's first. The batch's gradient sum is passed along the processes
-    in that order, each adding its own cases one at a time, and the losses
-    are added in case order, so every sum takes the same steps on any
-    number of processes, and so do the parameters and the log.
+    Each batch's cases run on ``min(CPUs, batch size, training cases)``
+    processes: the calling one and ones forked from it. The batch is cut
+    into contiguous shares in batch order, the calling process's first. The
+    batch's gradient sum is passed along the processes in that order, each
+    adding its own cases one at a time, and the losses are added in case
+    order, so every sum takes the same steps on any number of processes, and
+    so do the parameters and the log. The validation split runs in the
+    calling process, in case order.
     """
     if not dataset:
         raise GraphNetError("empty training dataset")
@@ -435,18 +436,10 @@ def train(
         else:
             np.add(grad_sum, grads, out=grad_sum)
 
-    def score(i: int) -> tuple[float, bool]:
-        feats, vt, gt = val_cases[i]
-        vp, gp = forward(params, feats, topo)
-        return loss(vp, gp, vt, gt, cfg.eta1, cfg.eta2), bool(classify_gc(gp) - 1 == gt.argmax())
-
     def serve(channel: Channel) -> None:
-        """A forked worker's part: its share of each batch, or of the validation split."""
+        """A forked worker's part: its share of each batch."""
         while (job := channel.recv()) is not None:
             epoch, share = job
-            if epoch is None:
-                channel.send([score(i) for i in share])
-                continue
             try:
                 computed = [case_grads(i, epoch) for i in share]
             finally:
@@ -455,24 +448,14 @@ def train(
                 add(grads, first=False)
             channel.send([value for value, _ in computed])
 
-    def shares(cases: np.ndarray, epoch: int | None, team: list[Worker]) -> np.ndarray:
-        """Send each worker its share of ``cases`` (of the validation split for no
-        ``epoch``); the calling process's own share, the first."""
-        parts = np.array_split(cases, len(team) + 1)
-        for worker, part in zip(team, parts[1:]):
-            worker.send((epoch, part.tolist()))
-        return parts[0]
-
-    def evaluate(team: list[Worker]) -> tuple[float, float]:
+    def evaluate() -> tuple[float, float]:
         """Mean loss and global accuracy over the validation cases."""
-        scores = [score(i) for i in shares(np.arange(len(val_cases)), None, team)]
-        for worker in team:
-            scores += worker.recv()
         total, correct = 0.0, 0
-        for value, right in scores:
-            total += value
-            correct += right
-        return total / len(scores), correct / len(scores)
+        for feats, vt, gt in val_cases:
+            vp, gp = forward(params, feats, topo)
+            total += loss(vp, gp, vt, gt, cfg.eta1, cfg.eta2)
+            correct += bool(classify_gc(gp) - 1 == gt.argmax())
+        return total / len(val_cases), correct / len(val_cases)
 
     rng = np.random.default_rng(cfg.seed)
     velocity = np.zeros_like(params.flat)
@@ -484,7 +467,10 @@ def train(
             total = 0.0
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                for j, i in enumerate(shares(batch, epoch, team)):
+                parts = np.array_split(batch, len(team) + 1)
+                for worker, part in zip(team, parts[1:]):
+                    worker.send((epoch, part.tolist()))
+                for j, i in enumerate(parts[0]):
                     value, grads = case_grads(i, epoch)
                     total += value
                     add(grads, first=j == 0)
@@ -501,7 +487,7 @@ def train(
             mean_loss = total / len(dataset)
             vl = va = None
             if validation:
-                vl, va = evaluate(team)
+                vl, va = evaluate()
                 if va > best_acc:
                     best_acc, best[...] = va, params.flat
             log.epochs.append(epoch)

@@ -38,7 +38,7 @@ from .synth import (
     load_case_info,
     save_case,
 )
-from .volume import LabelVolume, VolumeError, detected, dice, load_volume, save_volume
+from .volume import LabelVolume, ProbVolume, VolumeError, detected, dice, load_volume, save_volume
 from .workers import Channel, cpus, forked, in_worker
 from .zones import ZoneError, render_zones, vertex_labels
 
@@ -162,8 +162,8 @@ def _load_prototype(out_dir: str) -> AnatomyMesh:
     return load_mesh(os.path.join(out_dir, "prototype.obj"))
 
 
-def _load_segmentation(d: str) -> LabelVolume:
-    """A case's predicted segmentation: the argmax channel of its probability volume.
+def _segmentation(probs: ProbVolume) -> LabelVolume:
+    """The predicted segmentation: the argmax channel of a probability volume.
 
     Outside the volume's stored box the segmentation is 0: synth-gen stores
     the box outside which channel 0 wins. Ties go to the lower channel, as
@@ -171,7 +171,6 @@ def _load_segmentation(d: str) -> LabelVolume:
     file's (D, H, W) voxel order, several times faster than ``argmax`` over
     rows of a few values.
     """
-    probs = load_volume(os.path.join(d, "probs"))
     channels = np.moveaxis(probs.data, -1, 0).transpose(0, 3, 2, 1)
     best = channels[0].copy()
     grid = np.zeros(probs.dims[::-1], dtype=np.uint8)
@@ -180,6 +179,13 @@ def _load_segmentation(d: str) -> LabelVolume:
         argmax[channels[k] > best] = k
         np.maximum(best, channels[k], out=best)
     return LabelVolume(grid.transpose(2, 1, 0), probs.spacing)
+
+
+def _load_segmentation(d: str) -> LabelVolume:
+    """A case's predicted segmentation, decoded from its ``probs.*``. Every
+    test-time input comes from it: no stage reads a case's truth to fit,
+    render zones or pool features."""
+    return _segmentation(load_volume(os.path.join(d, "probs")))
 
 
 def stage_synth(cfg: RunConfig, out_dir: str) -> None:
@@ -217,7 +223,7 @@ def stage_fit(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
 
     def fit(d: str) -> None:
-        fitted, trace = fit_mesh(proto, load_volume(os.path.join(d, "labels")), cfg.fit)
+        fitted, trace = fit_mesh(proto, _load_segmentation(d), cfg.fit)
         save_mesh(fitted, os.path.join(d, "fitted.obj"))
         trace.to_csv(os.path.join(d, "trace.csv"))
 
@@ -229,10 +235,11 @@ def stage_zones(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
 
     def zones(d: str) -> None:
-        labels = load_volume(os.path.join(d, "labels"))
+        seg = _load_segmentation(d)
         mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
-        zvol = render_zones(mesh, labels.organ, labels.spacing)
-        vl = vertex_labels(zvol, labels)
+        zvol = render_zones(mesh, seg.organ, seg.spacing)
+        # the training target: each zone's largest true label
+        vl = vertex_labels(zvol, load_volume(os.path.join(d, "labels")))
         save_volume(zvol, os.path.join(d, "zones"))
         _save_vertex_labels(vl, d)
 
@@ -244,11 +251,10 @@ def stage_features(cfg: RunConfig, out_dir: str) -> None:
     proto = _load_prototype(out_dir)
 
     def features(d: str) -> None:
-        labels = load_volume(os.path.join(d, "labels"))
         probs = load_volume(os.path.join(d, "probs"))
         mesh = load_mesh(os.path.join(d, "fitted.obj"), like=proto)
         zvol = load_volume(os.path.join(d, "zones"))
-        feats = pool_features(mesh, zvol, probs, labels)
+        feats = pool_features(mesh, zvol, probs, _segmentation(probs))
         save_features(feats, os.path.join(d, "features.csv"))
 
     dirs = _case_dirs(out_dir, "train", "test")
@@ -325,7 +331,8 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
 
 def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
     """classify's (case, truth, gc, vv, pv) rows; EvalError naming the file and line
-    for a row that does not parse or holds a class the class table lacks."""
+    for a row that does not parse or holds a class the class table lacks, and
+    naming the file if it holds no row."""
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -348,6 +355,8 @@ def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
         if unknown:
             raise EvalError(f"{path}:{n}: class {unknown[0]} is not in the class table")
         rows.append((name, *classes))
+    if not rows:
+        raise EvalError(f"{path}: holds no rows")
     return rows
 
 

@@ -19,16 +19,13 @@ class OrganCrop:
     """What :func:`mean_shape` reads of a label volume: its organ on the organ's box.
 
     ``mask`` is a box-sized copy, so the whole grid it was cut from can be
-    freed. ``axes`` lists the grid's axes from slowest to fastest in
-    memory, as ``np.zeros_like`` lays out a copy of the grid; the mean
-    shape keeps that layout.
+    freed.
     """
 
     mask: np.ndarray
     box: tuple[slice, slice, slice]
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
-    axes: tuple[int, int, int]
 
 
 def organ_crop(labels: LabelVolume) -> OrganCrop:
@@ -38,22 +35,15 @@ def organ_crop(labels: LabelVolume) -> OrganCrop:
     mask = organ[box]
     if not mask.any():
         raise VolumeError("a mask contains no organ voxels")
-    data = labels.data
-    if data.flags.c_contiguous:
-        axes = (0, 1, 2)
-    elif data.flags.f_contiguous:
-        axes = (2, 1, 0)
-    else:
-        axes = tuple(int(k) for k in np.argsort([-abs(s) for s in data.strides], kind="stable"))
-    # a view would keep the whole-grid mask alive; "K" keeps its memory order
-    return OrganCrop(mask.copy(order="K"), box, labels.dims, labels.spacing, axes)
+    # a view would keep the whole-grid mask alive
+    return OrganCrop(mask.copy(), box, labels.dims, labels.spacing)
 
 
 def mean_shape(crops: list[OrganCrop]) -> LabelVolume:
     """Mean of centroid-aligned binary organ masks, thresholded at 0.5.
 
     Alignment is integer translation only; all inputs must share spacing
-    and dims. The result is laid out as the first mask's grid.
+    and dims.
     """
     if not crops:
         raise VolumeError("mean_shape needs at least one mask")
@@ -69,8 +59,7 @@ def mean_shape(crops: list[OrganCrop]) -> LabelVolume:
     # each crop votes at its box shifted by whole voxels, wrapping round the
     # grid as np.roll does, in the smallest unsigned type that holds every vote
     n = len(crops)
-    votes = np.zeros([dims[k] for k in first.axes], dtype=np.min_scalar_type(n))
-    votes = votes.transpose(np.argsort(first.axes))
+    votes = np.zeros(dims, dtype=np.min_scalar_type(n))
     for c, centroid in zip(crops, centroids):
         shift = ref - np.round(centroid).astype(int)
         votes[np.ix_(*[(np.arange(s.start, s.stop) + k) % m

@@ -151,11 +151,7 @@ class SynthConfig:
 
 
 def _centerline(
-    grid: int,
-    bend: float,
-    half_length: float = ORGAN_HALF_LENGTH,
-    body_radius: float = BODY_RADIUS,
-    head_radius: float = HEAD_RADIUS,
+    grid: int, bend: float, half_length: float, body_radius: float, head_radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centerline sample points (160, 3) and per-sample radii, in voxel units.
 
@@ -262,7 +258,7 @@ def implant_mass(
     tube spanning the organ centerline.
     """
     rng = np.random.default_rng(seed)
-    points, _ = _centerline(cfg.grid, cfg.bend)
+    points, _ = _centerline(cfg.grid, cfg.bend, ORGAN_HALF_LENGTH, BODY_RADIUS, HEAD_RADIUS)
     grid = organ.shape[0]
     labels = organ.astype(np.uint8) * ORGAN_LABEL
     allowed = [band for name, band in _REGION_BANDS.items() if name in spec.allowed_regions]
@@ -433,9 +429,22 @@ def save_case(case: SynthCase, directory: str) -> None:
 
 
 def load_case_info(directory: str) -> CaseInfo:
-    """Parse ``case.txt``; a bad, missing or repeated field raises VolumeError naming the file."""
+    """Parse ``case.txt``; a bad, missing or repeated field, a class the class
+    table lacks or a ``head_end`` that is not three values raises VolumeError
+    naming the file."""
     path = os.path.join(directory, "case.txt")
     fields = read_fields(path)
+
+    def class_id(words: list[str]) -> int:
+        c = int(words[0])
+        if c not in DEFAULT_CLASSES:
+            raise ValueError(f"class {c} is not in the class table")
+        return c
+
+    def point(words: list[str]) -> np.ndarray:
+        if len(words) != 3:
+            raise ValueError(f"{len(words)} values, expected 3")
+        return np.array([float(x) for x in words])
 
     def parse(key, convert):
         if key not in fields:
@@ -446,8 +455,8 @@ def load_case_info(directory: str) -> CaseInfo:
             raise VolumeError(f"malformed case file {path}: field {key!r}: {exc}") from exc
 
     return CaseInfo(
-        parse("class", lambda v: int(v[0])),
+        parse("class", class_id),
         parse("management", lambda v: v[0]),
-        parse("head_end", lambda v: np.array([float(x) for x in v])),
+        parse("head_end", point),
         parse("seed", lambda v: int(v[0])),
     )

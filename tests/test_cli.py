@@ -56,6 +56,11 @@ def write_config(tmp_path, text=SMALL_CONFIG):
     return str(path)
 
 
+def one_hot_probs(labels):
+    """Probabilities whose channel argmax, the predicted segmentation, is ``labels``."""
+    return ProbVolume(np.eye(2, dtype=np.float32)[labels], (1.0, 1.0, 1.0))
+
+
 def tree_digest(root):
     """Relative path -> file bytes, for whole-run comparisons."""
     out = {}
@@ -264,7 +269,8 @@ class TestCliErrors:
             case = work / "cases" / name
             case.mkdir(parents=True)
             labels = np.zeros((16, 16, 16), dtype=np.uint8)
-            labels[extent, extent, extent] = 1  # the second organ is empty
+            labels[extent, extent, extent] = 1  # the second segmented organ is empty
+            save_volume(one_hot_probs(labels), str(case / "probs"))
             save_volume(LabelVolume(labels, (1.0, 1.0, 1.0)), str(case / "labels"))
             save_mesh(template, str(case / "fitted.obj"))
         cfg = write_config(tmp_path)
@@ -281,8 +287,8 @@ class TestCliErrors:
         case = work / "cases" / "train_0000"
         case.mkdir(parents=True)
         save_mesh(template, str(work / "prototype.obj"))
-        empty = np.zeros((16, 16, 16), dtype=np.uint8)
-        save_volume(LabelVolume(empty, (1.0, 1.0, 1.0)), str(case / "labels"))
+        empty = np.zeros((16, 16, 16), dtype=np.uint8)  # a segmentation without organ
+        save_volume(one_hot_probs(empty), str(case / "probs"))
         rc = main(["fit-mesh", "--config", write_config(tmp_path), "--out", str(work)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -396,7 +402,7 @@ class TestCliErrors:
         )
 
     @pytest.mark.parametrize("stage, name, case", [
-        ("fit-mesh", "labels.hdr", "train_0002"),
+        ("fit-mesh", "probs.hdr", "train_0002"),
         ("train", "case.txt", "train_0002"),
         ("eval", "predictions.csv", None),
     ], ids=["volume-header", "case-file", "predictions"])
@@ -454,6 +460,20 @@ class TestCliErrors:
         line = line or len(rows) + 1
         assert main(["eval", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == f"anatomesh: eval: {path}:{line}: {message}\n"
+
+    def test_prediction_file_without_rows_named(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        path = os.path.join(work, "predictions.csv")
+        with open(path) as f:
+            header = f.readlines()[:2]
+        with open(path, "w") as f:
+            f.writelines(header)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as CI's demo steps run
+            assert main(["eval", "--config", cfg, "--out", work]) == 1
+        assert capsys.readouterr().err == f"anatomesh: eval: {path}: holds no rows\n"
 
     def test_classify_network_error_names_the_case(self, pipeline_run, tmp_path, capsys):
         cfg, out = pipeline_run
@@ -749,6 +769,33 @@ class TestCaseFiles:
         # 3 validation and 4 test cases, each predicted segmentation read once
         assert len(by_stage["classify"]) == 7
 
+    def test_test_time_files_do_not_depend_on_the_truth(self, pipeline_run, tmp_path):
+        # with every test case's mass erased from its labels.*, only the training
+        # target vertex_labels.txt and eval's report may change
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        assert main(["synth-gen", "--config", cfg, "--out", work]) == 0
+        erased = 0
+        for d in pipeline._case_dirs(work, "test"):
+            path = os.path.join(d, "labels")
+            labels = load_volume(path)
+            mass = np.isin(labels.data, pipeline.MASS_LABELS)
+            erased += int(mass.sum())
+            save_volume(LabelVolume(np.where(mass, 0, labels.data).astype(np.uint8),
+                                    labels.spacing), path)
+        assert erased
+        for stage in ("build-prototype", "fit-mesh", "render-zones", "pool-features", "train",
+                      "classify"):
+            assert main([stage, "--config", cfg, "--out", work]) == 0
+        for pattern in ("cases/test_*/fitted.obj", "cases/test_*/zones.*",
+                        "cases/test_*/features.csv", "predictions.csv"):
+            paths = sorted(os.path.relpath(p, work)
+                           for p in glob.glob(os.path.join(work, pattern)))
+            assert paths, pattern
+            for rel in paths:
+                assert filecmp.cmp(os.path.join(out, rel), os.path.join(work, rel),
+                                   shallow=False), rel
+
     def test_work_directory_with_whole_grid_label_files(self, pipeline_run, tmp_path, capsys):
         # one case's labels.* as written before label volumes were boxed: no box or
         # stored line, and every voxel of the grid, w fastest
@@ -763,9 +810,10 @@ class TestCaseFiles:
                     "kind label\nchannels 1\ndtype u8\n")
         with open(path + ".raw", "wb") as f:
             f.write(vol.data.transpose(2, 1, 0).tobytes())
-        assert main(["fit-mesh", "--config", cfg, "--out", work]) == 1
+        # render-zones reads labels.* for the training target, each zone's largest label
+        assert main(["render-zones", "--config", cfg, "--out", work]) == 1
         assert capsys.readouterr().err == (
-            f"anatomesh: fit-mesh: train_0002: {path}.hdr: no 'box' or 'stored mask' line: "
+            f"anatomesh: render-zones: train_0002: {path}.hdr: no 'box' or 'stored mask' line: "
             "the file predates this format; rerun synth-gen to write it again\n"
         )
 

@@ -564,6 +564,27 @@ class TestTrainWorkers:
         assert len(forks) == 1
         assert computed_by.read_text() == str(forks[0])
 
+    def test_validation_runs_in_the_calling_process(self, tmp_path, monkeypatch):
+        # a forked worker runs backward on its batch share and never forward
+        patch_cpus(monkeypatch, 2)
+        caller = os.getpid()
+        real = graphnet.forward
+
+        def caller_only(*args):
+            if os.getpid() != caller:
+                raise AssertionError("forward ran in a forked worker")
+            return real(*args)
+
+        rng = np.random.default_rng(16)
+        data, val = tiny_dataset(rng, n=8), tiny_dataset(rng, n=4)
+        cfg = TrainConfig(epochs=3, seed=0, learning_rate=1e-3, batch_size=4, width=8)
+        expect = trained_files(tmp_path, data, val, cfg)[:2]
+        monkeypatch.setattr(graphnet, "forward", caller_only)
+        forks = count_forks(monkeypatch)
+        assert trained_files(tmp_path, data, val, cfg)[:2] == expect
+        assert len(forks) == 1
+        assert_no_child_left()
+
     def test_each_process_runs_blas_on_one_thread_while_forked(self, tmp_path, monkeypatch):
         had = _blas_threads(2)
         if had is None:

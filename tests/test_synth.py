@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,12 @@ from scipy import ndimage
 
 from anatomesh.synth import (
     BLOB_LABEL,
+    BODY_RADIUS,
     DEFAULT_CLASSES,
+    HEAD_RADIUS,
     MANAGEMENT_BY_CLASS,
     N_CHANNELS,
+    ORGAN_HALF_LENGTH,
     ORGAN_LABEL,
     TUBE_LABEL,
     MassSpec,
@@ -84,7 +88,8 @@ def capsules(draw):
 class TestSweepMask:
     @settings(max_examples=60, deadline=None)
     @given(capsules())
-    @example((48, *_centerline(48, SynthConfig().bend)))  # the default organ
+    @example((48, *_centerline(48, SynthConfig().bend, ORGAN_HALF_LENGTH, BODY_RADIUS,
+                               HEAD_RADIUS)))  # the default organ
     def test_equals_brute_force(self, capsule):
         grid, points, radii = capsule
         assert np.array_equal(_sweep_mask(grid, points, radii), sweep_mask_reference(grid, points, radii))
@@ -530,8 +535,12 @@ class TestCaseIO:
         [
             (lambda text: text.replace("class 3\n", ""), "missing field 'class'"),
             (lambda text: text.replace("seed ", "seed x"), "field 'seed'"),
+            (lambda text: text.replace("class 3\n", "class 7\n"),
+             "field 'class': class 7 is not in the class table"),
+            (lambda text: re.sub(r"head_end (\S+) (\S+) \S+", r"head_end \1 \2", text),
+             "field 'head_end': 2 values, expected 3"),
         ],
-        ids=["missing-class", "non-integer-seed"],
+        ids=["missing-class", "non-integer-seed", "unknown-class", "two-value-head-end"],
     )
     def test_malformed_case_file_named(self, tmp_path, edit, match):
         d = tmp_path / "case"

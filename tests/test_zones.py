@@ -380,6 +380,16 @@ class TestVertexLabels:
         out = vertex_labels(zmap, LabelVolume(lab, (1.0, 1.0, 1.0)))
         assert list(out) == [1, 1]
 
+    def test_true_mass_outside_the_zones_adds_nothing(self):
+        # the zones cover the predicted organ; a true mass voxel that the
+        # segmentation missed lies in no zone, so no vertex takes its label
+        zmap = self._zone_map()
+        lab = (zmap.data > 0).astype(np.uint8)
+        lab[0, 1, 0] = 3  # beside zone 1's voxel (0, 0, 0)
+        lab[1, 1, 0] = 2  # beside zone 2's voxel (1, 1, 1)
+        out = vertex_labels(zmap, LabelVolume(lab, (1.0, 1.0, 1.0)))
+        assert list(out) == [1, 1]
+
     def test_dims_mismatch(self):
         from anatomesh.volume import VolumeError
 

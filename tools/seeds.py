@@ -6,11 +6,12 @@ Usage, with the package installed (or ``PYTHONPATH=src`` in a checkout):
 
 Runs the whole pipeline on CONFIG at seeds 0-4, with ``[synth] seed`` and
 ``[train] seed`` both set to the seed, each run in its own temporary work
-directory. It prints each seed's GC, VV and PV accuracy as it finishes, then
-the mean, minimum and maximum over the seeds of those accuracies and of each
-strategy's Surgery-vs-rest accuracy, sensitivity and specificity. A rate that
-a seed's test split cannot define (no Surgery case, or no other case) is left
-out of that rate's summary.
+directory. It prints each seed's GC, VV and PV accuracy and the epochs train
+ran (the rows of ``train_log.csv``) as it finishes, then the mean, minimum and
+maximum over the seeds of those numbers and of each strategy's
+Surgery-vs-rest accuracy, sensitivity and specificity. A rate that a seed's
+test split cannot define (no Surgery case, or no other case) is left out of
+that rate's summary.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ RATES = ("accuracy", "sensitivity", "specificity")
 
 
 def run_seed(cfg, seed: int) -> dict[str, float | None]:
-    """One pipeline run at ``seed``: each accuracy, and each Surgery-vs-rest rate."""
+    """One pipeline run at ``seed``: each accuracy, the epochs train ran, and
+    each Surgery-vs-rest rate."""
     cfg = dataclasses.replace(
         cfg,
         synth=dataclasses.replace(cfg.synth, seed=seed),
@@ -40,7 +42,10 @@ def run_seed(cfg, seed: int) -> dict[str, float | None]:
         accs = run_pipeline(cfg, work)
         with open(os.path.join(work, "report", "surgery_vs_rest.csv")) as f:
             surgery = {row["strategy"]: row for row in csv.DictReader(f)}
+        with open(os.path.join(work, "train_log.csv")) as f:
+            epochs = len(list(csv.DictReader(f)))
     metrics = {f"{k.upper()} accuracy": accs[k] for k in STRATEGIES}
+    metrics["epochs run"] = epochs
     for k in STRATEGIES:
         for rate in RATES:
             value = surgery[k][rate]
@@ -58,7 +63,7 @@ def main(argv: list[str]) -> int:
         runs.append(run_seed(cfg, seed))
         print(f"seed {seed}: " + "  ".join(
             f"{k.upper()} {runs[-1][f'{k.upper()} accuracy']:.2f}" for k in STRATEGIES
-        ), flush=True)
+        ) + f"  epochs run {runs[-1]['epochs run']}", flush=True)
     print(f"\nover seeds {SEEDS.start}-{SEEDS.stop - 1}: mean, minimum, maximum")
     for name in runs[0]:
         values = [run[name] for run in runs if run[name] is not None]
