@@ -14,12 +14,13 @@ import functools
 import math
 import mmap
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 
 import numpy as np
 
 from .evaluate import classify_gc
 from .mesh import MeshTopology, region_ranges
-from .workers import Channel, cpus, forked
+from .workers import cpus, forked
 
 __all__ = [
     "GraphResNetParams",
@@ -436,17 +437,17 @@ def train(
         else:
             np.add(grad_sum, grads, out=grad_sum)
 
-    def serve(channel: Channel) -> None:
+    def serve(conn: Connection) -> None:
         """A forked worker's part: its share of each batch."""
-        while (job := channel.recv()) is not None:
+        while (job := conn.recv()) is not None:
             epoch, share = job
             try:
                 computed = [case_grads(i, epoch) for i in share]
             finally:
-                channel.recv()  # the sum holds every earlier case; a failure is raised in turn
+                conn.recv()  # the sum holds every earlier case; a failure is raised in turn
             for _, grads in computed:
                 add(grads, first=False)
-            channel.send([value for value, _ in computed])
+            conn.send([value for value, _ in computed])
 
     def evaluate() -> tuple[float, float]:
         """Mean loss and global accuracy over the validation cases."""

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
+import multiprocessing
 import os
 import shutil
 from collections.abc import Callable
+from multiprocessing.connection import Connection
 from typing import TypeVar
 
 import numpy as np
@@ -39,7 +39,7 @@ from .synth import (
     save_case,
 )
 from .volume import LabelVolume, ProbVolume, VolumeError, detected, dice, load_volume, save_volume
-from .workers import Channel, cpus, forked, in_worker
+from .workers import cpus, forked, in_worker
 from .zones import ZoneError, render_zones, vertex_labels
 
 __all__ = [
@@ -104,13 +104,8 @@ def _per_case(dirs: list[str], work: Callable[[str], T], workers: int = 1) -> li
     front.
     """
     n = len(dirs)
-    if workers > 1:
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        next_case, lock = fork.RawValue("q", 0), fork.Lock()
-    else:
-        next_case, lock = ctypes.c_int64(0), contextlib.nullcontext()
+    fork = multiprocessing.get_context("fork")
+    next_case, lock = fork.RawValue("q", 0), fork.Lock()
 
     def run() -> tuple[dict[int, T], tuple[int, BaseException] | None]:
         done: dict[int, T] = {}
@@ -127,7 +122,7 @@ def _per_case(dirs: list[str], work: Callable[[str], T], workers: int = 1) -> li
                     next_case.value = n
                 return done, (i, exc)
 
-    def serve(channel: Channel) -> tuple[dict[int, T], tuple[int, BaseException] | None]:
+    def serve(conn: Connection) -> tuple[dict[int, T], tuple[int, BaseException] | None]:
         done, failure = run()
         return done, failure and (failure[0], in_worker(failure[1]))
 

@@ -430,8 +430,8 @@ def save_case(case: SynthCase, directory: str) -> None:
 
 def load_case_info(directory: str) -> CaseInfo:
     """Parse ``case.txt``; a bad, missing or repeated field, a class the class
-    table lacks or a ``head_end`` that is not three values raises VolumeError
-    naming the file."""
+    table lacks, a ``management`` other than its class's or a ``head_end``
+    that is not three values raises VolumeError naming the file."""
     path = os.path.join(directory, "case.txt")
     fields = read_fields(path)
 
@@ -440,6 +440,12 @@ def load_case_info(directory: str) -> CaseInfo:
         if c not in DEFAULT_CLASSES:
             raise ValueError(f"class {c} is not in the class table")
         return c
+
+    def management(words: list[str]) -> str:
+        expected = MANAGEMENT_BY_CLASS[c]
+        if words != [expected]:
+            raise ValueError(f"class {c}'s management is {expected}, not {' '.join(words)}")
+        return expected
 
     def point(words: list[str]) -> np.ndarray:
         if len(words) != 3:
@@ -454,9 +460,10 @@ def load_case_info(directory: str) -> CaseInfo:
         except (ValueError, IndexError) as exc:
             raise VolumeError(f"malformed case file {path}: field {key!r}: {exc}") from exc
 
+    c = parse("class", class_id)
     return CaseInfo(
-        parse("class", class_id),
-        parse("management", lambda v: v[0]),
+        c,
+        parse("management", management),
         parse("head_end", point),
         parse("seed", lambda v: int(v[0])),
     )

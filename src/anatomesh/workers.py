@@ -1,10 +1,11 @@
-"""Forked worker processes, each with one message channel to the calling process.
+"""Forked worker processes, each with one pipe connection to the calling process.
 
 A worker is forked from the calling process, so it starts with the
 caller's objects and shared memory as they were at the fork; nothing is
 re-imported or pickled on the way in. Forking is safe only while the
 calling process runs one thread, so callers fork from the main thread and
-start no thread of their own. Messages back are pickled.
+start no thread of their own. Messages both ways are pickled over a
+``multiprocessing.connection.Pipe()``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import contextlib
 import ctypes
 import os
 import pickle
-import socket
 import sys
 import traceback
 from collections.abc import Callable, Iterator
+from multiprocessing.connection import Connection, Pipe
 from typing import Any, NoReturn
 
-__all__ = ["Channel", "Worker", "cpus", "forked", "in_worker"]
+__all__ = ["Worker", "cpus", "forked", "in_worker"]
 
 
 def cpus() -> int:
@@ -37,39 +38,19 @@ class _Failure:
         self.exc = exc
 
 
-class Channel:
-    """Pickled messages both ways over one end of a socket pair."""
+class Worker:
+    """The calling process's end of one forked worker's pipe."""
 
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._reader = sock.makefile("rb")
-
-    def send(self, message: Any) -> None:
-        self._sock.sendall(pickle.dumps(message))
-
-    def recv(self) -> Any:
-        """The next message; ``EOFError`` once the other end is closed."""
-        try:
-            return pickle.load(self._reader)
-        except ConnectionResetError:  # closed before it read all that was sent to it
-            raise EOFError from None
-
-    def close(self) -> None:
-        self._reader.close()
-        self._sock.close()
-
-
-class Worker(Channel):
-    """The calling process's end of one forked worker."""
-
-    def __init__(self, pid: int, sock: socket.socket):
-        super().__init__(sock)
+    def __init__(self, pid: int, conn: Connection):
         self.pid = pid
+        self.conn = conn
         self.status: int | None = None
 
     def send(self, message: Any) -> None:
         try:
-            super().send(message)
+            # bytes, not Connection.send: the traceback of a failed send would keep
+            # its view of a pickle buffer alive, and collecting that raises BufferError
+            self.conn.send_bytes(pickle.dumps(message))
         except OSError:  # the worker has ended: raise what it sent last, or its exit status
             self.recv()
             raise
@@ -77,14 +58,17 @@ class Worker(Channel):
     def recv(self) -> Any:
         """The worker's next message; raises what the worker raised instead of sending it."""
         try:
-            message = super().recv()
-        except EOFError:
+            message = self.conn.recv()
+        except (EOFError, ConnectionResetError):  # reset: it ended with a message unread
             raise RuntimeError(
                 f"a case worker ended with exit status {self.reap()} and sent no report"
             ) from None
         if isinstance(message, _Failure):
             raise message.exc
         return message
+
+    def close(self) -> None:
+        self.conn.close()
 
     def reap(self) -> int:
         """Wait for the worker to end; its exit status, negative for a signal."""
@@ -95,15 +79,15 @@ class Worker(Channel):
 
 
 @contextlib.contextmanager
-def forked(n: int, serve: Callable[[Channel], Any]) -> Iterator[list[Worker]]:
-    """Fork ``n`` workers; each runs ``serve(channel)`` and sends its return value.
+def forked(n: int, serve: Callable[[Connection], Any]) -> Iterator[list[Worker]]:
+    """Fork ``n`` workers; each runs ``serve(conn)`` and sends its return value.
 
-    ``channel`` is the worker's end of its channel to the calling process.
+    ``conn`` is the worker's end of its ``Pipe()`` to the calling process.
     What ``serve`` raises is sent instead, with :func:`in_worker`'s note, and
     :meth:`Worker.recv` raises it in the calling process. A worker that ends
     without sending, from a signal say, makes ``recv`` raise a
     ``RuntimeError`` that gives its exit status. On leaving the block,
-    normally or not, every channel is closed, so a worker waiting on one
+    normally or not, every pipe is closed, so a worker waiting on one
     reads ``EOFError``, and every worker is reaped.
     """
     team: list[Worker] = []
@@ -112,14 +96,14 @@ def forked(n: int, serve: Callable[[Channel], Any]) -> Iterator[list[Worker]]:
     blas_threads = _blas_threads(1 if n else None)
     try:
         for _ in range(n):
-            ours, theirs = socket.socketpair()
+            ours, theirs = Pipe()
             pid = os.fork()
             if pid == 0:
                 # an end held open here would keep its worker from ever reading EOF
                 for worker in team:
                     worker.close()
                 ours.close()
-                _serve(serve, Channel(theirs))
+                _serve(serve, theirs)
             theirs.close()
             team.append(Worker(pid, ours))
         yield team
@@ -159,14 +143,14 @@ def _blas_threads(k: int | None) -> int | None:
     return None
 
 
-def _serve(serve: Callable[[Channel], Any], channel: Channel) -> NoReturn:
+def _serve(serve: Callable[[Connection], Any], conn: Connection) -> NoReturn:
     """In a forked worker: run ``serve``, send its result or its failure, exit."""
     status = 1
     try:
         try:
-            channel.send(serve(channel))
+            conn.send(serve(conn))
         except BaseException as exc:  # sent to the caller, which raises it
-            channel.send(_Failure(in_worker(exc)))
+            conn.send(_Failure(in_worker(exc)))
         status = 0
     finally:
         os._exit(status)  # never return into the caller's stack

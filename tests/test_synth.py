@@ -539,8 +539,11 @@ class TestCaseIO:
              "field 'class': class 7 is not in the class table"),
             (lambda text: re.sub(r"head_end (\S+) (\S+) \S+", r"head_end \1 \2", text),
              "field 'head_end': 2 values, expected 3"),
+            (lambda text: text.replace("management Monitoring\n", "management Surgery\n"),
+             "field 'management': class 3's management is Monitoring, not Surgery"),
         ],
-        ids=["missing-class", "non-integer-seed", "unknown-class", "two-value-head-end"],
+        ids=["missing-class", "non-integer-seed", "unknown-class", "two-value-head-end",
+             "management-against-class"],
     )
     def test_malformed_case_file_named(self, tmp_path, edit, match):
         d = tmp_path / "case"
