@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 
-from . import __version__
+from . import __version__, pipeline
 from .config import load_config
-from .pipeline import STAGES, run_pipeline, write_manifest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,13 +21,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-raise errors with their traceback instead of a one-line message",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = [(name, f"run the {name} stage over a work directory") for name, _ in STAGES]
-    for name, text in commands + [("pipeline", "run all stages end-to-end")]:
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", required=True, help="work/output directory")
+    commands = [name for name, _ in pipeline.STAGES] + ["pipeline"]
+    parser.add_argument("command", choices=commands, help="a stage, or pipeline for all of them")
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", required=True, help="work/output directory")
     return parser
 
 
@@ -41,13 +36,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "pipeline":
-            accs = run_pipeline(cfg, args.out)
-            for k in sorted(accs):
-                print(f"{k} accuracy: {accs[k]:.4f}")
-            return 0
-        os.makedirs(args.out, exist_ok=True)
-        dict(STAGES)[args.command](cfg, args.out)
-        write_manifest(cfg, args.out, [args.command])
+            accs = pipeline.run_pipeline(cfg, args.out)
+        else:
+            accs = pipeline.run_stages(cfg, args.out, [args.command])
+        for k in sorted(accs):
+            print(f"{k} accuracy: {accs[k]:.4f}")
         return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit
         if args.debug:

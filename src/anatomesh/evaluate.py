@@ -45,10 +45,6 @@ class ConfusionMatrix:
     labels: tuple[str, ...]
     counts: np.ndarray  # rows = truth, columns = prediction
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def row_percentages(self) -> np.ndarray:
         """Per-row percentages; rows with no cases are all-nan."""
         sums = self.counts.sum(axis=1, keepdims=True).astype(np.float64)

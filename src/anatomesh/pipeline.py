@@ -51,8 +51,8 @@ __all__ = [
     "stage_train",
     "stage_classify",
     "stage_eval",
+    "run_stages",
     "run_pipeline",
-    "write_manifest",
 ]
 
 T = TypeVar("T")
@@ -420,22 +420,32 @@ STAGES = (
 )
 
 
-def write_manifest(cfg: RunConfig, out_dir: str, stages: list[str]) -> None:
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
+def run_stages(cfg: RunConfig, out_dir: str, names: list[str]) -> dict[str, float]:
+    """Run the named stages in ``STAGES`` order; eval's accuracies, or {}. ``manifest.txt``
+    is removed before the first stage and written after the last. When more than one stage
+    runs, a package error gets the failing stage's name in front, as ``_per_case`` puts a case's."""
+    stages = [(name, fn) for name, fn in STAGES if name in names]
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    accs: dict[str, float] = {}
+    for name, fn in stages:
+        try:
+            accs.update(fn(cfg, out_dir) or {})
+        except (*_CASE_ERRORS, ConfigError, EvalError) as exc:
+            if len(stages) == 1:
+                raise
+            raise type(exc)(f"{name}: {exc}") from exc
+    with open(manifest, "w") as f:
         f.write(f"version {__version__}\n")
         f.write(f"config {os.path.abspath(cfg.path)}\n")
         f.write(f"config_sha256 {cfg.digest}\n")
-        for s in stages:
-            f.write(f"stage {s}\n")
+        for name, _ in stages:
+            f.write(f"stage {name}\n")
+    return accs
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     _n_val(cfg, cfg.synth.n_train)  # train's split rule, before synth-gen writes a case
-    os.makedirs(out_dir, exist_ok=True)
-    accs = {}
-    for name, fn in STAGES:
-        result = fn(cfg, out_dir)
-        if name == "eval":
-            accs = result
-    write_manifest(cfg, out_dir, [name for name, _ in STAGES])
-    return accs
+    return run_stages(cfg, out_dir, [name for name, _ in STAGES])

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anatomesh import pipeline
+from anatomesh import __version__, pipeline
 from anatomesh.cli import main
 from anatomesh.config import ConfigError, load_config
+from anatomesh.evaluate import EvalError
 from anatomesh.graphnet import TrainConfig
 from anatomesh.mesh import MeshTopology
 from anatomesh.meshfit import FitConfig, FitError
@@ -498,10 +499,28 @@ class TestCliErrors:
                    "--out", str(tmp_path / "w")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "anatomesh: pipeline: train_0000: case generation failed after 10 retries: "
-            "generated organ clips the grid boundary: [synth] bend = 100 does not fit "
-            "[synth] grid = 40\n"
+            "anatomesh: pipeline: synth-gen: train_0000: case generation failed after 10 "
+            "retries: generated organ clips the grid boundary: [synth] bend = 100 does not "
+            "fit [synth] grid = 40\n"
         )
+
+    @pytest.mark.parametrize("error, prefix", [
+        (EvalError, "eval: "), (ConfigError, "eval: "), (FitError, "eval: "), (RuntimeError, ""),
+    ], ids=["eval", "config", "case", "not-a-package-error"])
+    def test_pipeline_error_names_the_stage(self, tmp_path, monkeypatch, capsys, error, prefix):
+        # a single-stage command's message stays as the stage raised it
+        def fails(cfg, out_dir):
+            raise error("holds no rows")
+
+        monkeypatch.setattr(pipeline, "STAGES", (("train", lambda cfg, out: None), ("eval", fails)))
+        args = ["--config", write_config(tmp_path), "--out", str(tmp_path / "w")]
+        assert main(["pipeline", *args]) == 1
+        assert main(["eval", *args]) == 1
+        assert capsys.readouterr().err == (
+            f"anatomesh: pipeline: {prefix}holds no rows\nanatomesh: eval: holds no rows\n"
+        )
+        with pytest.raises(error, match=f"^{prefix}holds no rows$"):
+            main(["pipeline", "--debug", *args])
 
     def test_bad_value_fails_before_any_stage(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG + "learning_rate = abc\n")
@@ -530,8 +549,6 @@ class TestGcFreeze:
 
     @pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
     def test_stage_runs_frozen_and_main_unfreezes(self, tmp_path, monkeypatch, fails):
-        from anatomesh import cli
-
         seen = []
 
         def stage(cfg, out_dir):
@@ -539,7 +556,7 @@ class TestGcFreeze:
             if fails:
                 raise SynthError("organ unplaceable")
 
-        monkeypatch.setattr(cli, "STAGES", (("synth-gen", stage),))
+        monkeypatch.setattr(pipeline, "STAGES", (("synth-gen", stage),))
         argv = ["synth-gen", "--config", write_config(tmp_path), "--out", str(tmp_path / "w")]
         assert main(argv) == int(fails)
         assert len(seen) == 1 and seen[0] > 0
@@ -610,6 +627,40 @@ class TestPipeline:
                       "pool-features", "train", "classify", "eval"):
             assert f"stage {stage}" in text
         assert load_config(cfg).digest in text
+
+    def test_single_stage_manifest_names_only_its_stage(self, pipeline_run, tmp_path):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        assert main(["classify", "--config", cfg, "--out", work]) == 0
+        with open(os.path.join(work, "manifest.txt")) as f:
+            assert f.read() == (
+                f"version {__version__}\nconfig {os.path.abspath(cfg)}\n"
+                f"config_sha256 {load_config(cfg).digest}\nstage classify\n"
+            )
+
+    @pytest.mark.parametrize("command", ["pipeline", "classify"])
+    def test_failed_command_leaves_no_manifest(self, pipeline_run, tmp_path, capsys, command):
+        # the old manifest would name the finished run's stages and config
+        _, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        os.remove(os.path.join(work, "model.ckpt"))  # classify fails
+        bent = SMALL_CONFIG.replace("[synth]\n", "[synth]\nbend = 100\n")  # synth-gen fails
+        assert main([command, "--config", write_config(tmp_path, bent), "--out", work]) == 1
+        assert capsys.readouterr().err.startswith(f"anatomesh: {command}: ")
+        assert not os.path.exists(os.path.join(work, "manifest.txt"))
+
+    def test_eval_prints_the_accuracies_it_writes(self, pipeline_run, tmp_path, capsys):
+        cfg, out = pipeline_run
+        work = str(tmp_path / "w")
+        shutil.copytree(out, work)
+        assert main(["eval", "--config", cfg, "--out", work]) == 0
+        with open(os.path.join(work, "report", "accuracy.csv")) as f:
+            rows = sorted(line.split(",") for line in f.read().splitlines()[1:])
+        assert capsys.readouterr().out == "".join(
+            f"{k} accuracy: {float(v):.4f}\n" for k, v in rows
+        )
 
     def test_stagewise_equals_pipeline(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run
