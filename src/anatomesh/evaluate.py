@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "management_report",
     "mass_counts",
     "select_pv_threshold",
+    "write_csv",
     "MANAGEMENT_LABELS",
 ]
 
@@ -38,6 +40,18 @@ DEFAULT_CLASS = min(c for c, (spec, _) in DEFAULT_CLASSES.items() if spec is Non
 
 class EvalError(ValueError):
     """Inconsistent evaluation inputs."""
+
+
+def write_csv(path: str, header: str, rows: Iterable[Sequence[object]]) -> None:
+    """The one format of the run-level tables: ``header`` (one or more lines), then each
+    row's fields joined by commas, a float as ``%.9g``, None as an empty field and
+    anything else as ``str``."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            fields = ("" if v is None else f"{v:.9g}" if isinstance(v, float) else str(v)
+                      for v in row)
+            f.write(",".join(fields) + "\n")
 
 
 @dataclass
@@ -65,10 +79,8 @@ class ConfusionMatrix:
         return "\n".join(lines)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("truth," + ",".join(self.labels) + "\n")
-            for l, row in zip(self.labels, self.counts):
-                f.write(l + "," + ",".join(str(int(c)) for c in row) + "\n")
+        header = "truth," + ",".join(self.labels)
+        write_csv(path, header, [(l, *row) for l, row in zip(self.labels, self.counts)])
 
 
 def binary_metrics(
@@ -101,13 +113,9 @@ class DetectionTable:
     macro: tuple[float, float]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("class,mean_dice,detection_rate,n\n")
-            for c in sorted(self.per_class):
-                d, r, n = self.per_class[c]
-                f.write(f"{c},{d:.9g},{r:.9g},{n}\n")
-            f.write(f"micro,{self.micro[0]:.9g},{self.micro[1]:.9g},\n")
-            f.write(f"macro,{self.macro[0]:.9g},{self.macro[1]:.9g},\n")
+        rows = [(c, *self.per_class[c]) for c in sorted(self.per_class)]
+        rows += [("micro", *self.micro, None), ("macro", *self.macro, None)]
+        write_csv(path, "class,mean_dice,detection_rate,n", rows)
 
 
 def detection_table(cases: list[tuple[float, bool, int]]) -> DetectionTable:

@@ -13,12 +13,13 @@ import dataclasses
 import functools
 import math
 import mmap
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 
 import numpy as np
 
-from .evaluate import classify_gc
+from .evaluate import classify_gc, write_csv
 from .mesh import MeshTopology, region_ranges
 from .workers import cpus, forked
 
@@ -357,6 +358,16 @@ def _check_labels(cases: list[tuple[np.ndarray, np.ndarray, int]], split: str) -
                 )
 
 
+def _row_sum(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """The column sums of the rows of ``parts``, added in the order that
+    ``np.concatenate(parts).sum(axis=0)`` adds them, without that copy: each later
+    part's rows are added one at a time onto the running sum."""
+    total = None
+    for part in parts:
+        total = part.sum(axis=0) if total is None else np.vstack([total, part]).sum(axis=0)
+    return total
+
+
 @dataclass
 class TrainLog:
     epochs: list[int] = field(default_factory=list)
@@ -365,14 +376,8 @@ class TrainLog:
     val_acc: list[float | None] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("epoch,train_loss,val_loss,val_acc\n")
-            for e, tl, vl, va in zip(
-                self.epochs, self.train_loss, self.val_loss, self.val_acc
-            ):
-                vls = "" if vl is None else f"{vl:.9g}"
-                vas = "" if va is None else f"{va:.9g}"
-                f.write(f"{e},{tl:.9g},{vls},{vas}\n")
+        rows = zip(self.epochs, self.train_loss, self.val_loss, self.val_acc)
+        write_csv(path, "epoch,train_loss,val_loss,val_acc", rows)
 
 
 def train(
@@ -415,11 +420,14 @@ def train(
     train_cases, val_cases = (
         [(f, eye_v[vt], eye_g[g]) for f, vt, g in cases] for cases in (dataset, validation)
     )
-    stacked = np.concatenate([f for f, _, _ in dataset])
+    # the mean and std of every training row, bit for bit those of their concatenation
+    feats = [f for f, _, _ in dataset]
+    n_rows = sum(len(f) for f in feats)
+    mean = _row_sum(feats) / n_rows
+    std = np.sqrt(_row_sum(np.square(f - mean) for f in feats) / n_rows)
     # the workers read the parameters and add to the batch's gradient sum in shared memory
     params = dataclasses.replace(
-        params, flat=_shared(params.flat),
-        input_mean=stacked.mean(axis=0), input_std=np.maximum(stacked.std(axis=0), 1e-8),
+        params, flat=_shared(params.flat), input_mean=mean, input_std=np.maximum(std, 1e-8)
     )
     grad_sum = _shared(params.flat)  # each batch's first case overwrites it
 

@@ -24,6 +24,7 @@ from .evaluate import (
     management_report,
     mass_counts,
     select_pv_threshold,
+    write_csv,
 )
 from .features import load_features, load_rows, pool_features, save_features
 from .graphnet import GraphNetError, forward, load_params, save_params, train
@@ -178,8 +179,9 @@ def _segmentation(probs: ProbVolume) -> LabelVolume:
 
 def _load_segmentation(d: str) -> LabelVolume:
     """A case's predicted segmentation, decoded from its ``probs.*``. Every
-    test-time input comes from it: no stage reads a case's truth to fit,
-    render zones or pool features."""
+    test-time input comes from it: no stage reads a case's truth to fit or
+    pool features, and render-zones reads it only for ``vertex_labels.txt``,
+    the training target."""
     return _segmentation(load_volume(os.path.join(d, "probs")))
 
 
@@ -317,11 +319,8 @@ def stage_classify(cfg: RunConfig, out_dir: str) -> None:
         return os.path.basename(d), truth, classify_gc(gp), classify_vv(vp), pv
 
     rows = _per_case(_case_dirs(out_dir, "test"), predict)
-    with open(os.path.join(out_dir, "predictions.csv"), "w") as f:
-        f.write(f"# pv_threshold {pv_threshold}\n")
-        f.write("case,truth,gc,vv,pv\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+    header = f"# pv_threshold {pv_threshold}\ncase,truth,gc,vv,pv"
+    write_csv(os.path.join(out_dir, "predictions.csv"), header, rows)
 
 
 def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
@@ -357,14 +356,15 @@ def _load_predictions(path: str) -> list[tuple[str, int, int, int, int]]:
 
 def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     rows = _load_predictions(os.path.join(out_dir, "predictions.csv"))
-    truths = [r[1] for r in rows]
-    preds = {label: [r[col] for r in rows] for label, col in (("gc", 2), ("vv", 3), ("pv", 4))}
-    accs = {k: float(np.mean([p == t for p, t in zip(preds[k], truths)])) for k in preds}
-    mgmt_true = [MANAGEMENT_BY_CLASS[t] for t in truths]
-    mgmt_pred = {k: [MANAGEMENT_BY_CLASS[p] for p in preds[k]] for k in preds}
-    cm = management_report(mgmt_pred["gc"], mgmt_true)
-    # Surgery against the rest: the paper's PDAC-vs-nonPDAC split
-    surgery = {k: binary_metrics(mgmt_pred[k], mgmt_true, "Surgery") for k in preds}
+    mgmt_true = [MANAGEMENT_BY_CLASS[r[1]] for r in rows]
+    # strategy -> accuracy, then Surgery-vs-rest accuracy, sensitivity and specificity:
+    # Surgery against the rest is the paper's PDAC-vs-nonPDAC split
+    table = {
+        k: (float(np.mean([r[col] == r[1] for r in rows])),
+            *binary_metrics([MANAGEMENT_BY_CLASS[r[col]] for r in rows], mgmt_true, "Surgery"))
+        for col, k in enumerate(("gc", "vv", "pv"), 2)
+    }
+    cm = management_report([MANAGEMENT_BY_CLASS[r[2]] for r in rows], mgmt_true)
 
     def scores(d: str) -> tuple[float, bool] | None:
         # only the scores are kept: each case's masks are freed once scored
@@ -385,27 +385,21 @@ def stage_eval(cfg: RunConfig, out_dir: str) -> dict[str, float]:
     os.makedirs(report_dir)
     cm.to_csv(os.path.join(report_dir, "management_confusion.csv"))
     if scored:
-        dt = detection_table(scored)
-        dt.to_csv(os.path.join(report_dir, "detection_table.csv"))
+        detection_table(scored).to_csv(os.path.join(report_dir, "detection_table.csv"))
     with open(os.path.join(report_dir, "report.txt"), "w") as f:
         f.write("classification accuracy (test split)\n")
-        for k in ("gc", "vv", "pv"):
-            f.write(f"  {k.upper()}: {accs[k]:.4f}\n")
+        f.writelines(f"  {k.upper()}: {v[0]:.4f}\n" for k, v in table.items())
         f.write("\nmanagement confusion (rows = truth)\n")
         f.write(cm.to_text() + "\n")
         f.write("\nSurgery vs rest (test split)\n")
-        for k in ("gc", "vv", "pv"):
-            acc, sens, spec = ("n/a" if v is None else f"{v:.4f}" for v in surgery[k])
+        for k, v in table.items():
+            acc, sens, spec = ("n/a" if x is None else f"{x:.4f}" for x in v[1:])
             f.write(f"  {k.upper()}: accuracy {acc}  sensitivity {sens}  specificity {spec}\n")
-    with open(os.path.join(report_dir, "accuracy.csv"), "w") as f:
-        f.write("strategy,accuracy\n")
-        for k in ("gc", "vv", "pv"):
-            f.write(f"{k},{accs[k]:.9g}\n")
-    with open(os.path.join(report_dir, "surgery_vs_rest.csv"), "w") as f:
-        f.write("strategy,accuracy,sensitivity,specificity\n")
-        for k in ("gc", "vv", "pv"):
-            f.write(k + "".join("," if v is None else f",{v:.9g}" for v in surgery[k]) + "\n")
-    return accs
+    write_csv(os.path.join(report_dir, "accuracy.csv"), "strategy,accuracy",
+              [(k, v[0]) for k, v in table.items()])
+    write_csv(os.path.join(report_dir, "surgery_vs_rest.csv"),
+              "strategy,accuracy,sensitivity,specificity", [(k, *v[1:]) for k, v in table.items()])
+    return {k: v[0] for k, v in table.items()}
 
 
 STAGES = (

@@ -307,11 +307,12 @@ def _grow(box: tuple[slice, ...], by: int, dims: tuple[int, ...]) -> tuple[slice
 def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     """Noisy probability stand-in for a segmentation softmax, on the organ's neighbourhood.
 
-    One-hot labels get a 1-voxel boundary blur, then are blended with seeded
-    random probability vectors with weight ``noise``, in the [0, 0.5) that
-    :class:`SynthConfig` allows. A label with no channel raises SynthError.
-    The arithmetic is the per-voxel formula's, in float64; a negative
-    float32 result is set to 0.
+    With ``noise`` above 0, one-hot labels get a 1-voxel boundary blur, then
+    are blended with seeded random probability vectors with weight
+    ``noise``, in the [0, 0.5) that :class:`SynthConfig` allows; at 0 they
+    stay the exact one-hot, unblurred. A label with no channel raises
+    SynthError. The arithmetic is the per-voxel formula's, in float64; a
+    negative float32 result is set to 0.
 
     The volume holds the box of the non-zero labels, grown by one voxel and
     clipped to the grid (labels with none hold the whole grid). Only the
@@ -337,7 +338,7 @@ def soften(labels: LabelVolume, noise: float, seed: int) -> ProbVolume:
     out = np.zeros((*size[::-1], N_CHANNELS), dtype=np.float32)
     probs = out.transpose(2, 1, 0, 3)
     if not noise > 0.0:
-        # no noise: every row is exactly one 1.0, so normalising would divide by 1.0
+        # no noise: the exact one-hot, neither blurred nor normalised (each row sums to 1.0)
         for k in range(N_CHANNELS):
             np.equal(data[box], k, out=probs[..., k])
         return ProbVolume(probs, labels.spacing, dims, box)

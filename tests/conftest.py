@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -63,6 +65,16 @@ def awkward_floats(allow_non_finite=True):
         st.integers(-(10**6), 10**6).map(float),
         st.floats(allow_nan=allow_non_finite, allow_infinity=allow_non_finite),
     )
+
+
+def load_by_path(*parts):
+    """The repository's file ``parts`` as a module; ``tools/`` and ``perfbench/`` are
+    not packages. It is entered in ``sys.modules``, where its dataclasses look."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, *parts)
+    spec = importlib.util.spec_from_file_location(os.path.splitext(parts[-1])[0], path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def written_bytes(write, *args):

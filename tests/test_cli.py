@@ -1,3 +1,4 @@
+import contextlib
 import filecmp
 import gc
 import glob
@@ -28,7 +29,7 @@ from anatomesh.meshfit import FitConfig, FitError
 from anatomesh.synth import SynthConfig, SynthError
 from anatomesh.volume import LabelVolume, ProbVolume, load_volume, save_volume
 
-from conftest import assert_no_child_left, count_forks, patch_cpus
+from conftest import assert_no_child_left, count_forks, load_by_path, patch_cpus
 from test_synth import grown_box
 
 SMALL_CONFIG = """\
@@ -565,12 +566,16 @@ class TestGcFreeze:
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """One full small pipeline run shared by the checks below."""
+    """One full small pipeline run shared by the checks below; what it printed is
+    in ``printed.txt`` beside the work directory."""
     tmp = tmp_path_factory.mktemp("pipe")
     cfg = write_config(tmp)
     out = str(tmp / "run")
-    rc = main(["pipeline", "--config", cfg, "--out", out])
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = main(["pipeline", "--config", cfg, "--out", out])
     assert rc == 0
+    (tmp / "printed.txt").write_text(printed.getvalue())
     return cfg, out
 
 
@@ -661,6 +666,21 @@ class TestPipeline:
         assert capsys.readouterr().out == "".join(
             f"{k} accuracy: {float(v):.4f}\n" for k, v in rows
         )
+
+    def test_benchmark_output_check_passes(self, pipeline_run):
+        # the check the benchmark makes of every run it times, on this run's sizes
+        cfg, out = pipeline_run
+        workloads = load_by_path("perfbench", "workloads.py")
+        run = load_config(cfg)
+        w = workloads.Workload(
+            "small", "SMALL_CONFIG", grid=run.synth.grid, n_train=run.synth.n_train,
+            n_test=run.synth.n_test, epochs=run.train.epochs, procs=1, iterations=1,
+            prep=(), timed=("pipeline",),
+        )
+        assert workloads.check_outputs(w, out) == []
+        accs = workloads.read_accuracies(out)
+        with open(os.path.join(os.path.dirname(out), "printed.txt")) as f:
+            assert f.read() == "".join(f"{k} accuracy: {accs[k]:.4f}\n" for k in sorted(accs))
 
     def test_stagewise_equals_pipeline(self, pipeline_run, tmp_path):
         cfg, out = pipeline_run

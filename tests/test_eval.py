@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anatomesh import evaluate
 from anatomesh.config import load_config
@@ -16,10 +18,13 @@ from anatomesh.evaluate import (
     management_report,
     mass_counts,
     select_pv_threshold,
+    write_csv,
 )
 from anatomesh.pipeline import stage_eval
 from anatomesh.synth import BLOB_LABEL, DEFAULT_CLASSES, TUBE_LABEL
 from anatomesh.volume import LabelVolume, detected, dice, save_volume
+
+from conftest import awkward_floats, written_bytes
 
 
 def block(n, on):
@@ -122,8 +127,9 @@ class TestDetectionTable:
         t.to_csv(str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "class,mean_dice,detection_rate,n"
-        assert lines[-2].startswith("micro,")
-        assert lines[-1].startswith("macro,")
+        assert lines[1:3] == [f"2,{t.per_class[2][0]:.9g},1,2", "3,0,0,1"]
+        assert lines[-2] == f"micro,{t.micro[0]:.9g},{t.micro[1]:.9g},"
+        assert lines[-1] == f"macro,{t.macro[0]:.9g},0.5,"
 
 
 class TestManagementReport:
@@ -159,12 +165,13 @@ class TestManagementReport:
             management_report(["Surgery"], [])
 
     def test_csv(self, tmp_path):
-        cm = management_report(["Surgery"], ["Surgery"])
+        cm = management_report(["Surgery", "Discharge", "Surgery"],
+                               ["Surgery", "Monitoring", "Discharge"])
         path = tmp_path / "cm.csv"
         cm.to_csv(str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "truth," + ",".join(MANAGEMENT_LABELS)
-        assert len(lines) == 4
+        assert lines[1:] == ["Surgery,1,0,0", "Monitoring,0,0,1", "Discharge,1,0,0"]
 
     def test_perfect_diagonal(self):
         labels = list(MANAGEMENT_LABELS) * 3
@@ -272,3 +279,26 @@ class TestSurgeryVsRest:
         assert "  GC: accuracy 1.0000  sensitivity 1.0000  specificity n/a\n" in (
             report / "report.txt"
         ).read_text()
+
+
+class TestWriteCsv:
+    """The one format of the run-level tables: a float as %.9g, None as an empty
+    field, anything else as str."""
+
+    def test_fields(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            ("a", None, np.float64(1 / 3), np.int64(12345678901), 0.5),
+            (np.float64(2.0), 1e-300, -0.0, 7, None),
+        ]
+        write_csv(str(path), "# note 1\nname,b,c,d,e", rows)
+        assert path.read_text() == (
+            "# note 1\nname,b,c,d,e\n"
+            "a,,0.333333333,12345678901,0.5\n"
+            "2,1e-300,-0,7,\n"
+        )
+
+    @given(st.lists(awkward_floats(), min_size=1, max_size=6))
+    def test_each_float_is_its_9g(self, values):
+        written = written_bytes(lambda rows, path: write_csv(path, "h", rows), [values])
+        assert written.decode() == "h\n" + ",".join("%.9g" % v for v in values) + "\n"

@@ -353,6 +353,25 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert len(log.epochs) == 0
 
+    def test_input_scaling_is_the_concatenated_rows_mean_and_std(self, monkeypatch):
+        # train adds up the scaling case by case; it must keep the bits of the
+        # mean and std taken over every training row at once
+        patch_cpus(monkeypatch, 1)
+        rng = np.random.default_rng(22)
+        cfg = TrainConfig(epochs=0, width=8)
+        for _ in range(30):
+            data = []
+            for i in range(int(rng.integers(1, 40))):
+                feats = rng.normal(size=(12, 6)) * rng.uniform(0.01, 100.0, size=6)
+                feats[:, 3:] = rng.normal(size=3)  # global columns, constant over a case
+                feats[:, 5] = -0.0 if i % 2 else 0.0
+                data.append((feats, np.zeros(12, dtype=int), i % 2))
+            params, _ = train(data, ico_topology(), cfg, [])
+            stacked = np.concatenate([f for f, _, _ in data])
+            assert params.input_mean.tobytes() == stacked.mean(axis=0).tobytes()
+            expect_std = np.maximum(stacked.std(axis=0), 1e-8)
+            assert params.input_std.tobytes() == expect_std.tobytes()
+
     def test_memorizes_separable_dataset(self):
         rng = np.random.default_rng(15)
         topo = ico_topology()
@@ -448,6 +467,9 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert len(lines) == 3
+        # no validation split: each row's val_loss and val_acc are empty fields
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+        assert all(line.endswith(",,") and line.count(",") == 3 for line in lines[1:])
 
 
 def trained_files(out, data, val, cfg):

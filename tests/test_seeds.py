@@ -1,11 +1,10 @@
 import csv
 import dataclasses
-import importlib.util
-import os
 
 from anatomesh.config import load_config
 from anatomesh.pipeline import run_pipeline
 
+from conftest import load_by_path
 from test_cli import write_config
 
 TINY_CONFIG = """\
@@ -26,18 +25,9 @@ val_fraction = 0.25
 """
 
 
-def load_seeds():
-    """``tools/seeds.py`` as a module; ``tools/`` is not a package."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "seeds.py")
-    spec = importlib.util.spec_from_file_location("seeds", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_run_seed_reports_each_rate_and_the_epochs_run(tmp_path):
     cfg = load_config(write_config(tmp_path, TINY_CONFIG))
-    metrics = load_seeds().run_seed(cfg, 2)
+    metrics = load_by_path("tools", "seeds.py").run_seed(cfg, 2)
     # the same run at seed 2, in a directory that outlives it
     seeded = dataclasses.replace(
         cfg,
